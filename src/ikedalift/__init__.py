@@ -23,7 +23,6 @@ from .ikeda import (
     satake_polynomial,
     verify_prime,
 )
-from .kernels import BACKEND
 from .modforms import (
     BUILTIN_WEIGHTS,
     FourierSeries,
@@ -45,3 +44,6 @@ from .qseries import (
 )
 
 __version__ = "0.1.0"
+
+# The only arithmetic backend; benchmark provenance records it.
+BACKEND = "python"

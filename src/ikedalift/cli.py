@@ -174,6 +174,13 @@ def run_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ikedalift",
@@ -191,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     eigen.add_argument("--eigenform", help="coefficient table for weight 2k-n")
     eigen.add_argument("--format", choices=("csv", "json"), default="csv")
     eigen.add_argument("--out", help="output path (default stdout)")
-    eigen.add_argument("--digits", type=int, default=50, help="decimal rendering digits")
+    eigen.add_argument(
+        "--digits", type=_nonnegative_int, default=50, help="decimal rendering digits"
+    )
     eigen.set_defaults(func=run_eigen)
 
     verify = sub.add_parser("verify", help="verification sweep with summary table")

@@ -4,10 +4,13 @@ Built-in weights are exactly those with a one-dimensional cusp space
 (12, 16, 18, 20, 22, 26), where the normalized cusp form is automatically a
 Hecke eigenform: the weight-12 discriminant form times monomials in the
 Eisenstein series E4 and E6.  The discriminant form is built two independent
-ways (24th power of the pentagonal-number eta expansion, and
-(E4^3 - E6^2)/1728) and the constructions are asserted to agree, so the
-root of the data pipeline is its own oracle.  Any other weight enters
-through a validated coefficient table on disk.
+ways (eighth power of Jacobi's eta^3 expansion, and (E4^3 - E6^2)/1728) and
+the constructions are asserted to agree, so the root of the data pipeline is
+its own oracle.  Any other weight enters through a validated coefficient
+table on disk.
+
+Every series product goes through kernels.convolve_trunc, which multiplies
+truncated integer series by Kronecker substitution.
 """
 
 from __future__ import annotations
@@ -110,27 +113,19 @@ def eisenstein(w: int, N: int) -> FourierSeries:
 def _eta_power_24(nterms: int) -> list[int]:
     """Coefficients 0..nterms-1 of prod_{m>=1} (1 - q^m)^24.
 
-    The base factor is the pentagonal-number expansion
-    sum_j (-1)^j q^{j(3j-1)/2} over all integers j; the 24th power is taken
-    by repeated squaring of truncated series.
+    The base factor is Jacobi's identity
+    prod_{m>=1} (1 - q^m)^3 = sum_{j>=0} (-1)^j (2j+1) q^{j(j+1)/2},
+    a series with about sqrt(2 nterms) nonzero terms; its eighth power is
+    taken by three squarings of truncated series.
     """
-    base = [0] * nterms
+    cube = [0] * nterms
     j = 0
-    while True:
-        placed = False
-        for jj in (j, -j) if j else (0,):
-            g = jj * (3 * jj - 1) // 2
-            if g < nterms:
-                base[g] += -1 if jj % 2 else 1
-                placed = True
-        if not placed:
-            break
+    while j * (j + 1) // 2 < nterms:
+        cube[j * (j + 1) // 2] = -(2 * j + 1) if j % 2 else 2 * j + 1
         j += 1
-    p2 = kernels.convolve_trunc(base, base, nterms)
+    p2 = kernels.convolve_trunc(cube, cube, nterms)
     p4 = kernels.convolve_trunc(p2, p2, nterms)
-    p8 = kernels.convolve_trunc(p4, p4, nterms)
-    p16 = kernels.convolve_trunc(p8, p8, nterms)
-    return kernels.convolve_trunc(p16, p8, nterms)
+    return kernels.convolve_trunc(p4, p4, nterms)
 
 
 @lru_cache(maxsize=None)
@@ -144,8 +139,8 @@ def delta(N: int) -> FourierSeries:
         raise ValueError("truncation must be positive")
     via_eta = [0] + _eta_power_24(N)
 
-    e4 = list(eisenstein(4, N).coeffs)
-    e6 = list(eisenstein(6, N).coeffs)
+    e4 = eisenstein(4, N).coeffs
+    e6 = eisenstein(6, N).coeffs
     e4sq = kernels.convolve_trunc(e4, e4, N + 1)
     e4cb = kernels.convolve_trunc(e4sq, e4, N + 1)
     e6sq = kernels.convolve_trunc(e6, e6, N + 1)
@@ -190,7 +185,7 @@ def eigenform(w: int, N: int) -> FourierSeries:
         )
     coeffs = list(delta(N).coeffs)
     for ew in _EIGENFORM_FACTORS[w]:
-        coeffs = kernels.convolve_trunc(coeffs, list(eisenstein(ew, N).coeffs), N + 1)
+        coeffs = kernels.convolve_trunc(coeffs, eisenstein(ew, N).coeffs, N + 1)
     return FourierSeries(w, tuple(coeffs))
 
 

@@ -11,12 +11,41 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import kernels
 from .exactnum import QuadExt, RadicandMismatchError
 
 
 class InexactDivisionError(ArithmeticError):
     """Polynomial quotient left a remainder where exactness was required."""
+
+
+def _convolve(a, b):
+    """Full convolution of two coefficient lists (polynomial product).
+
+    All arithmetic goes through the coefficients themselves, so the result
+    is exact in any coefficient ring (int, Fraction, QuadExt).
+    """
+    na, nb = len(a), len(b)
+    if na == 0 or nb == 0:
+        return []
+    out = [0] * (na + nb - 1)
+    for i in range(na):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(nb):
+            bj = b[j]
+            if bj == 0:
+                continue
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _horner(coeffs, x):
+    """Evaluate the polynomial with the given coefficient list at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class Poly:
@@ -73,7 +102,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(kernels.convolve(self.coeffs, other.coeffs))
+        return Poly(_convolve(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
@@ -89,7 +118,7 @@ class Poly:
         return Poly([0] * k + self.coeffs)
 
     def __call__(self, x):
-        return kernels.horner(self.coeffs, x)
+        return _horner(self.coeffs, x)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -195,7 +224,7 @@ def expand_product(factors) -> Poly:
 
 def eval_poly(poly: Poly, point):
     """Horner evaluation at an int, Fraction, or QuadExt point."""
-    return kernels.horner(poly.coeffs, point)
+    return _horner(poly.coeffs, point)
 
 
 def divide_exact(num: Poly, den: Poly) -> Poly:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import kernels
-from .polyalg import Poly, divide_exact
+from .polyalg import Poly, divide_exact, eval_poly
 
 
 def q_int(n: int) -> Poly:
@@ -49,7 +48,7 @@ def q_binomial(n: int, m: int) -> Poly:
 @lru_cache(maxsize=None)
 def q_binomial_eval(n: int, m: int, q0: int) -> int:
     """Gaussian binomial evaluated at an integer q0 (Horner)."""
-    return kernels.horner(q_binomial(n, m).coeffs, q0)
+    return eval_poly(q_binomial(n, m), q0)
 
 
 def binomial_product_coeffs(n: int) -> list[Poly]:

@@ -13,6 +13,7 @@ import random
 from contextlib import contextmanager
 from math import gcd
 
+from ikedalift import BACKEND
 from ikedalift.exactnum import half_power, primes_upto
 from ikedalift.ikeda import (
     IkedaParams,
@@ -31,7 +32,6 @@ from ikedalift.ikeda import (
 from ikedalift.modforms import BUILTIN_WEIGHTS, delta, eigenform
 from ikedalift.polyalg import Poly, is_palindromic
 from ikedalift.qseries import binomial_product_coeffs, q_binomial
-from ikedalift.kernels import BACKEND
 
 DESK_PAIRS = ((2, 10), (2, 12), (2, 14), (4, 8), (4, 10), (4, 12), (6, 14), (6, 16))
 

@@ -99,6 +99,12 @@ class TestEigen:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert re.match(r"^\d+\.\d{5}$", rows[0]["lower_decimal"])
 
+    def test_negative_digits_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", "--n", "2", "--k", "10", "--pmax", "3", "--digits", "-1"])
+        assert exc.value.code == 2
+        assert "--digits" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_sweep_passes(self, capsys):

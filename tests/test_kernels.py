@@ -1,83 +1,127 @@
-"""Backend parity: the compiled kernels must match the pure-Python ones
-bit for bit on every coefficient ring."""
+"""The arithmetic kernels against the schoolbook oracle: the Kronecker
+series engine (kernels.convolve_trunc) on signed integers of any size, and the
+generic polynomial loops (polyalg._convolve, polyalg._horner) on every
+coefficient ring."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikedalift import _kernels_py, kernels
+import ikedalift
 from ikedalift.exactnum import QuadExt
+from ikedalift.kernels import convolve_trunc
+from ikedalift.polyalg import _convolve, _horner
+from ikedalift.selftest import check_series_engine_oracle, naive_product
 
 BIG = 10**40
 
-try:
-    from ikedalift import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [_kernels_py] + ([_speedups] if _speedups is not None else [])
-
 
 def test_backend_reported():
-    assert kernels.BACKEND in ("cython", "python")
+    assert ikedalift.BACKEND == "python"
 
 
-def naive_product(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+def test_selftest_oracle_check():
+    check_series_engine_oracle()
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda m: m.__name__)
-class TestBackend:
-    def test_empty_inputs(self, backend):
-        assert backend.convolve([], [1, 2]) == []
-        assert backend.convolve([1], []) == []
-        assert backend.convolve_trunc([1, 2], [3], 0) == []
+def near_slot_width(w):
+    """Coefficients up to and just past the largest a w-byte slot holds."""
+    top = 1 << (8 * w - 1)
+    return st.one_of(
+        st.sampled_from((0, top - 1, -(top - 1), top, -top)),
+        st.integers(-top, top),
+    )
 
-    def test_known_product(self, backend):
-        assert backend.convolve([1, 1], [2, 1]) == [2, 3, 1]
 
-    def test_truncation(self, backend):
-        full = backend.convolve([1, 2, 3], [4, 5, 6])
-        for n in range(1, 8):
-            assert backend.convolve_trunc([1, 2, 3], [4, 5, 6], n) == full[:n]
+class TestConvolveTrunc:
+    def test_empty_inputs(self):
+        assert convolve_trunc([], [1, 2], 5) == []
+        assert convolve_trunc([1], [], 5) == []
+        assert convolve_trunc([1, 2], [3], 0) == []
+        assert convolve_trunc([1, 2], [3], -1) == []
 
-    def test_big_integers(self, backend):
+    def test_known_product(self):
+        assert convolve_trunc([1, 1], [2, 1], 3) == [2, 3, 1]
+        assert convolve_trunc([1, -1], [1, 1], 3) == [1, 0, -1]
+
+    def test_truncation(self):
+        # n below, at and above len(a) + len(b) - 1 = 5
+        full = naive_product([1, -2, 3], [-4, 5, 6])
+        for n in range(0, 8):
+            assert convolve_trunc([1, -2, 3], [-4, 5, 6], n) == full[:n]
+
+    def test_big_integers(self):
         a = [BIG + i for i in range(10)]
         b = [-BIG * 3 + i * i for i in range(7)]
-        assert backend.convolve(a, b) == naive_product(a, b)
+        assert convolve_trunc(a, b, 16) == naive_product(a, b)
 
-    def test_horner(self, backend):
-        assert backend.horner([13824, 240, 1], -24) == 8640
-        assert backend.horner([], 5) == 0
+    def test_zero_factor_times_huge(self):
+        # the slot must hold the inputs too, not only their product bound (0)
+        huge = [-(2**200), 2**200 - 1, 3]
+        assert convolve_trunc([0, 0, 0], huge, 10) == [0] * 5
+        assert convolve_trunc(huge, [0], 2) == [0, 0]
+        zeros = [0] * 6
+        assert convolve_trunc(zeros, zeros, 4) == [0] * 4
 
-    def test_quadratic_coefficients(self, backend):
-        x = QuadExt(Fraction(1), Fraction(1), 2)
-        y = QuadExt(Fraction(0), Fraction(3), 2)
-        got = backend.convolve([x, y], [x, y])
-        assert got == [x * x, x * y + y * x, y * y]
+    def test_accepts_tuples(self):
+        assert convolve_trunc((1, 2), (3, 4), 3) == [3, 10, 8]
 
     @given(
         st.lists(st.integers(-BIG, BIG), max_size=12),
         st.lists(st.integers(-BIG, BIG), max_size=12),
-        st.integers(0, 20),
+        st.integers(0, 25),
     )
     @settings(max_examples=150)
-    def test_matches_naive_oracle(self, backend, a, b, n):
-        assert backend.convolve(a, b) == naive_product(a, b)
-        assert backend.convolve_trunc(a, b, n) == naive_product(a, b)[:n]
+    def test_matches_naive_oracle(self, a, b, n):
+        assert convolve_trunc(a, b, n) == naive_product(a, b)[:n]
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_byte_width_boundaries(self, data):
+        a = data.draw(st.lists(near_slot_width(data.draw(st.integers(1, 5))), max_size=10))
+        b = data.draw(st.lists(near_slot_width(data.draw(st.integers(1, 5))), max_size=10))
+        n = data.draw(st.integers(0, len(a) + len(b) + 1))
+        assert convolve_trunc(a, b, n) == naive_product(a, b)[:n]
+
+    @given(
+        st.integers(1, 5).flatmap(lambda w: st.lists(near_slot_width(w), max_size=12)),
+        st.integers(0, 25),
+    )
+    @settings(max_examples=150)
+    def test_squaring(self, a, n):
+        before = list(a)
+        assert convolve_trunc(a, a, n) == naive_product(before, before)[:n]
+        assert a == before
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled extension not built")
-def test_compiled_matches_pure_on_fractions():
-    a = [Fraction(i, 7) for i in range(1, 9)]
-    b = [Fraction(-3, i) for i in range(1, 6)]
-    assert _speedups.convolve(a, b) == _kernels_py.convolve(a, b)
-    assert _speedups.horner(a, Fraction(2, 3)) == _kernels_py.horner(a, Fraction(2, 3))
+class TestPolyLoops:
+    def test_horner(self):
+        assert _horner([13824, 240, 1], -24) == 8640
+        assert _horner([], 5) == 0
+        a = [Fraction(i, 7) for i in range(1, 9)]
+        x = Fraction(2, 3)
+        assert _horner(a, x) == sum(c * x**i for i, c in enumerate(a))
+
+    def test_horner_quadratic_point(self):
+        x = QuadExt(Fraction(1), Fraction(1), 2)
+        coeffs = [3, -1, 2]
+        assert _horner(coeffs, x) == 3 - x + 2 * x * x
+
+    def test_quadratic_coefficients(self):
+        x = QuadExt(Fraction(1), Fraction(1), 2)
+        y = QuadExt(Fraction(0), Fraction(3), 2)
+        assert _convolve([x, y], [x, y]) == [x * x, x * y + y * x, y * y]
+
+    def test_fraction_coefficients(self):
+        a = [Fraction(i, 7) for i in range(1, 9)]
+        b = [Fraction(-3, i) for i in range(1, 6)]
+        assert _convolve(a, b) == naive_product(a, b)
+
+    @given(
+        st.lists(st.integers(-BIG, BIG), max_size=12),
+        st.lists(st.integers(-BIG, BIG), max_size=12),
+    )
+    @settings(max_examples=100)
+    def test_convolve_matches_naive_oracle(self, a, b):
+        assert _convolve(a, b) == naive_product(a, b)

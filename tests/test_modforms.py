@@ -11,6 +11,7 @@ from math import gcd
 
 import pytest
 
+from ikedalift import modforms
 from ikedalift.exactnum import primes_upto
 from ikedalift.modforms import (
     BUILTIN_WEIGHTS,
@@ -87,6 +88,24 @@ class TestDelta:
         # hand-derived: tau(1000) = tau(8)*tau(125) with tau(8), tau(125)
         # from the Hecke recursion at 2 and 5
         assert d.a(1000) == 84480 * -359001100500 == -30328412970240000
+
+    def test_corrupt_eta_source_is_caught(self, monkeypatch):
+        # the agreement check must stay live behind the fast engine: one
+        # wrong eta-side coefficient (delta index = eta index + 1) is named
+        real = modforms._eta_power_24
+
+        def corrupt(nterms):
+            out = real(nterms)
+            out[36] += 1
+            return out
+
+        monkeypatch.setattr(modforms, "_eta_power_24", corrupt)
+        delta.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match=r"disagree at index 37:"):
+                delta(60)
+        finally:
+            delta.cache_clear()
 
 
 class TestEigenform:
