@@ -7,8 +7,9 @@ determination.  Eigenvalues are computed by three independent formulas whose
 agreement is asserted on every run.
 """
 
-from .exactnum import QuadExt, half_power, is_prime, primes_upto, quad_arith
+from .exactnum import QuadExt, half_power, is_prime, primes_upto
 from .ikeda import (
+    BoundIdentityError,
     DeligneBoundError,
     EigenvalueReport,
     IkedaParams,
@@ -33,6 +34,7 @@ from .modforms import (
     eisenstein,
     hecke_eigenvalue_prime,
     load_eigenform,
+    within_deligne,
 )
 from .polyalg import Poly, QuadPoly, dickson, eval_poly, expand_product, is_palindromic
 from .qseries import (

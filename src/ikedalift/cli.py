@@ -2,7 +2,8 @@
 Gaussian binomial queries, eigenform inspection, self-test.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
-(reportable finding), 2 = usage or parameter error.
+(reportable finding), 2 = usage or parameter error, including a path that
+cannot be read or written.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EigenformValidationError as exc:

@@ -3,18 +3,20 @@ quadratic ring Q(sqrt(p)).
 
 Integers are Python ints and rationals are fractions.Fraction (always in
 lowest terms with positive denominator), so the only custom scalar is
-QuadExt: a number a + b*sqrt(p) with rational a, b and a fixed prime
-radicand p.  Values with different radicands never combine; the sign of a
-nonzero element is decided exactly by comparing a^2 against b^2*p (sqrt(p)
-is irrational for prime p), never by floating point.
+QuadExt: a number (A + B*sqrt(p)) / D held as three Python ints in
+canonical form (D > 0, gcd(A, B, D) = 1) with a fixed prime radicand p.
+Its arithmetic runs on ints alone: each result is reduced by one gcd and
+inherits p from operands whose radicand was checked when they were built.
+Values with different radicands never combine; the sign of a nonzero
+element is decided exactly by comparing A^2 against B^2*p (sqrt(p) is
+irrational for prime p), never by floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 
 class RadicandMismatchError(ValueError):
@@ -55,163 +57,197 @@ def _to_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class QuadExt:
-    """a + b*sqrt(p) with exact rational parts and prime radicand p."""
+    """(A + B*sqrt(p)) / D over Python ints, with prime radicand p.
 
-    a: Fraction
-    b: Fraction
-    p: int
+    The form is canonical: D > 0 and gcd(A, B, D) = 1, so equal values have
+    equal parts.  The rational parts read as the Fractions .a = A/D and
+    .b = B/D.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _to_fraction(self.a))
-        object.__setattr__(self, "b", _to_fraction(self.b))
-        if not is_prime(self.p):
-            raise ValueError(f"radicand {self.p} is not prime")
+    __slots__ = ("_A", "_B", "_D", "p")
+
+    def __init__(self, a, b, p: int):
+        a, b = _to_fraction(a), _to_fraction(b)
+        if not is_prime(p):
+            raise ValueError(f"radicand {p} is not prime")
+        # over the lcm of two reduced denominators, gcd(A, B, D) is already 1
+        da, db = a.denominator, b.denominator
+        d = da // gcd(da, db) * db
+        self._A = a.numerator * (d // da)
+        self._B = b.numerator * (d // db)
+        self._D = d
+        self.p = p
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._A, self._D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._B, self._D)
 
     # -- coercion ---------------------------------------------------------
 
-    def _coerce(self, other) -> "QuadExt":
+    def _parts(self, other):
+        """other as (A, B, D) over this radicand, or None for a non-scalar."""
         if isinstance(other, QuadExt):
             if other.p != self.p:
                 raise RadicandMismatchError(
                     f"cannot combine sqrt({self.p}) with sqrt({other.p})"
                 )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(_to_fraction(other), Fraction(0), self.p)
-        return NotImplemented
+            return other._A, other._B, other._D
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        return None
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.p)
+        A, B, D = o
+        d = self._D
+        if D == d:
+            return _quad(self._A + A, self._B + B, d, self.p)
+        return _quad(self._A * D + A * d, self._B * D + B * d, d * D, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.p)
+        A, B, D = o
+        d = self._D
+        if D == d:
+            return _quad(self._A - A, self._B - B, d, self.p)
+        return _quad(self._A * D - A * d, self._B * D - B * d, d * D, self.p)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.p)
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        # (a + b sqrt p)(c + d sqrt p) = (ac + bdp) + (ad + bc) sqrt p
-        return QuadExt(
-            self.a * o.a + self.b * o.b * self.p,
-            self.a * o.b + self.b * o.a,
-            self.p,
-        )
+        A, B, D = o
+        a, b = self._A, self._B
+        # (a + b sqrt p)(A + B sqrt p) = (aA + bBp) + (aB + bA) sqrt p
+        return _quad(a * A + b * B * self.p, a * B + b * A, self._D * D, self.p)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.p)
+        return _quad(-self._A, -self._B, self._D, self.p)
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        out = QuadExt(Fraction(1), Fraction(0), self.p)
+        out = _quad(1, 0, 1, self.p)
         base = self
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, QuadExt):
             # distinct radicands never represent the same irrational number;
-            # rationals (b == 0) are radicand-independent
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return (self.a, self.b, self.p) == (other.a, other.b, other.p)
+            # rationals (B == 0) are radicand-independent
+            if self._B == 0 and other._B == 0:
+                return self._A == other._A and self._D == other._D
+            return (self._A, self._B, self._D, self.p) == (
+                other._A,
+                other._B,
+                other._D,
+                other.p,
+            )
+        if isinstance(other, int):
+            return self._B == 0 and self._D == 1 and self._A == other
+        if isinstance(other, Fraction):
+            return (
+                self._B == 0
+                and self._A == other.numerator
+                and self._D == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.p))
+        if self._B == 0:
+            return hash(Fraction(self._A, self._D))
+        return hash((self._A, self._B, self._D, self.p))
 
     # -- exact sign and comparisons ----------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1} of the real number a + b*sqrt(p)."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
+        """Exact sign in {-1, 0, +1} of the real number (A + B*sqrt(p)) / D."""
+        A, B = self._A, self._B
+        sa = (A > 0) - (A < 0)
+        sb = (B > 0) - (B < 0)
         if sb == 0:
             return sa
         if sa == 0 or sa == sb:
             return sb
         # opposite signs: the term with larger square magnitude wins
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.p
+        lhs = A * A
+        rhs = B * B * self.p
         if lhs > rhs:
             return sa
         if lhs < rhs:
             return sb
-        # a^2 = b^2 p with a, b nonzero would make sqrt(p) rational
+        # A^2 = B^2 p with A, B nonzero would make sqrt(p) rational
         raise ArithmeticError(f"sqrt({self.p}) is rational?  {self!r}")
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._B == 0
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
             return NotImplemented
-        return (self - o).sign() < 0
+        return diff.sign() < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
             return NotImplemented
-        return (self - o).sign() <= 0
+        return diff.sign() <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
             return NotImplemented
-        return (self - o).sign() > 0
+        return diff.sign() > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
             return NotImplemented
-        return (self - o).sign() >= 0
+        return diff.sign() >= 0
 
     # -- rendering ----------------------------------------------------------
 
     def floor_scaled(self, scale: int = 1) -> int:
         """Exact floor(self * scale) for a positive integer scale."""
-        A = self.a * scale
-        B = self.b * scale
-        if B == 0:
-            return A.numerator // A.denominator
-        # floor of B*sqrt(p): irrational, so the negative case shifts by one
-        t = B * B * self.p
-        r = isqrt(t.numerator // t.denominator)
-        f = r if B > 0 else -r - 1
-        m = A.numerator // A.denominator + f
-        # value lies in [m, m + 2); one exact sign test resolves the floor
-        if (self * scale - (m + 1)).sign() >= 0:
-            m += 1
-        return m
+        num = self._A * scale
+        B = self._B * scale
+        if B:
+            # B*sqrt(p) is irrational, so it lies strictly between two
+            # consecutive integers; add the lower one
+            r = isqrt(B * B * self.p)
+            num += r if B > 0 else -r - 1
+        # floor(x / D) = floor(floor(x) / D) for a positive integer D
+        return num // self._D
 
     def decimal(self, digits: int = 50) -> str:
         """Truncated decimal rendering (approximation for display only).
@@ -224,25 +260,41 @@ class QuadExt:
         return f"{sign}{ip}.{fp:0{digits}d}" if digits else f"{sign}{ip}"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        surd = f"{self.b}*sqrt({self.p})"
-        if self.a == 0:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        surd = f"{b}*sqrt({self.p})"
+        if a == 0:
             return surd
-        joiner = " + " if self.b > 0 else " - "
-        mag = f"{abs(self.b)}*sqrt({self.p})"
-        return f"{self.a}{joiner}{mag}"
+        joiner = " + " if b > 0 else " - "
+        mag = f"{abs(b)}*sqrt({self.p})"
+        return f"{a}{joiner}{mag}"
+
+    def __repr__(self):
+        return f"QuadExt(a={self.a!r}, b={self.b!r}, p={self.p!r})"
 
 
-def quad_arith(x: QuadExt, y: QuadExt, op: str) -> QuadExt:
-    """Dispatch {add, sub, mul} on two Q(sqrt(p)) values (same radicand)."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown op {op!r}")
+_new = object.__new__
+
+
+def _quad(A: int, B: int, D: int, p: int) -> QuadExt:
+    """Canonical (A + B*sqrt(p)) / D from ints with D > 0.
+
+    p is inherited from an already validated operand, so it is not checked
+    again.
+    """
+    if D != 1:
+        g = gcd(A, B, D)
+        if g != 1:
+            A //= g
+            B //= g
+            D //= g
+    x = _new(QuadExt)
+    x._A = A
+    x._B = B
+    x._D = D
+    x.p = p
+    return x
 
 
 def half_power(p: int, h: int) -> QuadExt:
@@ -253,9 +305,6 @@ def half_power(p: int, h: int) -> QuadExt:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if h % 2 == 0:
-        e = h // 2
-        val = Fraction(p) ** e
-        return QuadExt(val, Fraction(0), p)
-    e = (h - 1) // 2
-    return QuadExt(Fraction(0), Fraction(p) ** e, p)
+    e, odd = divmod(h, 2)
+    num, den = (p**e, 1) if e >= 0 else (1, p**-e)
+    return _quad(0, num, den, p) if odd else _quad(num, 0, den, p)

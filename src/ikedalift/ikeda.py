@@ -13,9 +13,10 @@ The three routes are
     independently through the Dickson transform of the palindromic degree-n
     polynomial over Q(sqrt(p)).
 
-Every verification asserts the mutual agreement of the routes; Satake
-parameters themselves are never represented, so all arithmetic stays in Z,
-Q, or Q(sqrt(p)).
+Every verification asserts the mutual agreement of the routes, and that the
+exact sqrt(p)-bounds equal the product route evaluated in Q(sqrt(p)) at the
+Deligne endpoints.  Satake parameters themselves are never represented, so
+all arithmetic stays in Z, Q, or Q(sqrt(p)).
 """
 
 from __future__ import annotations
@@ -26,8 +27,14 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .exactnum import QuadExt, half_power, is_prime
+from .modforms import within_deligne
 from .polyalg import Poly, QuadPoly, dickson, eval_poly, expand_product
 from .qseries import q_binomial_eval
+
+# Per-prime caches hold one prime's working set; tables that depend only
+# on (n, k) are kept for a handful of parameter pairs.
+PRIME_CACHE_SIZE = 32
+PARAMS_CACHE_SIZE = 16
 
 
 class RouteDisagreementError(ArithmeticError):
@@ -40,6 +47,10 @@ class DeligneBoundError(ValueError):
 
 class ExponentIntegralityError(ArithmeticError):
     """An exponent or combinatorial factor claimed integral is not."""
+
+
+class BoundIdentityError(ArithmeticError):
+    """The exact bounds differ from route 2 at the Deligne endpoints."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,7 @@ def _as_nonneg_int(x: Fraction, what: str) -> int:
     return x.numerator
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def term_exponents(params: IkedaParams) -> tuple[TermExponent, ...]:
     """All (j, r) exponents of the double sum, integrality-checked."""
     n, k = params.n, params.k
@@ -116,6 +128,7 @@ def term_exponents(params: IkedaParams) -> tuple[TermExponent, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def tail_exponent(params: IkedaParams) -> int:
     """The exponent base_exp - n^2/8 of the a_f-free term (a non-negative
     integer for valid parameters)."""
@@ -134,16 +147,17 @@ def deligne_limit(params: IkedaParams, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
-    """Eigenvalue via the double sum over (j, r) plus the a_f-free term.
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def double_sum_terms(params: IkedaParams) -> tuple[tuple[int, int, int, int], ...]:
+    """The (j, r) terms of the double sum as integer tuples
+    (signed weight, q-binomial index, p-exponent, a_f-exponent).
 
     The rational factor j/(j-r) * C(j-r, r) is asserted to be a positive
-    integer, and every p-exponent is asserted to be a non-negative integer,
-    so the whole computation stays in Z.
+    integer and every p-exponent a non-negative integer; the checks depend
+    only on (n, k), so they run once per parameter pair.
     """
-    n = params.n
-    half = n // 2
-    total = 0
+    half = params.n // 2
+    out = []
     for t in term_exponents(params):
         w = Fraction(t.j, t.j - t.r) * comb(t.j - t.r, t.r)
         if w.denominator != 1 or w <= 0:
@@ -152,14 +166,17 @@ def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
             )
         sign = -1 if t.r % 2 else 1
         exp = _as_nonneg_int(t.total, "term exponent")
-        total += (
-            sign
-            * w.numerator
-            * q_binomial_eval(n, half - t.j, p)
-            * p**exp
-            * ap ** (t.j - 2 * t.r)
-        )
-    total += p ** tail_exponent(params) * q_binomial_eval(n, half, p)
+        out.append((sign * w.numerator, half - t.j, exp, t.j - 2 * t.r))
+    return tuple(out)
+
+
+def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
+    """Eigenvalue via the double sum over (j, r) plus the a_f-free term,
+    computed in Z from the integrality-checked terms of double_sum_terms."""
+    n = params.n
+    total = p ** tail_exponent(params) * q_binomial_eval(n, n // 2, p)
+    for weight, m, exp, ap_exp in double_sum_terms(params):
+        total += weight * q_binomial_eval(n, m, p) * p**exp * ap**ap_exp
     return total
 
 
@@ -168,8 +185,12 @@ def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def eigenvalue_product(params: IkedaParams, p: int, ap: int) -> int:
-    """Eigenvalue as the product of (a_f(p) + p^(k-i) + p^(k-n-1+i))."""
+def eigenvalue_product(params: IkedaParams, p: int, ap):
+    """Eigenvalue as the product of (a_f(p) + p^(k-i) + p^(k-n-1+i)).
+
+    ap may also be a QuadExt in Q(sqrt(p)), which is how verify_prime
+    evaluates the product at the Deligne endpoints.
+    """
     n, k = params.n, params.k
     out = 1
     for i in range(1, n // 2 + 1):
@@ -182,7 +203,7 @@ def eigenvalue_product(params: IkedaParams, p: int, ap: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
 def satake_polynomial(params: IkedaParams, p: int) -> QuadPoly:
     """The degree-n generating polynomial whose normalized value at the
     Satake parameter is the eigenvalue.
@@ -198,7 +219,7 @@ def satake_polynomial(params: IkedaParams, p: int) -> QuadPoly:
     return QuadPoly(coeffs, radicand=p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
 def eigenvalue_polynomial(params: IkedaParams, p: int) -> Poly:
     """Monic integer polynomial of degree n/2 sending a_f(p) to the
     eigenvalue, built through the Dickson transform.
@@ -214,22 +235,25 @@ def eigenvalue_polynomial(params: IkedaParams, p: int) -> Poly:
     d = params.double_base_exp
     c = p ** (2 * k - n - 1)
 
-    center = half_power(p, d + half * (half - n)) * q_binomial_eval(n, half, p)
-    acc = Poly([center])
+    acc = [0] * (half + 1)
+    acc[0] = half_power(p, d + half * (half - n)) * q_binomial_eval(n, half, p)
     for i in range(half):
         h = d + i * (i - n) + (2 * k - n - 1) * (i - half)
         scal = half_power(p, h) * q_binomial_eval(n, i, p)
-        acc = acc + dickson(half - i, c).scale(scal)
+        for j, x in enumerate(dickson(half - i, c).coeffs):
+            if x:
+                acc[j] += scal * x
 
     ints = []
-    for j, cq in enumerate(acc.coeffs):
+    for j, cq in enumerate(acc):
         if not isinstance(cq, QuadExt):
-            cq = QuadExt(Fraction(cq), Fraction(0), p)
-        if cq.b != 0:
+            cq = QuadExt(cq, 0, p)
+        if not cq.is_rational():
             raise ArithmeticError(f"coefficient {j} has nonzero surd part: {cq}")
-        if cq.a.denominator != 1:
+        v = cq.floor_scaled()
+        if cq != v:
             raise ArithmeticError(f"coefficient {j} is not an integer: {cq}")
-        ints.append(cq.a.numerator)
+        ints.append(v)
     tilde = Poly(ints)
 
     if tilde.degree != half or not tilde.is_monic():
@@ -269,13 +293,12 @@ def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     p^(base_exp + n^2/8) * prod_{i=1}^{n/2} (1 -+ p^-(i-1/2))^2."""
     n = params.n
     base = half_power(p, params.double_base_exp + n * n // 4)
-    one = QuadExt(Fraction(1), Fraction(0), p)
-    lo, hi = base, base
+    lo = hi = QuadExt(1, 0, p)
     for i in range(1, n // 2 + 1):
         u = half_power(p, -(2 * i - 1))
-        lo = lo * (one - u) ** 2
-        hi = hi * (one + u) ** 2
-    return lo, hi
+        lo = lo * (1 - u)
+        hi = hi * (1 + u)
+    return base * lo * lo, base * hi * hi
 
 
 @dataclass(frozen=True)
@@ -296,13 +319,16 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
     """Compute the eigenvalue by all three routes, assert agreement, and
     check positivity and the exact bounds by quadratic-ring sign tests.
 
+    The bounds are also asserted equal to route 2 at a = -+2*p^((w-1)/2),
+    w = 2k - n; a mismatch raises BoundIdentityError.
+
     a_f(p) must satisfy the Deligne bound; anything else is rejected, since
     the positivity statement presumes it.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    w = 2 * params.k - params.n
-    if ap * ap > 4 * p ** (w - 1):
+    w = params.eigenform_weight
+    if not within_deligne(ap, p, w):
         raise DeligneBoundError(
             f"a_f({p}) = {ap} violates the Deligne bound |a| <= 2*{p}^({w - 1}/2)"
         )
@@ -314,6 +340,16 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
             f"routes disagree at p = {p}, a = {ap}: sum={v1} product={v2} reciprocal={v3}"
         )
     lower, upper = eigenvalue_bounds(params, p)
+    # the factors of route 2 at a = -+2*p^((w-1)/2) are perfect squares
+    # whose product is exactly the bound
+    edge = 2 * half_power(p, w - 1)
+    if (
+        eigenvalue_product(params, p, -edge) != lower
+        or eigenvalue_product(params, p, edge) != upper
+    ):
+        raise BoundIdentityError(
+            f"bounds at p = {p} differ from the product route at a = -+2*{p}^({w - 1}/2)"
+        )
     positive = v1 > 0
     within = (v1 - lower).sign() >= 0 and (upper - v1).sign() >= 0
     return EigenvalueReport(

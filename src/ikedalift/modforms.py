@@ -189,6 +189,12 @@ def eigenform(w: int, N: int) -> FourierSeries:
     return FourierSeries(w, tuple(coeffs))
 
 
+def within_deligne(a: int, p: int, w: int) -> bool:
+    """Deligne's bound |a| <= 2*p**((w-1)/2) for a weight-w coefficient at
+    the prime p, tested exactly as a^2 <= 4*p**(w-1)."""
+    return a * a <= 4 * p ** (w - 1)
+
+
 def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
     """a_f(p) for a normalized eigenform, with the Deligne bound asserted.
 
@@ -198,7 +204,7 @@ def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     ap = f.a(p)
-    if ap * ap > 4 * p ** (f.weight - 1):
+    if not within_deligne(ap, p, f.weight):
         raise EigenformValidationError(
             p, f"Deligne bound violated: a({p})^2 = {ap * ap} > 4*{p}^{f.weight - 1}"
         )
@@ -220,7 +226,7 @@ def _check_table(table: dict, w: int) -> None:
                 raise EigenformValidationError(1, f"normalization violated: a(1) = {am}")
             continue
         if is_prime(m):
-            if am * am > 4 * m ** (w - 1):
+            if not within_deligne(am, m, w):
                 raise EigenformValidationError(
                     m, f"Deligne bound violated: a({m})^2 = {am * am} > 4*{m}^{w - 1}"
                 )

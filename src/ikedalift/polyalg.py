@@ -198,10 +198,13 @@ def dickson(i: int, c) -> Poly:
         raise ValueError("index must be non-negative")
     if i == 0:
         return Poly([2])
-    prev, cur = Poly([2]), Poly([0, 1])
+    prev, cur = [2], [0, 1]
     for _ in range(i - 1):
-        prev, cur = cur, cur.shift(1) - prev.scale(c)
-    return cur
+        nxt = [0, *cur]
+        for j, x in enumerate(prev):
+            nxt[j] -= c * x
+        prev, cur = cur, nxt
+    return Poly(cur)
 
 
 def is_palindromic(poly: Poly) -> bool:

@@ -45,9 +45,13 @@ def q_binomial(n: int, m: int) -> Poly:
     return divide_exact(q_factorial(n), q_factorial(m) * q_factorial(n - m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def q_binomial_eval(n: int, m: int, q0: int) -> int:
-    """Gaussian binomial evaluated at an integer q0 (Horner)."""
+    """Gaussian binomial evaluated at an integer q0 (Horner).
+
+    The cache holds every m for one n <= 255 at one q0: the working set of
+    one prime in the per-prime routes.
+    """
     return eval_poly(q_binomial(n, m), q0)
 
 

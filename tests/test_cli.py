@@ -105,6 +105,21 @@ class TestEigen:
         assert exc.value.code == 2
         assert "--digits" in capsys.readouterr().err
 
+    def test_eigenform_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys,
+            "eigen", "--n", "2", "--k", "10", "--pmax", "3", "--eigenform", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_out_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "eigen", "--n", "2", "--k", "10", "--pmax", "3", "--out", str(tmp_path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
 
 class TestVerify:
     def test_sweep_passes(self, capsys):

@@ -4,21 +4,23 @@ The sign oracle is 100-digit decimal evaluation; ring laws run on 1000
 seeded random triples.
 """
 
+import operator
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ikedalift import exactnum
 from ikedalift.exactnum import (
     QuadExt,
     RadicandMismatchError,
     half_power,
     is_prime,
     primes_upto,
-    quad_arith,
 )
 
 
@@ -29,22 +31,22 @@ def q2(a, b):
 class TestQuadArith:
     def test_square_of_one_plus_sqrt2(self):
         # (1 + sqrt2)^2 = 1 + 2 sqrt2 + 2, expanded by hand
-        assert quad_arith(q2(1, 1), q2(1, 1), "mul") == q2(3, 2)
+        assert q2(1, 1) * q2(1, 1) == q2(3, 2)
 
     def test_multiplicative_identity(self):
         x = q2(Fraction(7, 3), Fraction(-5, 2))
-        assert quad_arith(x, q2(1, 0), "mul") == x
+        assert x * q2(1, 0) == x
 
     def test_additive_inverse(self):
         x = q2(3, 2)
-        assert quad_arith(x, x, "sub") == q2(0, 0)
+        assert x - x == q2(0, 0)
 
     def test_radicand_mismatch_rejected(self):
         x = QuadExt(Fraction(1), Fraction(1), 2)
         y = QuadExt(Fraction(1), Fraction(1), 3)
-        for op in ("add", "sub", "mul"):
+        for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(RadicandMismatchError):
-                quad_arith(x, y, op)
+                op(x, y)
 
     def test_nonprime_radicand_rejected(self):
         for bad in (1, 4, 6, 9, 12):
@@ -179,3 +181,147 @@ class TestPrimes:
     def test_sieve_matches_trial_division(self):
         assert primes_upto(200) == [m for m in range(201) if is_prime(m)]
         assert len(primes_upto(1000)) == 168
+
+
+# -- reference: the Fraction-backed formulas of the earlier scalar ----------
+
+
+def ref_sign(a: Fraction, b: Fraction, p: int) -> int:
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    return sa if a * a > b * b * p else sb
+
+
+def ref_floor_scaled(a: Fraction, b: Fraction, p: int, scale: int) -> int:
+    A, B = a * scale, b * scale
+    if B == 0:
+        return A.numerator // A.denominator
+    t = B * B * p
+    r = isqrt(t.numerator // t.denominator)
+    m = A.numerator // A.denominator + (r if B > 0 else -r - 1)
+    if ref_sign(A - (m + 1), B, p) >= 0:
+        m += 1
+    return m
+
+
+def ref_mul(x, y, p):
+    return (x[0] * y[0] + x[1] * y[1] * p, x[0] * y[1] + x[1] * y[0])
+
+
+def parts(x: QuadExt) -> tuple:
+    return (x.a, x.b)
+
+
+def assert_canonical(x: QuadExt) -> None:
+    assert x._D > 0
+    assert gcd(x._A, x._B, x._D) == 1
+    assert (x.a, x.b) == (Fraction(x._A, x._D), Fraction(x._B, x._D))
+
+
+rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+small_primes = st.sampled_from(primes_upto(60))
+
+
+class TestParityWithFractionReference:
+    @given(rationals, rationals, rationals, rationals, small_primes)
+    @settings(max_examples=200)
+    def test_ring_ops(self, a, b, c, d, p):
+        x, y = QuadExt(a, b, p), QuadExt(c, d, p)
+        assert parts(x + y) == (a + c, b + d)
+        assert parts(x - y) == (a - c, b - d)
+        assert parts(y - x) == (c - a, d - b)
+        assert parts(x * y) == ref_mul((a, b), (c, d), p)
+        assert parts(-x) == (-a, -b)
+        assert parts(x + c) == parts(c + x) == (a + c, b)
+        assert parts(c - x) == (c - a, -b)
+        assert parts(x * c) == parts(c * x) == (a * c, b * c)
+        for z in (x, y, x + y, x - y, y - x, x * y, -x, x + c, c - x, x * c):
+            assert_canonical(z)
+
+    @given(rationals, rationals, small_primes, st.integers(0, 6))
+    @settings(max_examples=100)
+    def test_power(self, a, b, p, e):
+        want = (Fraction(1), Fraction(0))
+        for _ in range(e):
+            want = ref_mul(want, (a, b), p)
+        got = QuadExt(a, b, p) ** e
+        assert parts(got) == want
+        assert_canonical(got)
+
+    @given(rationals, rationals, small_primes)
+    @settings(max_examples=200)
+    def test_sign(self, a, b, p):
+        assert QuadExt(a, b, p).sign() == ref_sign(a, b, p)
+
+    @given(rationals, rationals, small_primes, st.integers(0, 40))
+    @settings(max_examples=200)
+    def test_floor_scaled_and_decimal(self, a, b, p, digits):
+        x = QuadExt(a, b, p)
+        scale = 10**digits
+        assert x.floor_scaled(scale) == ref_floor_scaled(a, b, p, scale)
+        assert x.floor_scaled() == ref_floor_scaled(a, b, p, 1)
+        scaled = ref_floor_scaled(a, b, p, scale)
+        ip, fp = divmod(abs(scaled), scale)
+        sign = "-" if scaled < 0 else ""
+        want = f"{sign}{ip}.{fp:0{digits}d}" if digits else f"{sign}{ip}"
+        assert x.decimal(digits) == want
+
+    def test_floor_near_integers(self):
+        # values just above and below an integer, where a float would round
+        for p in (2, 3, 5, 7):
+            for b in range(-15, 16):
+                for a in range(-40, 41):
+                    x = QuadExt(Fraction(a, 7), Fraction(b, 3), p)
+                    assert x.floor_scaled() == ref_floor_scaled(x.a, x.b, p, 1)
+
+
+class TestCanonicalForm:
+    def test_unreduced_parts_reduce(self):
+        x = exactnum._quad(6, 4, 8, 2)
+        y = QuadExt(Fraction(3, 4), Fraction(1, 2), 2)
+        assert (x._A, x._B, x._D) == (3, 2, 4)
+        assert x == y and hash(x) == hash(y)
+
+    def test_rational_values_equal_int_and_fraction(self):
+        two = exactnum._quad(10, 0, 5, 3)
+        half = exactnum._quad(3, 0, 6, 3)
+        assert two == 2 and hash(two) == hash(2)
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert 2 == two and Fraction(1, 2) == half
+        assert half != 2 and two != Fraction(1, 2)
+
+    def test_cancellation_reduces_to_rational(self):
+        x = QuadExt(Fraction(1, 2), Fraction(1, 3), 5)
+        y = QuadExt(Fraction(1, 2), Fraction(-1, 3), 5)
+        total = x + y
+        assert (total._A, total._B, total._D) == (1, 0, 1)
+        assert total == 1 and hash(total) == hash(1)
+        assert x - x == 0 and (x - x)._D == 1
+
+    def test_rationals_compare_across_radicands(self):
+        x = QuadExt(Fraction(1, 2), 0, 2)
+        y = QuadExt(Fraction(1, 2), 0, 3)
+        assert x == y and hash(x) == hash(y)
+        assert QuadExt(0, 1, 2) != QuadExt(0, 1, 3)
+
+    def test_mixed_radicands_rejected_everywhere(self):
+        x, y = QuadExt(1, 1, 2), QuadExt(1, 1, 3)
+        for op in (operator.add, operator.sub, operator.mul, operator.lt, operator.ge):
+            with pytest.raises(RadicandMismatchError):
+                op(x, y)
+
+    def test_parts_read_as_fractions(self):
+        x = QuadExt(Fraction(-7, 6), Fraction(5, 4), 11)
+        assert (x._A, x._B, x._D) == (-14, 15, 12)
+        assert x.a == Fraction(-7, 6) and x.b == Fraction(5, 4)
+        assert str(x) == "-7/6 + 5/4*sqrt(11)"
+        assert repr(x) == "QuadExt(a=Fraction(-7, 6), b=Fraction(5, 4), p=11)"
+
+    def test_not_a_dataclass(self):
+        assert not hasattr(QuadExt, "__dataclass_fields__")
+        with pytest.raises(AttributeError):
+            QuadExt(1, 1, 2).c = 0

@@ -14,16 +14,20 @@ The double sum confirms the last case independently:
 """
 
 import random
+from math import comb
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
 
 from ikedalift.exactnum import QuadExt, half_power, primes_upto
+from ikedalift import ikeda, qseries
 from ikedalift.ikeda import (
+    BoundIdentityError,
     DeligneBoundError,
     IkedaParams,
     deligne_limit,
+    double_sum_terms,
     eigenvalue_bounds,
     eigenvalue_double_sum,
     eigenvalue_polynomial,
@@ -238,6 +242,67 @@ class TestBounds:
         lo, hi = eigenvalue_bounds(IkedaParams(6, 14), 5)
         assert (hi - lo).sign() > 0
         assert lo.sign() > 0
+
+
+class TestBoundIdentity:
+    """The bounds equal route 2 evaluated in Q(sqrt(p)) at a = -+2p^((w-1)/2)."""
+
+    PAIRS = ((2, 10), (4, 12), (6, 16), (8, 14), (12, 20), (16, 18), (20, 22))
+
+    def test_identity_across_pairs(self):
+        for n, k in self.PAIRS:
+            params = IkedaParams(n, k)
+            for p in primes_upto(200):
+                edge = 2 * half_power(p, 2 * k - n - 1)
+                lo, hi = eigenvalue_bounds(params, p)
+                assert eigenvalue_product(params, p, -edge) == lo, (n, k, p)
+                assert eigenvalue_product(params, p, edge) == hi, (n, k, p)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_corrupt_bound_is_caught(self, monkeypatch, side):
+        true_bounds = ikeda.eigenvalue_bounds
+
+        def corrupt(params, p):
+            bounds = list(true_bounds(params, p))
+            bounds[side] = bounds[side] + Fraction(1, 10**9)
+            return tuple(bounds)
+
+        monkeypatch.setattr(ikeda, "eigenvalue_bounds", corrupt)
+        with pytest.raises(BoundIdentityError, match="p = 5"):
+            verify_prime(IkedaParams(4, 12), 5, 0)
+        assert issubclass(BoundIdentityError, ArithmeticError)
+
+
+class TestPerPrimeCaches:
+    def test_caches_are_bounded(self):
+        for fn in (
+            ikeda.eigenvalue_polynomial,
+            ikeda.satake_polynomial,
+            qseries.q_binomial_eval,
+        ):
+            assert fn.cache_info().maxsize is not None
+
+    def test_one_prime_working_set_fits(self):
+        # a second pass over the same prime is served from the caches
+        params = IkedaParams(20, 22)
+        qseries.q_binomial_eval.cache_clear()
+        ikeda.eigenvalue_polynomial.cache_clear()
+        verify_prime(params, 101, 0)
+        satake_polynomial(params, 101)
+        misses = qseries.q_binomial_eval.cache_info().misses
+        verify_prime(params, 101, 7)
+        satake_polynomial(params, 101)
+        assert qseries.q_binomial_eval.cache_info().misses == misses
+        assert ikeda.eigenvalue_polynomial.cache_info().misses == 1
+
+    def test_double_sum_terms_match_term_exponents(self):
+        params = IkedaParams(8, 14)
+        terms = double_sum_terms(params)
+        assert len(terms) == len(term_exponents(params))
+        for (weight, m, exp, ap_exp), t in zip(terms, term_exponents(params)):
+            assert abs(weight) == Fraction(t.j, t.j - t.r) * comb(t.j - t.r, t.r)
+            assert (weight < 0) == (t.r % 2 == 1)
+            assert (m, exp, ap_exp) == (4 - t.j, t.total, t.j - 2 * t.r)
 
 
 class TestVerifyPrime:

@@ -24,7 +24,9 @@ from ikedalift.modforms import (
     eisenstein,
     hecke_eigenvalue_prime,
     load_eigenform,
+    within_deligne,
 )
+from ikedalift.ikeda import DeligneBoundError, IkedaParams, verify_prime
 
 
 class TestBernoulli:
@@ -247,3 +249,19 @@ class TestLoadEigenform:
         path = write_table(tmp_path, lines + "\n")
         g = load_eigenform(path, 18)
         assert g.coeffs == f.coeffs
+
+
+class TestDeligne:
+    def test_boundary_is_exact(self):
+        # weight 18 at p = 2: 4*2^17 = 524288, 724^2 = 524176, 725^2 = 525625
+        assert within_deligne(724, 2, 18) and within_deligne(-724, 2, 18)
+        assert not within_deligne(725, 2, 18) and not within_deligne(-725, 2, 18)
+        # odd weight makes the bound an integer, which is still admissible
+        assert within_deligne(10, 5, 3) and not within_deligne(11, 5, 3)
+
+    def test_callers_keep_their_errors(self):
+        f = FourierSeries(18, (0, 1, 725))
+        with pytest.raises(EigenformValidationError, match="Deligne"):
+            hecke_eigenvalue_prime(f, 2)
+        with pytest.raises(DeligneBoundError, match="Deligne"):
+            verify_prime(IkedaParams(2, 10), 2, 725)
