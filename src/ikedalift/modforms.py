@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from . import kernels
-from .exactnum import is_prime
+from .exactnum import is_prime, primes_upto
 
 
 class UnsupportedWeightError(ValueError):
@@ -34,9 +34,22 @@ class EigenformValidationError(Exception):
     Carries the first offending index in .index.
     """
 
+    line = None
+
     def __init__(self, index, message):
         self.index = index
         super().__init__(f"index {index}: {message}")
+
+
+class TableParseError(EigenformValidationError):
+    """A coefficient-table line is not two integers.
+
+    Carries the 1-based line number in .line; .index is None.
+    """
+
+    def __init__(self, line, message):
+        self.index, self.line = None, line
+        Exception.__init__(self, f"line {line}: {message}")
 
 
 BUILTIN_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -213,19 +226,28 @@ def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
 
 def _check_table(table: dict, w: int) -> None:
     """Structural validation of a coefficient table; raises on the first
-    offending index (ascending)."""
-    listed_primes = [m for m in table if is_prime(m)]
-    max_listed_prime = max(listed_primes, default=0)
-    for m in range(1, max_listed_prime + 1):
-        if m not in table:
-            raise EigenformValidationError(m, "missing index at or below the largest listed prime")
-    for m in sorted(table):
+    offending index (ascending).
+
+    The contiguous prefix 1..L of indices is classified by one sieve; L is
+    at most the table's length, so a sparse large index cannot inflate it.
+    Only indices past the first gap go through trial division.
+    """
+    indices = sorted(table)
+    L = 0
+    while L < len(indices) and indices[L] == L + 1:
+        L += 1
+    # a prime past the gap leaves the index L + 1 below it missing
+    if any(is_prime(m) for m in indices[L:]):
+        raise EigenformValidationError(L + 1, "missing index at or below the largest listed prime")
+    # so every index past the gap is composite
+    prefix_primes = set(primes_upto(L))
+    for m in indices:
         am = table[m]
         if m == 1:
             if am != 1:
                 raise EigenformValidationError(1, f"normalization violated: a(1) = {am}")
             continue
-        if is_prime(m):
+        if m in prefix_primes:
             if not within_deligne(am, m, w):
                 raise EigenformValidationError(
                     m, f"Deligne bound violated: a({m})^2 = {am * am} > 4*{m}^{w - 1}"
@@ -264,7 +286,8 @@ def load_eigenform(path, w: int) -> FourierSeries:
     Indices must be strictly increasing starting at m = 1; every index up to
     the largest listed prime must be present.  Normalization,
     multiplicativity, Hecke relations at prime powers, and Deligne bounds at
-    primes are all checked, and the first offending index is reported.
+    primes are all checked, and the first offending index is reported.  A
+    line that is not two integers raises TableParseError naming the line.
     """
     table = {}
     last = 0
@@ -275,11 +298,11 @@ def load_eigenform(path, w: int) -> FourierSeries:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise EigenformValidationError(lineno, f"unparseable line {lineno}: {raw!r}")
+                raise TableParseError(lineno, f"unparseable entry {raw!r}")
             try:
                 m, am = int(parts[0]), int(parts[1])
             except ValueError:
-                raise EigenformValidationError(lineno, f"non-integer entry on line {lineno}: {raw!r}")
+                raise TableParseError(lineno, f"non-integer entry {raw!r}")
             if m <= last:
                 raise EigenformValidationError(m, f"indices not strictly increasing at {m}")
             if last == 0 and m != 1:

@@ -3,10 +3,16 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from decimal import getcontext, localcontext
 
 import pytest
 
+import ikedalift
+from ikedalift import selftest
 from ikedalift.cli import CSV_COLUMNS, main
 
 EXACT_RE = re.compile(r"^(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*sqrt\((\d+)\)$")
@@ -205,3 +211,40 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "0 failed" in out
+
+
+class TestSelftest:
+    def test_failure_is_reported_and_the_rest_still_run(self, capsys, monkeypatch):
+        checks = list(selftest.CHECKS)
+        name, _ = checks[3]
+
+        def broken():
+            raise AssertionError("deliberately broken")
+
+        checks[3] = (name, broken)
+        monkeypatch.setattr(selftest, "CHECKS", checks)
+        code, out, _ = run_cli(capsys, "selftest")
+        lines = out.splitlines()
+        assert code == 1
+        assert any(line.startswith(f"[FAIL] {name}") for line in lines)
+        others = [n for n, _ in checks[:3] + checks[4:]]
+        assert [line for line in lines if line.startswith("[ok]")] == [
+            f"[ok]   {n}" for n in others
+        ]
+        assert lines[-1] == f"selftest: {len(others)} passed, 1 failed"
+
+    def test_decimal_precision_is_left_alone(self, capsys):
+        with localcontext() as ctx:
+            ctx.prec = 17
+            selftest.run()
+            assert getcontext().prec == 17
+        capsys.readouterr()
+
+    def test_cli_import_skips_selftest(self):
+        src = os.path.dirname(os.path.dirname(ikedalift.__file__))
+        code = "import sys, ikedalift.cli; print('ikedalift.selftest' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

@@ -1,12 +1,11 @@
 """Quadratic-ring arithmetic: exactness, canonical forms, sign determination.
 
 The sign oracle is 100-digit decimal evaluation; ring laws run on 1000
-seeded random triples.
+seeded random triples.  Both seeded checks live in ikedalift.selftest.
 """
 
 import operator
-import random
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ikedalift import exactnum
+from ikedalift import exactnum, selftest
 from ikedalift.exactnum import (
     QuadExt,
     RadicandMismatchError,
@@ -62,22 +61,7 @@ class TestQuadArith:
         assert Fraction(1, 2) - x == q2(Fraction(-5, 2), -2)
 
     def test_ring_laws_thousand_samples(self):
-        rng = random.Random(20260810)
-        for _ in range(1000):
-            p = rng.choice((2, 3, 5, 7, 11, 13))
-            x, y, z = (
-                QuadExt(
-                    Fraction(rng.randint(-99, 99), rng.randint(1, 30)),
-                    Fraction(rng.randint(-99, 99), rng.randint(1, 30)),
-                    p,
-                )
-                for _ in range(3)
-            )
-            assert x + y == y + x
-            assert x * y == y * x
-            assert (x + y) + z == x + (y + z)
-            assert (x * y) * z == x * (y * z)
-            assert x * (y + z) == x * y + x * z
+        selftest.check_quad_ring_laws()
 
 
 class TestSign:
@@ -99,19 +83,7 @@ class TestSign:
         assert q2(-1, 0).sign() == -1
 
     def test_against_decimal_oracle_seeded(self):
-        getcontext().prec = 100
-        rng = random.Random(7)
-        primes = primes_upto(50)
-        for _ in range(1000):
-            p = rng.choice(primes)
-            a = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
-            b = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
-            approx = (
-                Decimal(a.numerator) / Decimal(a.denominator)
-                + Decimal(b.numerator) / Decimal(b.denominator) * Decimal(p).sqrt()
-            )
-            want = 0 if approx == 0 else (1 if approx > 0 else -1)
-            assert QuadExt(a, b, p).sign() == want
+        selftest.check_quad_sign_vs_decimal()
 
     @given(
         st.fractions(min_value=-1000, max_value=1000, max_denominator=500),
@@ -120,13 +92,7 @@ class TestSign:
     )
     @settings(max_examples=300)
     def test_against_decimal_oracle_hypothesis(self, a, b, p):
-        getcontext().prec = 100
-        approx = (
-            Decimal(a.numerator) / Decimal(a.denominator)
-            + Decimal(b.numerator) / Decimal(b.denominator) * Decimal(p).sqrt()
-        )
-        want = 0 if approx == 0 else (1 if approx > 0 else -1)
-        assert QuadExt(a, b, p).sign() == want
+        assert QuadExt(a, b, p).sign() == selftest.decimal_sign(a, b, p)
 
     def test_comparisons(self):
         assert q2(768, -512) > 0
@@ -146,10 +112,7 @@ class TestHalfPower:
         assert half_power(3, -1) == QuadExt(Fraction(0), Fraction(1, 3), 3)
 
     def test_product_law(self):
-        for p in (2, 7):
-            for h1 in range(-40, 41):
-                for h2 in range(-40, 41):
-                    assert half_power(p, h1) * half_power(p, h2) == half_power(p, h1 + h2)
+        selftest.check_half_power_products()
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
@@ -158,13 +121,14 @@ class TestHalfPower:
 
 class TestDecimalRendering:
     def test_against_decimal_module(self):
-        getcontext().prec = 80
         x = q2(768, -512)
         got = x.decimal(30)
-        approx = Decimal(768) - Decimal(512) * Decimal(2).sqrt()
         assert got.startswith("43.9226")
-        # truncated rendering differs from the true value by < 10^-30
-        assert abs(Decimal(got) - approx) < Decimal(10) ** -30
+        with localcontext() as ctx:
+            ctx.prec = 80
+            approx = Decimal(768) - Decimal(512) * Decimal(2).sqrt()
+            # truncated rendering differs from the true value by < 10^-30
+            assert abs(Decimal(got) - approx) < Decimal(10) ** -30
 
     def test_rational_value(self):
         assert q2(Fraction(7, 2), 0).decimal(3) == "3.500"

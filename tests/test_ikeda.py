@@ -13,15 +13,14 @@ The double sum confirms the last case independently:
 15*16*(-24) + 576 - 2*2048 + 512*35 = 8640.
 """
 
-import random
 from math import comb
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from ikedalift.exactnum import QuadExt, half_power, primes_upto
-from ikedalift import ikeda, qseries
+from ikedalift import ikeda, qseries, selftest
 from ikedalift.ikeda import (
     BoundIdentityError,
     DeligneBoundError,
@@ -39,23 +38,13 @@ from ikedalift.ikeda import (
     term_exponents,
     verify_prime,
 )
-from ikedalift.polyalg import Poly, is_palindromic
+from ikedalift.polyalg import Poly
 
-DESK_PAIRS = ((2, 10), (2, 12), (2, 14), (4, 8), (4, 10), (4, 12), (6, 14), (6, 16))
-
-
-def valid_pairs(nmax, kmax):
-    out = []
-    for n in range(2, nmax + 1, 2):
-        for k in range(n + 2, kmax + 1, 2):
-            if 2 * k - n >= 12:
-                out.append((n, k))
-    return out
 
 
 class TestParams:
     def test_accepts_desk_pairs(self):
-        for n, k in DESK_PAIRS:
+        for n, k in selftest.DESK_PAIRS:
             params = IkedaParams(n, k)
             assert params.eigenform_weight == 2 * k - n
 
@@ -99,13 +88,7 @@ class TestTermExponents:
         assert tail_exponent(IkedaParams(6, 14)) == 27
 
     def test_integrality_sweep(self):
-        # every term exponent and the tail exponent must be a non-negative
-        # integer for all valid parameters with n <= 8, k <= 20
-        for n, k in valid_pairs(8, 20):
-            params = IkedaParams(n, k)
-            for t in term_exponents(params):
-                assert t.total.denominator == 1 and t.total >= 0
-            assert tail_exponent(params) >= 0
+        selftest.check_exponent_integrality()
 
 
 class TestRoutes:
@@ -130,23 +113,7 @@ class TestRoutes:
             assert route(params, 2, 0) == 13824
 
     def test_agreement_on_random_admissible_inputs(self):
-        # every valid (n, k) with elliptic weight in 12..26, primes to 100,
-        # 50 random admissible values each; the identity is polynomial in a,
-        # so random sampling fully exercises it
-        rng = random.Random(97)
-        for n in (2, 4, 6, 8):
-            for k in range(n + 2, 30, 2):
-                if not 12 <= 2 * k - n <= 26:
-                    continue
-                params = IkedaParams(n, k)
-                for p in primes_upto(100):
-                    limit = deligne_limit(params, p)
-                    for _ in range(50):
-                        x = rng.randint(-limit, limit)
-                        v1 = eigenvalue_double_sum(params, p, x)
-                        v2 = eigenvalue_product(params, p, x)
-                        v3 = eigenvalue_reciprocal(params, p, x)
-                        assert v1 == v2 == v3, (n, k, p, x)
+        selftest.check_route_agreement()
 
     def test_agreement_beyond_deligne_range(self):
         # the three formulas agree as polynomials in a, so equality holds
@@ -162,24 +129,13 @@ class TestRoutes:
 
 class TestEigenvaluePolynomial:
     def test_saito_kurokawa_form(self):
-        for k in (10, 12, 14):
-            params = IkedaParams(2, k)
-            for p in primes_upto(100):
-                assert eigenvalue_polynomial(params, p) == Poly(
-                    [p ** (k - 1) + p ** (k - 2), 1]
-                )
+        selftest.check_saito_kurokawa_reduction()
 
     def test_degree_four_at_two(self):
         assert eigenvalue_polynomial(IkedaParams(4, 8), 2) == Poly([13824, 240, 1])
 
     def test_monic_across_sweep(self):
-        for n, k in valid_pairs(8, 20):
-            params = IkedaParams(n, k)
-            for p in (2, 3, 13):
-                tilde = eigenvalue_polynomial(params, p)
-                assert tilde.is_monic()
-                assert tilde.degree == n // 2
-                assert all(isinstance(c, int) for c in tilde.coeffs)
+        selftest.check_eigenvalue_polynomial_structure()
 
 
 class TestSatakePolynomial:
@@ -197,10 +153,7 @@ class TestSatakePolynomial:
         assert g.coeffs[2] == QuadExt(Fraction(17920), Fraction(0), 2)
 
     def test_palindromic_sweep(self):
-        for n, k in valid_pairs(8, 20):
-            params = IkedaParams(n, k)
-            for p in (2, 5, 11):
-                assert is_palindromic(satake_polynomial(params, p))
+        selftest.check_satake_palindromes()
 
     def test_symmetry_4_8_2(self):
         g = satake_polynomial(IkedaParams(4, 8), 2)
@@ -229,10 +182,11 @@ class TestBounds:
         assert lo == QuadExt(Fraction(22016), Fraction(-15360), 2)
         assert hi == QuadExt(Fraction(22016), Fraction(15360), 2)
         # cross-check the 50-digit renderings in high-precision decimal
-        getcontext().prec = 80
-        for val, rendered in ((lo, lo.decimal(50)), (hi, hi.decimal(50))):
-            approx = Decimal(int(val.a)) + Decimal(int(val.b)) * Decimal(2).sqrt()
-            assert abs(Decimal(rendered) - approx) < Decimal(10) ** -50
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for val, rendered in ((lo, lo.decimal(50)), (hi, hi.decimal(50))):
+                approx = Decimal(int(val.a)) + Decimal(int(val.b)) * Decimal(2).sqrt()
+                assert abs(Decimal(rendered) - approx) < Decimal(10) ** -50
         assert lo.decimal(50).startswith("293.6")
         assert hi.decimal(50).startswith("43738.3")
 
@@ -336,27 +290,10 @@ class TestVerifyPrime:
 
 class TestPositivityStress:
     def test_factor_exceeds_deligne_limit_strictly(self):
-        # p^(k-i) + p^(k-n-1+i) > 2 p^((2k-n-1)/2) exactly, since the two
-        # exponents differ; this makes every factor positive on the whole
-        # closed Deligne range
-        for n, k in DESK_PAIRS:
-            params = IkedaParams(n, k)
-            for p in primes_upto(50):
-                for i in range(1, n // 2 + 1):
-                    gap = (
-                        p ** (k - i)
-                        + p ** (k - n - 1 + i)
-                        - 2 * half_power(p, 2 * k - n - 1)
-                    )
-                    assert gap.sign() > 0, (n, k, p, i)
+        selftest.check_factor_gaps()
 
     def test_positive_at_extreme_integers(self):
-        for n, k in DESK_PAIRS:
-            params = IkedaParams(n, k)
-            for p in primes_upto(50):
-                limit = deligne_limit(params, p)
-                assert eigenvalue_product(params, p, -limit) > 0
-                assert eigenvalue_product(params, p, limit) > 0
+        selftest.check_deligne_interval_positivity()
 
     def test_exhaustive_small_interval(self):
         # (4,8,2) has Deligne limit 90: check every admissible integer

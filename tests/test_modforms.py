@@ -7,16 +7,15 @@ give a(2) by a one-step convolution (tau(2) + E-series a(1)).
 """
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
-from ikedalift import modforms
-from ikedalift.exactnum import primes_upto
+from ikedalift import modforms, selftest
 from ikedalift.modforms import (
     BUILTIN_WEIGHTS,
     EigenformValidationError,
     FourierSeries,
+    TableParseError,
     UnsupportedWeightError,
     bernoulli,
     delta,
@@ -135,29 +134,13 @@ class TestEigenform:
             eigenform(24, 10)
 
     def test_deligne_bound_to_500(self):
-        for w in BUILTIN_WEIGHTS:
-            f = eigenform(w, 500)
-            for p in primes_upto(500):
-                assert f.a(p) ** 2 <= 4 * p ** (w - 1), (w, p)
+        selftest.check_eigenform_deligne()
 
     def test_multiplicativity_to_500(self):
-        for w in BUILTIN_WEIGHTS:
-            f = eigenform(w, 500)
-            for m in range(2, 501):
-                for m2 in range(2, 500 // m + 1):
-                    if gcd(m, m2) == 1:
-                        assert f.a(m * m2) == f.a(m) * f.a(m2), (w, m, m2)
+        selftest.check_eigenform_multiplicativity()
 
     def test_hecke_relations_to_500(self):
-        for w in BUILTIN_WEIGHTS:
-            f = eigenform(w, 500)
-            for p in primes_upto(500):
-                e = 2
-                while p**e <= 500:
-                    assert f.a(p**e) == f.a(p) * f.a(p ** (e - 1)) - p ** (w - 1) * f.a(
-                        p ** (e - 2)
-                    ), (w, p, e)
-                    e += 1
+        selftest.check_eigenform_hecke()
 
 
 class TestHeckeEigenvaluePrime:
@@ -249,6 +232,52 @@ class TestLoadEigenform:
         path = write_table(tmp_path, lines + "\n")
         g = load_eigenform(path, 18)
         assert g.coeffs == f.coeffs
+
+    def test_unparseable_line_names_the_line(self, tmp_path):
+        path = write_table(tmp_path, "# weight 12\n1 1\n2 -24 7\n")
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(path, 12)
+        assert info.value.line == 3 and info.value.index is None
+        assert str(info.value) == "line 3: unparseable entry '2 -24 7\\n'"
+
+    def test_non_integer_line_names_the_line(self, tmp_path):
+        path = write_table(tmp_path, "1 1\n\n2 x\n")
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(path, 12)
+        assert info.value.line == 3 and info.value.index is None
+        assert str(info.value) == "line 3: non-integer entry '2 x\\n'"
+        assert isinstance(info.value, EigenformValidationError)
+
+    def test_valid_table_needs_no_trial_division(self, tmp_path, monkeypatch):
+        def no_trial_division(m):
+            raise AssertionError(f"is_prime({m}) called")
+
+        monkeypatch.setattr(modforms, "is_prime", no_trial_division)
+        f = eigenform(18, 300)
+        lines = "\n".join(f"{m} {f.a(m)}" for m in range(1, 301))
+        path = write_table(tmp_path, lines + "\n")
+        assert load_eigenform(path, 18).coeffs == f.coeffs
+
+    def test_sparse_large_index_sieves_only_the_prefix(self, tmp_path, monkeypatch):
+        sieved = []
+        real = modforms.primes_upto
+
+        def recording(n):
+            sieved.append(n)
+            return real(n)
+
+        monkeypatch.setattr(modforms, "primes_upto", recording)
+        head = "1 1\n2 -24\n3 252\n4 -1472\n"
+        # validated directly: a loaded table becomes a dense tuple up to its
+        # largest index, so only a table failing validation can be loaded here
+        table = {1: 1, 2: -24, 3: 252, 4: -1472, 10**12: 5}
+        modforms._check_table(table, 12)
+        # 2 * 5^17 ~ 1.5e12 breaks multiplicativity against a(2) * a(5^17)
+        m = 2 * 5**17
+        path = write_table(tmp_path, head + f"{5**17} 7\n{m} 0\n")
+        with pytest.raises(EigenformValidationError, match=f"index {m}: multiplicativity"):
+            load_eigenform(path, 12)
+        assert sieved == [4, 4]
 
 
 class TestDeligne:

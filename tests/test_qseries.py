@@ -6,10 +6,9 @@ built without any polynomial division, so it exercises a different code path
 than the factorial-quotient implementation.
 """
 
-from math import comb
-
 import pytest
 
+from ikedalift import selftest
 from ikedalift.polyalg import Poly, eval_poly
 from ikedalift.qseries import (
     binomial_product_coeffs,
@@ -83,19 +82,13 @@ class TestQBinomial:
                 assert q_binomial(n, m) == pascal_q_binomial(n, m), (n, m)
 
     def test_symmetry(self):
-        for n in range(17):
-            for m in range(n + 1):
-                assert q_binomial(n, m) == q_binomial(n, n - m)
+        selftest.check_q_binomial_identities()
 
     def test_classical_limit_at_one(self):
-        for n in range(17):
-            for m in range(n + 1):
-                assert eval_poly(q_binomial(n, m), 1) == comb(n, m)
+        selftest.check_q_binomial_identities()
 
     def test_nonnegative_coefficients(self):
-        for n in range(17):
-            for m in range(n + 1):
-                assert all(c >= 0 for c in q_binomial(n, m).coeffs)
+        selftest.check_q_binomial_identities()
 
 
 class TestQBinomialEval:
@@ -121,8 +114,4 @@ class TestBinomialProduct:
         assert binomial_product_coeffs(3)[2] == Poly([0, 1, 1, 1])
 
     def test_identity_up_to_sixteen(self):
-        for n in range(1, 17):
-            cs = binomial_product_coeffs(n)
-            assert len(cs) == n + 1
-            for j, cj in enumerate(cs):
-                assert cj == q_binomial(n, j).shift(j * (j - 1) // 2), (n, j)
+        selftest.check_q_binomial_theorem()
