@@ -3,7 +3,8 @@ Gaussian binomial queries, eigenform inspection, self-test.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 (reportable finding), 2 = usage or parameter error, including a path that
-cannot be read or written.
+cannot be read or written and a coefficient-table line that is not two
+integers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .exactnum import QuadExt, primes_upto
 from .ikeda import DeligneBoundError, IkedaParams, verify_prime
 from .modforms import (
     EigenformValidationError,
+    TableParseError,
     eigenform,
     hecke_eigenvalue_prime,
     load_eigenform,
@@ -129,10 +131,13 @@ def run_verify(args) -> int:
             f"{r.p:>6}  {r.a_p:>24}  {r.eigenvalue:>44}  "
             f"{'yes' if r.positive else 'NO':>8}  {'yes' if r.within_bounds else 'NO':>6}"
         )
-    print(
-        f"summary: {len(reports)} primes checked, {failures} failures; "
+    disagreed = sum(not r.routes_agree for r in reports)
+    routes = (
         "all routes agreed at every prime"
+        if disagreed == 0
+        else f"routes disagreed at {disagreed} of {len(reports)} primes"
     )
+    print(f"summary: {len(reports)} primes checked, {failures} failures; {routes}")
     return 0 if failures == 0 else 1
 
 
@@ -236,7 +241,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, TableParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EigenformValidationError as exc:

@@ -208,9 +208,6 @@ class QuadExt:
         # A^2 = B^2 p with A, B nonzero would make sqrt(p) rational
         raise ArithmeticError(f"sqrt({self.p}) is rational?  {self!r}")
 
-    def is_rational(self) -> bool:
-        return self._B == 0
-
     def __lt__(self, other):
         diff = self.__sub__(other)
         if diff is NotImplemented:

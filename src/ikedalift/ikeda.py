@@ -11,7 +11,16 @@ The three routes are
     (a_f(p) + p^(k-i) + p^(k-n-1+i));
   * eigenvalue_reciprocal: evaluation of a monic integer polynomial built
     independently through the Dickson transform of the palindromic degree-n
-    polynomial over Q(sqrt(p)).
+    polynomial.
+
+The palindromic polynomial has half-integer powers of p, but the scalar
+p^(h_i/2) that multiplies each Dickson polynomial D_{n/2-i} has
+h_i = i(i + 2k - 2n - 1): even, since i and i + 2k - 2n - 1 differ in parity,
+and non-negative, since k > n.  So route 3 runs on Python ints; the exponents
+are checked once per (n, k) (dickson_exponents).  The bounds run on ints too:
+each factor 1 -+ p^-(i-1/2) is (p^i -+ sqrt(p)) / p^i, so a bound is
+p^e * (E -+ O sqrt(p))^2, where E + O sqrt(p) is prod (sqrt(p) + p^i)
+and e (bound_exponent) is a non-negative integer.
 
 Every verification asserts the mutual agreement of the routes, and that the
 exact sqrt(p)-bounds equal the product route evaluated in Q(sqrt(p)) at the
@@ -185,16 +194,23 @@ def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
+def factor_constants(params: IkedaParams, p: int) -> tuple[int, ...]:
+    """The constants r_i = p^(k-i) + p^(k-n-1+i), i = 1..n/2, of the linear
+    factors (x + r_i) shared by routes 2 and 3."""
+    n, k = params.n, params.k
+    return tuple(p ** (k - i) + p ** (k - n - 1 + i) for i in range(1, n // 2 + 1))
+
+
 def eigenvalue_product(params: IkedaParams, p: int, ap):
     """Eigenvalue as the product of (a_f(p) + p^(k-i) + p^(k-n-1+i)).
 
     ap may also be a QuadExt in Q(sqrt(p)), which is how verify_prime
     evaluates the product at the Deligne endpoints.
     """
-    n, k = params.n, params.k
     out = 1
-    for i in range(1, n // 2 + 1):
-        out *= ap + p ** (k - i) + p ** (k - n - 1 + i)
+    for r in factor_constants(params, p):
+        out *= ap + r
     return out
 
 
@@ -219,49 +235,60 @@ def satake_polynomial(params: IkedaParams, p: int) -> QuadPoly:
     return QuadPoly(coeffs, radicand=p)
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def dickson_exponents(params: IkedaParams) -> tuple[int, ...]:
+    """The exponents h_i/2 of the scalars p^(h_i/2) in route 3, i = 0..n/2,
+    with h_i = 2*base_exp + i(i-n) + (2k-n-1)(i-n/2).
+
+    Each h_i is asserted even and non-negative, once per (n, k), so the
+    per-prime construction stays in Z.
+    """
+    n, k = params.n, params.k
+    half = n // 2
+    d = params.double_base_exp
+    return tuple(
+        _as_nonneg_int(
+            Fraction(d + i * (i - n) + (2 * k - n - 1) * (i - half), 2),
+            f"Dickson scalar exponent h_{i}/2",
+        )
+        for i in range(half + 1)
+    )
+
+
 @lru_cache(maxsize=PRIME_CACHE_SIZE)
 def eigenvalue_polynomial(params: IkedaParams, p: int) -> Poly:
     """Monic integer polynomial of degree n/2 sending a_f(p) to the
     eigenvalue, built through the Dickson transform.
 
-    The half-integer power bookkeeping runs in Q(sqrt(p)); every final
-    coefficient is asserted to have zero surd part and an integer rational
-    part, the result is asserted monic of degree n/2, and it is asserted
-    equal to the expanded product of the linear factors of route 2.  Either
-    assertion failing indicates an implementation defect.
+    The palindromic pair of coefficients i and n - i contributes
+    p^(h_i/2) * (n choose i)_p * D_{n/2-i}(x) with c = p^(2k-n-1), and the
+    centre coefficient contributes p^(h_{n/2}/2) * (n choose n/2)_p; every
+    exponent is integral by dickson_exponents.  The result is asserted
+    monic of degree n/2 and equal to the expansion of prod (x + r_i) over
+    the factor_constants of route 2.  Either assertion failing indicates an
+    implementation defect.
     """
     n, k = params.n, params.k
     half = n // 2
-    d = params.double_base_exp
+    exps = dickson_exponents(params)
     c = p ** (2 * k - n - 1)
 
     acc = [0] * (half + 1)
-    acc[0] = half_power(p, d + half * (half - n)) * q_binomial_eval(n, half, p)
+    acc[0] = p ** exps[half] * q_binomial_eval(n, half, p)
     for i in range(half):
-        h = d + i * (i - n) + (2 * k - n - 1) * (i - half)
-        scal = half_power(p, h) * q_binomial_eval(n, i, p)
+        scal = p ** exps[i] * q_binomial_eval(n, i, p)
         for j, x in enumerate(dickson(half - i, c).coeffs):
             if x:
                 acc[j] += scal * x
-
-    ints = []
-    for j, cq in enumerate(acc):
-        if not isinstance(cq, QuadExt):
-            cq = QuadExt(cq, 0, p)
-        if not cq.is_rational():
-            raise ArithmeticError(f"coefficient {j} has nonzero surd part: {cq}")
-        v = cq.floor_scaled()
-        if cq != v:
-            raise ArithmeticError(f"coefficient {j} is not an integer: {cq}")
-        ints.append(v)
-    tilde = Poly(ints)
+    tilde = Poly(acc)
 
     if tilde.degree != half or not tilde.is_monic():
         raise ArithmeticError(f"expected a monic polynomial of degree {half}: {tilde!r}")
-    factors = [
-        Poly([p ** (k - i) + p ** (k - n - 1 + i), 1]) for i in range(1, half + 1)
-    ]
-    if tilde != expand_product(factors):
+    expanded = [1]
+    for r in factor_constants(params, p):
+        # multiply by (x + r)
+        expanded = [r * a + b for a, b in zip(expanded + [0], [0] + expanded)]
+    if tilde.coeffs != expanded:
         raise ArithmeticError("Dickson-transform construction disagrees with the factored form")
     return tilde
 
@@ -288,17 +315,34 @@ def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def bound_exponent(params: IkedaParams) -> int:
+    """The exponent e = (base_exp + n^2/8) - 2 * sum_{i=1}^{n/2} i of the
+    bounds p^e * (E -+ O sqrt(p))^2, asserted a non-negative integer once
+    per (n, k)."""
+    half = params.n // 2
+    return _as_nonneg_int(
+        Fraction(params.double_base_exp + half * half, 2) - half * (half + 1),
+        "bound exponent",
+    )
+
+
 def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     """Exact lower and upper bounds for the eigenvalue at p:
-    p^(base_exp + n^2/8) * prod_{i=1}^{n/2} (1 -+ p^-(i-1/2))^2."""
-    n = params.n
-    base = half_power(p, params.double_base_exp + n * n // 4)
-    lo = hi = QuadExt(1, 0, p)
-    for i in range(1, n // 2 + 1):
-        u = half_power(p, -(2 * i - 1))
-        lo = lo * (1 - u)
-        hi = hi * (1 + u)
-    return base * lo * lo, base * hi * hi
+    p^(base_exp + n^2/8) * prod_{i=1}^{n/2} (1 -+ p^-(i-1/2))^2.
+
+    Since 1 -+ p^-(i-1/2) = (p^i -+ sqrt(p)) / p^i, the bounds are
+    p^e * (E -+ O sqrt(p))^2 with e = bound_exponent(params) and
+    E + O sqrt(p) = prod_{i=1}^{n/2} (sqrt(p) + p^i), computed on ints;
+    the lower bound takes the conjugate.
+    """
+    E, O = 1, 0
+    for i in range(1, params.n // 2 + 1):
+        q = p**i
+        E, O = E * q + O * p, E + O * q
+    s = p ** bound_exponent(params)
+    rational, surd = s * (E * E + p * O * O), 2 * s * E * O
+    return QuadExt(rational, -surd, p), QuadExt(rational, surd, p)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ truncated integer series by Kronecker substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
@@ -57,26 +57,30 @@ BUILTIN_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 @dataclass(frozen=True)
 class FourierSeries:
-    """Weight plus the coefficient table a(0..N) of a modular form.
+    """Weight plus the coefficients of a modular form: a(0..N) in the dense
+    tuple coeffs, and any further listed indices in the dict sparse.
 
-    Loaded tables may leave composite indices above the largest listed prime
-    unset (None); built-in series are always complete.
+    Built-in series are dense.  A loaded table keeps the indices past its
+    first gap (all composite, above the largest listed prime) in sparse, so
+    its size follows its line count, not its largest index.
     """
 
     weight: int
     coeffs: tuple
+    sparse: dict = field(default_factory=dict)
 
     @property
     def truncation(self) -> int:
-        return len(self.coeffs) - 1
+        return max(len(self.coeffs) - 1, max(self.sparse, default=0))
 
     def a(self, m: int) -> int:
+        if 0 <= m < len(self.coeffs):
+            return self.coeffs[m]
+        if m in self.sparse:
+            return self.sparse[m]
         if m < 0 or m > self.truncation:
             raise ValueError(f"index {m} outside truncation {self.truncation}")
-        v = self.coeffs[m]
-        if v is None:
-            raise ValueError(f"coefficient a({m}) not present in the table")
-        return v
+        raise ValueError(f"coefficient a({m}) not present in the table")
 
 
 @lru_cache(maxsize=None)
@@ -312,6 +316,11 @@ def load_eigenform(path, w: int) -> FourierSeries:
     if not table:
         raise EigenformValidationError(0, "empty coefficient table")
     _check_table(table, w)
-    maxm = max(table)
-    coeffs = [0] + [table.get(m) for m in range(1, maxm + 1)]
-    return FourierSeries(w, tuple(coeffs))
+    # the table is in ascending order: a dense prefix 1..L, then the rest
+    coeffs = [0]
+    for m, am in table.items():
+        if m != len(coeffs):
+            break
+        coeffs.append(am)
+    sparse = {m: am for m, am in table.items() if m >= len(coeffs)}
+    return FourierSeries(w, tuple(coeffs), sparse)

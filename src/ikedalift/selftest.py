@@ -16,6 +16,8 @@ from math import comb, gcd
 from .exactnum import QuadExt, half_power, primes_upto
 from .ikeda import (
     IkedaParams,
+    bound_exponent,
+    dickson_exponents,
     eigenvalue_bounds,
     eigenvalue_double_sum,
     eigenvalue_polynomial,
@@ -212,12 +214,15 @@ def check_saito_kurokawa_reduction():
 
 
 def check_exponent_integrality():
-    # term_exponents and tail_exponent also raise on a non-integral exponent
+    # each exponent table also raises on a non-integral or negative exponent
     for n, k in valid_pairs(8, 20):
         params = IkedaParams(n, k)
         for t in term_exponents(params):
             assert t.total.denominator == 1 and t.total >= 0, (n, k, t)
         assert tail_exponent(params) >= 0, (n, k)
+        # h_0 = 0: the leading Dickson scalar is 1, so route 3 is monic
+        assert dickson_exponents(params)[0] == 0, (n, k)
+        assert bound_exponent(params) >= 0, (n, k)
 
 
 def check_satake_palindromes():
@@ -300,6 +305,29 @@ def check_end_to_end_values():
     assert lo == QuadExt(768, -512, 2) and hi == QuadExt(768, 512, 2)
 
 
+def formula_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
+    """The bound formula p^(base_exp + n^2/8) * prod_{i=1}^{n/2}
+    (1 -+ p^-(i-1/2))^2 evaluated literally with half_power in Q(sqrt(p)):
+    the reference for ikeda.eigenvalue_bounds."""
+    n = params.n
+    base = half_power(p, params.double_base_exp + n * n // 4)
+    lo = hi = half_power(p, 0)
+    for i in range(1, n // 2 + 1):
+        u = half_power(p, -(2 * i - 1))
+        lo = lo * (1 - u)
+        hi = hi * (1 + u)
+    return base * lo * lo, base * hi * hi
+
+
+def check_bounds_match_formula():
+    # k enters the bounds only through the power of p in front, so k <= 30
+    # covers every n <= 20 with several weights each
+    for n, k in valid_pairs(20, 30):
+        params = IkedaParams(n, k)
+        for p in primes_upto(200):
+            assert eigenvalue_bounds(params, p) == formula_bounds(params, p), (n, k, p)
+
+
 def naive_product(a, b):
     """Schoolbook product of two coefficient lists: the oracle for the
     series engine and for Poly multiplication."""
@@ -360,6 +388,7 @@ CHECKS = [
     ("factor gaps above the Deligne limit", check_factor_gaps),
     ("positivity on the Deligne interval", check_deligne_interval_positivity),
     ("end-to-end values strictly inside bounds", check_end_to_end_values),
+    ("bounds equal the literal bound formula", check_bounds_match_formula),
     ("series product vs schoolbook oracle", check_series_engine_oracle),
 ]
 

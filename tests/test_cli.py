@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, CSV/JSON parity, file round trips."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from decimal import getcontext, localcontext
 import pytest
 
 import ikedalift
-from ikedalift import selftest
+from ikedalift import cli, selftest
 from ikedalift.cli import CSV_COLUMNS, main
 
 EXACT_RE = re.compile(r"^(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*sqrt\((\d+)\)$")
@@ -150,6 +151,37 @@ class TestVerify:
             "--eigenform", str(tmp_path / "nope.txt"),
         )
         assert code == 2
+
+    def test_malformed_table_line_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 1\n2 x\n")
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--n", "2", "--k", "10", "--pmax", "2", "--eigenform", str(bad),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: line 2: non-integer entry '2 x\\n'\n"
+
+    def test_summary_derives_route_agreement(self, capsys, monkeypatch):
+        argv = ("verify", "--n", "2", "--k", "10", "--pmax", "7")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "summary: 4 primes checked, 0 failures; all routes agreed at every prime"
+        )
+
+        real = cli.verify_prime
+
+        def disagree_at_5(params, p, ap):
+            rep = real(params, p, ap)
+            return dataclasses.replace(rep, routes_agree=False) if p == 5 else rep
+
+        monkeypatch.setattr(cli, "verify_prime", disagree_at_5)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "summary: 4 primes checked, 1 failures; routes disagreed at 1 of 4 primes"
+        )
 
 
 class TestQbinom:

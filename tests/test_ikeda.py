@@ -18,6 +18,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikedalift.exactnum import QuadExt, half_power, primes_upto
 from ikedalift import ikeda, qseries, selftest
@@ -25,7 +27,10 @@ from ikedalift.ikeda import (
     BoundIdentityError,
     DeligneBoundError,
     IkedaParams,
+    ExponentIntegralityError,
+    bound_exponent,
     deligne_limit,
+    dickson_exponents,
     double_sum_terms,
     eigenvalue_bounds,
     eigenvalue_double_sum,
@@ -198,6 +203,77 @@ class TestBounds:
         assert lo.sign() > 0
 
 
+@st.composite
+def verification_inputs(draw):
+    """A valid (n <= 20, k <= 40), a prime below 5000 and an a in the
+    Deligne range at that prime."""
+    n, k = draw(st.sampled_from(selftest.valid_pairs(20, 40)))
+    params = IkedaParams(n, k)
+    p = draw(st.sampled_from(primes_upto(4999)))
+    limit = deligne_limit(params, p)
+    return params, p, draw(st.integers(-limit, limit))
+
+
+class TestLargerParams:
+    @given(verification_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree_and_bounds_equal_formula(self, inputs):
+        params, p, a = inputs
+        assert (
+            eigenvalue_double_sum(params, p, a)
+            == eigenvalue_product(params, p, a)
+            == eigenvalue_reciprocal(params, p, a)
+        )
+        assert eigenvalue_bounds(params, p) == selftest.formula_bounds(params, p)
+
+    def test_bounds_match_formula_sweep(self):
+        selftest.check_bounds_match_formula()
+
+
+class TestIntegralExponents:
+    def test_dickson_exponents_closed_form(self):
+        # h_i = i(i + 2k - 2n - 1), so h_0 = 0 and the leading scalar is 1
+        for n, k in selftest.valid_pairs(20, 40):
+            exps = dickson_exponents(IkedaParams(n, k))
+            assert [2 * e for e in exps] == [
+                i * (i + 2 * k - 2 * n - 1) for i in range(n // 2 + 1)
+            ]
+
+    def test_bound_exponent_closed_form(self):
+        # e = m(2k - 3m - 3)/2 with m = n/2
+        for n, k in selftest.valid_pairs(20, 40):
+            m = n // 2
+            assert 2 * bound_exponent(IkedaParams(n, k)) == m * (2 * k - 3 * m - 3)
+
+    @pytest.mark.parametrize(
+        "n, k, what", [(4, 3, "negative"), (2, Fraction(21, 2), "not an integer")]
+    )
+    def test_exponent_checks_reject_invalid_params(self, n, k, what):
+        # IkedaParams rejects these pairs, so build them around its check
+        params = object.__new__(IkedaParams)
+        object.__setattr__(params, "n", n)
+        object.__setattr__(params, "k", k)
+        for exponents in (dickson_exponents, bound_exponent):
+            with pytest.raises(ExponentIntegralityError, match=what):
+                exponents(params)
+
+    def test_corrupt_factor_constant_is_caught(self, monkeypatch):
+        true_constants = ikeda.factor_constants
+
+        def corrupt(params, p):
+            r = list(true_constants(params, p))
+            r[1] += 1
+            return tuple(r)
+
+        monkeypatch.setattr(ikeda, "factor_constants", corrupt)
+        ikeda.eigenvalue_polynomial.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="factored form"):
+                eigenvalue_polynomial(IkedaParams(6, 14), 3)
+        finally:
+            ikeda.eigenvalue_polynomial.cache_clear()
+
+
 class TestBoundIdentity:
     """The bounds equal route 2 evaluated in Q(sqrt(p)) at a = -+2p^((w-1)/2)."""
 
@@ -232,6 +308,9 @@ class TestPerPrimeCaches:
         for fn in (
             ikeda.eigenvalue_polynomial,
             ikeda.satake_polynomial,
+            ikeda.factor_constants,
+            ikeda.dickson_exponents,
+            ikeda.bound_exponent,
             qseries.q_binomial_eval,
         ):
             assert fn.cache_info().maxsize is not None
@@ -248,6 +327,18 @@ class TestPerPrimeCaches:
         satake_polynomial(params, 101)
         assert qseries.q_binomial_eval.cache_info().misses == misses
         assert ikeda.eigenvalue_polynomial.cache_info().misses == 1
+
+    def test_factor_constants_computed_once_per_prime(self):
+        params = IkedaParams(12, 20)
+        ikeda.factor_constants.cache_clear()
+        ikeda.eigenvalue_polynomial.cache_clear()
+        verify_prime(params, 103, 0)
+        verify_prime(params, 103, 5)
+        info = ikeda.factor_constants.cache_info()
+        assert info.misses == 1 and info.hits > 0
+        assert ikeda.factor_constants(params, 103) == tuple(
+            103 ** (20 - i) + 103 ** (7 + i) for i in range(1, 7)
+        )
 
     def test_double_sum_terms_match_term_exponents(self):
         params = IkedaParams(8, 14)

@@ -268,10 +268,13 @@ class TestLoadEigenform:
 
         monkeypatch.setattr(modforms, "primes_upto", recording)
         head = "1 1\n2 -24\n3 252\n4 -1472\n"
-        # validated directly: a loaded table becomes a dense tuple up to its
-        # largest index, so only a table failing validation can be loaded here
-        table = {1: 1, 2: -24, 3: 252, 4: -1472, 10**12: 5}
-        modforms._check_table(table, 12)
+        # indices past the gap are stored sparsely, so this loads in memory
+        # proportional to its five lines
+        f = load_eigenform(write_table(tmp_path, head + f"{10**12} 5\n"), 12)
+        assert f.a(10**12) == 5 and f.a(4) == -1472
+        assert f.truncation == 10**12 and len(f.coeffs) == 5
+        with pytest.raises(ValueError, match="not present"):
+            f.a(10**12 - 1)
         # 2 * 5^17 ~ 1.5e12 breaks multiplicativity against a(2) * a(5^17)
         m = 2 * 5**17
         path = write_table(tmp_path, head + f"{5**17} 7\n{m} 0\n")
