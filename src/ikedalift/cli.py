@@ -47,20 +47,21 @@ def _exact_field(x: QuadExt) -> str:
     return f"{a.numerator}/{a.denominator}+{b.numerator}/{b.denominator}*sqrt({x.p})"
 
 
-def _series_for(params: IkedaParams, pmax: int, path):
-    w = params.eigenform_weight
+def _series_for(weight: int, pmax: int, path):
+    """The eigenform of the given weight to m = pmax: loaded from the table
+    at path, which must reach pmax, or built when path is None."""
     if path is not None:
-        series = load_eigenform(path, w)
+        series = load_eigenform(path, weight)
         if series.truncation < pmax:
             raise ValueError(
                 f"coefficient table covers m <= {series.truncation}, below pmax = {pmax}"
             )
         return series
-    return eigenform(w, pmax)
+    return eigenform(weight, pmax)
 
 
 def _reports(params: IkedaParams, pmax: int, path):
-    series = _series_for(params, pmax, path)
+    series = _series_for(params.eigenform_weight, pmax, path)
     out = []
     for p in primes_upto(pmax):
         ap = hecke_eigenvalue_prime(series, p)
@@ -152,15 +153,7 @@ def run_qbinom(args) -> int:
 
 
 def run_forms(args) -> int:
-    if args.eigenform is not None:
-        series = load_eigenform(args.eigenform, args.weight)
-        if series.truncation < args.pmax:
-            raise ValueError(
-                f"coefficient table covers m <= {series.truncation}, "
-                f"below pmax = {args.pmax}"
-            )
-    else:
-        series = eigenform(args.weight, args.pmax)
+    series = _series_for(args.weight, args.pmax, args.eigenform)
     lines = [f"# weight {args.weight} eigenform coefficients"]
     for m in range(1, args.pmax + 1):
         lines.append(f"{m} {series.a(m)}")
@@ -188,6 +181,15 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _prime_bound(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 2, the smallest prime, got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ikedalift",
@@ -201,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     eigen = sub.add_parser("eigen", help="per-prime eigenvalue records (CSV/JSON)")
     eigen.add_argument("--n", type=int, required=True, help="degree (even)")
     eigen.add_argument("--k", type=int, required=True, help="weight (even, > n+1)")
-    eigen.add_argument("--pmax", type=int, default=100, help="largest prime checked")
+    eigen.add_argument(
+        "--pmax", type=_prime_bound, default=100, help="largest prime checked (>= 2)"
+    )
     eigen.add_argument("--eigenform", help="coefficient table for weight 2k-n")
     eigen.add_argument("--format", choices=("csv", "json"), default="csv")
     eigen.add_argument("--out", help="output path (default stdout)")
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verification sweep with summary table")
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument("--k", type=int, required=True)
-    verify.add_argument("--pmax", type=int, default=100)
+    verify.add_argument("--pmax", type=_prime_bound, default=100)
     verify.add_argument("--eigenform", help="coefficient table for weight 2k-n")
     verify.set_defaults(func=run_verify)
 

@@ -5,22 +5,28 @@ verification.
 The three routes are
 
   * eigenvalue_double_sum: the explicit double sum in the prime p and the
-    elliptic eigenvalue a_f(p), with every half-integer exponent carried as
-    a Fraction and asserted integral exactly where integrality is claimed;
+    elliptic eigenvalue a_f(p), evaluated in Z from one integer table of
+    terms (double_sum_terms);
   * eigenvalue_product: the closed product over n/2 linear factors
     (a_f(p) + p^(k-i) + p^(k-n-1+i));
   * eigenvalue_reciprocal: evaluation of a monic integer polynomial built
     independently through the Dickson transform of the palindromic degree-n
     polynomial.
 
-The palindromic polynomial has half-integer powers of p, but the scalar
-p^(h_i/2) that multiplies each Dickson polynomial D_{n/2-i} has
-h_i = i(i + 2k - 2n - 1): even, since i and i + 2k - 2n - 1 differ in parity,
-and non-negative, since k > n.  So route 3 runs on Python ints; the exponents
-are checked once per (n, k) (dickson_exponents).  The bounds run on ints too:
-each factor 1 -+ p^-(i-1/2) is (p^i -+ sqrt(p)) / p^i, so a bound is
-p^e * (E -+ O sqrt(p))^2, where E + O sqrt(p) is prod (sqrt(p) + p^i)
-and e (bound_exponent) is a non-negative integer.
+The paper's formulas carry half-integer powers of p.  Every exponent here is
+held doubled, as an int h standing for p^(h/2) (the convention of
+exactnum.half_power), and _halve checks each one even and non-negative
+before it is used as a power of p in Z.  The checks depend only on (n, k),
+so they run once per parameter pair, in the three tables double_sum_terms,
+dickson_exponents and bound_exponent.
+
+In route 3 the scalar p^(h_i/2) that multiplies each Dickson polynomial
+D_{n/2-i} has h_i = i(i + 2k - 2n - 1): even, since i and i + 2k - 2n - 1
+differ in parity, and non-negative, since k > n.  So route 3 runs on
+Python ints.  The bounds run on ints too: each factor 1 -+ p^-(i-1/2) is
+(p^i -+ sqrt(p)) / p^i, so a bound is p^e * (E -+ O sqrt(p))^2, where
+E + O sqrt(p) is prod (sqrt(p) + p^i) and e (bound_exponent) is a
+non-negative integer.
 
 Every verification asserts the mutual agreement of the routes, and that the
 exact sqrt(p)-bounds equal the product route evaluated in Q(sqrt(p)) at the
@@ -31,13 +37,12 @@ all arithmetic stays in Z, Q, or Q(sqrt(p)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
 from .exactnum import QuadExt, half_power, is_prime
 from .modforms import within_deligne
-from .polyalg import Poly, QuadPoly, dickson, eval_poly, expand_product
+from .polyalg import Poly, dickson, eval_poly, expand_product
 from .qseries import q_binomial_eval
 
 # Per-prime caches hold one prime's working set; tables that depend only
@@ -91,58 +96,19 @@ class IkedaParams:
         return 2 * self.k - self.n
 
     @property
-    def base_exp(self) -> Fraction:
-        """Prefactor exponent nk/2 - n(n+1)/4 (denominator 1 or 2)."""
-        return Fraction(self.n * self.k, 2) - Fraction(self.n * (self.n + 1), 4)
-
-    @property
     def double_base_exp(self) -> int:
-        """2 * base_exp, always an integer for even n."""
-        v = 2 * self.base_exp
-        assert v.denominator == 1
-        return v.numerator
+        """The doubled prefactor exponent d = 2(nk/2 - n(n+1)/4)."""
+        return self.n * self.k - self.n * (self.n + 1) // 2
 
 
-@dataclass(frozen=True)
-class TermExponent:
-    """Exponent bookkeeping of one (j, r) term of the double sum."""
-
-    j: int
-    r: int
-    c_jr: Fraction
-    total: Fraction  # base_exp + c_jr; a non-negative integer for valid params
-
-
-def _as_nonneg_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ExponentIntegralityError(f"{what} = {x} is not an integer")
-    if x < 0:
-        raise ExponentIntegralityError(f"{what} = {x} is negative")
-    return x.numerator
-
-
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def term_exponents(params: IkedaParams) -> tuple[TermExponent, ...]:
-    """All (j, r) exponents of the double sum, integrality-checked."""
-    n, k = params.n, params.k
-    e0 = params.base_exp
-    half = n // 2
-    out = []
-    for j in range(1, half + 1):
-        for r in range(j // 2 + 1):
-            c = Fraction(-(half - j) * (half + j) + (j - 2 * r) * (n - 2 * k + 1), 2)
-            total = e0 + c
-            _as_nonneg_int(total, f"exponent for (j, r) = ({j}, {r})")
-            out.append(TermExponent(j, r, c, total))
-    return tuple(out)
-
-
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def tail_exponent(params: IkedaParams) -> int:
-    """The exponent base_exp - n^2/8 of the a_f-free term (a non-negative
-    integer for valid parameters)."""
-    v = params.base_exp - Fraction(params.n**2, 8)
-    return _as_nonneg_int(v, "tail exponent")
+def _halve(h, what: str) -> int:
+    """The exponent h/2 of p^(h/2), checked to be a non-negative integer."""
+    e, odd = divmod(h, 2)
+    if odd:
+        raise ExponentIntegralityError(f"{what} = {h}/2 is not an integer")
+    if e < 0:
+        raise ExponentIntegralityError(f"{what} = {e} is negative")
+    return e
 
 
 def deligne_limit(params: IkedaParams, p: int) -> int:
@@ -158,32 +124,40 @@ def deligne_limit(params: IkedaParams, p: int) -> int:
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def double_sum_terms(params: IkedaParams) -> tuple[tuple[int, int, int, int], ...]:
-    """The (j, r) terms of the double sum as integer tuples
+    """Every term of the double sum as an integer tuple
     (signed weight, q-binomial index, p-exponent, a_f-exponent).
 
-    The rational factor j/(j-r) * C(j-r, r) is asserted to be a positive
-    integer and every p-exponent a non-negative integer; the checks depend
-    only on (n, k), so they run once per parameter pair.
+    With d = double_base_exp, term (j, r), 1 <= j <= n/2, 0 <= r <= j/2,
+    has weight (-1)^r j/(j-r) C(j-r, r), asserted a positive integer up to
+    sign, and doubled p-exponent d - (n/2-j)(n/2+j) + (j-2r)(n-2k+1); the
+    a_f-free term (1, n/2, (d - n^2/4)/2, 0) comes last.  Every p-exponent
+    is checked by _halve, once per parameter pair.
     """
-    half = params.n // 2
+    n, k = params.n, params.k
+    half = n // 2
+    d = params.double_base_exp
     out = []
-    for t in term_exponents(params):
-        w = Fraction(t.j, t.j - t.r) * comb(t.j - t.r, t.r)
-        if w.denominator != 1 or w <= 0:
-            raise ExponentIntegralityError(
-                f"combinatorial factor j/(j-r)*C(j-r,r) = {w} for (j, r) = ({t.j}, {t.r})"
-            )
-        sign = -1 if t.r % 2 else 1
-        exp = _as_nonneg_int(t.total, "term exponent")
-        out.append((sign * w.numerator, half - t.j, exp, t.j - 2 * t.r))
+    for j in range(1, half + 1):
+        for r in range(j // 2 + 1):
+            num = j * comb(j - r, r)
+            w, rem = divmod(num, j - r)
+            if rem or w <= 0:
+                raise ExponentIntegralityError(
+                    f"combinatorial factor j/(j-r)*C(j-r,r) = {num}/{j - r} "
+                    f"for (j, r) = ({j}, {r})"
+                )
+            h = d - (half - j) * (half + j) + (j - 2 * r) * (n - 2 * k + 1)
+            exp = _halve(h, f"exponent for (j, r) = ({j}, {r})")
+            out.append((-w if r % 2 else w, half - j, exp, j - 2 * r))
+    out.append((1, half, _halve(d - half * half, "tail exponent"), 0))
     return tuple(out)
 
 
 def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
     """Eigenvalue via the double sum over (j, r) plus the a_f-free term,
-    computed in Z from the integrality-checked terms of double_sum_terms."""
+    computed in Z from the integrality-checked table double_sum_terms."""
     n = params.n
-    total = p ** tail_exponent(params) * q_binomial_eval(n, n // 2, p)
+    total = 0
     for weight, m, exp, ap_exp in double_sum_terms(params):
         total += weight * q_binomial_eval(n, m, p) * p**exp * ap**ap_exp
     return total
@@ -220,11 +194,11 @@ def eigenvalue_product(params: IkedaParams, p: int, ap):
 
 
 @lru_cache(maxsize=PRIME_CACHE_SIZE)
-def satake_polynomial(params: IkedaParams, p: int) -> QuadPoly:
+def satake_polynomial(params: IkedaParams, p: int) -> Poly:
     """The degree-n generating polynomial whose normalized value at the
     Satake parameter is the eigenvalue.
 
-    Coefficient i is p^(base_exp + i(i-n)/2) * (n choose i)_p, realized
+    Coefficient i is p^((d + i(i-n))/2) * (n choose i)_p, realized
     exactly in Q(sqrt(p)); the coefficient sequence is palindromic.
     """
     n = params.n
@@ -232,23 +206,23 @@ def satake_polynomial(params: IkedaParams, p: int) -> QuadPoly:
     coeffs = [
         half_power(p, d + i * (i - n)) * q_binomial_eval(n, i, p) for i in range(n + 1)
     ]
-    return QuadPoly(coeffs, radicand=p)
+    return Poly(coeffs)
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def dickson_exponents(params: IkedaParams) -> tuple[int, ...]:
     """The exponents h_i/2 of the scalars p^(h_i/2) in route 3, i = 0..n/2,
-    with h_i = 2*base_exp + i(i-n) + (2k-n-1)(i-n/2).
+    with h_i = d + i(i-n) + (2k-n-1)(i-n/2).
 
-    Each h_i is asserted even and non-negative, once per (n, k), so the
-    per-prime construction stays in Z.
+    Each h_i is checked by _halve, once per (n, k), so the per-prime
+    construction stays in Z.
     """
     n, k = params.n, params.k
     half = n // 2
     d = params.double_base_exp
     return tuple(
-        _as_nonneg_int(
-            Fraction(d + i * (i - n) + (2 * k - n - 1) * (i - half), 2),
+        _halve(
+            d + i * (i - n) + (2 * k - n - 1) * (i - half),
             f"Dickson scalar exponent h_{i}/2",
         )
         for i in range(half + 1)
@@ -300,12 +274,10 @@ def eigenvalue_reciprocal(params: IkedaParams, p: int, ap: int) -> int:
 
 def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
     """Exact check that the generating polynomial factors as
-    p^base_exp * prod_{j=0}^{n-1} (1 + p^(j + (1-n)/2) x) in Q(sqrt(p))."""
+    p^(d/2) * prod_{j=0}^{n-1} (1 + p^(j + (1-n)/2) x) in Q(sqrt(p))."""
     n = params.n
     lhs = satake_polynomial(params, p)
-    factors = [
-        QuadPoly([1, half_power(p, 2 * j + 1 - n)], radicand=p) for j in range(n)
-    ]
+    factors = [Poly([1, half_power(p, 2 * j + 1 - n)]) for j in range(n)]
     rhs = expand_product(factors).scale(half_power(p, params.double_base_exp))
     return lhs == rhs
 
@@ -317,19 +289,17 @@ def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def bound_exponent(params: IkedaParams) -> int:
-    """The exponent e = (base_exp + n^2/8) - 2 * sum_{i=1}^{n/2} i of the
-    bounds p^e * (E -+ O sqrt(p))^2, asserted a non-negative integer once
-    per (n, k)."""
+    """The exponent e = (d + n^2/4)/2 - 2 * sum_{i=1}^{n/2} i of the bounds
+    p^e * (E -+ O sqrt(p))^2, checked by _halve once per (n, k)."""
     half = params.n // 2
-    return _as_nonneg_int(
-        Fraction(params.double_base_exp + half * half, 2) - half * (half + 1),
-        "bound exponent",
+    return _halve(
+        params.double_base_exp + half * half - 2 * half * (half + 1), "bound exponent"
     )
 
 
 def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     """Exact lower and upper bounds for the eigenvalue at p:
-    p^(base_exp + n^2/8) * prod_{i=1}^{n/2} (1 -+ p^-(i-1/2))^2.
+    p^((d + n^2/4)/2) * prod_{i=1}^{n/2} (1 -+ p^-(i-1/2))^2.
 
     Since 1 -+ p^-(i-1/2) = (p^i -+ sqrt(p)) / p^i, the bounds are
     p^e * (E -+ O sqrt(p))^2 with e = bound_exponent(params) and

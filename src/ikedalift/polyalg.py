@@ -2,16 +2,14 @@
 detection, and the Dickson-type transform.
 
 One Poly class serves every coefficient domain used here (int, Fraction,
-QuadExt); operations never mutate, so instances may be shared freely.
-QuadPoly adds construction-time validation that all coefficients live in a
-single Q(sqrt(p)).
+QuadExt); operations never mutate, so instances may be shared freely.  A
+polynomial over Q(sqrt(p)) needs no class of its own: QuadExt raises
+RadicandMismatchError on any operation that mixes two radicands.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactnum import QuadExt, RadicandMismatchError
+from .exactnum import QuadExt
 
 
 class InexactDivisionError(ArithmeticError):
@@ -72,9 +70,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coefficient(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -88,24 +83,10 @@ class Poly:
             out[i] = out[i] + c
         return Poly(out)
 
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out = list(self.coeffs)
-        for i, c in enumerate(other.coeffs):
-            if i < len(out):
-                out[i] = out[i] - c
-            else:
-                out.append(-c)
-        return Poly(out)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         return Poly(_convolve(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
 
     def scale(self, c) -> "Poly":
         """Multiply every coefficient by the scalar c."""
@@ -135,34 +116,6 @@ class Poly:
 
     def __str__(self):
         return poly_str(self)
-
-
-class QuadPoly(Poly):
-    """Poly whose coefficients all lie in one Q(sqrt(p))."""
-
-    __slots__ = ("radicand",)
-
-    def __init__(self, coeffs, radicand=None):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, QuadExt):
-                if radicand is None:
-                    radicand = c.p
-                elif c.p != radicand:
-                    raise RadicandMismatchError(
-                        f"coefficient in sqrt({c.p}) inside a sqrt({radicand}) polynomial"
-                    )
-                cs.append(c)
-            else:
-                cs.append(c)
-        if radicand is None:
-            raise ValueError("radicand undetermined: no QuadExt coefficient given")
-        cs = [
-            c if isinstance(c, QuadExt) else QuadExt(Fraction(c), Fraction(0), radicand)
-            for c in cs
-        ]
-        super().__init__(cs)
-        self.radicand = radicand
 
 
 def poly_str(poly: Poly, var: str = "x") -> str:

@@ -228,15 +228,47 @@ class TestForms:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows and all(r["within_bounds"] == "true" for r in rows)
 
-    def test_pmax_beyond_table_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eigen", "--n", "2", "--k", "10"),
+            ("verify", "--n", "2", "--k", "10"),
+            ("forms", "--weight", "18"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_pmax_beyond_table_exits_2(self, capsys, tmp_path, argv):
         table = tmp_path / "short.txt"
         run_cli(capsys, "forms", "--weight", "18", "--pmax", "10", "--out", str(table))
-        code, _, _ = run_cli(
-            capsys,
-            "eigen", "--n", "2", "--k", "10", "--pmax", "100",
-            "--eigenform", str(table),
+        code, out, err = run_cli(
+            capsys, *argv, "--pmax", "100", "--eigenform", str(table)
         )
-        assert code == 2
+        assert code == 2 and out == ""
+        assert err == "error: coefficient table covers m <= 10, below pmax = 100\n"
+
+
+class TestPmaxBelowTwo:
+    """A sweep over no prime would pass vacuously, so argparse refuses it."""
+
+    @pytest.mark.parametrize("command", ["eigen", "verify"])
+    @pytest.mark.parametrize("pmax", ["1", "-5"])
+    @pytest.mark.parametrize("with_table", [False, True], ids=["builtin", "table"])
+    def test_exits_2(self, capsys, tmp_path, command, pmax, with_table):
+        argv = [command, "--n", "2", "--k", "10", "--pmax", pmax]
+        if with_table:
+            table = tmp_path / "w18.txt"
+            run_cli(capsys, "forms", "--weight", "18", "--pmax", "10", "--out", str(table))
+            argv += ["--eigenform", str(table)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--pmax: must be at least 2" in captured.err
+
+    def test_two_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--k", "10", "--pmax", "2")
+        assert code == 0
+        assert "summary: 1 primes checked, 0 failures" in out
 
 
 def test_selftest_passes(capsys):

@@ -39,8 +39,6 @@ from ikedalift.ikeda import (
     eigenvalue_reciprocal,
     satake_factorization_holds,
     satake_polynomial,
-    tail_exponent,
-    term_exponents,
     verify_prime,
 )
 from ikedalift.polyalg import Poly
@@ -70,30 +68,57 @@ class TestParams:
             IkedaParams(2, 6)  # 2k - n = 10 < 12
 
     def test_base_exponent(self):
-        assert IkedaParams(2, 10).base_exp == Fraction(17, 2)
-        assert IkedaParams(4, 8).base_exp == 11
+        # doubled: 2 * 17/2 and 2 * 11
+        assert IkedaParams(2, 10).double_base_exp == 17
+        assert IkedaParams(4, 8).double_base_exp == 22
 
 
 class TestTermExponents:
+    """double_sum_terms rows are (signed weight, q-binomial index,
+    p-exponent, a_f-exponent), the a_f-free term last."""
+
     def test_saito_kurokawa_case(self):
-        (t,) = term_exponents(IkedaParams(2, 10))
-        assert (t.j, t.r) == (1, 0)
-        assert t.c_jr == Fraction(-17, 2)
-        assert t.total == 0
+        # (j, r) = (1, 0) has p-exponent 0; the tail has 8
+        assert double_sum_terms(IkedaParams(2, 10)) == ((1, 0, 0, 1), (1, 1, 8, 0))
 
     def test_degree_four_case(self):
-        ts = {(t.j, t.r): t for t in term_exponents(IkedaParams(4, 8))}
-        assert ts[(1, 0)].c_jr == -7 and ts[(1, 0)].total == 4
-        assert ts[(2, 0)].c_jr == -11 and ts[(2, 0)].total == 0
-        assert ts[(2, 1)].c_jr == 0 and ts[(2, 1)].total == 11
+        # (j, r) = (1, 0), (2, 0), (2, 1) have p-exponents 4, 0, 11; tail 9
+        assert double_sum_terms(IkedaParams(4, 8)) == (
+            (1, 1, 4, 1),
+            (1, 0, 0, 2),
+            (-2, 0, 11, 0),
+            (1, 2, 9, 0),
+        )
 
     def test_tail_exponent(self):
-        assert tail_exponent(IkedaParams(2, 10)) == 8
-        assert tail_exponent(IkedaParams(4, 8)) == 9
-        assert tail_exponent(IkedaParams(6, 14)) == 27
+        for (n, k), tail in (((2, 10), 8), ((4, 8), 9), ((6, 14), 27)):
+            assert double_sum_terms(IkedaParams(n, k))[-1] == (1, n // 2, tail, 0)
 
     def test_integrality_sweep(self):
         selftest.check_exponent_integrality()
+
+    def test_double_sum_terms_closed_form(self):
+        for n, k in selftest.valid_pairs(20, 40):
+            m = n // 2
+            base = Fraction(n * k, 2) - Fraction(n * (n + 1), 4)
+            want = []
+            for j in range(1, m + 1):
+                for r in range(j // 2 + 1):
+                    c = Fraction(-(m - j) * (m + j) + (j - 2 * r) * (n - 2 * k + 1), 2)
+                    weight = Fraction(j, j - r) * comb(j - r, r)
+                    want.append(((-1) ** r * weight, m - j, base + c, j - 2 * r))
+            want.append((1, m, base - Fraction(n * n, 8), 0))
+            assert double_sum_terms(IkedaParams(n, k)) == tuple(want), (n, k)
+
+    def test_corrupt_combinatorial_factor_is_caught(self, monkeypatch):
+        # with C(j-r, r) replaced by 1, the weight of (j, r) = (3, 1) is 3/2
+        monkeypatch.setattr(ikeda, "comb", lambda a, b: 1)
+        ikeda.double_sum_terms.cache_clear()
+        try:
+            with pytest.raises(ExponentIntegralityError, match="combinatorial factor"):
+                double_sum_terms(IkedaParams(6, 14))
+        finally:
+            ikeda.double_sum_terms.cache_clear()
 
 
 class TestRoutes:
@@ -253,7 +278,7 @@ class TestIntegralExponents:
         params = object.__new__(IkedaParams)
         object.__setattr__(params, "n", n)
         object.__setattr__(params, "k", k)
-        for exponents in (dickson_exponents, bound_exponent):
+        for exponents in (double_sum_terms, dickson_exponents, bound_exponent):
             with pytest.raises(ExponentIntegralityError, match=what):
                 exponents(params)
 
@@ -309,6 +334,7 @@ class TestPerPrimeCaches:
             ikeda.eigenvalue_polynomial,
             ikeda.satake_polynomial,
             ikeda.factor_constants,
+            ikeda.double_sum_terms,
             ikeda.dickson_exponents,
             ikeda.bound_exponent,
             qseries.q_binomial_eval,
@@ -339,15 +365,6 @@ class TestPerPrimeCaches:
         assert ikeda.factor_constants(params, 103) == tuple(
             103 ** (20 - i) + 103 ** (7 + i) for i in range(1, 7)
         )
-
-    def test_double_sum_terms_match_term_exponents(self):
-        params = IkedaParams(8, 14)
-        terms = double_sum_terms(params)
-        assert len(terms) == len(term_exponents(params))
-        for (weight, m, exp, ap_exp), t in zip(terms, term_exponents(params)):
-            assert abs(weight) == Fraction(t.j, t.j - t.r) * comb(t.j - t.r, t.r)
-            assert (weight < 0) == (t.r % 2 == 1)
-            assert (m, exp, ap_exp) == (4 - t.j, t.total, t.j - 2 * t.r)
 
 
 class TestVerifyPrime:

@@ -282,6 +282,19 @@ class TestLoadEigenform:
             load_eigenform(path, 12)
         assert sieved == [4, 4]
 
+    def test_composite_pair_past_the_gap_is_checked(self, tmp_path):
+        # 1225 = 25 * 49: no prime factor of 1225 is listed, yet both
+        # coprime parts are, so multiplicativity still applies to it
+        head = "1 1\n2 -24\n3 252\n4 -1472\n25 5\n49 7\n"
+        path = write_table(tmp_path, head + "1225 36\n")
+        with pytest.raises(
+            EigenformValidationError,
+            match=r"^index 1225: multiplicativity violated: a\(1225\) != a\(25\)\*a\(49\)$",
+        ):
+            load_eigenform(path, 12)
+        f = load_eigenform(write_table(tmp_path, head + "1225 35\n", "ok.txt"), 12)
+        assert f.a(1225) == 35
+
 
 class TestDeligne:
     def test_boundary_is_exact(self):

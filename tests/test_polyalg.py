@@ -12,7 +12,6 @@ from ikedalift.exactnum import QuadExt
 from ikedalift.polyalg import (
     InexactDivisionError,
     Poly,
-    QuadPoly,
     dickson,
     divide_exact,
     eval_poly,
@@ -128,19 +127,15 @@ class TestEvalPoly:
         )
 
 
-class TestQuadPoly:
+class TestPolyOverQuadExt:
     def test_mixed_radicands_rejected(self):
         from ikedalift.exactnum import RadicandMismatchError
 
+        root2, root3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
         with pytest.raises(RadicandMismatchError):
-            QuadPoly(
-                [QuadExt(Fraction(1), Fraction(0), 2), QuadExt(Fraction(1), Fraction(0), 3)]
-            )
-
-    def test_int_coercion(self):
-        qp = QuadPoly([1, 2], radicand=5)
-        assert qp.radicand == 5
-        assert all(isinstance(c, QuadExt) for c in qp.coeffs)
+            Poly([1, root2]) * Poly([1, root3])
+        with pytest.raises(RadicandMismatchError):
+            eval_poly(Poly([1, root2]), root3)
 
 
 class TestDivideExact:
