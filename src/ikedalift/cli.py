@@ -174,20 +174,24 @@ def run_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type for an int >= low.  Every failure raises
+    ArgumentTypeError, so argparse never names this function."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
 
 
-def _prime_bound(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(
-            f"must be at least 2, the smallest prime, got {value}"
-        )
-    return value
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
+_prime_bound = _int_at_least(2, "at least 2, the smallest prime")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,8 +23,10 @@ class RadicandMismatchError(ValueError):
     """Arithmetic attempted between Q(sqrt(p)) elements with different p."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
+    """Trial division.  A sweep asks about one prime many times in a row,
+    so a bounded cache serves the repeats."""
     if n < 2:
         return False
     if n % 2 == 0:

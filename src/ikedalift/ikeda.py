@@ -23,15 +23,17 @@ dickson_exponents and bound_exponent.
 In route 3 the scalar p^(h_i/2) that multiplies each Dickson polynomial
 D_{n/2-i} has h_i = i(i + 2k - 2n - 1): even, since i and i + 2k - 2n - 1
 differ in parity, and non-negative, since k > n.  So route 3 runs on
-Python ints.  The bounds run on ints too: each factor 1 -+ p^-(i-1/2) is
+Python ints, with D_0..D_{n/2} from one pass of the Dickson recurrence.
+The bounds run on ints too: each factor 1 -+ p^-(i-1/2) is
 (p^i -+ sqrt(p)) / p^i, so a bound is p^e * (E -+ O sqrt(p))^2, where
 E + O sqrt(p) is prod (sqrt(p) + p^i) and e (bound_exponent) is a
 non-negative integer.
 
 Every verification asserts the mutual agreement of the routes, and that the
-exact sqrt(p)-bounds equal the product route evaluated in Q(sqrt(p)) at the
-Deligne endpoints.  Satake parameters themselves are never represented, so
-all arithmetic stays in Z, Q, or Q(sqrt(p)).
+exact sqrt(p)-bounds equal the product route at the Deligne endpoints,
+where each linear factor is an int pair r_i -+ s*sqrt(p); the sign tests
+stay on QuadExt.sign.  Satake parameters themselves are never represented,
+so all arithmetic stays in Z, Q, or Q(sqrt(p)).
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
 
-from .exactnum import QuadExt, half_power, is_prime
+from .exactnum import QuadExt, _quad, half_power, is_prime
 from .modforms import within_deligne
-from .polyalg import Poly, dickson, eval_poly, expand_product
+# dickson is unused here; perfbench/tracer.py patches it as ikeda.dickson
+from .polyalg import Poly, dickson, dickson_family, eval_poly, expand_product
 from .qseries import q_binomial_eval
 
 # Per-prime caches hold one prime's working set; tables that depend only
@@ -179,8 +182,9 @@ def factor_constants(params: IkedaParams, p: int) -> tuple[int, ...]:
 def eigenvalue_product(params: IkedaParams, p: int, ap):
     """Eigenvalue as the product of (a_f(p) + p^(k-i) + p^(k-n-1+i)).
 
-    ap may also be a QuadExt in Q(sqrt(p)), which is how verify_prime
-    evaluates the product at the Deligne endpoints.
+    ap may also be a QuadExt in Q(sqrt(p)): evaluated at the Deligne
+    endpoints, this is the literal oracle for the endpoint identity that
+    verify_prime checks on int pairs.
     """
     out = 1
     for r in factor_constants(params, p):
@@ -237,21 +241,22 @@ def eigenvalue_polynomial(params: IkedaParams, p: int) -> Poly:
     The palindromic pair of coefficients i and n - i contributes
     p^(h_i/2) * (n choose i)_p * D_{n/2-i}(x) with c = p^(2k-n-1), and the
     centre coefficient contributes p^(h_{n/2}/2) * (n choose n/2)_p; every
-    exponent is integral by dickson_exponents.  The result is asserted
-    monic of degree n/2 and equal to the expansion of prod (x + r_i) over
-    the factor_constants of route 2.  Either assertion failing indicates an
-    implementation defect.
+    exponent is integral by dickson_exponents, and D_0..D_{n/2} come from
+    one dickson_family pass.  The result is asserted monic of degree n/2
+    and equal to the expansion of prod (x + r_i) over the factor_constants
+    of route 2.  Either assertion failing indicates an implementation
+    defect.
     """
     n, k = params.n, params.k
     half = n // 2
     exps = dickson_exponents(params)
-    c = p ** (2 * k - n - 1)
+    family = dickson_family(half, p ** (2 * k - n - 1))
 
     acc = [0] * (half + 1)
     acc[0] = p ** exps[half] * q_binomial_eval(n, half, p)
     for i in range(half):
         scal = p ** exps[i] * q_binomial_eval(n, i, p)
-        for j, x in enumerate(dickson(half - i, c).coeffs):
+        for j, x in enumerate(family[half - i].coeffs):
             if x:
                 acc[j] += scal * x
     tilde = Poly(acc)
@@ -334,7 +339,8 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
     check positivity and the exact bounds by quadratic-ring sign tests.
 
     The bounds are also asserted equal to route 2 at a = -+2*p^((w-1)/2),
-    w = 2k - n; a mismatch raises BoundIdentityError.
+    w = 2k - n, as a product of the int pairs r_i -+ s*sqrt(p) with
+    s = 2*p^((w-2)/2); a mismatch raises BoundIdentityError.
 
     a_f(p) must satisfy the Deligne bound; anything else is rejected, since
     the positivity statement presumes it.
@@ -356,14 +362,16 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
     lower, upper = eigenvalue_bounds(params, p)
     # the factors of route 2 at a = -+2*p^((w-1)/2) are perfect squares
     # whose product is exactly the bound
-    edge = 2 * half_power(p, w - 1)
-    if (
-        eigenvalue_product(params, p, -edge) != lower
-        or eigenvalue_product(params, p, edge) != upper
-    ):
-        raise BoundIdentityError(
-            f"bounds at p = {p} differ from the product route at a = -+2*{p}^({w - 1}/2)"
-        )
+    s = 2 * p ** ((w - 2) // 2)
+    for bound, t in ((lower, -s), (upper, s)):
+        X, Y, tp = 1, 0, t * p
+        for r in factor_constants(params, p):
+            # (X + Y sqrt p)(r + t sqrt p)
+            X, Y = X * r + Y * tp, X * t + Y * r
+        if _quad(X, Y, 1, p) != bound:
+            raise BoundIdentityError(
+                f"bounds at p = {p} differ from the product route at a = -+2*{p}^({w - 1}/2)"
+            )
     positive = v1 > 0
     within = (v1 - lower).sign() >= 0 and (upper - v1).sign() >= 0
     return EigenvalueReport(

@@ -1,5 +1,5 @@
 """Dense univariate polynomials over exact coefficient rings, palindrome
-detection, and the Dickson-type transform.
+detection, and the Dickson polynomials of the Dickson-type transform.
 
 One Poly class serves every coefficient domain used here (int, Fraction,
 QuadExt); operations never mutate, so instances may be shared freely.  A
@@ -10,10 +10,6 @@ RadicandMismatchError on any operation that mixes two radicands.
 from __future__ import annotations
 
 from .exactnum import QuadExt
-
-
-class InexactDivisionError(ArithmeticError):
-    """Polynomial quotient left a remainder where exactness was required."""
 
 
 def _convolve(a, b):
@@ -140,24 +136,30 @@ def poly_str(poly: Poly, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def dickson(i: int, c) -> Poly:
-    """The unique polynomial D_i with D_i(x + c/x) = x**i + (c/x)**i.
+def dickson_family(m: int, c) -> list[Poly]:
+    """[D_0, ..., D_m] for one c, where D_i is the unique polynomial with
+    D_i(x + c/x) = x**i + (c/x)**i.
 
-    Built by the three-term recurrence D_0 = 2, D_1 = y,
-    D_i = y*D_{i-1} - c*D_{i-2}; monic of degree i for i >= 1, with integer
-    coefficients whenever c is an integer.
+    One pass of the three-term recurrence D_0 = 2, D_1 = y,
+    D_i = y*D_{i-1} - c*D_{i-2}; D_i is monic of degree i for i >= 1, with
+    integer coefficients whenever c is an integer.
     """
-    if i < 0:
+    if m < 0:
         raise ValueError("index must be non-negative")
-    if i == 0:
-        return Poly([2])
-    prev, cur = [2], [0, 1]
-    for _ in range(i - 1):
+    fam = [[2], [0, 1]]
+    for _ in range(m - 1):
+        prev, cur = fam[-2], fam[-1]
         nxt = [0, *cur]
         for j, x in enumerate(prev):
             nxt[j] -= c * x
-        prev, cur = cur, nxt
-    return Poly(cur)
+        fam.append(nxt)
+    return [Poly(cs) for cs in fam[: m + 1]]
+
+
+def dickson(i: int, c) -> Poly:
+    """The single Dickson polynomial D_i: the last member of
+    dickson_family(i, c)."""
+    return dickson_family(i, c)[i]
 
 
 def is_palindromic(poly: Poly) -> bool:
@@ -182,34 +184,3 @@ def eval_poly(poly: Poly, point):
     """Horner evaluation at an int, Fraction, or QuadExt point."""
     return _horner(poly.coeffs, point)
 
-
-def divide_exact(num: Poly, den: Poly) -> Poly:
-    """Exact quotient num/den over the integers.
-
-    Raises InexactDivisionError if any division step or the remainder fails
-    exactness; used where a quotient is asserted to stay in Z[x].
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num.coeffs)
-    d = den.coeffs
-    dn = len(d)
-    if len(rem) < dn:
-        if any(rem):
-            raise InexactDivisionError("degree of remainder below divisor")
-        return Poly()
-    q = [0] * (len(rem) - dn + 1)
-    lead = d[-1]
-    for i in range(len(q) - 1, -1, -1):
-        top = rem[i + dn - 1]
-        if top == 0:
-            continue
-        c, r = divmod(top, lead)
-        if r != 0:
-            raise InexactDivisionError(f"leading coefficient {top} not divisible by {lead}")
-        q[i] = c
-        for j in range(dn):
-            rem[i + j] -= c * d[j]
-    if any(rem):
-        raise InexactDivisionError("nonzero remainder")
-    return Poly(q)

@@ -31,8 +31,15 @@ from .ikeda import (
 )
 from .kernels import convolve_trunc
 from .modforms import delta, eigenform, BUILTIN_WEIGHTS
-from .polyalg import Poly, dickson, eval_poly, expand_product, is_palindromic
-from .qseries import binomial_product_coeffs, q_binomial
+from .polyalg import (
+    Poly,
+    dickson,
+    dickson_family,
+    eval_poly,
+    expand_product,
+    is_palindromic,
+)
+from .qseries import binomial_product_coeffs, q_binomial, q_factorial
 
 DESK_PAIRS = ((2, 10), (2, 12), (2, 14), (4, 8), (4, 10), (4, 12), (6, 14), (6, 16))
 
@@ -96,9 +103,11 @@ def check_half_power_products():
 
 
 def check_q_binomial_identities():
+    # the q-Pascal construction against the q-factorials, by multiplication
     for n in range(17):
         for m in range(n + 1):
             qb = q_binomial(n, m)
+            assert qb * q_factorial(m) * q_factorial(n - m) == q_factorial(n), (n, m)
             assert qb == q_binomial(n, n - m)
             assert eval_poly(qb, 1) == comb(n, m)
             assert all(c >= 0 for c in qb.coeffs)
@@ -122,6 +131,8 @@ def check_dickson_identity():
             assert eval_poly(d, x + c / x) == x**i + (c / x) ** i
             if i >= 1:
                 assert d.degree == i and d.is_monic()
+            # the one-pass family agrees with the single-index polynomials
+            assert dickson_family(i, c) == [dickson(j, c) for j in range(i + 1)]
 
 
 def _random_palindrome(rng, max_half: int = 4) -> Poly:
@@ -323,7 +334,13 @@ def check_bounds_match_formula():
     for n, k in valid_pairs(20, 30):
         params = IkedaParams(n, k)
         for p in primes_upto(200):
-            assert eigenvalue_bounds(params, p) == formula_bounds(params, p), (n, k, p)
+            lo, hi = formula_bounds(params, p)
+            assert eigenvalue_bounds(params, p) == (lo, hi), (n, k, p)
+            # route 2 evaluated in Q(sqrt(p)) at the Deligne endpoints: the
+            # literal form of the identity verify_prime checks on int pairs
+            edge = 2 * half_power(p, 2 * k - n - 1)
+            assert eigenvalue_product(params, p, -edge) == lo, (n, k, p)
+            assert eigenvalue_product(params, p, edge) == hi, (n, k, p)
 
 
 def naive_product(a, b):

@@ -199,6 +199,12 @@ class TestQbinom:
         code, _, _ = run_cli(capsys, "qbinom", "--n", "3", "--m", "5")
         assert code == 2
 
+    def test_large_n(self, capsys):
+        # a recursive q-Pascal triangle would exceed the recursion limit here
+        code, out, _ = run_cli(capsys, "qbinom", "--n", "1200", "--m", "2", "--q", "2")
+        assert code == 0
+        assert out == f"{(2**1200 - 1) * (2**1199 - 1) // ((2 - 1) * (2**2 - 1))}\n"
+
 
 class TestForms:
     def test_builtin_weight(self, capsys):
@@ -269,6 +275,29 @@ class TestPmaxBelowTwo:
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--k", "10", "--pmax", "2")
         assert code == 0
         assert "summary: 1 primes checked, 0 failures" in out
+
+
+class TestNonIntegerArgument:
+    """A non-integer reads like argparse's own int error, not a function name."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eigen", "--pmax", "x"),
+            ("verify", "--pmax", "x"),
+            ("eigen", "--digits", "x"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}",
+    )
+    def test_non_integer_reads_invalid_int(self, capsys, argv):
+        command, flag, value = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "2", "--k", "10", flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"ikedalift {command}: error: argument {flag}: invalid int value: 'x'"
+        )
 
 
 def test_selftest_passes(capsys):

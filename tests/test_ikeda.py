@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikedalift.exactnum import QuadExt, half_power, primes_upto
-from ikedalift import ikeda, qseries, selftest
+from ikedalift import exactnum, ikeda, qseries, selftest
 from ikedalift.ikeda import (
     BoundIdentityError,
     DeligneBoundError,
@@ -316,15 +316,22 @@ class TestBoundIdentity:
     @pytest.mark.parametrize("side", [0, 1])
     def test_corrupt_bound_is_caught(self, monkeypatch, side):
         true_bounds = ikeda.eigenvalue_bounds
+        corruptions = (
+            lambda b: b + Fraction(1, 10**9),  # non-integral parts, D != 1
+            lambda b: b + 1,  # +1 to the rational part, D == 1
+            lambda b: b + QuadExt(0, 1, 5),  # +1 to the surd part, D == 1
+            lambda b: b * Fraction(1, 3),  # the same A and B over D == 3
+        )
+        for change in corruptions:
 
-        def corrupt(params, p):
-            bounds = list(true_bounds(params, p))
-            bounds[side] = bounds[side] + Fraction(1, 10**9)
-            return tuple(bounds)
+            def corrupt(params, p):
+                bounds = list(true_bounds(params, p))
+                bounds[side] = change(bounds[side])
+                return tuple(bounds)
 
-        monkeypatch.setattr(ikeda, "eigenvalue_bounds", corrupt)
-        with pytest.raises(BoundIdentityError, match="p = 5"):
-            verify_prime(IkedaParams(4, 12), 5, 0)
+            monkeypatch.setattr(ikeda, "eigenvalue_bounds", corrupt)
+            with pytest.raises(BoundIdentityError, match="p = 5"):
+                verify_prime(IkedaParams(4, 12), 5, 0)
         assert issubclass(BoundIdentityError, ArithmeticError)
 
 
@@ -338,6 +345,8 @@ class TestPerPrimeCaches:
             ikeda.dickson_exponents,
             ikeda.bound_exponent,
             qseries.q_binomial_eval,
+            qseries.q_binomial,
+            exactnum.is_prime,
         ):
             assert fn.cache_info().maxsize is not None
 

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, the Dickson transform, palindromes, exact division."""
+"""Polynomial arithmetic, the Dickson transform, palindromes."""
 
 import random
 from fractions import Fraction
@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from ikedalift import selftest
 from ikedalift.exactnum import QuadExt
 from ikedalift.polyalg import (
-    InexactDivisionError,
     Poly,
     dickson,
-    divide_exact,
+    dickson_family,
     eval_poly,
     expand_product,
     is_palindromic,
@@ -59,6 +58,10 @@ class TestDickson:
 
     def test_functional_identity(self):
         selftest.check_dickson_identity()
+
+    def test_family_negative_rejected(self):
+        with pytest.raises(ValueError):
+            dickson_family(-1, 3)
 
     def test_monic_integer(self):
         for i in range(1, 13):
@@ -137,16 +140,3 @@ class TestPolyOverQuadExt:
         with pytest.raises(RadicandMismatchError):
             eval_poly(Poly([1, root2]), root3)
 
-
-class TestDivideExact:
-    def test_exact_quotient(self):
-        num = Poly([1, 1]) * Poly([2, 3]) * Poly([0, 0, 1])
-        assert divide_exact(num, Poly([1, 1]) * Poly([0, 0, 1])) == Poly([2, 3])
-
-    def test_remainder_rejected(self):
-        with pytest.raises(InexactDivisionError):
-            divide_exact(Poly([1, 1, 1]), Poly([1, 1]))
-
-    def test_nonintegral_quotient_rejected(self):
-        with pytest.raises(InexactDivisionError):
-            divide_exact(Poly([1, 3]), Poly([1, 2]))

@@ -1,9 +1,11 @@
 """q-analogues against an independent oracle.
 
-The oracle is the q-Pascal recurrence
-    (n choose m)_q = (n-1 choose m-1)_q + q^m (n-1 choose m)_q,
-built without any polynomial division, so it exercises a different code path
-than the factorial-quotient implementation.
+The Gaussian binomial is built by the q-Pascal recurrence
+    (n choose m)_q = (n-1 choose m-1)_q + q^m (n-1 choose m)_q.
+The oracle is the q-factorial identity
+    (n choose m)_q * [m]_q! * [n-m]_q! = [n]_q!,
+checked by polynomial multiplication, a different code path from the
+additions of the recurrence.
 """
 
 import pytest
@@ -17,18 +19,6 @@ from ikedalift.qseries import (
     q_factorial,
     q_int,
 )
-
-
-def pascal_q_binomial(n: int, m: int) -> Poly:
-    """Oracle: build the Gaussian binomial triangle by the q-Pascal rule."""
-    row = [Poly([1])]
-    for i in range(1, n + 1):
-        new = [Poly([1])]
-        for j in range(1, i):
-            new.append(row[j - 1] + row[j].shift(j))
-        new.append(Poly([1]))
-        row = new
-    return row[m]
 
 
 class TestQInt:
@@ -76,10 +66,11 @@ class TestQBinomial:
         with pytest.raises(ValueError):
             q_binomial(3, 5)
 
-    def test_matches_pascal_oracle(self):
+    def test_matches_factorial_oracle(self):
         for n in range(17):
             for m in range(n + 1):
-                assert q_binomial(n, m) == pascal_q_binomial(n, m), (n, m)
+                product = q_binomial(n, m) * q_factorial(m) * q_factorial(n - m)
+                assert product == q_factorial(n), (n, m)
 
     def test_symmetry(self):
         selftest.check_q_binomial_identities()
