@@ -36,7 +36,7 @@ from .modforms import (
     load_eigenform,
     within_deligne,
 )
-from .polyalg import Poly, dickson, eval_poly, expand_product, is_palindromic
+from .polyalg import dickson, eval_poly, expand_product, is_palindromic, poly_mul
 from .qseries import (
     binomial_product_coeffs,
     q_binomial,

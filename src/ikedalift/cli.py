@@ -98,6 +98,11 @@ def _emit(rows: list[dict], fmt: str, out_path) -> None:
             }
             writer.writerow(rendered)
         text = buf.getvalue()
+    _write_text(text, out_path)
+
+
+def _write_text(text: str, out_path) -> None:
+    """Write text to the file at out_path, or to stdout when it is empty."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -157,12 +162,7 @@ def run_forms(args) -> int:
     lines = [f"# weight {args.weight} eigenform coefficients"]
     for m in range(1, args.pmax + 1):
         lines.append(f"{m} {series.a(m)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -191,6 +191,7 @@ def _int_at_least(low: int, what: str):
 
 
 _nonnegative_int = _int_at_least(0, "a non-negative integer")
+_positive_int = _int_at_least(1, "a positive integer")
 _prime_bound = _int_at_least(2, "at least 2, the smallest prime")
 
 
@@ -226,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=run_verify)
 
     qbinom = sub.add_parser("qbinom", help="Gaussian binomial coefficient")
-    qbinom.add_argument("--n", type=int, required=True)
-    qbinom.add_argument("--m", type=int, required=True)
+    qbinom.add_argument("--n", type=_nonnegative_int, required=True)
+    qbinom.add_argument("--m", type=_nonnegative_int, required=True)
     qbinom.add_argument("--q", type=int, help="evaluate at integer q")
     qbinom.set_defaults(func=run_qbinom)
 
     forms = sub.add_parser("forms", help="print eigenform coefficients")
     forms.add_argument("--weight", type=int, required=True)
-    forms.add_argument("--pmax", type=int, default=100)
+    forms.add_argument("--pmax", type=_positive_int, default=100)
     forms.add_argument("--eigenform", help="coefficient table to inspect")
     forms.add_argument("--out", help="output path (default stdout)")
     forms.set_defaults(func=run_forms)
@@ -252,10 +253,7 @@ def main(argv=None) -> int:
     except (OSError, TableParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EigenformValidationError as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return 1
-    except DeligneBoundError as exc:
+    except (EigenformValidationError, DeligneBoundError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

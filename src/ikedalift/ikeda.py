@@ -45,7 +45,7 @@ from math import comb, isqrt
 from .exactnum import QuadExt, _quad, half_power, is_prime
 from .modforms import within_deligne
 # dickson is unused here; perfbench/tracer.py patches it as ikeda.dickson
-from .polyalg import Poly, dickson, dickson_family, eval_poly, expand_product
+from .polyalg import dickson, dickson_family, eval_poly, expand_product
 from .qseries import q_binomial_eval
 
 # Per-prime caches hold one prime's working set; tables that depend only
@@ -198,7 +198,7 @@ def eigenvalue_product(params: IkedaParams, p: int, ap):
 
 
 @lru_cache(maxsize=PRIME_CACHE_SIZE)
-def satake_polynomial(params: IkedaParams, p: int) -> Poly:
+def satake_polynomial(params: IkedaParams, p: int) -> tuple[QuadExt, ...]:
     """The degree-n generating polynomial whose normalized value at the
     Satake parameter is the eigenvalue.
 
@@ -207,10 +207,9 @@ def satake_polynomial(params: IkedaParams, p: int) -> Poly:
     """
     n = params.n
     d = params.double_base_exp
-    coeffs = [
+    return tuple(
         half_power(p, d + i * (i - n)) * q_binomial_eval(n, i, p) for i in range(n + 1)
-    ]
-    return Poly(coeffs)
+    )
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
@@ -234,7 +233,7 @@ def dickson_exponents(params: IkedaParams) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=PRIME_CACHE_SIZE)
-def eigenvalue_polynomial(params: IkedaParams, p: int) -> Poly:
+def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
     """Monic integer polynomial of degree n/2 sending a_f(p) to the
     eigenvalue, built through the Dickson transform.
 
@@ -256,20 +255,19 @@ def eigenvalue_polynomial(params: IkedaParams, p: int) -> Poly:
     acc[0] = p ** exps[half] * q_binomial_eval(n, half, p)
     for i in range(half):
         scal = p ** exps[i] * q_binomial_eval(n, i, p)
-        for j, x in enumerate(family[half - i].coeffs):
+        for j, x in enumerate(family[half - i]):
             if x:
                 acc[j] += scal * x
-    tilde = Poly(acc)
 
-    if tilde.degree != half or not tilde.is_monic():
-        raise ArithmeticError(f"expected a monic polynomial of degree {half}: {tilde!r}")
+    if acc[half] != 1:
+        raise ArithmeticError(f"expected a monic polynomial of degree {half}: {acc!r}")
     expanded = [1]
     for r in factor_constants(params, p):
         # multiply by (x + r)
         expanded = [r * a + b for a, b in zip(expanded + [0], [0] + expanded)]
-    if tilde.coeffs != expanded:
+    if acc != expanded:
         raise ArithmeticError("Dickson-transform construction disagrees with the factored form")
-    return tilde
+    return tuple(acc)
 
 
 def eigenvalue_reciprocal(params: IkedaParams, p: int, ap: int) -> int:
@@ -282,9 +280,9 @@ def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
     p^(d/2) * prod_{j=0}^{n-1} (1 + p^(j + (1-n)/2) x) in Q(sqrt(p))."""
     n = params.n
     lhs = satake_polynomial(params, p)
-    factors = [Poly([1, half_power(p, 2 * j + 1 - n)]) for j in range(n)]
-    rhs = expand_product(factors).scale(half_power(p, params.double_base_exp))
-    return lhs == rhs
+    scale = half_power(p, params.double_base_exp)
+    factors = [(1, half_power(p, 2 * j + 1 - n)) for j in range(n)]
+    return lhs == tuple(scale * c for c in expand_product(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +307,8 @@ def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     Since 1 -+ p^-(i-1/2) = (p^i -+ sqrt(p)) / p^i, the bounds are
     p^e * (E -+ O sqrt(p))^2 with e = bound_exponent(params) and
     E + O sqrt(p) = prod_{i=1}^{n/2} (sqrt(p) + p^i), computed on ints;
-    the lower bound takes the conjugate.
+    the lower bound takes the conjugate.  p is taken to be prime, as
+    verify_prime has checked; it is not tested again.
     """
     E, O = 1, 0
     for i in range(1, params.n // 2 + 1):
@@ -317,7 +316,8 @@ def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
         E, O = E * q + O * p, E + O * q
     s = p ** bound_exponent(params)
     rational, surd = s * (E * E + p * O * O), 2 * s * E * O
-    return QuadExt(rational, -surd, p), QuadExt(rational, surd, p)
+    # with D = 1 the parts are already in canonical form
+    return _quad(rational, -surd, 1, p), _quad(rational, surd, 1, p)
 
 
 @dataclass(frozen=True)

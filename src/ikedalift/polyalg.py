@@ -1,26 +1,26 @@
-"""Dense univariate polynomials over exact coefficient rings, palindrome
-detection, and the Dickson polynomials of the Dickson-type transform.
+"""Dense univariate polynomials as coefficient tuples, palindrome detection,
+and the Dickson polynomials of the Dickson-type transform.
 
-One Poly class serves every coefficient domain used here (int, Fraction,
-QuadExt); operations never mutate, so instances may be shared freely.  A
-polynomial over Q(sqrt(p)) needs no class of its own: QuadExt raises
-RadicandMismatchError on any operation that mixes two radicands.
+A polynomial is a tuple c with c[i] the coefficient of x**i; tuples are
+immutable, so a cached polynomial may be handed to any caller.  The
+functions here work over every coefficient ring used (int, Fraction,
+QuadExt); a polynomial over Q(sqrt(p)) needs nothing of its own, since
+QuadExt raises RadicandMismatchError on any operation that mixes two
+radicands.
 """
 
 from __future__ import annotations
 
-from .exactnum import QuadExt
 
-
-def _convolve(a, b):
-    """Full convolution of two coefficient lists (polynomial product).
+def poly_mul(a, b) -> tuple:
+    """The product of two coefficient sequences.
 
     All arithmetic goes through the coefficients themselves, so the result
     is exact in any coefficient ring (int, Fraction, QuadExt).
     """
     na, nb = len(a), len(b)
     if na == 0 or nb == 0:
-        return []
+        return ()
     out = [0] * (na + nb - 1)
     for i in range(na):
         ai = a[i]
@@ -31,98 +31,24 @@ def _convolve(a, b):
             if bj == 0:
                 continue
             out[i + j] = out[i + j] + ai * bj
-    return out
+    return tuple(out)
 
 
-def _horner(coeffs, x):
-    """Evaluate the polynomial with the given coefficient list at x."""
+def eval_poly(coeffs, x):
+    """Horner evaluation at an int, Fraction, or QuadExt point."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-class Poly:
-    """Dense polynomial; coefficients[i] is the coefficient of x**i."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return Poly(_convolve(self.coeffs, other.coeffs))
-
-    def scale(self, c) -> "Poly":
-        """Multiply every coefficient by the scalar c."""
-        return Poly([c * x for x in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return Poly()
-        return Poly([0] * k + self.coeffs)
-
-    def __call__(self, x):
-        return _horner(self.coeffs, x)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def __repr__(self):
-        return f"Poly({self.coeffs!r})"
-
-    def __str__(self):
-        return poly_str(self)
-
-
-def poly_str(poly: Poly, var: str = "x") -> str:
+def poly_str(coeffs, var: str = "x") -> str:
     """Human-readable ascending-exponent rendering, e.g. '1 + q + 2q^2'."""
-    if poly.is_zero():
-        return "0"
     parts = []
-    for e, c in enumerate(poly.coeffs):
+    for e, c in enumerate(coeffs):
         if c == 0:
             continue
-        neg = not isinstance(c, QuadExt) and c < 0
+        neg = c < 0
         mag = -c if neg else c
         if e == 0:
             term = str(mag)
@@ -133,10 +59,10 @@ def poly_str(poly: Poly, var: str = "x") -> str:
             parts.append(f"-{term}" if neg else term)
         else:
             parts.append(f"- {term}" if neg else f"+ {term}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
-def dickson_family(m: int, c) -> list[Poly]:
+def dickson_family(m: int, c) -> list[tuple]:
     """[D_0, ..., D_m] for one c, where D_i is the unique polynomial with
     D_i(x + c/x) = x**i + (c/x)**i.
 
@@ -146,41 +72,33 @@ def dickson_family(m: int, c) -> list[Poly]:
     """
     if m < 0:
         raise ValueError("index must be non-negative")
-    fam = [[2], [0, 1]]
+    fam = [(2,), (0, 1)]
     for _ in range(m - 1):
         prev, cur = fam[-2], fam[-1]
         nxt = [0, *cur]
         for j, x in enumerate(prev):
             nxt[j] -= c * x
-        fam.append(nxt)
-    return [Poly(cs) for cs in fam[: m + 1]]
+        fam.append(tuple(nxt))
+    return fam[: m + 1]
 
 
-def dickson(i: int, c) -> Poly:
+def dickson(i: int, c) -> tuple:
     """The single Dickson polynomial D_i: the last member of
     dickson_family(i, c)."""
     return dickson_family(i, c)[i]
 
 
-def is_palindromic(poly: Poly) -> bool:
+def is_palindromic(coeffs) -> bool:
     """True iff the coefficient sequence is symmetric (reciprocal polynomial)."""
-    cs = poly.coeffs
-    n = len(cs)
-    return all(cs[i] == cs[n - 1 - i] for i in range(n // 2))
+    return tuple(coeffs) == tuple(reversed(coeffs))
 
 
-def expand_product(factors) -> Poly:
+def expand_product(factors) -> tuple:
     """Exact product of a nonempty list of polynomials."""
     factors = list(factors)
     if not factors:
         raise ValueError("empty factor list")
-    out = factors[0]
+    out = tuple(factors[0])
     for f in factors[1:]:
-        out = out * f
+        out = poly_mul(out, f)
     return out
-
-
-def eval_poly(poly: Poly, point):
-    """Horner evaluation at an int, Fraction, or QuadExt point."""
-    return _horner(poly.coeffs, point)
-

@@ -1,9 +1,9 @@
 """q-analogues: q-integers, q-factorials, Gaussian binomial coefficients, and
 the product expansion underlying the q-binomial theorem.
 
-All results are exact polynomials in q with integer coefficients.  The
-Gaussian binomial is built by the q-Pascal rule, which only adds shifted
-integer polynomials, so its coefficients are integers by construction; the
+Every polynomial in q is a tuple of integer coefficients.  The Gaussian
+binomial is built by the q-Pascal rule, which only adds shifted integer
+polynomials, so its coefficients are integers by construction; the
 invariant suite checks it against the q-factorials by multiplication.
 """
 
@@ -11,29 +11,29 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .polyalg import Poly, eval_poly
+from .polyalg import eval_poly, poly_mul
 
 
-def q_int(n: int) -> Poly:
-    """The q-analogue of n: 1 + q + ... + q**(n-1); zero for n = 0."""
+def q_int(n: int) -> tuple[int, ...]:
+    """The q-analogue of n: 1 + q + ... + q**(n-1); zero (empty) for n = 0."""
     if n < 0:
         raise ValueError("negative q-integers are not supported")
-    return Poly([1] * n)
+    return (1,) * n
 
 
-def q_factorial(n: int) -> Poly:
+def q_factorial(n: int) -> tuple[int, ...]:
     """Product of the q-analogues of n, n-1, ..., 1; the empty product is 1."""
     if n < 0:
         raise ValueError("negative q-factorials are not supported")
-    out = Poly([1])
+    out = (1,)
     for i in range(1, n + 1):
-        out = out * q_int(i)
+        out = poly_mul(out, q_int(i))
     return out
 
 
 @lru_cache(maxsize=256)
-def q_binomial(n: int, m: int) -> Poly:
-    """Gaussian binomial coefficient as an exact polynomial in q.
+def q_binomial(n: int, m: int) -> tuple[int, ...]:
+    """Gaussian binomial coefficient as the coefficient tuple of a polynomial in q.
 
     Built row by row with the q-Pascal rule
     [i, j] = [i-1, j-1] + q^j [i-1, j], keeping only the columns
@@ -52,7 +52,7 @@ def q_binomial(n: int, m: int) -> Poly:
             a, b = row[j - 1], [0] * j + row[j]  # b = q^j [i-1, j] is the longer
             b[: len(a)] = [x + y for x, y in zip(a, b)]
             row[j] = b
-    return Poly(row[m])
+    return tuple(row[m])
 
 
 @lru_cache(maxsize=256)
@@ -65,7 +65,7 @@ def q_binomial_eval(n: int, m: int, q0: int) -> int:
     return eval_poly(q_binomial(n, m), q0)
 
 
-def binomial_product_coeffs(n: int) -> list[Poly]:
+def binomial_product_coeffs(n: int) -> list[tuple[int, ...]]:
     """Expand prod_{i=0}^{n-1} (1 + q**i x) by x-degree.
 
     Returns [c_0(q), ..., c_n(q)]; each c_j(q) equals the Gaussian binomial
@@ -74,12 +74,14 @@ def binomial_product_coeffs(n: int) -> list[Poly]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    out = [Poly([1])]
+    out = [(1,)]
     for i in range(n):
         # multiply by (1 + q^i x): new_j = old_j + q^i * old_{j-1}
         new = [out[0]]
-        for j in range(1, len(out) + 1):
-            prev = out[j - 1].shift(i)  # shift in q by i
-            new.append(prev if j == len(out) else out[j] + prev)
+        for old_prev, old in zip(out, out[1:] + [()]):
+            c = [0] * i + list(old_prev)  # q^i * old_{j-1}, the longer term
+            for e, x in enumerate(old):
+                c[e] += x
+            new.append(tuple(c))
         out = new
     return out

@@ -32,12 +32,12 @@ from .ikeda import (
 from .kernels import convolve_trunc
 from .modforms import delta, eigenform, BUILTIN_WEIGHTS
 from .polyalg import (
-    Poly,
     dickson,
     dickson_family,
     eval_poly,
     expand_product,
     is_palindromic,
+    poly_mul,
 )
 from .qseries import binomial_product_coeffs, q_binomial, q_factorial
 
@@ -107,10 +107,11 @@ def check_q_binomial_identities():
     for n in range(17):
         for m in range(n + 1):
             qb = q_binomial(n, m)
-            assert qb * q_factorial(m) * q_factorial(n - m) == q_factorial(n), (n, m)
+            product = poly_mul(poly_mul(qb, q_factorial(m)), q_factorial(n - m))
+            assert product == q_factorial(n), (n, m)
             assert qb == q_binomial(n, n - m)
             assert eval_poly(qb, 1) == comb(n, m)
-            assert all(c >= 0 for c in qb.coeffs)
+            assert all(c >= 0 for c in qb)
 
 
 def check_q_binomial_theorem():
@@ -118,7 +119,7 @@ def check_q_binomial_theorem():
         cs = binomial_product_coeffs(n)
         assert len(cs) == n + 1
         for j, cj in enumerate(cs):
-            assert cj == q_binomial(n, j).shift(j * (j - 1) // 2), (n, j)
+            assert cj == (0,) * (j * (j - 1) // 2) + q_binomial(n, j), (n, j)
 
 
 def check_dickson_identity():
@@ -130,17 +131,17 @@ def check_dickson_identity():
             d = dickson(i, c)
             assert eval_poly(d, x + c / x) == x**i + (c / x) ** i
             if i >= 1:
-                assert d.degree == i and d.is_monic()
+                assert len(d) == i + 1 and d[i] == 1
             # the one-pass family agrees with the single-index polynomials
             assert dickson_family(i, c) == [dickson(j, c) for j in range(i + 1)]
 
 
-def _random_palindrome(rng, max_half: int = 4) -> Poly:
-    # nonzero outer coefficient, else trailing-zero trimming breaks symmetry
+def _random_palindrome(rng, max_half: int = 4) -> tuple[int, ...]:
+    # nonzero outer coefficient, so the degree is len - 1
     half = [rng.choice((-3, -2, -1, 1, 2, 3))]
     half += [rng.randint(-5, 5) for _ in range(rng.randint(0, max_half - 1))]
     mid = [rng.randint(-5, 5)] if rng.random() < 0.5 else []
-    return Poly(half + mid + half[::-1])
+    return tuple(half + mid + half[::-1])
 
 
 def check_palindrome_products():
@@ -149,12 +150,12 @@ def check_palindrome_products():
         p1 = _random_palindrome(rng)
         p2 = _random_palindrome(rng)
         assert is_palindromic(p1) and is_palindromic(p2)
-        assert is_palindromic(p1 * p2)
+        assert is_palindromic(poly_mul(p1, p2))
 
 
 def check_expand_product_permutation():
     rng = random.Random(17)
-    factors = [Poly([rng.randint(-9, 9), rng.randint(1, 4)]) for _ in range(6)]
+    factors = [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(6)]
     ref = expand_product(factors)
     for _ in range(10):
         rng.shuffle(factors)
@@ -219,7 +220,7 @@ def check_saito_kurokawa_reduction():
     for k in (10, 12, 14):
         params = IkedaParams(2, k)
         for p in primes_upto(100):
-            want = Poly([p ** (k - 1) + p ** (k - 2), 1])
+            want = (p ** (k - 1) + p ** (k - 2), 1)
             assert eigenvalue_polynomial(params, p) == want, (k, p)
 
 
@@ -247,8 +248,8 @@ def check_eigenvalue_polynomial_structure():
         params = IkedaParams(n, k)
         for p in primes_upto(50):
             tilde = eigenvalue_polynomial(params, p)
-            assert tilde.is_monic() and tilde.degree == n // 2, (n, k, p)
-            assert all(isinstance(c, int) for c in tilde.coeffs), (n, k, p)
+            assert len(tilde) == n // 2 + 1 and tilde[-1] == 1, (n, k, p)
+            assert all(isinstance(c, int) for c in tilde), (n, k, p)
 
 
 def check_satake_factorization():
@@ -345,7 +346,7 @@ def check_bounds_match_formula():
 
 def naive_product(a, b):
     """Schoolbook product of two coefficient lists: the oracle for the
-    series engine and for Poly multiplication."""
+    series engine and for poly_mul."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -376,8 +377,8 @@ def check_series_engine_oracle():
     for _ in range(20):
         a = [rng.randint(-(10**12), 10**12) for _ in range(rng.randint(0, 40))]
         b = [rng.randint(-(10**12), 10**12) for _ in range(rng.randint(0, 40))]
-        assert Poly(a) * Poly(b) == Poly(naive_product(a, b))
-        assert Poly(a)(37) == sum(c * 37**i for i, c in enumerate(a))
+        assert poly_mul(a, b) == tuple(naive_product(a, b))
+        assert eval_poly(a, 37) == sum(c * 37**i for i, c in enumerate(a))
 
 
 CHECKS = [

@@ -199,6 +199,18 @@ class TestQbinom:
         code, _, _ = run_cli(capsys, "qbinom", "--n", "3", "--m", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--n", "--m"])
+    def test_negative_exits_2(self, capsys, flag):
+        values = {"--n": "3", "--m": "0", flag: "-1"}
+        with pytest.raises(SystemExit) as exc:
+            main(["qbinom", "--n", values["--n"], "--m", values["--m"]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"ikedalift qbinom: error: argument {flag}: "
+            "must be a non-negative integer, got -1"
+        )
+
     def test_large_n(self, capsys):
         # a recursive q-Pascal triangle would exceed the recursion limit here
         code, out, _ = run_cli(capsys, "qbinom", "--n", "1200", "--m", "2", "--q", "2")
@@ -275,6 +287,26 @@ class TestPmaxBelowTwo:
         code, out, _ = run_cli(capsys, "verify", "--n", "2", "--k", "10", "--pmax", "2")
         assert code == 0
         assert "summary: 1 primes checked, 0 failures" in out
+
+
+class TestFormsPmaxBelowOne:
+    """forms --pmax below 1 would print only the header; argparse refuses it."""
+
+    @pytest.mark.parametrize("pmax", ["0", "-2"])
+    @pytest.mark.parametrize("with_table", [False, True], ids=["builtin", "table"])
+    def test_exits_2(self, capsys, tmp_path, pmax, with_table):
+        argv = ["forms", "--weight", "12", "--pmax", pmax]
+        if with_table:
+            table = tmp_path / "w12.txt"
+            run_cli(capsys, "forms", "--weight", "12", "--pmax", "10", "--out", str(table))
+            argv += ["--eigenform", str(table)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"ikedalift forms: error: argument --pmax: must be a positive integer, got {pmax}"
+        )
 
 
 class TestNonIntegerArgument:

@@ -41,7 +41,7 @@ from ikedalift.ikeda import (
     satake_polynomial,
     verify_prime,
 )
-from ikedalift.polyalg import Poly
+from ikedalift.polyalg import dickson_family
 
 
 
@@ -162,7 +162,7 @@ class TestEigenvaluePolynomial:
         selftest.check_saito_kurokawa_reduction()
 
     def test_degree_four_at_two(self):
-        assert eigenvalue_polynomial(IkedaParams(4, 8), 2) == Poly([13824, 240, 1])
+        assert eigenvalue_polynomial(IkedaParams(4, 8), 2) == (13824, 240, 1)
 
     def test_monic_across_sweep(self):
         selftest.check_eigenvalue_polynomial_structure()
@@ -173,22 +173,22 @@ class TestSatakePolynomial:
         g = satake_polynomial(IkedaParams(2, 10), 2)
         # a_0 = a_2 = 2^(17/2) = 256*sqrt(2); a_1 = 2^8 * (1 + 2) = 768
         root2_256 = QuadExt(Fraction(0), Fraction(256), 2)
-        assert g.coeffs[0] == root2_256
-        assert g.coeffs[2] == root2_256
-        assert g.coeffs[1] == QuadExt(Fraction(768), Fraction(0), 2)
+        assert g[0] == root2_256
+        assert g[2] == root2_256
+        assert g[1] == QuadExt(Fraction(768), Fraction(0), 2)
 
     def test_center_coefficient_4_8_2(self):
         g = satake_polynomial(IkedaParams(4, 8), 2)
         # 2^(11-2) * (4 choose 2)_2 = 512 * 35
-        assert g.coeffs[2] == QuadExt(Fraction(17920), Fraction(0), 2)
+        assert g[2] == QuadExt(Fraction(17920), Fraction(0), 2)
 
     def test_palindromic_sweep(self):
         selftest.check_satake_palindromes()
 
     def test_symmetry_4_8_2(self):
         g = satake_polynomial(IkedaParams(4, 8), 2)
-        assert g.coeffs[0] == g.coeffs[4]
-        assert g.coeffs[1] == g.coeffs[3]
+        assert g[0] == g[4]
+        assert g[1] == g[3]
 
 
 class TestFactorization:
@@ -349,6 +349,17 @@ class TestPerPrimeCaches:
             exactnum.is_prime,
         ):
             assert fn.cache_info().maxsize is not None
+
+    def test_cached_polynomials_are_tuples(self):
+        # immutable, so a caller cannot change what a cache hands to the next
+        params = IkedaParams(4, 8)
+        for poly in (
+            qseries.q_binomial(4, 2),
+            eigenvalue_polynomial(params, 2),
+            satake_polynomial(params, 2),
+            *dickson_family(3, 5),
+        ):
+            assert type(poly) is tuple, poly
 
     def test_one_prime_working_set_fits(self):
         # a second pass over the same prime is served from the caches

@@ -10,51 +10,43 @@ from hypothesis import strategies as st
 from ikedalift import selftest
 from ikedalift.exactnum import QuadExt
 from ikedalift.polyalg import (
-    Poly,
     dickson,
     dickson_family,
     eval_poly,
     expand_product,
     is_palindromic,
+    poly_mul,
     poly_str,
 )
 
 
 class TestPolyBasics:
-    def test_trailing_zeros_trimmed(self):
-        assert Poly([1, 2, 0, 0]).coeffs == [1, 2]
-        assert Poly([0, 0]).is_zero()
-
-    def test_degree(self):
-        assert Poly([]).degree == -1
-        assert Poly([5]).degree == 0
-        assert Poly([0, 0, 3]).degree == 2
-
     def test_mul_degree_additive(self):
         rng = random.Random(11)
         for _ in range(50):
-            a = Poly([rng.randint(1, 9) for _ in range(rng.randint(1, 5))])
-            b = Poly([rng.randint(1, 9) for _ in range(rng.randint(1, 5))])
-            assert (a * b).degree == a.degree + b.degree
+            a = [rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
+            b = [rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
+            assert len(poly_mul(a, b)) == len(a) + len(b) - 1
 
     def test_str(self):
-        assert poly_str(Poly([1, 1, 2, 1, 1]), var="q") == "1 + q + 2q^2 + q^3 + q^4"
-        assert poly_str(Poly([-1, 0, 3])) == "-1 + 3x^2"
-        assert poly_str(Poly([])) == "0"
+        assert poly_str((1, 1, 2, 1, 1), var="q") == "1 + q + 2q^2 + q^3 + q^4"
+        assert poly_str((-1, 0, 3)) == "-1 + 3x^2"
+        assert poly_str(()) == "0"
+        assert poly_str((0, 0)) == "0"
 
 
 class TestDickson:
     def test_index_zero(self):
-        assert dickson(0, 7) == Poly([2])
+        assert dickson(0, 7) == (2,)
 
     def test_index_two(self):
         # (x + c/x)^2 - 2c expanded by hand
         for c in (3, Fraction(5, 2)):
-            assert dickson(2, c) == Poly([-2 * c, 0, 1])
+            assert dickson(2, c) == (-2 * c, 0, 1)
 
     def test_index_three(self):
         for c in (4, Fraction(1, 3)):
-            assert dickson(3, c) == Poly([0, -3 * c, 0, 1])
+            assert dickson(3, c) == (0, -3 * c, 0, 1)
 
     def test_functional_identity(self):
         selftest.check_dickson_identity()
@@ -66,21 +58,21 @@ class TestDickson:
     def test_monic_integer(self):
         for i in range(1, 13):
             d = dickson(i, 6)
-            assert d.degree == i
-            assert d.is_monic()
-            assert all(isinstance(c, int) for c in d.coeffs)
+            assert len(d) == i + 1
+            assert d[i] == 1
+            assert all(isinstance(c, int) for c in d)
 
 
 class TestPalindromic:
     def test_symmetric(self):
-        assert is_palindromic(Poly([1, 3, 1]))
+        assert is_palindromic((1, 3, 1))
 
     def test_asymmetric(self):
-        assert not is_palindromic(Poly([1, 2]))
+        assert not is_palindromic((1, 2))
 
     def test_constant_and_zero(self):
-        assert is_palindromic(Poly([4]))
-        assert is_palindromic(Poly([]))
+        assert is_palindromic((4,))
+        assert is_palindromic(())
 
     @given(st.data())
     @settings(max_examples=200)
@@ -90,22 +82,22 @@ class TestPalindromic:
             inner = data.draw(st.lists(st.integers(-5, 5), max_size=6))
             mid = data.draw(st.lists(st.integers(-5, 5), max_size=1))
             half = [outer] + inner
-            return Poly(half + mid + half[::-1])
+            return tuple(half + mid + half[::-1])
 
         p1, p2 = palindrome(), palindrome()
         assert is_palindromic(p1) and is_palindromic(p2)
-        assert is_palindromic(p1 * p2)
+        assert is_palindromic(poly_mul(p1, p2))
 
 
 class TestExpandProduct:
     def test_two_linear_factors(self):
-        assert expand_product([Poly([1, 1]), Poly([2, 1])]) == Poly([2, 3, 1])
+        assert expand_product([(1, 1), (2, 1)]) == (2, 3, 1)
 
     def test_hand_expansion(self):
-        assert expand_product([Poly([136, 1]), Poly([80, 1])]) == Poly([10880, 216, 1])
+        assert expand_product([(136, 1), (80, 1)]) == (10880, 216, 1)
 
     def test_singleton(self):
-        assert expand_product([Poly([5, 1])]) == Poly([5, 1])
+        assert expand_product([(5, 1)]) == (5, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -120,11 +112,11 @@ class TestEvalPoly:
         assert eval_poly(dickson(2, 3), 5) == 19
 
     def test_constant_term_at_zero(self):
-        assert eval_poly(Poly([9, 4, 4]), 0) == 9
+        assert eval_poly((9, 4, 4), 0) == 9
 
     def test_quad_coefficients(self):
         x = QuadExt(Fraction(1), Fraction(1), 2)
-        poly = Poly([x, 1])
+        poly = (x, 1)
         assert eval_poly(poly, QuadExt(Fraction(1), Fraction(0), 2)) == QuadExt(
             Fraction(2), Fraction(1), 2
         )
@@ -136,7 +128,7 @@ class TestPolyOverQuadExt:
 
         root2, root3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
         with pytest.raises(RadicandMismatchError):
-            Poly([1, root2]) * Poly([1, root3])
+            poly_mul((1, root2), (1, root3))
         with pytest.raises(RadicandMismatchError):
-            eval_poly(Poly([1, root2]), root3)
+            eval_poly((1, root2), root3)
 

@@ -11,7 +11,7 @@ additions of the recurrence.
 import pytest
 
 from ikedalift import selftest
-from ikedalift.polyalg import Poly, eval_poly
+from ikedalift.polyalg import eval_poly, poly_mul
 from ikedalift.qseries import (
     binomial_product_coeffs,
     q_binomial,
@@ -23,16 +23,16 @@ from ikedalift.qseries import (
 
 class TestQInt:
     def test_one(self):
-        assert q_int(1) == Poly([1])
+        assert q_int(1) == (1,)
 
     def test_three(self):
-        assert q_int(3) == Poly([1, 1, 1])
+        assert q_int(3) == (1, 1, 1)
 
     def test_three_at_two(self):
         assert eval_poly(q_int(3), 2) == 7
 
     def test_zero(self):
-        assert q_int(0).is_zero()
+        assert q_int(0) == ()
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -41,23 +41,23 @@ class TestQInt:
 
 class TestQFactorial:
     def test_empty_product(self):
-        assert q_factorial(0) == Poly([1])
+        assert q_factorial(0) == (1,)
 
     def test_two(self):
-        assert q_factorial(2) == Poly([1, 1])
+        assert q_factorial(2) == (1, 1)
 
     def test_three(self):
         # (1+q)(1+q+q^2) expanded by hand
-        assert q_factorial(3) == Poly([1, 2, 2, 1])
+        assert q_factorial(3) == (1, 2, 2, 1)
 
 
 class TestQBinomial:
     def test_m_zero(self):
         for n in range(8):
-            assert q_binomial(n, 0) == Poly([1])
+            assert q_binomial(n, 0) == (1,)
 
     def test_four_choose_two(self):
-        assert q_binomial(4, 2) == Poly([1, 1, 2, 1, 1])
+        assert q_binomial(4, 2) == (1, 1, 2, 1, 1)
 
     def test_four_choose_two_at_one(self):
         assert eval_poly(q_binomial(4, 2), 1) == 6
@@ -69,7 +69,8 @@ class TestQBinomial:
     def test_matches_factorial_oracle(self):
         for n in range(17):
             for m in range(n + 1):
-                product = q_binomial(n, m) * q_factorial(m) * q_factorial(n - m)
+                product = poly_mul(q_binomial(n, m), q_factorial(m))
+                product = poly_mul(product, q_factorial(n - m))
                 assert product == q_factorial(n), (n, m)
 
     def test_symmetry(self):
@@ -95,14 +96,14 @@ class TestQBinomialEval:
 
 class TestBinomialProduct:
     def test_single_factor(self):
-        assert binomial_product_coeffs(1) == [Poly([1]), Poly([1])]
+        assert binomial_product_coeffs(1) == [(1,), (1,)]
 
     def test_two_factors(self):
         # (1+x)(1+qx) = 1 + (1+q)x + q x^2
-        assert binomial_product_coeffs(2) == [Poly([1]), Poly([1, 1]), Poly([0, 1])]
+        assert binomial_product_coeffs(2) == [(1,), (1, 1), (0, 1)]
 
     def test_three_factors_x_squared(self):
-        assert binomial_product_coeffs(3)[2] == Poly([0, 1, 1, 1])
+        assert binomial_product_coeffs(3)[2] == (0, 1, 1, 1)
 
     def test_identity_up_to_sixteen(self):
         selftest.check_q_binomial_theorem()
