@@ -10,9 +10,6 @@ integers.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from .exactnum import QuadExt, primes_upto
@@ -85,9 +82,15 @@ def _row(rep, digits: int) -> dict:
 
 
 def _emit(rows: list[dict], fmt: str, out_path) -> None:
+    # csv, io and json load here: no other subcommand pays their import
     if fmt == "json":
+        import json
+
         text = json.dumps(rows, indent=2) + "\n"
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
         writer.writeheader()

@@ -38,7 +38,6 @@ so all arithmetic stays in Z, Q, or Q(sqrt(p)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -70,29 +69,45 @@ class BoundIdentityError(ArithmeticError):
     """The exact bounds differ from route 2 at the Deligne endpoints."""
 
 
-@dataclass(frozen=True)
 class IkedaParams:
     """Degree n and weight k of the lift; both even, k > n + 1.
 
     The elliptic input lives in weight 2k - n, which must be at least 12 for
-    a cusp form to exist.
+    a cusp form to exist.  Instances are immutable, equal and hash-equal on
+    (n, k): they key the per-(n, k) caches, so rebinding n or k would
+    corrupt them.
     """
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
 
-    def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"degree n = {self.n} must be an even integer >= 2")
-        if self.k % 2 != 0:
-            raise ValueError(f"weight k = {self.k} must be even")
-        if self.k <= self.n + 1:
-            raise ValueError(f"need k > n + 1, got k = {self.k}, n = {self.n}")
-        if 2 * self.k - self.n < 12:
+    def __init__(self, n: int, k: int):
+        if n < 2 or n % 2 != 0:
+            raise ValueError(f"degree n = {n} must be an even integer >= 2")
+        if k % 2 != 0:
+            raise ValueError(f"weight k = {k} must be even")
+        if k <= n + 1:
+            raise ValueError(f"need k > n + 1, got k = {k}, n = {n}")
+        if 2 * k - n < 12:
             raise ValueError(
-                f"elliptic weight 2k - n = {2 * self.k - self.n} is below 12; "
+                f"elliptic weight 2k - n = {2 * k - n} is below 12; "
                 "no cusp form exists"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of IkedaParams")
+
+    def __eq__(self, other):
+        if type(other) is not IkedaParams:
+            return NotImplemented
+        return self.n == other.n and self.k == other.k
+
+    def __hash__(self):
+        return hash((self.n, self.k))
+
+    def __repr__(self):
+        return f"IkedaParams(n={self.n}, k={self.k})"
 
     @property
     def eigenform_weight(self) -> int:
@@ -320,18 +335,32 @@ def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     return _quad(rational, -surd, 1, p), _quad(rational, surd, 1, p)
 
 
-@dataclass(frozen=True)
 class EigenvalueReport:
     """Per-prime verification record."""
 
-    p: int
-    a_p: int
-    eigenvalue: int
-    lower: QuadExt
-    upper: QuadExt
-    positive: bool
-    within_bounds: bool
-    routes_agree: bool
+    __slots__ = (
+        "p", "a_p", "eigenvalue", "lower", "upper", "positive", "within_bounds", "routes_agree"
+    )
+
+    def __init__(
+        self,
+        p: int,
+        a_p: int,
+        eigenvalue: int,
+        lower: QuadExt,
+        upper: QuadExt,
+        positive: bool,
+        within_bounds: bool,
+        routes_agree: bool,
+    ):
+        self.p = p
+        self.a_p = a_p
+        self.eigenvalue = eigenvalue
+        self.lower = lower
+        self.upper = upper
+        self.positive = positive
+        self.within_bounds = within_bounds
+        self.routes_agree = routes_agree
 
 
 def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:

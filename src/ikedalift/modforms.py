@@ -2,12 +2,12 @@
 
 Built-in weights are exactly those with a one-dimensional cusp space
 (12, 16, 18, 20, 22, 26), where the normalized cusp form is automatically a
-Hecke eigenform: the weight-12 discriminant form times monomials in the
-Eisenstein series E4 and E6.  The discriminant form is built two independent
-ways (eighth power of Jacobi's eta^3 expansion, and (E4^3 - E6^2)/1728) and
-the constructions are asserted to agree, so the root of the data pipeline is
-its own oracle.  Any other weight enters through a validated coefficient
-table on disk.
+Hecke eigenform: the weight-12 discriminant form Delta times the Eisenstein
+series E_{w-12} (E_0 = 1), since M_{w-12} is one-dimensional too.  The
+discriminant form is built two independent ways (eighth power of Jacobi's
+eta^3 expansion, and (E4^3 - E6^2)/1728) and the constructions are asserted
+to agree, so the root of the data pipeline is its own oracle.  Any other
+weight enters through a validated coefficient table on disk.
 
 Every series product goes through kernels.convolve_trunc, which multiplies
 truncated integer series by Kronecker substitution.
@@ -15,7 +15,6 @@ truncated integer series by Kronecker substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
@@ -55,19 +54,25 @@ class TableParseError(EigenformValidationError):
 BUILTIN_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 
-@dataclass(frozen=True)
 class FourierSeries:
     """Weight plus the coefficients of a modular form: a(0..N) in the dense
     tuple coeffs, and any further listed indices in the dict sparse.
 
     Built-in series are dense.  A loaded table keeps the indices past its
     first gap (all composite, above the largest listed prime) in sparse, so
-    its size follows its line count, not its largest index.
+    its size follows its line count, not its largest index.  Attributes are
+    read-only: eigenform() hands one instance to every caller from its cache.
     """
 
-    weight: int
-    coeffs: tuple
-    sparse: dict = field(default_factory=dict)
+    __slots__ = ("weight", "coeffs", "sparse")
+
+    def __init__(self, weight: int, coeffs: tuple, sparse: dict | None = None):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "sparse", {} if sparse is None else sparse)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of FourierSeries")
 
     @property
     def truncation(self) -> int:
@@ -111,8 +116,8 @@ def _sigma_table(e: int, N: int) -> list[int]:
 def eisenstein(w: int, N: int) -> FourierSeries:
     """Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(m) q^m to m = N.
 
-    Only weights where -2w/B_w is an integer are representable here; E4 and
-    E6 (all the construction needs) qualify.
+    Only weights where -2w/B_w is an integer are representable here; the
+    weights the constructions need (4, 6, 8, 10, 14) qualify.
     """
     if w < 4 or w % 2 != 0:
         raise ValueError("weight must be an even integer >= 4")
@@ -177,32 +182,23 @@ def delta(N: int) -> FourierSeries:
     return FourierSeries(12, tuple(via_eta))
 
 
-# factors of E4 and E6 multiplying delta for each one-dimensional weight
-_EIGENFORM_FACTORS = {
-    12: (),
-    16: (4,),
-    18: (6,),
-    20: (4, 4),
-    22: (4, 6),
-    26: (4, 4, 6),
-}
-
-
 @lru_cache(maxsize=None)
 def eigenform(w: int, N: int) -> FourierSeries:
     """The unique normalized cusp eigenform of weight w, to truncation N.
 
-    Supported weights are exactly those with a one-dimensional cusp space;
-    for anything else, supply a coefficient table via load_eigenform.
+    Supported weights are exactly those with a one-dimensional cusp space.
+    There M_{w-12} is one-dimensional too, so the eigenform is delta times
+    E_{w-12}: one series product.  For anything else, supply a coefficient
+    table via load_eigenform.
     """
-    if w not in _EIGENFORM_FACTORS:
+    if w not in BUILTIN_WEIGHTS:
         raise UnsupportedWeightError(
             f"no built-in eigenform of weight {w}; supported weights are "
             f"{BUILTIN_WEIGHTS} (use load_eigenform for a coefficient table)"
         )
-    coeffs = list(delta(N).coeffs)
-    for ew in _EIGENFORM_FACTORS[w]:
-        coeffs = kernels.convolve_trunc(coeffs, eisenstein(ew, N).coeffs, N + 1)
+    if w == 12:
+        return delta(N)
+    coeffs = kernels.convolve_trunc(delta(N).coeffs, eisenstein(w - 12, N).coeffs, N + 1)
     return FourierSeries(w, tuple(coeffs))
 
 

@@ -4,14 +4,17 @@ the product expansion underlying the q-binomial theorem.
 Every polynomial in q is a tuple of integer coefficients.  The Gaussian
 binomial is built by the q-Pascal rule, which only adds shifted integer
 polynomials, so its coefficients are integers by construction; the
-invariant suite checks it against the q-factorials by multiplication.
+invariant suite checks it against the q-factorials by multiplication.  Its
+value at an integer q comes from a ratio recurrence instead, checked against
+Horner on the polynomial.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
-from .polyalg import eval_poly, poly_mul
+from .polyalg import poly_mul
 
 
 def q_int(n: int) -> tuple[int, ...]:
@@ -31,6 +34,13 @@ def q_factorial(n: int) -> tuple[int, ...]:
     return out
 
 
+def _check_args(n: int, m: int) -> None:
+    if m < 0 or n < 0:
+        raise ValueError("arguments must be non-negative")
+    if m > n:
+        raise ValueError(f"m={m} exceeds n={n}")
+
+
 @lru_cache(maxsize=256)
 def q_binomial(n: int, m: int) -> tuple[int, ...]:
     """Gaussian binomial coefficient as the coefficient tuple of a polynomial in q.
@@ -39,10 +49,7 @@ def q_binomial(n: int, m: int) -> tuple[int, ...]:
     [i, j] = [i-1, j-1] + q^j [i-1, j], keeping only the columns
     j <= min(m, n - m) (the triangle is symmetric in j and i - j).
     """
-    if m < 0 or n < 0:
-        raise ValueError("arguments must be non-negative")
-    if m > n:
-        raise ValueError(f"m={m} exceeds n={n}")
+    _check_args(n, m)
     m = min(m, n - m)
     row = [[1]]  # row i holds [i, j] for j = 0..min(i, m)
     for i in range(1, n + 1):
@@ -57,12 +64,28 @@ def q_binomial(n: int, m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def q_binomial_eval(n: int, m: int, q0: int) -> int:
-    """Gaussian binomial evaluated at an integer q0 (Horner).
+    """Gaussian binomial evaluated at an integer q0, without building the
+    polynomial.
 
-    The cache holds every m for one n <= 255 at one q0: the working set of
-    one prime in the per-prime routes.
+    With m' = min(m, n - m), the value is v_{m'} of the ratio recurrence
+    v_0 = 1, v_j = v_{j-1} (q0^(n-j+1) - 1) / (q0^j - 1), each division
+    checked exact.  The denominators vanish at q0 = 1, where the value is
+    C(n, m), and can vanish at q0 = -1, where it is 0 for even n and odd m
+    and C(n//2, m//2) otherwise.  The cache holds every m for one n <= 255
+    at one q0: the working set of one prime in the per-prime routes.
     """
-    return eval_poly(q_binomial(n, m), q0)
+    _check_args(n, m)
+    m = min(m, n - m)
+    if q0 == 1:
+        return comb(n, m)
+    if q0 == -1:
+        return 0 if n % 2 == 0 and m % 2 == 1 else comb(n // 2, m // 2)
+    v = 1
+    for j in range(1, m + 1):
+        v, r = divmod(v * (q0 ** (n - j + 1) - 1), q0**j - 1)
+        if r:
+            raise ArithmeticError(f"[{n}, {j}] at q = {q0} is not an integer")
+    return v
 
 
 def binomial_product_coeffs(n: int) -> list[tuple[int, ...]]:

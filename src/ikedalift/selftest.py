@@ -30,7 +30,7 @@ from .ikeda import (
     verify_prime,
 )
 from .kernels import convolve_trunc
-from .modforms import delta, eigenform, BUILTIN_WEIGHTS
+from .modforms import delta, eigenform, eisenstein, BUILTIN_WEIGHTS
 from .polyalg import (
     dickson,
     dickson_family,
@@ -39,7 +39,7 @@ from .polyalg import (
     is_palindromic,
     poly_mul,
 )
-from .qseries import binomial_product_coeffs, q_binomial, q_factorial
+from .qseries import binomial_product_coeffs, q_binomial, q_binomial_eval, q_factorial
 
 DESK_PAIRS = ((2, 10), (2, 12), (2, 14), (4, 8), (4, 10), (4, 12), (6, 14), (6, 16))
 
@@ -112,6 +112,9 @@ def check_q_binomial_identities():
             assert qb == q_binomial(n, n - m)
             assert eval_poly(qb, 1) == comb(n, m)
             assert all(c >= 0 for c in qb)
+            # the ratio recurrence against Horner on the polynomial
+            for q0 in range(-5, 8):
+                assert q_binomial_eval(n, m, q0) == eval_poly(qb, q0), (n, m, q0)
 
 
 def check_q_binomial_theorem():
@@ -166,6 +169,17 @@ def check_delta_dual_and_spots():
     d = delta(1000)  # the dual-construction assertion runs inside delta()
     assert d.a(1) == 1 and d.a(2) == -24 and d.a(3) == 252
     assert eigenform(18, 10).a(2) == -528
+
+
+def check_eisenstein_products():
+    # eigenform() multiplies delta by E8, E10 or E14 directly; since M_8,
+    # M_10 and M_14 are one-dimensional, products of E4 and E6 are the oracle
+    N = 500
+    e4, e6 = eisenstein(4, N).coeffs, eisenstein(6, N).coeffs
+    e4sq = convolve_trunc(e4, e4, N + 1)
+    assert list(eisenstein(8, N).coeffs) == e4sq
+    assert list(eisenstein(10, N).coeffs) == convolve_trunc(e4, e6, N + 1)
+    assert list(eisenstein(14, N).coeffs) == convolve_trunc(e4sq, e6, N + 1)
 
 
 def check_eigenform_deligne():
@@ -391,6 +405,7 @@ CHECKS = [
     ("palindrome product closure", check_palindrome_products),
     ("product permutation invariance", check_expand_product_permutation),
     ("discriminant dual construction", check_delta_dual_and_spots),
+    ("E8, E10, E14 as products of E4 and E6", check_eisenstein_products),
     ("eigenform Deligne bound", check_eigenform_deligne),
     ("eigenform multiplicativity", check_eigenform_multiplicativity),
     ("eigenform Hecke relations", check_eigenform_hecke),

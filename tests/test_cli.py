@@ -1,7 +1,6 @@
 """CLI surface: subcommands, exit codes, CSV/JSON parity, file round trips."""
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -15,6 +14,7 @@ import pytest
 import ikedalift
 from ikedalift import cli, selftest
 from ikedalift.cli import CSV_COLUMNS, main
+from ikedalift.ikeda import EigenvalueReport
 
 EXACT_RE = re.compile(r"^(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*sqrt\((\d+)\)$")
 
@@ -174,7 +174,18 @@ class TestVerify:
 
         def disagree_at_5(params, p, ap):
             rep = real(params, p, ap)
-            return dataclasses.replace(rep, routes_agree=False) if p == 5 else rep
+            if p != 5:
+                return rep
+            return EigenvalueReport(
+                p=rep.p,
+                a_p=rep.a_p,
+                eigenvalue=rep.eigenvalue,
+                lower=rep.lower,
+                upper=rep.upper,
+                positive=rep.positive,
+                within_bounds=rep.within_bounds,
+                routes_agree=False,
+            )
 
         monkeypatch.setattr(cli, "verify_prime", disagree_at_5)
         code, out, _ = run_cli(capsys, *argv)
@@ -216,6 +227,19 @@ class TestQbinom:
         code, out, _ = run_cli(capsys, "qbinom", "--n", "1200", "--m", "2", "--q", "2")
         assert code == 0
         assert out == f"{(2**1200 - 1) * (2**1199 - 1) // ((2 - 1) * (2**2 - 1))}\n"
+
+    @pytest.mark.parametrize(
+        "n, q, value",
+        [
+            (4000, 2, (2**4000 - 1) * (2**3999 - 1) * (2**3998 - 1) // (1 * 3 * 7)),
+            (20000, 1, 1333133340000),
+        ],
+    )
+    def test_value_skips_the_polynomial(self, capsys, n, q, value):
+        # at these n the value must not wait for the whole polynomial
+        code, out, _ = run_cli(capsys, "qbinom", "--n", str(n), "--m", "3", "--q", str(q))
+        assert code == 0
+        assert out == f"{value}\n"
 
 
 class TestForms:
@@ -367,9 +391,15 @@ class TestSelftest:
 
     def test_cli_import_skips_selftest(self):
         src = os.path.dirname(os.path.dirname(ikedalift.__file__))
-        code = "import sys, ikedalift.cli; print('ikedalift.selftest' in sys.modules)"
+        # the CLI's cold start: importing it may load none of these (some
+        # interpreters' site hooks load inspect before any user code)
+        code = (
+            "import sys; before = set(sys.modules); import ikedalift.cli; "
+            "print(sorted((set(sys.modules) - before) & "
+            "{'ikedalift.selftest', 'dataclasses', 'inspect', 'csv', 'json'}))"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"

@@ -72,6 +72,23 @@ class TestParams:
         assert IkedaParams(2, 10).double_base_exp == 17
         assert IkedaParams(4, 8).double_base_exp == 22
 
+    def test_equality_and_hash_follow_n_k(self):
+        # IkedaParams keys the per-(n, k) caches
+        a, b = IkedaParams(2, 10), IkedaParams(n=2, k=10)
+        assert a == b and hash(a) == hash(b)
+        assert a != IkedaParams(2, 12) and a != IkedaParams(4, 10)
+        assert a != (2, 10)
+
+    def test_repr(self):
+        assert repr(IkedaParams(2, 10)) == "IkedaParams(n=2, k=10)"
+
+    def test_fields_are_read_only(self):
+        params = IkedaParams(2, 10)
+        for field in ("n", "k"):
+            with pytest.raises(AttributeError):
+                setattr(params, field, 4)
+        assert params == IkedaParams(2, 10)
+
 
 class TestTermExponents:
     """double_sum_terms rows are (signed weight, q-binomial index,

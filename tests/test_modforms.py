@@ -67,6 +67,9 @@ class TestEisenstein:
         with pytest.raises(ValueError):
             eisenstein(5, 10)
 
+    def test_products_of_e4_and_e6(self):
+        selftest.check_eisenstein_products()
+
 
 class TestDelta:
     def test_normalization(self):
@@ -126,6 +129,18 @@ class TestEigenform:
             f = eigenform(w, 10)
             assert f.weight == w
             assert f.a(0) == 0 and f.a(1) == 1
+
+    def test_fields_are_read_only(self):
+        # eigenform() hands the same cached instance to every caller
+        f = eigenform(16, 10)
+        for field in ("weight", "coeffs", "sparse"):
+            with pytest.raises(AttributeError):
+                setattr(f, field, None)
+        assert f.weight == 16 and f.a(2) == 216
+
+    def test_sparse_defaults_to_a_fresh_dict(self):
+        a, b = FourierSeries(12, (0, 1)), FourierSeries(12, (0, 1))
+        assert a.sparse == {} and a.sparse is not b.sparse
 
     def test_unsupported_weight(self):
         with pytest.raises(UnsupportedWeightError, match="load_eigenform"):
