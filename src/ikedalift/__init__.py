@@ -14,14 +14,11 @@ from .ikeda import (
     EigenvalueReport,
     IkedaParams,
     RouteDisagreementError,
-    deligne_limit,
     eigenvalue_bounds,
     eigenvalue_double_sum,
     eigenvalue_polynomial,
     eigenvalue_product,
     eigenvalue_reciprocal,
-    satake_factorization_holds,
-    satake_polynomial,
     verify_prime,
 )
 from .modforms import (
@@ -36,14 +33,8 @@ from .modforms import (
     load_eigenform,
     within_deligne,
 )
-from .polyalg import dickson, eval_poly, expand_product, is_palindromic, poly_mul
-from .qseries import (
-    binomial_product_coeffs,
-    q_binomial,
-    q_binomial_eval,
-    q_factorial,
-    q_int,
-)
+from .polyalg import dickson, eval_poly
+from .qseries import q_binomial, q_binomial_eval, q_binomial_row
 
 __version__ = "0.1.0"
 

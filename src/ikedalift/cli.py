@@ -151,8 +151,6 @@ def run_verify(args) -> int:
 
 
 def run_qbinom(args) -> int:
-    if args.m > args.n:
-        raise ValueError(f"m = {args.m} exceeds n = {args.n}")
     if args.q is not None:
         print(q_binomial_eval(args.n, args.m, args.q))
     else:

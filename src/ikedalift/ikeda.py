@@ -39,13 +39,13 @@ so all arithmetic stays in Z, Q, or Q(sqrt(p)).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
-from .exactnum import QuadExt, _quad, half_power, is_prime
+from .exactnum import QuadExt, _quad, is_prime
 from .modforms import within_deligne
 # dickson is unused here; perfbench/tracer.py patches it as ikeda.dickson
-from .polyalg import dickson, dickson_family, eval_poly, expand_product
-from .qseries import q_binomial_eval
+from .polyalg import dickson, dickson_family, eval_poly
+from .qseries import q_binomial_row
 
 # Per-prime caches hold one prime's working set; tables that depend only
 # on (n, k) are kept for a handful of parameter pairs.
@@ -129,12 +129,6 @@ def _halve(h, what: str) -> int:
     return e
 
 
-def deligne_limit(params: IkedaParams, p: int) -> int:
-    """Largest integer magnitude admissible for a_f(p) under Deligne:
-    floor(2 * p**((2k-n-1)/2))."""
-    return isqrt(4 * p ** (2 * params.k - params.n - 1))
-
-
 # ---------------------------------------------------------------------------
 # route 1: explicit double sum
 # ---------------------------------------------------------------------------
@@ -173,11 +167,13 @@ def double_sum_terms(params: IkedaParams) -> tuple[tuple[int, int, int, int], ..
 
 def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
     """Eigenvalue via the double sum over (j, r) plus the a_f-free term,
-    computed in Z from the integrality-checked table double_sum_terms."""
+    computed in Z from the integrality-checked table double_sum_terms and
+    the Gaussian binomials (n choose 0..n/2)_p of one q_binomial_row pass."""
     n = params.n
+    qb = q_binomial_row(n, n // 2, p)
     total = 0
     for weight, m, exp, ap_exp in double_sum_terms(params):
-        total += weight * q_binomial_eval(n, m, p) * p**exp * ap**ap_exp
+        total += weight * qb[m] * p**exp * ap**ap_exp
     return total
 
 
@@ -212,21 +208,6 @@ def eigenvalue_product(params: IkedaParams, p: int, ap):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=PRIME_CACHE_SIZE)
-def satake_polynomial(params: IkedaParams, p: int) -> tuple[QuadExt, ...]:
-    """The degree-n generating polynomial whose normalized value at the
-    Satake parameter is the eigenvalue.
-
-    Coefficient i is p^((d + i(i-n))/2) * (n choose i)_p, realized
-    exactly in Q(sqrt(p)); the coefficient sequence is palindromic.
-    """
-    n = params.n
-    d = params.double_base_exp
-    return tuple(
-        half_power(p, d + i * (i - n)) * q_binomial_eval(n, i, p) for i in range(n + 1)
-    )
-
-
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def dickson_exponents(params: IkedaParams) -> tuple[int, ...]:
     """The exponents h_i/2 of the scalars p^(h_i/2) in route 3, i = 0..n/2,
@@ -255,8 +236,8 @@ def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
     The palindromic pair of coefficients i and n - i contributes
     p^(h_i/2) * (n choose i)_p * D_{n/2-i}(x) with c = p^(2k-n-1), and the
     centre coefficient contributes p^(h_{n/2}/2) * (n choose n/2)_p; every
-    exponent is integral by dickson_exponents, and D_0..D_{n/2} come from
-    one dickson_family pass.  The result is asserted monic of degree n/2
+    exponent is integral by dickson_exponents, (n choose 0..n/2)_p come from
+    one q_binomial_row pass, and D_0..D_{n/2} from one dickson_family pass.  The result is asserted monic of degree n/2
     and equal to the expansion of prod (x + r_i) over the factor_constants
     of route 2.  Either assertion failing indicates an implementation
     defect.
@@ -264,12 +245,13 @@ def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
     n, k = params.n, params.k
     half = n // 2
     exps = dickson_exponents(params)
+    qb = q_binomial_row(n, half, p)
     family = dickson_family(half, p ** (2 * k - n - 1))
 
     acc = [0] * (half + 1)
-    acc[0] = p ** exps[half] * q_binomial_eval(n, half, p)
+    acc[0] = p ** exps[half] * qb[half]
     for i in range(half):
-        scal = p ** exps[i] * q_binomial_eval(n, i, p)
+        scal = p ** exps[i] * qb[i]
         for j, x in enumerate(family[half - i]):
             if x:
                 acc[j] += scal * x
@@ -288,16 +270,6 @@ def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
 def eigenvalue_reciprocal(params: IkedaParams, p: int, ap: int) -> int:
     """Eigenvalue by evaluating the reciprocal-polynomial construction."""
     return eval_poly(eigenvalue_polynomial(params, p), ap)
-
-
-def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
-    """Exact check that the generating polynomial factors as
-    p^(d/2) * prod_{j=0}^{n-1} (1 + p^(j + (1-n)/2) x) in Q(sqrt(p))."""
-    n = params.n
-    lhs = satake_polynomial(params, p)
-    scale = half_power(p, params.double_base_exp)
-    factors = [(1, half_power(p, 2 * j + 1 - n)) for j in range(n)]
-    return lhs == tuple(scale * c for c in expand_product(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,9 @@ def _check_table(table: dict, w: int) -> None:
 
     The contiguous prefix 1..L of indices is classified by one sieve; L is
     at most the table's length, so a sparse large index cannot inflate it.
-    Only indices past the first gap go through trial division.
+    Indices past the first gap are tested for primality by is_prime, and
+    every composite index, in the prefix or past it, is trial-divided for
+    its smallest prime factor.
     """
     indices = sorted(table)
     L = 0
@@ -303,10 +305,10 @@ def load_eigenform(path, w: int) -> FourierSeries:
                 m, am = int(parts[0]), int(parts[1])
             except ValueError:
                 raise TableParseError(lineno, f"non-integer entry {raw!r}")
-            if m <= last:
-                raise EigenformValidationError(m, f"indices not strictly increasing at {m}")
             if last == 0 and m != 1:
                 raise EigenformValidationError(m, "table must start at index 1")
+            if m <= last:
+                raise EigenformValidationError(m, f"indices not strictly increasing at {m}")
             table[m] = am
             last = m
     if not table:

@@ -1,37 +1,15 @@
-"""Dense univariate polynomials as coefficient tuples, palindrome detection,
-and the Dickson polynomials of the Dickson-type transform.
+"""Dense univariate polynomials as coefficient tuples: Horner evaluation,
+rendering, and the Dickson polynomials of the Dickson-type transform.
 
 A polynomial is a tuple c with c[i] the coefficient of x**i; tuples are
-immutable, so a cached polynomial may be handed to any caller.  The
-functions here work over every coefficient ring used (int, Fraction,
-QuadExt); a polynomial over Q(sqrt(p)) needs nothing of its own, since
-QuadExt raises RadicandMismatchError on any operation that mixes two
-radicands.
+immutable, so a cached polynomial may be handed to any caller.  eval_poly
+and the Dickson recurrence work over every coefficient ring used (int,
+Fraction, QuadExt); QuadExt raises RadicandMismatchError on any operation
+that mixes two radicands.  Polynomial products serve only the invariant
+suite and live in selftest.
 """
 
 from __future__ import annotations
-
-
-def poly_mul(a, b) -> tuple:
-    """The product of two coefficient sequences.
-
-    All arithmetic goes through the coefficients themselves, so the result
-    is exact in any coefficient ring (int, Fraction, QuadExt).
-    """
-    na, nb = len(a), len(b)
-    if na == 0 or nb == 0:
-        return ()
-    out = [0] * (na + nb - 1)
-    for i in range(na):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(nb):
-            bj = b[j]
-            if bj == 0:
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return tuple(out)
 
 
 def eval_poly(coeffs, x):
@@ -87,18 +65,3 @@ def dickson(i: int, c) -> tuple:
     dickson_family(i, c)."""
     return dickson_family(i, c)[i]
 
-
-def is_palindromic(coeffs) -> bool:
-    """True iff the coefficient sequence is symmetric (reciprocal polynomial)."""
-    return tuple(coeffs) == tuple(reversed(coeffs))
-
-
-def expand_product(factors) -> tuple:
-    """Exact product of a nonempty list of polynomials."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("empty factor list")
-    out = tuple(factors[0])
-    for f in factors[1:]:
-        out = poly_mul(out, f)
-    return out

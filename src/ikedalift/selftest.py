@@ -4,6 +4,11 @@ Each check is a plain function raising AssertionError on failure.  The
 `selftest` CLI subcommand runs them all through run(); the pytest acceptance
 gate and the unit tests call the same functions, so both entry points check
 the same invariants at the same scale.
+
+The constructions that only the checks use also live here: the schoolbook
+polynomial product, q-factorials, the q-binomial-theorem expansion, the
+Satake generating polynomial and the Deligne limit.  The modules that every
+CLI run imports carry none of them.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, gcd
+from itertools import zip_longest
+from math import comb, gcd, isqrt
 
 from .exactnum import QuadExt, half_power, primes_upto
 from .ikeda import (
@@ -23,23 +29,13 @@ from .ikeda import (
     eigenvalue_polynomial,
     eigenvalue_product,
     eigenvalue_reciprocal,
-    deligne_limit,
     double_sum_terms,
-    satake_factorization_holds,
-    satake_polynomial,
     verify_prime,
 )
 from .kernels import convolve_trunc
 from .modforms import delta, eigenform, eisenstein, BUILTIN_WEIGHTS
-from .polyalg import (
-    dickson,
-    dickson_family,
-    eval_poly,
-    expand_product,
-    is_palindromic,
-    poly_mul,
-)
-from .qseries import binomial_product_coeffs, q_binomial, q_binomial_eval, q_factorial
+from .polyalg import dickson, dickson_family, eval_poly
+from .qseries import q_binomial, q_binomial_eval, q_binomial_row
 
 DESK_PAIRS = ((2, 10), (2, 12), (2, 14), (4, 8), (4, 10), (4, 12), (6, 14), (6, 16))
 
@@ -52,6 +48,100 @@ def valid_pairs(nmax: int, kmax: int) -> list[tuple[int, int]]:
         for k in range(n + 2, kmax + 1, 2)
         if 2 * k - n >= 12
     ]
+
+
+# ---------------------------------------------------------------------------
+# constructions that only the checks use
+# ---------------------------------------------------------------------------
+
+
+def naive_product(a, b):
+    """Schoolbook product of two coefficient sequences, exact in any
+    coefficient ring (int, Fraction, QuadExt): the oracle for the series
+    engine and the suite's one polynomial product."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def expand_product(factors) -> tuple:
+    """Exact product of a nonempty list of polynomials."""
+    factors = list(factors)
+    if not factors:
+        raise ValueError("empty factor list")
+    out = factors[0]
+    for f in factors[1:]:
+        out = naive_product(out, f)
+    return tuple(out)
+
+
+def q_factorial(n: int) -> tuple[int, ...]:
+    """Product of the q-analogues 1 + q + ... + q^(i-1) for i = 1..n; the
+    empty product is 1."""
+    if n < 0:
+        raise ValueError("negative q-factorials are not supported")
+    return expand_product([(1,)] + [(1,) * i for i in range(1, n + 1)])
+
+
+def binomial_product_coeffs(n: int) -> list[tuple[int, ...]]:
+    """Expand prod_{i=0}^{n-1} (1 + q**i x) by x-degree.
+
+    Returns [c_0(q), ..., c_n(q)]; each c_j(q) equals the Gaussian binomial
+    (n choose j)_q times q**(j(j-1)/2), which check_q_binomial_theorem checks
+    coefficient by coefficient for the q-binomial theorem.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    out = [(1,)]
+    for i in range(n):
+        # multiply by (1 + q^i x): new_j = old_j + q^i * old_{j-1}
+        new = [out[0]]
+        for old_prev, old in zip(out, out[1:] + [()]):
+            c = [0] * i + list(old_prev)  # q^i * old_{j-1}, the longer term
+            for e, x in enumerate(old):
+                c[e] += x
+            new.append(tuple(c))
+        out = new
+    return out
+
+
+def deligne_limit(params: IkedaParams, p: int) -> int:
+    """Largest integer magnitude admissible for a_f(p) under Deligne:
+    floor(2 * p**((2k-n-1)/2))."""
+    return isqrt(4 * p ** (2 * params.k - params.n - 1))
+
+
+def satake_polynomial(params: IkedaParams, p: int) -> tuple[QuadExt, ...]:
+    """The degree-n generating polynomial whose normalized value at the
+    Satake parameter is the eigenvalue.
+
+    Coefficient i is p^((d + i(i-n))/2) * (n choose i)_p, realized
+    exactly in Q(sqrt(p)); the coefficient sequence is palindromic.
+    """
+    n = params.n
+    d = params.double_base_exp
+    return tuple(
+        half_power(p, d + i * (i - n)) * q_binomial_eval(n, i, p) for i in range(n + 1)
+    )
+
+
+def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
+    """Exact check that the generating polynomial factors as
+    p^(d/2) * prod_{j=0}^{n-1} (1 + p^(j + (1-n)/2) x) in Q(sqrt(p))."""
+    n = params.n
+    lhs = satake_polynomial(params, p)
+    scale = half_power(p, params.double_base_exp)
+    factors = [(1, half_power(p, 2 * j + 1 - n)) for j in range(n)]
+    return lhs == tuple(scale * c for c in expand_product(factors))
+
+
+# ---------------------------------------------------------------------------
+# the checks
+# ---------------------------------------------------------------------------
 
 
 def check_quad_ring_laws():
@@ -103,18 +193,27 @@ def check_half_power_products():
 
 
 def check_q_binomial_identities():
-    # the q-Pascal construction against the q-factorials, by multiplication
+    facts = [q_factorial(i) for i in range(17)]
     for n in range(17):
-        for m in range(n + 1):
-            qb = q_binomial(n, m)
-            product = poly_mul(poly_mul(qb, q_factorial(m)), q_factorial(n - m))
-            assert product == q_factorial(n), (n, m)
-            assert qb == q_binomial(n, n - m)
+        polys = [q_binomial(n, m) for m in range(n + 1)]
+        for m, qb in enumerate(polys):
+            # the ratio recurrence against the q-factorials, by multiplication
+            assert expand_product((qb, facts[m], facts[n - m])) == facts[n], (n, m)
+            # and against the q-Pascal rule [n, m] = [n-1, m-1] + q^m [n-1, m]
+            if 0 < m < n:
+                shifted = (0,) * m + q_binomial(n - 1, m)
+                pascal = zip_longest(q_binomial(n - 1, m - 1), shifted, fillvalue=0)
+                assert qb == tuple(x + y for x, y in pascal), (n, m)
+            assert qb == polys[n - m] and qb == qb[::-1], (n, m)
             assert eval_poly(qb, 1) == comb(n, m)
             assert all(c >= 0 for c in qb)
-            # the ratio recurrence against Horner on the polynomial
-            for q0 in range(-5, 8):
-                assert q_binomial_eval(n, m, q0) == eval_poly(qb, q0), (n, m, q0)
+        # the values, in one row and one at a time, against Horner on the
+        # polynomials
+        for q0 in range(-5, 8):
+            values = [eval_poly(qb, q0) for qb in polys]
+            for m in range(n + 1):
+                assert q_binomial_row(n, m, q0) == values[: m + 1], (n, m, q0)
+                assert q_binomial_eval(n, m, q0) == values[m], (n, m, q0)
 
 
 def check_q_binomial_theorem():
@@ -152,8 +251,9 @@ def check_palindrome_products():
     for _ in range(50):
         p1 = _random_palindrome(rng)
         p2 = _random_palindrome(rng)
-        assert is_palindromic(p1) and is_palindromic(p2)
-        assert is_palindromic(poly_mul(p1, p2))
+        assert p1 == p1[::-1] and p2 == p2[::-1]
+        product = naive_product(p1, p2)
+        assert product == product[::-1]
 
 
 def check_expand_product_permutation():
@@ -253,7 +353,8 @@ def check_satake_palindromes():
     for n, k in valid_pairs(8, 20):
         params = IkedaParams(n, k)
         for p in primes_upto(50):
-            assert is_palindromic(satake_polynomial(params, p)), (n, k, p)
+            g = satake_polynomial(params, p)
+            assert g == g[::-1], (n, k, p)
 
 
 def check_eigenvalue_polynomial_structure():
@@ -358,18 +459,6 @@ def check_bounds_match_formula():
             assert eigenvalue_product(params, p, edge) == hi, (n, k, p)
 
 
-def naive_product(a, b):
-    """Schoolbook product of two coefficient lists: the oracle for the
-    series engine and for poly_mul."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def check_series_engine_oracle():
     rng = random.Random(7)
     for _ in range(60):
@@ -391,8 +480,9 @@ def check_series_engine_oracle():
     for _ in range(20):
         a = [rng.randint(-(10**12), 10**12) for _ in range(rng.randint(0, 40))]
         b = [rng.randint(-(10**12), 10**12) for _ in range(rng.randint(0, 40))]
-        assert poly_mul(a, b) == tuple(naive_product(a, b))
         assert eval_poly(a, 37) == sum(c * 37**i for i, c in enumerate(a))
+        # the oracle itself: a product evaluates to the product of the values
+        assert eval_poly(naive_product(a, b), 37) == eval_poly(a, 37) * eval_poly(b, 37)
 
 
 CHECKS = [

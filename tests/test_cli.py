@@ -207,8 +207,11 @@ class TestQbinom:
         assert out.strip() == "35"
 
     def test_m_above_n_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "qbinom", "--n", "3", "--m", "5")
-        assert code == 2
+        # one argument check, with or without --q
+        for extra in ((), ("--q", "2")):
+            code, out, err = run_cli(capsys, "qbinom", "--n", "3", "--m", "5", *extra)
+            assert code == 2 and out == ""
+            assert err.splitlines() == ["error: m = 5 exceeds n = 3"]
 
     @pytest.mark.parametrize("flag", ["--n", "--m"])
     def test_negative_exits_2(self, capsys, flag):
@@ -223,7 +226,7 @@ class TestQbinom:
         )
 
     def test_large_n(self, capsys):
-        # a recursive q-Pascal triangle would exceed the recursion limit here
+        # a recursive construction would exceed the recursion limit here
         code, out, _ = run_cli(capsys, "qbinom", "--n", "1200", "--m", "2", "--q", "2")
         assert code == 0
         assert out == f"{(2**1200 - 1) * (2**1199 - 1) // ((2 - 1) * (2**2 - 1))}\n"
@@ -240,6 +243,18 @@ class TestQbinom:
         code, out, _ = run_cli(capsys, "qbinom", "--n", str(n), "--m", "3", "--q", str(q))
         assert code == 0
         assert out == f"{value}\n"
+
+    def test_large_n_polynomial(self):
+        # m(n - m) + 1 = 59992 coefficients, built in m passes
+        src = os.path.dirname(os.path.dirname(ikedalift.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "ikedalift", "qbinom", "--n", "20000", "--m", "3"],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == 0 and out.stderr == ""
+        assert out.stdout.startswith("1 + q + 2q^2 + 3q^3 + ")
+        assert out.stdout.endswith(" + q^59991\n")
 
 
 class TestForms:

@@ -227,9 +227,11 @@ class TestLoadEigenform:
             load_eigenform(path, 12)
 
     def test_rejects_start_above_one(self, tmp_path):
-        path = write_table(tmp_path, "2 -24\n3 252\n")
-        with pytest.raises(EigenformValidationError):
-            load_eigenform(path, 12)
+        # and a first index of 0 or below, before any ordering check
+        for text in ("2 -24\n3 252\n", "0 1\n1 1\n", "-3 1\n"):
+            path = write_table(tmp_path, text)
+            with pytest.raises(EigenformValidationError, match="table must start at index 1"):
+                load_eigenform(path, 12)
 
     def test_reports_first_offending_index(self, tmp_path):
         # both index 4 (Hecke) and index 6 (multiplicativity) are wrong;

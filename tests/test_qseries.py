@@ -1,42 +1,41 @@
 """q-analogues against an independent oracle.
 
-The Gaussian binomial is built by the q-Pascal recurrence
-    (n choose m)_q = (n-1 choose m-1)_q + q^m (n-1 choose m)_q.
+The Gaussian binomial is built by the ratio recurrence
+    (n choose m)_q = (n choose m-1)_q (1 - q^(n-m+1)) / (1 - q^m).
 The oracle is the q-factorial identity
     (n choose m)_q * [m]_q! * [n-m]_q! = [n]_q!,
 checked by polynomial multiplication, a different code path from the
-additions of the recurrence.
+shifted subtractions and running sums of the recurrence.
 """
+
+from math import comb
 
 import pytest
 
 from ikedalift import selftest
-from ikedalift.polyalg import eval_poly, poly_mul
-from ikedalift.qseries import (
-    binomial_product_coeffs,
-    q_binomial,
-    q_binomial_eval,
-    q_factorial,
-    q_int,
-)
+from ikedalift.polyalg import eval_poly
+from ikedalift.qseries import q_binomial, q_binomial_eval, q_binomial_row
+from ikedalift.selftest import binomial_product_coeffs, naive_product, q_factorial
 
 
 class TestQInt:
+    """The q-integer [n]_q = 1 + q + ... + q^(n-1) is (n choose 1)_q."""
+
     def test_one(self):
-        assert q_int(1) == (1,)
+        assert q_binomial(1, 1) == (1,)
 
     def test_three(self):
-        assert q_int(3) == (1, 1, 1)
+        assert q_binomial(3, 1) == (1, 1, 1)
 
     def test_three_at_two(self):
-        assert eval_poly(q_int(3), 2) == 7
-
-    def test_zero(self):
-        assert q_int(0) == ()
+        assert q_binomial_eval(3, 1, 2) == 7
+        assert q_binomial_row(3, 1, 2) == [1, 7]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            q_int(-1)
+            q_binomial(-1, 1)
+        with pytest.raises(ValueError):
+            q_binomial_row(-1, 1, 2)
 
 
 class TestQFactorial:
@@ -66,12 +65,26 @@ class TestQBinomial:
         with pytest.raises(ValueError):
             q_binomial(3, 5)
 
+    def test_large_n_few_terms(self):
+        # m(n - m) + 1 coefficients, from m passes of the recurrence
+        qb = q_binomial(20000, 3)
+        assert len(qb) == 3 * 19997 + 1 == 59992
+        assert all(c > 0 for c in qb)
+        assert sum(qb) == comb(20000, 3)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # without the running sums nothing is divided: the top coefficient
+        # of 1 - q^5 is left over as the remainder
+        monkeypatch.setattr("ikedalift.qseries.accumulate", lambda xs: xs)
+        with pytest.raises(ArithmeticError, match=r"\[5, 1\] is not a polynomial"):
+            q_binomial(5, 2)
+
     def test_matches_factorial_oracle(self):
         for n in range(17):
             for m in range(n + 1):
-                product = poly_mul(q_binomial(n, m), q_factorial(m))
-                product = poly_mul(product, q_factorial(n - m))
-                assert product == q_factorial(n), (n, m)
+                product = naive_product(q_binomial(n, m), q_factorial(m))
+                product = naive_product(product, q_factorial(n - m))
+                assert tuple(product) == q_factorial(n), (n, m)
 
     def test_symmetry(self):
         selftest.check_q_binomial_identities()
@@ -92,6 +105,16 @@ class TestQBinomialEval:
 
     def test_two_one_at_three(self):
         assert q_binomial_eval(2, 1, 3) == 4
+
+
+class TestQBinomialRow:
+    def test_four_at_two(self):
+        assert q_binomial_row(4, 4, 2) == [1, 15, 35, 15, 1]
+
+    def test_roots_of_unity(self):
+        assert q_binomial_row(5, 5, 1) == [comb(5, j) for j in range(6)]
+        assert q_binomial_row(4, 4, -1) == [1, 0, 2, 0, 1]
+        assert q_binomial_row(5, 3, -1) == [1, 1, 2, 2]
 
 
 class TestBinomialProduct:
