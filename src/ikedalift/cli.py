@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .exactnum import QuadExt, primes_upto
+from .exactnum import QuadExt, primes_upto, unlimited_int_digits
 from .ikeda import DeligneBoundError, IkedaParams, verify_prime
 from .modforms import (
     EigenformValidationError,
@@ -116,8 +116,9 @@ def _write_text(text: str, out_path) -> None:
 def run_eigen(args) -> int:
     params = IkedaParams(args.n, args.k)
     reports = _reports(params, args.pmax, args.eigenform)
-    rows = [_row(r, args.digits) for r in reports]
-    _emit(rows, args.format, args.out)
+    with unlimited_int_digits():
+        rows = [_row(r, args.digits) for r in reports]
+        _emit(rows, args.format, args.out)
     ok = all(r.positive and r.within_bounds and r.routes_agree for r in reports)
     return 0 if ok else 1
 
@@ -132,14 +133,15 @@ def run_verify(args) -> int:
     header = f"{'p':>6}  {'a_p':>24}  {'lambda':>44}  {'positive':>8}  {'bounds':>6}"
     print(header)
     failures = 0
-    for r in reports:
-        ok = r.positive and r.within_bounds and r.routes_agree
-        if not ok:
-            failures += 1
-        print(
-            f"{r.p:>6}  {r.a_p:>24}  {r.eigenvalue:>44}  "
-            f"{'yes' if r.positive else 'NO':>8}  {'yes' if r.within_bounds else 'NO':>6}"
-        )
+    with unlimited_int_digits():
+        for r in reports:
+            ok = r.positive and r.within_bounds and r.routes_agree
+            if not ok:
+                failures += 1
+            print(
+                f"{r.p:>6}  {r.a_p:>24}  {r.eigenvalue:>44}  "
+                f"{'yes' if r.positive else 'NO':>8}  {'yes' if r.within_bounds else 'NO':>6}"
+            )
     disagreed = sum(not r.routes_agree for r in reports)
     routes = (
         "all routes agreed at every prime"
@@ -151,10 +153,11 @@ def run_verify(args) -> int:
 
 
 def run_qbinom(args) -> int:
-    if args.q is not None:
-        print(q_binomial_eval(args.n, args.m, args.q))
-    else:
-        print(poly_str(q_binomial(args.n, args.m), var="q"))
+    with unlimited_int_digits():
+        if args.q is not None:
+            print(q_binomial_eval(args.n, args.m, args.q))
+        else:
+            print(poly_str(q_binomial(args.n, args.m), var="q"))
     return 0
 
 
@@ -194,6 +197,16 @@ def _int_at_least(low: int, what: str):
 _nonnegative_int = _int_at_least(0, "a non-negative integer")
 _positive_int = _int_at_least(1, "a positive integer")
 _prime_bound = _int_at_least(2, "at least 2, the smallest prime")
+_weight_at_least_12 = _int_at_least(12, "an even integer >= 12")
+
+
+def _cusp_weight(text: str) -> int:
+    """argparse type for an elliptic weight: an even integer >= 12, where
+    level-one cusp forms exist (the rule IkedaParams applies to 2k - n)."""
+    value = _weight_at_least_12(text)
+    if value % 2:
+        raise argparse.ArgumentTypeError(f"must be an even integer >= 12, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     qbinom.set_defaults(func=run_qbinom)
 
     forms = sub.add_parser("forms", help="print eigenform coefficients")
-    forms.add_argument("--weight", type=int, required=True)
+    forms.add_argument(
+        "--weight", type=_cusp_weight, required=True, help="even, >= 12"
+    )
     forms.add_argument("--pmax", type=_positive_int, default=100)
     forms.add_argument("--eigenform", help="coefficient table to inspect")
     forms.add_argument("--out", help="output path (default stdout)")

@@ -14,29 +14,84 @@ irrational for prime p), never by floating point.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift CPython's limit on int <-> decimal-string conversions for the
+    block and restore the previous limit after it.  Only exact values the
+    program computed pass through such a block; parsing untrusted input,
+    which the limit protects, stays outside every one."""
+    # 0 means no limit, as in a Python from before the limit existed
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
 
 
 class RadicandMismatchError(ValueError):
     """Arithmetic attempted between Q(sqrt(p)) elements with different p."""
 
 
+# The first 13 primes, and for each prefix of them the smallest strong
+# pseudoprime to every base in it (Jaeschke 1993; Sorenson and Webster
+# 2015): below _SPSP[i], the strong test to bases _BASES[:i + 1] is exact.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SPSP = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+PRIME_TEST_LIMIT = _SPSP[-1]
+
+
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Trial division.  A sweep asks about one prime many times in a row,
-    so a bounded cache serves the repeats."""
+    """Deterministic Miller-Rabin, exact for n < PRIME_TEST_LIMIT
+    (about 3.3 * 10**24) with the fewest of the first 13 prime bases that
+    the size of n needs; a larger n raises ValueError.  A sweep asks about
+    one prime many times in a row, so a bounded cache serves the repeats."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is beyond the exact primality test (n < {PRIME_TEST_LIMIT})")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # no prime factor below 43
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b, limit in zip(_BASES, _SPSP):
+        x = pow(b, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < limit:
+            return True
 
 
 def primes_upto(n: int) -> list[int]:

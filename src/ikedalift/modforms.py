@@ -9,8 +9,9 @@ eta^3 expansion, and (E4^3 - E6^2)/1728) and the constructions are asserted
 to agree, so the root of the data pipeline is its own oracle.  Any other
 weight enters through a validated coefficient table on disk.
 
-Every series product goes through kernels.convolve_trunc, which multiplies
-truncated integer series by Kronecker substitution.
+Every series product goes through kernels.convolve_trunc, which packs each
+truncated integer series into the decimal digits of one Decimal (Kronecker
+substitution) and lets libmpdec multiply them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from . import kernels
-from .exactnum import is_prime, primes_upto
+from .exactnum import PRIME_TEST_LIMIT, is_prime, primes_upto
 
 
 class UnsupportedWeightError(ValueError):
@@ -204,7 +205,10 @@ def eigenform(w: int, N: int) -> FourierSeries:
 
 def within_deligne(a: int, p: int, w: int) -> bool:
     """Deligne's bound |a| <= 2*p**((w-1)/2) for a weight-w coefficient at
-    the prime p, tested exactly as a^2 <= 4*p**(w-1)."""
+    the prime p, tested exactly as a^2 <= 4*p**(w-1).  Below w = 1 that
+    power is a fraction, so such a weight raises ValueError."""
+    if w < 1:
+        raise ValueError(f"weight {w} is below 1; the Deligne bound is for weights >= 1")
     return a * a <= 4 * p ** (w - 1)
 
 
@@ -230,11 +234,16 @@ def _check_table(table: dict, w: int) -> None:
 
     The contiguous prefix 1..L of indices is classified by one sieve; L is
     at most the table's length, so a sparse large index cannot inflate it.
-    Indices past the first gap are tested for primality by is_prime, and
-    every composite index, in the prefix or past it, is trial-divided for
-    its smallest prime factor.
+    Indices past the first gap are tested for primality by is_prime, so an
+    index at or above its exact range is refused, and every composite
+    index, in the prefix or past it, is trial-divided for its smallest
+    prime factor.
     """
     indices = sorted(table)
+    if indices[-1] >= PRIME_TEST_LIMIT:
+        raise EigenformValidationError(
+            indices[-1], f"at or above {PRIME_TEST_LIMIT}, where the exact primality test stops"
+        )
     L = 0
     while L < len(indices) and indices[L] == L + 1:
         L += 1

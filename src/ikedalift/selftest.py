@@ -461,9 +461,26 @@ def check_bounds_match_formula():
 
 def check_series_engine_oracle():
     rng = random.Random(7)
+    cases = []
+    for j in (1, 2, 3, 18, 19, 40):
+        t = 10**j - 1
+        cases += [
+            # a product coefficient at +-(10**(w - 1) - 1), the largest a
+            # w-digit slot holds, and at +-B, the bound the width is set from
+            ([t], [1], 1),
+            ([-t], [1], 1),
+            ([t] * 3, [t] * 3, 5),
+            ([-t] * 3, [t] * 2, 4),
+            # all-negative factors, and a negative top slot cut off by n
+            ([-t, -1, -t], [-1, -t], 4),
+            ([1, 2, 3, -t], [1, 1], 2),
+            # the highest kept slot has the other sign than the slot above it
+            ([-t, t, -t], [1], 2),
+            ([t, -t, t], [1], 2),
+        ]
     for _ in range(60):
-        top = 1 << (8 * rng.randint(1, 6) - 1)
-        # coefficients on either side of a slot-width boundary, and zeros
+        top = 10 ** rng.randint(1, 20)
+        # coefficients on either side of a decimal width boundary, and zeros
         pool = (0, top - 1, -(top - 1), top, -top)
         a = [
             rng.choice(pool) if rng.random() < 0.5 else rng.randint(-top, top)
@@ -472,8 +489,12 @@ def check_series_engine_oracle():
         b = [rng.randint(-top, top) for _ in range(rng.randint(0, 30))]
         if rng.random() < 0.25:
             b = a  # squaring packs once
-        n = rng.randint(0, len(a) + len(b) + 1)
+        cases.append((a, b, rng.randint(0, len(a) + len(b) + 1)))
+    for a, b, n in cases:
         assert convolve_trunc(a, b, n) == naive_product(a, b)[:n], (a, b, n)
+    # squaring with n beyond the full product
+    a = [3, -(10**25), 7, -1]
+    assert convolve_trunc(a, a, 12) == naive_product(a, a), a
     huge = [-(10**60), 10**60 + 1]
     assert convolve_trunc([0] * 4, huge, 9) == [0] * 5
     assert convolve_trunc(huge, [0] * 4, 3) == [0] * 3

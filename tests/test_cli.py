@@ -14,6 +14,7 @@ import pytest
 import ikedalift
 from ikedalift import cli, selftest
 from ikedalift.cli import CSV_COLUMNS, main
+from ikedalift.exactnum import unlimited_int_digits
 from ikedalift.ikeda import EigenvalueReport
 
 EXACT_RE = re.compile(r"^(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*sqrt\((\d+)\)$")
@@ -269,6 +270,29 @@ class TestForms:
         code, _, _ = run_cli(capsys, "forms", "--weight", "14", "--pmax", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("weight", ["-4", "0", "13", "10"])
+    def test_weight_without_cusp_forms_exits_2(self, capsys, tmp_path, weight):
+        # a level-one cusp form needs an even weight >= 12; below 1 the
+        # Deligne bound would even be a fraction
+        table = tmp_path / "w12.txt"
+        run_cli(capsys, "forms", "--weight", "12", "--pmax", "5", "--out", str(table))
+        with pytest.raises(SystemExit) as exc:
+            main(["forms", "--weight", weight, "--pmax", "5", "--eigenform", str(table)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "ikedalift forms: error: argument --weight: "
+            f"must be an even integer >= 12, got {weight}"
+        )
+
+    def test_decimal_context_is_left_alone(self, capsys):
+        # the series engine multiplies in a context of its own
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax = 17, 5000
+            assert main(["forms", "--weight", "20", "--pmax", "2000"]) == 0
+            assert (getcontext().prec, getcontext().Emax) == (17, 5000)
+        capsys.readouterr()
+
     def test_round_trip_into_eigen(self, capsys, tmp_path):
         # forms output is itself a valid coefficient table
         table = tmp_path / "w18.txt"
@@ -302,6 +326,48 @@ class TestForms:
         )
         assert code == 2 and out == ""
         assert err == "error: coefficient table covers m <= 10, below pmax = 100\n"
+
+
+class TestBeyondIntStrLimit:
+    """Exact results longer than CPython's 4300-digit int <-> str limit are
+    printed in full, and the limit is back in place after main returns."""
+
+    def test_eigen_decimal_fields(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        argv = ("eigen", "--n", "2", "--k", "10", "--pmax", "3", "--digits", "5000")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["p"] for r in rows] == ["2", "3"]
+        for r in rows:
+            for field in ("lower_decimal", "upper_decimal"):
+                assert re.fullmatch(r"\d+\.\d{5000}", r[field])
+
+    def test_qbinom_value(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "qbinom", "--n", "300", "--m", "150", "--q", "2")
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        num = den = 1
+        for i in range(150):
+            num *= 2 ** (300 - i) - 1
+            den *= 2 ** (i + 1) - 1
+        with unlimited_int_digits():
+            assert int(out) == num // den and num % den == 0
+
+    def test_verify_eigenvalue(self, capsys, tmp_path):
+        # weight 400 from a table: lambda at p = 2 has over 7000 digits
+        table = tmp_path / "w400.txt"
+        table.write_text("1 1\n2 0\n")
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--n", "200", "--k", "300", "--pmax", "2", "--eigenform", str(table),
+        )
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        assert out.splitlines()[-1] == (
+            "summary: 1 primes checked, 0 failures; all routes agreed at every prime"
+        )
+        assert len(out.splitlines()[2].split()[2]) > 7000
 
 
 class TestPmaxBelowTwo:

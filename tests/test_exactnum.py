@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ikedalift import exactnum, selftest
 from ikedalift.exactnum import (
+    PRIME_TEST_LIMIT,
     QuadExt,
     RadicandMismatchError,
     half_power,
@@ -145,6 +146,34 @@ class TestPrimes:
     def test_sieve_matches_trial_division(self):
         assert primes_upto(200) == [m for m in range(201) if is_prime(m)]
         assert len(primes_upto(1000)) == 168
+
+    def test_matches_the_sieve_below_1e5(self):
+        primes = set(primes_upto(10**5))
+        assert all(is_prime(m) == (m in primes) for m in range(-3, 10**5))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # Carmichael numbers
+            561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+            # strong pseudoprimes to base 2, and to bases 2 and 3
+            2047, 3277, 4033, 4681, 8321, 1373653, 1530787, 1987021, 2284453,
+            # the smallest strong pseudoprime to each longer prefix of the bases
+            25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+            3825123056546413051, 318665857834031151167461,
+        ],
+    )
+    def test_pseudoprimes_are_composite(self, m):
+        assert not is_prime(m)
+
+    def test_large_primes(self):
+        assert is_prime(10**18 + 3) and not is_prime(10**18 + 1)
+        assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) * (10**9 + 7))
+
+    def test_beyond_the_exact_range_raises(self):
+        assert not is_prime(PRIME_TEST_LIMIT - 1)
+        with pytest.raises(ValueError, match="beyond the exact primality test"):
+            is_prime(PRIME_TEST_LIMIT)
 
 
 # -- reference: the Fraction-backed formulas of the earlier scalar ----------

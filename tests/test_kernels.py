@@ -3,6 +3,7 @@ series engine (kernels.convolve_trunc) on signed integers of any size, and the
 generic polynomial loops (polyalg.eval_poly and the oracle
 selftest.naive_product itself) on every coefficient ring."""
 
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -25,13 +26,26 @@ def test_selftest_oracle_check():
     check_series_engine_oracle()
 
 
-def near_slot_width(w):
-    """Coefficients up to and just past the largest a w-byte slot holds."""
-    top = 1 << (8 * w - 1)
+def near_decimal_width(j):
+    """Coefficients at and around 10**j, where the decimal slot width steps."""
+    top = 10**j
     return st.one_of(
-        st.sampled_from((0, top - 1, -(top - 1), top, -top)),
+        st.sampled_from((0, top - 1, -(top - 1), top, -top, top + 1, -(top + 1))),
         st.integers(-top, top),
     )
+
+
+def boundary_factor(data, j):
+    """A factor whose products reach the slot bounds: a run of one
+    coefficient (its product with another run meets the bound B the width
+    is set from), a unit (the product is the other factor, whose largest
+    coefficient can be 10**(w - 1) - 1), or coefficients around 10**j."""
+    shape = data.draw(st.sampled_from(("run", "unit", "mixed")))
+    if shape == "run":
+        return [data.draw(near_decimal_width(j))] * data.draw(st.integers(1, 6))
+    if shape == "unit":
+        return [data.draw(st.sampled_from((1, -1)))]
+    return data.draw(st.lists(near_decimal_width(j), max_size=10))
 
 
 class TestConvolveTrunc:
@@ -77,15 +91,33 @@ class TestConvolveTrunc:
         assert convolve_trunc(a, b, n) == naive_product(a, b)[:n]
 
     @given(st.data())
-    @settings(max_examples=200)
-    def test_byte_width_boundaries(self, data):
-        a = data.draw(st.lists(near_slot_width(data.draw(st.integers(1, 5))), max_size=10))
-        b = data.draw(st.lists(near_slot_width(data.draw(st.integers(1, 5))), max_size=10))
+    @settings(max_examples=300)
+    def test_decimal_width_boundaries(self, data):
+        a = boundary_factor(data, data.draw(st.integers(1, 40)))
+        b = boundary_factor(data, data.draw(st.integers(1, 40)))
         n = data.draw(st.integers(0, len(a) + len(b) + 1))
         assert convolve_trunc(a, b, n) == naive_product(a, b)[:n]
 
+    def test_product_beyond_default_emax(self):
+        # 24999 slots of 66 digits: the product has more digits than the
+        # default decimal context's Emax (999999) allows
+        L, c = 12500, 10**30
+        got = convolve_trunc([c] * L, [-c] * L, 2 * L)
+        assert len(got) == 2 * L - 1
+        assert all(x == -c * c * min(k + 1, 2 * L - 1 - k) for k, x in enumerate(got))
+
+    def test_slots_beyond_the_int_str_limit(self):
+        # coefficients longer than CPython's 4300-digit int <-> str limit
+        # are exact, and the limit is back in place afterwards
+        limit = sys.get_int_max_str_digits()
+        a = [10**5000 + 1, -3, 10**4400]
+        b = [7, -(10**4500)]
+        assert convolve_trunc(a, b, 5) == naive_product(a, b)
+        assert convolve_trunc(a, a, 3) == naive_product(a, a)[:3]
+        assert sys.get_int_max_str_digits() == limit
+
     @given(
-        st.integers(1, 5).flatmap(lambda w: st.lists(near_slot_width(w), max_size=12)),
+        st.integers(1, 40).flatmap(lambda j: st.lists(near_decimal_width(j), max_size=12)),
         st.integers(0, 25),
     )
     @settings(max_examples=150)

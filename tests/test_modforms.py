@@ -6,6 +6,7 @@ E4 has a(m) = 240*sigma_3(m), and products with the normalized discriminant
 give a(2) by a one-step convolution (tau(2) + E-series a(1)).
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from ikedalift.modforms import (
     within_deligne,
 )
 from ikedalift.ikeda import DeligneBoundError, IkedaParams, verify_prime
+from ikedalift.exactnum import PRIME_TEST_LIMIT
 
 
 class TestBernoulli:
@@ -299,6 +301,21 @@ class TestLoadEigenform:
             load_eigenform(path, 12)
         assert sieved == [4, 4]
 
+    def test_prime_index_near_1e18_is_rejected_fast(self, tmp_path):
+        # 10**18 + 3 is prime, so index 5 below it is missing
+        path = write_table(tmp_path, "1 1\n2 -24\n3 252\n4 -1472\n1000000000000000003 5\n")
+        modforms.is_prime.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(EigenformValidationError, match="^index 5: missing index"):
+            load_eigenform(path, 12)
+        assert time.perf_counter() - start < 0.1
+
+    def test_index_beyond_the_prime_test_is_refused(self, tmp_path):
+        m = PRIME_TEST_LIMIT
+        path = write_table(tmp_path, f"1 1\n2 -24\n3 252\n4 -1472\n{m} 5\n")
+        with pytest.raises(EigenformValidationError, match=f"^index {m}: at or above {m}"):
+            load_eigenform(path, 12)
+
     def test_composite_pair_past_the_gap_is_checked(self, tmp_path):
         # 1225 = 25 * 49: no prime factor of 1225 is listed, yet both
         # coprime parts are, so multiplicativity still applies to it
@@ -320,6 +337,11 @@ class TestDeligne:
         assert not within_deligne(725, 2, 18) and not within_deligne(-725, 2, 18)
         # odd weight makes the bound an integer, which is still admissible
         assert within_deligne(10, 5, 3) and not within_deligne(11, 5, 3)
+
+    def test_weight_below_one_raises(self):
+        # 4*p**(w - 1) would be a float, and the comparison inexact
+        with pytest.raises(ValueError, match="weight 0"):
+            within_deligne(1, 2, 0)
 
     def test_callers_keep_their_errors(self):
         f = FourierSeries(18, (0, 1, 725))
