@@ -2,9 +2,13 @@
 Gaussian binomial queries, eigenform inspection, self-test.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
-(reportable finding), 2 = usage or parameter error, including a path that
-cannot be read or written and a coefficient-table line that is not two
-integers.
+(reportable finding: positivity or a bound fails, or a coefficient table or
+elliptic coefficient fails validation), 2 = usage or parameter error,
+including a path that cannot be read or written and a coefficient-table line
+that is not two integers, 3 = internal error: an implementation fault, such
+as routes that disagree, a failed exact identity or integrality check, or
+any other unexpected exception, reported as `internal error: <Type>:
+<message>` on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .exactnum import QuadExt, primes_upto, unlimited_int_digits
+from .exactnum import primes_upto, unlimited_int_digits
 from .ikeda import DeligneBoundError, IkedaParams, verify_prime
 from .modforms import (
     EigenformValidationError,
@@ -38,12 +42,6 @@ CSV_COLUMNS = [
 ]
 
 
-def _exact_field(x: QuadExt) -> str:
-    """Lossless rendering R+S*sqrt(P) with R, S as num/den rationals."""
-    a, b = x.a, x.b
-    return f"{a.numerator}/{a.denominator}+{b.numerator}/{b.denominator}*sqrt({x.p})"
-
-
 def _series_for(weight: int, pmax: int, path):
     """The eigenform of the given weight to m = pmax: loaded from the table
     at path, which must reach pmax, or built when path is None."""
@@ -66,42 +64,58 @@ def _reports(params: IkedaParams, pmax: int, path):
     return out
 
 
-def _row(rep, digits: int) -> dict:
-    return {
-        "p": rep.p,
-        "a_p": rep.a_p,
-        "lambda": rep.eigenvalue,
-        "lower_exact": _exact_field(rep.lower),
-        "upper_exact": _exact_field(rep.upper),
-        "lower_decimal": rep.lower.decimal(digits),
-        "upper_decimal": rep.upper.decimal(digits),
-        "positive": rep.positive,
-        "within_bounds": rep.within_bounds,
-        "routes_agree": rep.routes_agree,
-    }
+# columns whose JSON value is a string; the others are numbers or booleans
+_JSON_STRINGS = {"lower_exact", "upper_exact", "lower_decimal", "upper_decimal"}
+# one JSON record as json.dumps(..., indent=2) lays it out.  The string
+# fields are digits, signs, '.', '/', '*' and 'sqrt(...)': nothing that JSON
+# escapes, so quoting them is their whole encoding.
+_JSON_RECORD = (
+    "  {{\n"
+    + ",\n".join(
+        f'    "{col}": ' + ('"{}"' if col in _JSON_STRINGS else "{}") for col in CSV_COLUMNS
+    )
+    + "\n  }}"
+)
 
 
-def _emit(rows: list[dict], fmt: str, out_path) -> None:
-    # csv, io and json load here: no other subcommand pays their import
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _fields(rep, digits: int) -> list[str]:
+    """The record of one prime, field by field in CSV_COLUMNS order, each
+    rendered as both formats write it."""
+    return [
+        str(rep.p),
+        str(rep.a_p),
+        str(rep.eigenvalue),
+        rep.lower.exact(),
+        rep.upper.exact(),
+        rep.lower.decimal(digits),
+        rep.upper.decimal(digits),
+        _flag(rep.positive),
+        _flag(rep.within_bounds),
+        _flag(rep.routes_agree),
+    ]
+
+
+def _render(reports, digits: int, fmt: str) -> str:
+    """The eigen output: one record per report, as CSV or as JSON."""
+    # each record is formatted as it is rendered, so its fields do not
+    # outlive it
+    records = (_fields(r, digits) for r in reports)
     if fmt == "json":
-        import json
+        body = ",\n".join(_JSON_RECORD.format(*fields) for fields in records)
+        return f"[\n{body}\n]\n"
+    # csv and io load here: no other subcommand pays their import
+    import csv
+    import io
 
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            rendered = {
-                key: ("true" if val is True else "false" if val is False else val)
-                for key, val in row.items()
-            }
-            writer.writerow(rendered)
-        text = buf.getvalue()
-    _write_text(text, out_path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(records)
+    return buf.getvalue()
 
 
 def _write_text(text: str, out_path) -> None:
@@ -117,8 +131,8 @@ def run_eigen(args) -> int:
     params = IkedaParams(args.n, args.k)
     reports = _reports(params, args.pmax, args.eigenform)
     with unlimited_int_digits():
-        rows = [_row(r, args.digits) for r in reports]
-        _emit(rows, args.format, args.out)
+        text = _render(reports, args.digits, args.format)
+    _write_text(text, args.out)
     ok = all(r.positive and r.within_bounds and r.routes_agree for r in reports)
     return 0 if ok else 1
 
@@ -272,13 +286,15 @@ def main(argv=None) -> int:
     except (EigenformValidationError, DeligneBoundError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
-        print(f"mathematical check failed: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
+    except Exception as exc:
+        # every ArithmeticError (routes that disagree, a failed identity or
+        # integrality check, a division by zero) and anything else unforeseen
+        # is a fault of the program, not a finding about its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 if __name__ == "__main__":
     sys.exit(main())

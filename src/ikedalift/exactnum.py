@@ -298,7 +298,7 @@ class QuadExt:
         if B:
             # B*sqrt(p) is irrational, so it lies strictly between two
             # consecutive integers; add the lower one
-            r = isqrt(B * B * self.p)
+            r = _floor_surd(abs(B), self.p)
             num += r if B > 0 else -r - 1
         # floor(x / D) = floor(floor(x) / D) for a positive integer D
         return num // self._D
@@ -310,8 +310,16 @@ class QuadExt:
         """
         scaled = self.floor_scaled(10**digits)
         sign = "-" if scaled < 0 else ""
-        ip, fp = divmod(abs(scaled), 10**digits)
-        return f"{sign}{ip}.{fp:0{digits}d}" if digits else f"{sign}{ip}"
+        # at least one digit before the point
+        s = str(abs(scaled)).rjust(digits + 1, "0")
+        return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else sign + s
+
+    def exact(self) -> str:
+        """Lossless rendering R+S*sqrt(P), with R = A/D and S = B/D each
+        written num/den in lowest terms (den 1 included)."""
+        A, B, D = self._A, self._B, self._D
+        ga, gb = gcd(A, D), gcd(B, D)
+        return f"{A // ga}/{D // ga}+{B // gb}/{D // gb}*sqrt({self.p})"
 
     def __str__(self):
         a, b = self.a, self.b
@@ -326,6 +334,14 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt(a={self.a!r}, b={self.b!r}, p={self.p!r})"
+
+
+@lru_cache(maxsize=4)
+def _floor_surd(b: int, p: int) -> int:
+    """floor(b * sqrt(p)) for b > 0.  The decimals of a conjugate pair
+    (A -+ B sqrt(p)) / D, rendered one after the other, ask for the same b,
+    so the second is served from the cache."""
+    return isqrt(b * b * p)
 
 
 _new = object.__new__

@@ -6,7 +6,8 @@ The three routes are
 
   * eigenvalue_double_sum: the explicit double sum in the prime p and the
     elliptic eigenvalue a_f(p), evaluated in Z from one integer table of
-    terms (double_sum_terms);
+    terms (double_sum_terms), summed per power of a_f(p) and combined by
+    Horner's rule in a_f(p);
   * eigenvalue_product: the closed product over n/2 linear factors
     (a_f(p) + p^(k-i) + p^(k-n-1+i));
   * eigenvalue_reciprocal: evaluation of a monic integer polynomial built
@@ -18,12 +19,17 @@ held doubled, as an int h standing for p^(h/2) (the convention of
 exactnum.half_power), and _halve checks each one even and non-negative
 before it is used as a power of p in Z.  The checks depend only on (n, k),
 so they run once per parameter pair, in the three tables double_sum_terms,
-dickson_exponents and bound_exponent.
+dickson_exponents and bound_exponent; any other per-(n, k) table (such as
+double_sum_by_power) is derived from these.  Routes 1 and 3 both read the
+Gaussian binomials (n choose 0..n/2)_p, which gaussian_row computes once
+per prime.
 
 In route 3 the scalar p^(h_i/2) that multiplies each Dickson polynomial
 D_{n/2-i} has h_i = i(i + 2k - 2n - 1): even, since i and i + 2k - 2n - 1
 differ in parity, and non-negative, since k > n.  So route 3 runs on
-Python ints, with D_0..D_{n/2} from one pass of the Dickson recurrence.
+Python ints, with D_0..D_{n/2} from one pass of the Dickson recurrence;
+the expansion of prod (x + r_i) it is checked against is multiplied out
+in place.
 The bounds run on ints too: each factor 1 -+ p^-(i-1/2) is
 (p^i -+ sqrt(p)) / p^i, so a bound is p^e * (E -+ O sqrt(p))^2, where
 E + O sqrt(p) is prod (sqrt(p) + p^i) and e (bound_exponent) is a
@@ -165,15 +171,46 @@ def double_sum_terms(params: IkedaParams) -> tuple[tuple[int, int, int, int], ..
     return tuple(out)
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def double_sum_by_power(params: IkedaParams) -> tuple[tuple[int, tuple], ...]:
+    """The rows of double_sum_terms grouped by their a_f-exponent, so that
+    route 1 is a polynomial in a_f(p).
+
+    Entry e is (e0, ((signed weight, q-binomial index, p-exponent - e0),
+    ...)) over the terms with a_f(p)^e, where e0 is the least p-exponent
+    among them: the coefficient of a_f(p)^e is p^e0 times the sum of the
+    terms with their p-powers measured from p^e0.
+    """
+    groups = [[] for _ in range(params.n // 2 + 1)]
+    for weight, m, exp, ap_exp in double_sum_terms(params):
+        groups[ap_exp].append((weight, m, exp))
+    out = []
+    for group in groups:
+        e0 = min(exp for _, _, exp in group)
+        out.append((e0, tuple((weight, m, exp - e0) for weight, m, exp in group)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
+def gaussian_row(n: int, p: int) -> tuple[int, ...]:
+    """(n choose 0..n/2)_p from one q_binomial_row pass, shared by routes 1
+    and 3 at one prime."""
+    return tuple(q_binomial_row(n, n // 2, p))
+
+
 def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
     """Eigenvalue via the double sum over (j, r) plus the a_f-free term,
     computed in Z from the integrality-checked table double_sum_terms and
-    the Gaussian binomials (n choose 0..n/2)_p of one q_binomial_row pass."""
-    n = params.n
-    qb = q_binomial_row(n, n // 2, p)
+    the Gaussian binomials (n choose 0..n/2)_p of gaussian_row.  The terms
+    are summed per power of a_f(p) (double_sum_by_power) and the powers
+    combined by Horner's rule in a_f(p)."""
+    qb = gaussian_row(params.n, p)
     total = 0
-    for weight, m, exp, ap_exp in double_sum_terms(params):
-        total += weight * qb[m] * p**exp * ap**ap_exp
+    for e0, group in reversed(double_sum_by_power(params)):
+        coeff = 0
+        for weight, m, exp in group:
+            coeff += weight * qb[m] * p**exp
+        total = total * ap + coeff * p**e0
     return total
 
 
@@ -237,15 +274,15 @@ def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
     p^(h_i/2) * (n choose i)_p * D_{n/2-i}(x) with c = p^(2k-n-1), and the
     centre coefficient contributes p^(h_{n/2}/2) * (n choose n/2)_p; every
     exponent is integral by dickson_exponents, (n choose 0..n/2)_p come from
-    one q_binomial_row pass, and D_0..D_{n/2} from one dickson_family pass.  The result is asserted monic of degree n/2
-    and equal to the expansion of prod (x + r_i) over the factor_constants
-    of route 2.  Either assertion failing indicates an implementation
-    defect.
+    gaussian_row, and D_0..D_{n/2} from one dickson_family pass.  The result
+    is asserted monic of degree n/2 and equal to the expansion of
+    prod (x + r_i) over the factor_constants of route 2.  Either assertion
+    failing indicates an implementation defect.
     """
     n, k = params.n, params.k
     half = n // 2
     exps = dickson_exponents(params)
-    qb = q_binomial_row(n, half, p)
+    qb = gaussian_row(n, p)
     family = dickson_family(half, p ** (2 * k - n - 1))
 
     acc = [0] * (half + 1)
@@ -258,10 +295,14 @@ def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
 
     if acc[half] != 1:
         raise ArithmeticError(f"expected a monic polynomial of degree {half}: {acc!r}")
+    # prod (x + r_i), multiplied out in place: descending, so that each
+    # expanded[j - 1] still holds the coefficient before this factor
     expanded = [1]
     for r in factor_constants(params, p):
-        # multiply by (x + r)
-        expanded = [r * a + b for a, b in zip(expanded + [0], [0] + expanded)]
+        expanded.append(expanded[-1])
+        for j in range(len(expanded) - 2, 0, -1):
+            expanded[j] = expanded[j] * r + expanded[j - 1]
+        expanded[0] *= r
     if acc != expanded:
         raise ArithmeticError("Dickson-transform construction disagrees with the factored form")
     return tuple(acc)
@@ -374,7 +415,7 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
                 f"bounds at p = {p} differ from the product route at a = -+2*{p}^({w - 1}/2)"
             )
     positive = v1 > 0
-    within = (v1 - lower).sign() >= 0 and (upper - v1).sign() >= 0
+    within = (lower - v1).sign() <= 0 and (upper - v1).sign() >= 0
     return EigenvalueReport(
         p=p,
         a_p=ap,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, gcd
 
 from . import kernels
 from .exactnum import PRIME_TEST_LIMIT, is_prime, primes_upto
@@ -228,16 +228,75 @@ def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
     return ap
 
 
+def _iroot(u: int, e: int) -> int:
+    """floor(u ** (1/e)) for u >= 1 and e >= 1, by Newton's method on ints
+    from a start above the root."""
+    x = 1 << -(-u.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + u // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_base(u: int):
+    """q if u = q^e for a prime q and some e >= 2, else None."""
+    for e in range(2, u.bit_length()):
+        q = _iroot(u, e)
+        if q**e == u and is_prime(q):
+            return q
+    return None
+
+
+def _check_split(table: dict, m: int, u: int, rest: int) -> None:
+    """Multiplicativity a(m) = a(u) a(rest) for the coprime split m = u * rest,
+    when both parts are listed."""
+    if u in table and rest in table and table[m] != table[u] * table[rest]:
+        raise EigenformValidationError(
+            m, f"multiplicativity violated: a({m}) != a({u})*a({rest})"
+        )
+
+
+def _check_composite(table: dict, w: int, m: int, p: int) -> None:
+    """The relation at a composite m with smallest prime factor p: the split
+    m = p^e * rest, or for m = p^e the Hecke recursion at p, when the
+    entries it needs are listed."""
+    u, rest = p, m // p
+    while rest % p == 0:
+        u *= p
+        rest //= p
+    if rest > 1:
+        _check_split(table, m, u, rest)
+        return
+    # prime power p^e, e >= 2: Hecke recursion at p
+    prev, prev2 = m // p, m // (p * p)
+    aprev = table.get(prev)
+    aprev2 = 1 if prev2 == 1 else table.get(prev2)
+    if p in table and aprev is not None and aprev2 is not None:
+        if table[m] != table[p] * aprev - p ** (w - 1) * aprev2:
+            raise EigenformValidationError(
+                m,
+                f"Hecke relation violated: a({m}) != "
+                f"a({p})a({prev}) - {p}^{w - 1}a({prev2})",
+            )
+
+
 def _check_table(table: dict, w: int) -> None:
     """Structural validation of a coefficient table; raises on the first
     offending index (ascending).
 
-    The contiguous prefix 1..L of indices is classified by one sieve; L is
-    at most the table's length, so a sparse large index cannot inflate it.
-    Indices past the first gap are tested for primality by is_prime, so an
-    index at or above its exact range is refused, and every composite
-    index, in the prefix or past it, is trial-divided for its smallest
-    prime factor.
+    The leading run of indices 1..L with no gap is classified by one
+    smallest-prime-factor sieve; L is at most the table's length, so a
+    sparse large index cannot inflate it.  Indices past the gap are tested
+    by is_prime, so an index at or above its exact range is refused, and a
+    prime there means a missing index.  So every listed prime is at most L,
+    and a composite index m past the gap is trial-divided only by the primes
+    up to min(L, isqrt(m)).  When none divides m, its smallest prime factor
+    is not listed, so no Hecke relation applies at it.  The one relation
+    left is a coprime split m = u * (m/u) with both parts listed and
+    u = q^e (e >= 2); such u are searched among the listed indices past the
+    gap that divide m, and the split with the least q is checked.  That is
+    the split at m's smallest prime whenever that prime's power is listed.
     """
     indices = sorted(table)
     if indices[-1] >= PRIME_TEST_LIMIT:
@@ -251,43 +310,43 @@ def _check_table(table: dict, w: int) -> None:
     if any(is_prime(m) for m in indices[L:]):
         raise EigenformValidationError(L + 1, "missing index at or below the largest listed prime")
     # so every index past the gap is composite
-    prefix_primes = set(primes_upto(L))
-    for m in indices:
-        am = table[m]
-        if m == 1:
-            if am != 1:
-                raise EigenformValidationError(1, f"normalization violated: a(1) = {am}")
-            continue
-        if m in prefix_primes:
+    primes = primes_upto(L)
+    # smallest prime factor of each m <= L: every prime marks its multiples
+    # from p^2 on, the largest first, so the smallest marks last
+    spf = list(range(L + 1))
+    for p in reversed(primes):
+        spf[p * p :: p] = [p] * len(range(p * p, L + 1, p))
+
+    am = table[1]
+    if am != 1:
+        raise EigenformValidationError(1, f"normalization violated: a(1) = {am}")
+    for m in range(2, L + 1):
+        p = spf[m]
+        if p == m:
+            am = table[m]
             if not within_deligne(am, m, w):
                 raise EigenformValidationError(
                     m, f"Deligne bound violated: a({m})^2 = {am * am} > 4*{m}^{w - 1}"
                 )
-            continue
-        # smallest prime factor and its full power in m
-        p = next(d for d in range(2, isqrt(m) + 1) if m % d == 0)
-        u, rest = p, m // p
-        while rest % p == 0:
-            u *= p
-            rest //= p
-        if rest > 1:
-            # coprime split m = u * rest
-            if u in table and rest in table and am != table[u] * table[rest]:
-                raise EigenformValidationError(
-                    m, f"multiplicativity violated: a({m}) != a({u})*a({rest})"
-                )
         else:
-            # prime power p^e, e >= 2: Hecke recursion at p
-            prev, prev2 = m // p, m // (p * p)
-            aprev = table.get(prev)
-            aprev2 = 1 if prev2 == 1 else table.get(prev2)
-            if p in table and aprev is not None and aprev2 is not None:
-                if am != table[p] * aprev - p ** (w - 1) * aprev2:
-                    raise EigenformValidationError(
-                        m,
-                        f"Hecke relation violated: a({m}) != "
-                        f"a({p})a({prev}) - {p}^{w - 1}a({prev2})",
-                    )
+            _check_composite(table, w, m, p)
+
+    # listed indices past the gap with no prime factor <= L
+    unfactored = []
+    for m in indices[L:]:
+        p = next((q for q in primes if q * q > m or m % q == 0), None)
+        if p is not None and p * p <= m:
+            _check_composite(table, w, m, p)
+            continue
+        best = None
+        for u in unfactored:
+            if m % u == 0 and gcd(u, m // u) == 1 and m // u in table:
+                q = _prime_base(u)
+                if q is not None and (best is None or q < best[0]):
+                    best = (q, u)
+        if best is not None:
+            _check_split(table, m, best[1], m // best[1])
+        unfactored.append(m)
 
 
 def load_eigenform(path, w: int) -> FourierSeries:
@@ -304,10 +363,9 @@ def load_eigenform(path, w: int) -> FourierSeries:
     last = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
             if len(parts) != 2:
                 raise TableParseError(lineno, f"unparseable entry {raw!r}")
             try:

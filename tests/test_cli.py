@@ -12,7 +12,7 @@ from decimal import getcontext, localcontext
 import pytest
 
 import ikedalift
-from ikedalift import cli, selftest
+from ikedalift import cli, ikeda, selftest
 from ikedalift.cli import CSV_COLUMNS, main
 from ikedalift.exactnum import unlimited_int_digits
 from ikedalift.ikeda import EigenvalueReport
@@ -70,6 +70,16 @@ class TestEigen:
                 assert c[key] == j[key]
             for key in ("positive", "within_bounds", "routes_agree"):
                 assert c[key] == ("true" if j[key] else "false")
+
+    def test_json_layout_is_json_dumps_indent_2(self, capsys):
+        # the records are laid out by hand; json.dumps must agree byte for byte
+        for argv in (
+            ("eigen", "--n", "4", "--k", "12", "--pmax", "30", "--format", "json"),
+            ("eigen", "--n", "2", "--k", "10", "--pmax", "2", "--format", "json", "--digits", "0"),
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "eigen", "--n", "4", "--k", "8", "--pmax", "30")
@@ -194,6 +204,51 @@ class TestVerify:
         assert out.splitlines()[-1] == (
             "summary: 4 primes checked, 1 failures; routes disagreed at 1 of 4 primes"
         )
+
+
+class TestInternalErrorExit3:
+    """An implementation fault exits 3 with one `internal error:` line on
+    stderr and no traceback, apart from findings (1) and usage errors (2)."""
+
+    ARGV = ("eigen", "--n", "4", "--k", "12", "--pmax", "7")
+
+    def test_route_disagreement_exits_3(self, capsys, monkeypatch):
+        real = ikeda.eigenvalue_product
+        monkeypatch.setattr(
+            ikeda, "eigenvalue_product", lambda params, p, ap: real(params, p, ap) + (p == 5)
+        )
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: RouteDisagreementError: routes disagree at p = 5,")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_zero_division_exits_3(self, capsys, monkeypatch):
+        def divide_by_zero(params, p):
+            return 1 // 0
+
+        monkeypatch.setattr(ikeda, "eigenvalue_bounds", divide_by_zero)
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert code == 3 and out == ""
+        assert err == "internal error: ZeroDivisionError: integer division or modulo by zero\n"
+
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        def broken(f, p):
+            raise RuntimeError("unforeseen")
+
+        monkeypatch.setattr(cli, "hecke_eigenvalue_prime", broken)
+        code, _, err = run_cli(capsys, "verify", "--n", "2", "--k", "10", "--pmax", "3")
+        assert code == 3
+        assert err == "internal error: RuntimeError: unforeseen\n"
+
+    def test_findings_and_usage_errors_keep_their_codes(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 1\n2 -24\n3 252\n4 -1471\n")
+        code, _, err = run_cli(
+            capsys, "eigen", "--n", "2", "--k", "10", "--pmax", "3", "--eigenform", str(bad)
+        )
+        assert code == 1 and err.startswith("validation failed: index 4")
+        code, _, err = run_cli(capsys, "eigen", "--n", "3", "--k", "12", "--pmax", "3")
+        assert code == 2 and err.startswith("error: ")
 
 
 class TestQbinom:

@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 of four CLI runs, pinned so that changes to the
+"""Golden outputs: sha256 of five CLI runs, pinned so that changes to the
 exact scalars or the per-prime routes cannot alter a byte of what the CLI
 writes."""
 
@@ -24,6 +24,10 @@ GOLDEN = [
     (
         ["eigen", "--n", "2", "--k", "10", "--pmax", "50", "--digits", "0"],
         "df852bb77c56f9e4d6cf79d505e995b1d974b00ade706ea991e224e2d31cc584",
+    ),
+    (
+        ["eigen", "--n", "18", "--k", "22", "--pmax", "400", "--format", "json"],
+        "b1f4d9f6c62e3f809f5afcaaa6b80734fcec894c6a9e811a844f759cef376e9f",
     ),
 ]
 

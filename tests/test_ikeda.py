@@ -28,6 +28,7 @@ from ikedalift.ikeda import (
     DeligneBoundError,
     IkedaParams,
     ExponentIntegralityError,
+    RouteDisagreementError,
     bound_exponent,
     dickson_exponents,
     double_sum_terms,
@@ -314,6 +315,60 @@ class TestIntegralExponents:
             ikeda.eigenvalue_polynomial.cache_clear()
 
 
+@pytest.fixture
+def cold_ikeda_caches():
+    """Every lru_cache of ikeda emptied before and after the test, so a
+    corrupted table is read afresh and leaves nothing behind."""
+    caches = [f for f in vars(ikeda).values() if callable(getattr(f, "cache_clear", None))]
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_ikeda_caches")
+class TestCorruptedTables:
+    """Each per-(n, k) table the routes read is checked at every prime: a
+    single wrong entry makes verify_prime raise the named error, also
+    through every table derived from it."""
+
+    PARAMS = IkedaParams(16, 18)
+
+    def test_double_sum_weight(self, monkeypatch):
+        true_terms = ikeda.double_sum_terms
+
+        def corrupt(params):
+            terms = list(true_terms(params))
+            weight, m, exp, ap_exp = terms[3]
+            terms[3] = (weight + 1, m, exp, ap_exp)
+            return tuple(terms)
+
+        monkeypatch.setattr(ikeda, "double_sum_terms", corrupt)
+        with pytest.raises(RouteDisagreementError, match="routes disagree at p = 7"):
+            verify_prime(self.PARAMS, 7, 11)
+
+    @pytest.mark.parametrize("i, what", [(0, "monic"), (3, "factored form")])
+    def test_dickson_exponent(self, monkeypatch, i, what):
+        true_exps = ikeda.dickson_exponents
+
+        def corrupt(params):
+            exps = list(true_exps(params))
+            exps[i] += 1
+            return tuple(exps)
+
+        monkeypatch.setattr(ikeda, "dickson_exponents", corrupt)
+        with pytest.raises(ArithmeticError, match=what) as info:
+            verify_prime(self.PARAMS, 7, 11)
+        assert type(info.value) is ArithmeticError
+
+    def test_bound_exponent(self, monkeypatch):
+        true_exp = ikeda.bound_exponent
+        monkeypatch.setattr(ikeda, "bound_exponent", lambda params: true_exp(params) + 1)
+        with pytest.raises(BoundIdentityError, match="bounds at p = 7 differ"):
+            verify_prime(self.PARAMS, 7, 11)
+
+
 class TestBoundIdentity:
     """The bounds equal route 2 evaluated in Q(sqrt(p)) at a = -+2p^((w-1)/2)."""
 
@@ -355,10 +410,13 @@ class TestPerPrimeCaches:
         for fn in (
             ikeda.eigenvalue_polynomial,
             ikeda.factor_constants,
+            ikeda.gaussian_row,
             ikeda.double_sum_terms,
+            ikeda.double_sum_by_power,
             ikeda.dickson_exponents,
             ikeda.bound_exponent,
             exactnum.is_prime,
+            exactnum._floor_surd,
         ):
             assert fn.cache_info().maxsize is not None
 

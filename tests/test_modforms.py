@@ -329,6 +329,45 @@ class TestLoadEigenform:
         f = load_eigenform(write_table(tmp_path, head + "1225 35\n", "ok.txt"), 12)
         assert f.a(1225) == 35
 
+    @pytest.mark.parametrize(
+        "q1, q2", [(10**7 + 19, 10**7 + 79), (10**11 + 3, 10**11 + 19)]
+    )
+    def test_semiprime_past_the_gap_loads_at_once(self, tmp_path, q1, q2):
+        # both factors lie far above the listed primes 2 and 3, so only those
+        # two are tried as divisors; searching up to sqrt(m) would take from
+        # about a second (q ~ 10^7) to hours (q ~ 10^11)
+        assert modforms.is_prime(q1) and modforms.is_prime(q2)
+        head = "1 1\n2 -24\n3 252\n4 -1472\n"
+        start = time.perf_counter()
+        f = load_eigenform(write_table(tmp_path, head + f"{q1 * q2} 9\n"), 12)
+        assert time.perf_counter() - start < 0.1
+        assert f.a(q1 * q2) == 9
+
+    def test_split_past_the_gap_uses_the_smallest_listed_prime_power(self, tmp_path):
+        # m = 11^2 * 13^2 * 17 splits as 121 * 2873 and as 169 * 2057, both
+        # listed; the split at its smallest prime 11 is the one reported
+        head = "1 1\n2 -24\n3 252\n4 -1472\n"
+        m = 121 * 169 * 17
+        lines = f"121 2\n169 3\n2057 10\n2873 15\n{m} 1\n"
+        with pytest.raises(
+            EigenformValidationError,
+            match=rf"^index {m}: multiplicativity violated: a\({m}\) != a\(121\)\*a\(2873\)$",
+        ):
+            load_eigenform(write_table(tmp_path, head + lines), 12)
+        ok = lines.replace(f"{m} 1", f"{m} 30")
+        assert load_eigenform(write_table(tmp_path, head + ok, "ok.txt"), 12).a(m) == 30
+
+    def test_split_at_a_larger_prime_is_checked_when_the_smallest_is_not_listed(self, tmp_path):
+        # m = 11 * 17 * 13^2: the power of its smallest prime, 11, is not
+        # listed, but the split 169 * 187 is, and a split at any prime must hold
+        head = "1 1\n2 -24\n3 252\n4 -1472\n169 3\n187 5\n"
+        with pytest.raises(
+            EigenformValidationError,
+            match=r"^index 31603: multiplicativity violated: a\(31603\) != a\(169\)\*a\(187\)$",
+        ):
+            load_eigenform(write_table(tmp_path, head + "31603 1\n"), 12)
+        assert load_eigenform(write_table(tmp_path, head + "31603 15\n", "ok.txt"), 12).a(31603) == 15
+
 
 class TestDeligne:
     def test_boundary_is_exact(self):
