@@ -5,8 +5,9 @@ Built-in weights are exactly those with a one-dimensional cusp space
 Hecke eigenform: the weight-12 discriminant form Delta times the Eisenstein
 series E_{w-12} (E_0 = 1), since M_{w-12} is one-dimensional too.  The
 discriminant form is built two independent ways (eighth power of Jacobi's
-eta^3 expansion, and (E4^3 - E6^2)/1728) and the constructions are asserted
-to agree, so the root of the data pipeline is its own oracle.  Any other
+eta^3 expansion, and 691 (E4 E8 - E12)/432000 from the identity
+E4 E8 = E12 + (432000/691) Delta) and the constructions are asserted to
+agree, so the root of the data pipeline is its own oracle.  Any other
 weight enters through a validated coefficient table on disk.
 
 Every series product goes through kernels.convolve_trunc, which packs each
@@ -103,13 +104,35 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
+def _smallest_prime_factors(L: int) -> tuple[list[int], list[int]]:
+    """The primes up to L, and the smallest prime factor spf[m] of each
+    m <= L (spf[0] = 0, spf[1] = 1): every prime marks its multiples from
+    p^2 on, the largest first, so the smallest marks last."""
+    primes = primes_upto(L)
+    spf = list(range(L + 1))
+    for p in reversed(primes):
+        if p * p <= L:
+            spf[p * p :: p] = [p] * len(range(p * p, L + 1, p))
+    return primes, spf
+
+
 def _sigma_table(e: int, N: int) -> list[int]:
-    """Divisor power sums sigma_e(m) for m = 0..N (index 0 unused)."""
+    """Divisor power sums sigma_e(m) for m = 0..N (index 0 unused), in one
+    multiplicative pass over the smallest-prime-factor sieve: with p^a the
+    exact power of p = spf[m] in m, sigma_e(m) = sigma_e(p^a) sigma_e(m/p^a),
+    and sigma_e(p^a) = sigma_e(p^(a-1)) + p^(ae)."""
     out = [0] * (N + 1)
-    for d in range(1, N + 1):
-        de = d**e
-        for m in range(d, N + 1, d):
-            out[m] += de
+    if N < 1:
+        return out
+    out[1] = 1
+    spf = _smallest_prime_factors(N)[1]
+    # cof[m]: m with every factor spf[m] taken out
+    cof = [1] * (N + 1)
+    for m in range(2, N + 1):
+        p = spf[m]
+        r = m // p
+        c = cof[m] = cof[r] if spf[r] == p else r
+        out[m] = out[r] + m**e if c == 1 else out[m // c] * out[c]
     return out
 
 
@@ -155,23 +178,31 @@ def _eta_power_24(nterms: int) -> list[int]:
 def delta(N: int) -> FourierSeries:
     """The weight-12 discriminant cusp form to truncation N.
 
-    Computed two independent ways (eta-power and Eisenstein combination) and
-    asserted to agree coefficient by coefficient.
+    Computed two independent ways and asserted to agree coefficient by
+    coefficient: the eighth power of Jacobi's eta^3 expansion (three
+    squarings), and the Eisenstein identity E4 E8 = E12 + (432000/691) Delta
+    (one two-operand product; M_12 is spanned by E12 and Delta).  The
+    constants come from B_12 and a(1) of E4 E8, and 691 (E4 E8 - E12) is
+    asserted to be a multiple of 432000 at every index, m = 0 included.
     """
     if N < 1:
         raise ValueError("truncation must be positive")
     via_eta = [0] + _eta_power_24(N)
 
-    e4 = eisenstein(4, N).coeffs
-    e6 = eisenstein(6, N).coeffs
-    e4sq = kernels.convolve_trunc(e4, e4, N + 1)
-    e4cb = kernels.convolve_trunc(e4sq, e4, N + 1)
-    e6sq = kernels.convolve_trunc(e6, e6, N + 1)
+    e4e8 = kernels.convolve_trunc(eisenstein(4, N).coeffs, eisenstein(8, N).coeffs, N + 1)
+    # E12 = 1 + (num/den) sum sigma_11(m) q^m with num/den = -24/B_12, and
+    # E4 E8 - E12 = (a(1) - num/den) Delta with a(1) that of E4 E8, so
+    # Delta = den (E4 E8 - E12) / scale with scale = den a(1) - num
+    c12 = Fraction(-24) / bernoulli(12)
+    num, den = c12.numerator, c12.denominator
+    scale = den * e4e8[1] - num
+    sig = _sigma_table(11, N)
     via_eis = []
     for m in range(N + 1):
-        d, r = divmod(e4cb[m] - e6sq[m], 1728)
+        # den E12 has a(0) = den and a(m) = num sigma_11(m)
+        d, r = divmod(den * e4e8[m] - (num * sig[m] if m else den), scale)
         if r != 0:
-            raise ArithmeticError(f"(E4^3 - E6^2)/1728 not integral at index {m}")
+            raise ArithmeticError(f"{den}(E4*E8 - E12)/{scale} not integral at index {m}")
         via_eis.append(d)
 
     if via_eta != via_eis:
@@ -310,12 +341,7 @@ def _check_table(table: dict, w: int) -> None:
     if any(is_prime(m) for m in indices[L:]):
         raise EigenformValidationError(L + 1, "missing index at or below the largest listed prime")
     # so every index past the gap is composite
-    primes = primes_upto(L)
-    # smallest prime factor of each m <= L: every prime marks its multiples
-    # from p^2 on, the largest first, so the smallest marks last
-    spf = list(range(L + 1))
-    for p in reversed(primes):
-        spf[p * p :: p] = [p] * len(range(p * p, L + 1, p))
+    primes, spf = _smallest_prime_factors(L)
 
     am = table[1]
     if am != 1:

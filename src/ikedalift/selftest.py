@@ -6,9 +6,9 @@ gate and the unit tests call the same functions, so both entry points check
 the same invariants at the same scale.
 
 The constructions that only the checks use also live here: the schoolbook
-polynomial product, q-factorials, the q-binomial-theorem expansion, the
-Satake generating polynomial and the Deligne limit.  The modules that every
-CLI run imports carry none of them.
+polynomial product, the divisor-sum sweep, q-factorials, the
+q-binomial-theorem expansion, the Satake generating polynomial and the
+Deligne limit.  The modules that every CLI run imports carry none of them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .ikeda import (
     verify_prime,
 )
 from .kernels import convolve_trunc
-from .modforms import delta, eigenform, eisenstein, BUILTIN_WEIGHTS
+from .modforms import BUILTIN_WEIGHTS, _sigma_table, bernoulli, delta, eigenform, eisenstein
 from .polyalg import dickson, dickson_family, eval_poly
 from .qseries import q_binomial, q_binomial_eval, q_binomial_row
 
@@ -65,6 +65,18 @@ def naive_product(a, b):
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
+    return out
+
+
+def divisor_sweep(e: int, N: int) -> list[int]:
+    """Divisor power sums sigma_e(m) for m = 0..N (index 0 unused), by adding
+    d**e to every multiple of each d: the oracle for the sieve in
+    modforms._sigma_table."""
+    out = [0] * (N + 1)
+    for d in range(1, N + 1):
+        de = d**e
+        for m in range(d, N + 1, d):
+            out[m] += de
     return out
 
 
@@ -269,6 +281,31 @@ def check_delta_dual_and_spots():
     d = delta(1000)  # the dual-construction assertion runs inside delta()
     assert d.a(1) == 1 and d.a(2) == -24 and d.a(3) == 252
     assert eigenform(18, 10).a(2) == -528
+
+
+def check_sigma_sieve():
+    # the sweep's table to N is a prefix of its table to any larger N
+    for e in (3, 5, 7, 9, 11, 13):
+        oracle = divisor_sweep(e, 300)
+        for N in range(301):
+            assert _sigma_table(e, N) == oracle[: N + 1], (e, N)
+        assert _sigma_table(e, 3000) == divisor_sweep(e, 3000), e
+
+
+def check_discriminant_identities():
+    # Delta as (E4^3 - E6^2)/1728, and by delta's own Eisenstein identity
+    # 691 (E4 E8 - E12)/432000 with literal constants and with E12 from B_12
+    # and the divisor sweep
+    N = 500
+    d = list(delta(N).coeffs)
+    e4, e6 = eisenstein(4, N).coeffs, eisenstein(6, N).coeffs
+    e4cb = convolve_trunc(convolve_trunc(e4, e4, N + 1), e4, N + 1)
+    e6sq = convolve_trunc(e6, e6, N + 1)
+    assert [Fraction(x - y, 1728) for x, y in zip(e4cb, e6sq)] == d
+    e4e8 = convolve_trunc(e4, eisenstein(8, N).coeffs, N + 1)
+    c12 = Fraction(-24) / bernoulli(12)
+    e12 = [Fraction(1)] + [c12 * s for s in divisor_sweep(11, N)[1:]]
+    assert [691 * (x - y) / 432000 for x, y in zip(e4e8, e12)] == d
 
 
 def check_eisenstein_products():
@@ -516,6 +553,8 @@ CHECKS = [
     ("palindrome product closure", check_palindrome_products),
     ("product permutation invariance", check_expand_product_permutation),
     ("discriminant dual construction", check_delta_dual_and_spots),
+    ("discriminant by the E4/E6 and E4/E8 identities", check_discriminant_identities),
+    ("divisor-sum sieve vs divisor sweep", check_sigma_sieve),
     ("E8, E10, E14 as products of E4 and E6", check_eisenstein_products),
     ("eigenform Deligne bound", check_eigenform_deligne),
     ("eigenform multiplicativity", check_eigenform_multiplicativity),

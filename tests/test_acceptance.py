@@ -64,6 +64,8 @@ def test_criterion_7_structural_assertions():
 def test_criterion_8_modforms_oracle():
     with criterion(8, "eigenform oracle (dual construction + relations)"):
         selftest.check_delta_dual_and_spots()
+        selftest.check_discriminant_identities()
+        selftest.check_sigma_sieve()
         selftest.check_eigenform_deligne()
         selftest.check_eigenform_hecke()
         selftest.check_eigenform_multiplicativity()

@@ -1,6 +1,6 @@
-"""Golden outputs: sha256 of five CLI runs, pinned so that changes to the
-exact scalars or the per-prime routes cannot alter a byte of what the CLI
-writes."""
+"""Golden outputs: sha256 of CLI runs, pinned so that changes to the exact
+scalars, the per-prime routes or the series build cannot alter a byte of
+what the CLI writes."""
 
 import hashlib
 
@@ -28,6 +28,31 @@ GOLDEN = [
     (
         ["eigen", "--n", "18", "--k", "22", "--pmax", "400", "--format", "json"],
         "b1f4d9f6c62e3f809f5afcaaa6b80734fcec894c6a9e811a844f759cef376e9f",
+    ),
+    # the q-expansion of every built-in weight, past the sizes above
+    (
+        ["forms", "--weight", "12", "--pmax", "1500"],
+        "2f60b4d113cafd8fff0605eb0924ea4006344f246b354c1bcaf150651d361387",
+    ),
+    (
+        ["forms", "--weight", "16", "--pmax", "1500"],
+        "02d4feab9e0de0def40d0f59fcc9b0f274b66777b0ed24904738d6b91cd1dab8",
+    ),
+    (
+        ["forms", "--weight", "18", "--pmax", "1500"],
+        "6f53d81e09292ae1e275e2a91b614e7ad7ddc81810b0dca56b71c2342920d166",
+    ),
+    (
+        ["forms", "--weight", "20", "--pmax", "1500"],
+        "0a6343f86dd19e964dc86b657c04e7e059c3fbf842894e9382eb74fd6fd67b07",
+    ),
+    (
+        ["forms", "--weight", "22", "--pmax", "1500"],
+        "2a761acdb4c0b477e4f754cdf0d1abfc42dbe6c712f714635d985013cc68f60a",
+    ),
+    (
+        ["forms", "--weight", "26", "--pmax", "1500"],
+        "5eed56e44eff7eb93e54ba743f30f67604bf3f262883dfd6fbecb43ae0828280",
     ),
 ]
 

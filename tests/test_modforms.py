@@ -1,7 +1,7 @@
 """Eigenform constructions and coefficient-table validation.
 
 The discriminant form is dual-sourced inside delta() (eta power vs
-Eisenstein combination); on top of that, spot values here are hand-derived:
+691 (E4 E8 - E12)/432000); on top of that, spot values here are hand-derived:
 E4 has a(m) = 240*sigma_3(m), and products with the normalized discriminant
 give a(2) by a one-step convolution (tau(2) + E-series a(1)).
 """
@@ -18,6 +18,7 @@ from ikedalift.modforms import (
     FourierSeries,
     TableParseError,
     UnsupportedWeightError,
+    _sigma_table,
     bernoulli,
     delta,
     eigenform,
@@ -69,6 +70,15 @@ class TestEisenstein:
         with pytest.raises(ValueError):
             eisenstein(5, 10)
 
+    def test_truncation_zero(self):
+        assert eisenstein(4, 0).coeffs == (1,)
+
+    def test_sigma_table_edges(self):
+        for e in (3, 5, 7, 9, 11, 13):
+            assert _sigma_table(e, 0) == [0]
+            assert _sigma_table(e, 1) == [0, 1]
+            assert _sigma_table(e, 2) == [0, 1, 1 + 2**e]
+
     def test_products_of_e4_and_e6(self):
         selftest.check_eisenstein_products()
 
@@ -95,6 +105,10 @@ class TestDelta:
         # from the Hecke recursion at 2 and 5
         assert d.a(1000) == 84480 * -359001100500 == -30328412970240000
 
+    def test_smallest_truncations(self):
+        assert delta(1).coeffs == (0, 1)
+        assert delta(2).coeffs == (0, 1, -24)
+
     def test_corrupt_eta_source_is_caught(self, monkeypatch):
         # the agreement check must stay live behind the fast engine: one
         # wrong eta-side coefficient (delta index = eta index + 1) is named
@@ -112,6 +126,35 @@ class TestDelta:
                 delta(60)
         finally:
             delta.cache_clear()
+
+    def test_corrupt_eisenstein_source_is_caught(self, monkeypatch):
+        # one wrong sigma_11 entry, or one wrong E8 coefficient, on the
+        # Eisenstein side is named by its index
+        real_sigma, real_eisenstein = modforms._sigma_table, modforms.eisenstein
+
+        def corrupt_sigma(e, N):
+            out = real_sigma(e, N)
+            if e == 11:
+                out[37] += 1
+            return out
+
+        def corrupt_e8(w, N):
+            f = real_eisenstein(w, N)
+            if w != 8:
+                return f
+            coeffs = list(f.coeffs)
+            coeffs[37] += 1
+            return FourierSeries(w, tuple(coeffs))
+
+        for name, corrupt in (("_sigma_table", corrupt_sigma), ("eisenstein", corrupt_e8)):
+            with monkeypatch.context() as m:
+                m.setattr(modforms, name, corrupt)
+                delta.cache_clear()
+                try:
+                    with pytest.raises(ArithmeticError, match=r"at index 37$"):
+                        delta(60)
+                finally:
+                    delta.cache_clear()
 
 
 class TestEigenform:
