@@ -1,6 +1,9 @@
 """Command-line front end: eigenvalue computation, verification sweeps,
 Gaussian binomial queries, eigenform inspection, self-test.
 
+Each subcommand computes all that can fail, then hands _emit, the one
+writer, lazy lines that it writes as they are made.
+
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 (reportable finding: positivity or a bound fails, or a coefficient table or
 elliptic coefficient fails validation), 2 = usage or parameter error,
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 from .exactnum import primes_upto, unlimited_int_digits
 from .ikeda import DeligneBoundError, IkedaParams, verify_prime
@@ -99,88 +103,84 @@ def _fields(rep, digits: int) -> list[str]:
     ]
 
 
-def _render(reports, digits: int, fmt: str) -> str:
-    """The eigen output: one record per report, as CSV or as JSON."""
-    # each record is formatted as it is rendered, so its fields do not
-    # outlive it
+def _render(reports, digits: int, fmt: str):
+    """The eigen output, record by record, as CSV or as JSON.  Each record
+    is formatted as it is written, so its fields do not outlive it."""
     records = (_fields(r, digits) for r in reports)
     if fmt == "json":
-        body = ",\n".join(_JSON_RECORD.format(*fields) for fields in records)
-        return f"[\n{body}\n]\n"
-    # csv and io load here: no other subcommand pays their import
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(records)
-    return buf.getvalue()
-
-
-def _write_text(text: str, out_path) -> None:
-    """Write text to the file at out_path, or to stdout when it is empty."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        yield "[\n"
+        for i, fields in enumerate(records):
+            yield (",\n" if i else "") + _JSON_RECORD.format(*fields)
+        yield "\n]\n"
     else:
-        sys.stdout.write(text)
+        # csv.writer's encoding: no field holds a comma, quote or line break
+        for fields in chain([CSV_COLUMNS], records):
+            yield ",".join(fields) + "\r\n"
+
+
+def _emit(lines, out_path=None) -> None:
+    """Write lines, each with its own line ending, to the file at out_path,
+    or to stdout when it is empty.  They are made as they are written, in a
+    block that lifts the int <-> str digit limit: an exact result of any
+    length is written in full."""
+    with unlimited_int_digits():
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.writelines(lines)
+        else:
+            sys.stdout.writelines(lines)
+
+
+def _passed(rep) -> bool:
+    return rep.positive and rep.within_bounds and rep.routes_agree
 
 
 def run_eigen(args) -> int:
-    params = IkedaParams(args.n, args.k)
-    reports = _reports(params, args.pmax, args.eigenform)
-    with unlimited_int_digits():
-        text = _render(reports, args.digits, args.format)
-    _write_text(text, args.out)
-    ok = all(r.positive and r.within_bounds and r.routes_agree for r in reports)
-    return 0 if ok else 1
+    reports = _reports(IkedaParams(args.n, args.k), args.pmax, args.eigenform)
+    _emit(_render(reports, args.digits, args.format), args.out)
+    return 0 if all(map(_passed, reports)) else 1
 
 
 def run_verify(args) -> int:
     params = IkedaParams(args.n, args.k)
     reports = _reports(params, args.pmax, args.eigenform)
-    print(
-        f"verify n={params.n} k={params.k} "
-        f"(elliptic weight {params.eigenform_weight}), primes <= {args.pmax}"
-    )
-    header = f"{'p':>6}  {'a_p':>24}  {'lambda':>44}  {'positive':>8}  {'bounds':>6}"
-    print(header)
-    failures = 0
-    with unlimited_int_digits():
-        for r in reports:
-            ok = r.positive and r.within_bounds and r.routes_agree
-            if not ok:
-                failures += 1
-            print(
-                f"{r.p:>6}  {r.a_p:>24}  {r.eigenvalue:>44}  "
-                f"{'yes' if r.positive else 'NO':>8}  {'yes' if r.within_bounds else 'NO':>6}"
-            )
+    failures = sum(not _passed(r) for r in reports)
     disagreed = sum(not r.routes_agree for r in reports)
     routes = (
         "all routes agreed at every prime"
         if disagreed == 0
         else f"routes disagreed at {disagreed} of {len(reports)} primes"
     )
-    print(f"summary: {len(reports)} primes checked, {failures} failures; {routes}")
+    head = (
+        f"verify n={params.n} k={params.k} "
+        f"(elliptic weight {params.eigenform_weight}), primes <= {args.pmax}\n"
+        f"{'p':>6}  {'a_p':>24}  {'lambda':>44}  {'positive':>8}  {'bounds':>6}\n"
+    )
+    rows = (
+        f"{r.p:>6}  {r.a_p:>24}  {r.eigenvalue:>44}  "
+        f"{'yes' if r.positive else 'NO':>8}  {'yes' if r.within_bounds else 'NO':>6}\n"
+        for r in reports
+    )
+    tail = f"summary: {len(reports)} primes checked, {failures} failures; {routes}\n"
+    _emit(chain([head], rows, [tail]))
     return 0 if failures == 0 else 1
 
 
 def run_qbinom(args) -> int:
-    with unlimited_int_digits():
-        if args.q is not None:
-            print(q_binomial_eval(args.n, args.m, args.q))
-        else:
-            print(poly_str(q_binomial(args.n, args.m), var="q"))
+    if args.q is not None:
+        value, render = q_binomial_eval(args.n, args.m, args.q), str
+    else:
+        value, render = q_binomial(args.n, args.m), lambda c: poly_str(c, var="q")
+    _emit(render(v) + "\n" for v in [value])
     return 0
 
 
 def run_forms(args) -> int:
     series = _series_for(args.weight, args.pmax, args.eigenform)
-    lines = [f"# weight {args.weight} eigenform coefficients"]
-    for m in range(1, args.pmax + 1):
-        lines.append(f"{m} {series.a(m)}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    # every coefficient is read first: a table with a gap exits 2 here
+    coeffs = [series.a(m) for m in range(1, args.pmax + 1)]
+    head = f"# weight {args.weight} eigenform coefficients\n"
+    _emit(chain([head], (f"{m} {c}\n" for m, c in enumerate(coeffs, 1))), args.out)
     return 0
 
 
@@ -188,7 +188,7 @@ def run_selftest(args) -> int:
     from . import selftest  # imported here so other subcommands skip it
 
     passed, failed = selftest.run()
-    print(f"selftest: {passed} passed, {failed} failed")
+    _emit([f"selftest: {passed} passed, {failed} failed\n"])
     return 0 if failed == 0 else 1
 
 

@@ -265,7 +265,6 @@ def dickson_exponents(params: IkedaParams) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=PRIME_CACHE_SIZE)
 def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
     """Monic integer polynomial of degree n/2 sending a_f(p) to the
     eigenvalue, built through the Dickson transform.

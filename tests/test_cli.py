@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import getcontext, localcontext
 
 import pytest
@@ -80,6 +81,16 @@ class TestEigen:
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
             assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_csv_layout_is_csv_writer(self, capsys):
+        # the rows are joined by hand; csv.writer must agree byte for byte
+        for extra in ((), ("--digits", "0")):
+            argv = ("eigen", "--n", "4", "--k", "12", "--pmax", "30", *extra)
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            buf = io.StringIO()
+            csv.writer(buf).writerows(csv.reader(io.StringIO(out)))
+            assert out == buf.getvalue()
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "eigen", "--n", "4", "--k", "8", "--pmax", "30")
@@ -222,6 +233,17 @@ class TestInternalErrorExit3:
         assert err.startswith("internal error: RouteDisagreementError: routes disagree at p = 5,")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_route_disagreement_creates_no_out_file(self, capsys, monkeypatch, tmp_path):
+        # every record is computed before the output file is opened
+        real = ikeda.eigenvalue_product
+        monkeypatch.setattr(
+            ikeda, "eigenvalue_product", lambda params, p, ap: real(params, p, ap) + (p == 5)
+        )
+        target = tmp_path / "out.csv"
+        code, out, _ = run_cli(capsys, *self.ARGV, "--out", str(target))
+        assert code == 3 and out == ""
+        assert not target.exists()
+
     def test_zero_division_exits_3(self, capsys, monkeypatch):
         def divide_by_zero(params, p):
             return 1 // 0
@@ -340,6 +362,19 @@ class TestForms:
             f"must be an even integer >= 12, got {weight}"
         )
 
+    def test_table_gap_leaves_no_output(self, capsys, tmp_path):
+        # every coefficient is read before the first line is written
+        table = tmp_path / "gap.txt"
+        table.write_text("1 1\n2 -24\n3 252\n4 -1472\n8 84480\n")
+        target = tmp_path / "out.txt"
+        for extra in ((), ("--out", str(target))):
+            code, out, err = run_cli(
+                capsys, "forms", "--weight", "12", "--pmax", "8", "--eigenform", str(table), *extra
+            )
+            assert code == 2 and out == ""
+            assert err == "error: coefficient a(5) not present in the table\n"
+        assert not target.exists()
+
     def test_decimal_context_is_left_alone(self, capsys):
         # the series engine multiplies in a context of its own
         with localcontext() as ctx:
@@ -423,6 +458,31 @@ class TestBeyondIntStrLimit:
             "summary: 1 primes checked, 0 failures; all routes agreed at every prime"
         )
         assert len(out.splitlines()[2].split()[2]) > 7000
+
+
+class TestOutputMemory:
+    """eigen writes each record as it is rendered, so its peak memory does
+    not grow with its output."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_does_not_follow_output_size(self, tmp_path, fmt):
+        target = tmp_path / "out"
+
+        def run(digits):
+            argv = ["eigen", "--n", "2", "--k", "10", "--pmax", "200", "--format", fmt]
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--digits", digits, "--out", str(target)]) == 0
+                return tracemalloc.get_traced_memory()[1], target.stat().st_size
+            finally:
+                tracemalloc.stop()
+
+        run("2000")  # warm-up: imports and the per-(n, k) caches
+        peak_small, size_small = run("2000")
+        peak_large, size_large = run("20000")
+        # 46 primes, two decimal fields each, 18000 more digits per field
+        assert size_large - size_small == 46 * 2 * 18000
+        assert peak_large - peak_small <= (size_large - size_small) / 4
 
 
 class TestPmaxBelowTwo:

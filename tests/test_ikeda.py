@@ -307,12 +307,8 @@ class TestIntegralExponents:
             return tuple(r)
 
         monkeypatch.setattr(ikeda, "factor_constants", corrupt)
-        ikeda.eigenvalue_polynomial.cache_clear()
-        try:
-            with pytest.raises(ArithmeticError, match="factored form"):
-                eigenvalue_polynomial(IkedaParams(6, 14), 3)
-        finally:
-            ikeda.eigenvalue_polynomial.cache_clear()
+        with pytest.raises(ArithmeticError, match="factored form"):
+            eigenvalue_polynomial(IkedaParams(6, 14), 3)
 
 
 @pytest.fixture
@@ -408,7 +404,6 @@ class TestBoundIdentity:
 class TestPerPrimeCaches:
     def test_caches_are_bounded(self):
         for fn in (
-            ikeda.eigenvalue_polynomial,
             ikeda.factor_constants,
             ikeda.gaussian_row,
             ikeda.double_sum_terms,
@@ -434,15 +429,14 @@ class TestPerPrimeCaches:
     def test_one_prime_working_set_fits(self):
         # a second pass over the same prime is served from the cache
         params = IkedaParams(20, 22)
-        ikeda.eigenvalue_polynomial.cache_clear()
+        ikeda.gaussian_row.cache_clear()
         verify_prime(params, 101, 0)
         verify_prime(params, 101, 7)
-        assert ikeda.eigenvalue_polynomial.cache_info().misses == 1
+        assert ikeda.gaussian_row.cache_info().misses == 1
 
     def test_factor_constants_computed_once_per_prime(self):
         params = IkedaParams(12, 20)
         ikeda.factor_constants.cache_clear()
-        ikeda.eigenvalue_polynomial.cache_clear()
         verify_prime(params, 103, 0)
         verify_prime(params, 103, 5)
         info = ikeda.factor_constants.cache_info()
