@@ -11,16 +11,23 @@ including a path that cannot be read or written and a coefficient-table line
 that is not two integers, 3 = internal error: an implementation fault, such
 as routes that disagree, a failed exact identity or integrality check, or
 any other unexpected exception, reported as `internal error: <Type>:
-<message>` on stderr without a traceback.
+<message>` on stderr without a traceback.  A reader that closes standard
+output early (`| head`) changes none of these: the rest of the output is
+dropped, nothing is written to stderr, and the exit code is the one the
+results set, 0 or 1: every result is computed before the first byte, and
+selftest, which reports each check as it ends, runs the rest of them.  A
+file given by --out that cannot be written is still exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from itertools import chain
 
-from .exactnum import primes_upto, unlimited_int_digits
+from .exactnum import exact_pair, primes_upto, unlimited_int_digits
 from .ikeda import DeligneBoundError, IkedaParams, verify_prime
 from .modforms import (
     EigenformValidationError,
@@ -89,14 +96,14 @@ def _flag(value: bool) -> str:
 def _fields(rep, digits: int) -> list[str]:
     """The record of one prime, field by field in CSV_COLUMNS order, each
     rendered as both formats write it."""
+    lower, upper = rep.lower, rep.upper
     return [
         str(rep.p),
         str(rep.a_p),
         str(rep.eigenvalue),
-        rep.lower.exact(),
-        rep.upper.exact(),
-        rep.lower.decimal(digits),
-        rep.upper.decimal(digits),
+        *exact_pair(lower, upper),
+        lower.decimal(digits),
+        upper.decimal(digits),
         _flag(rep.positive),
         _flag(rep.within_bounds),
         _flag(rep.routes_agree),
@@ -122,13 +129,24 @@ def _emit(lines, out_path=None) -> None:
     """Write lines, each with its own line ending, to the file at out_path,
     or to stdout when it is empty.  They are made as they are written, in a
     block that lifts the int <-> str digit limit: an exact result of any
-    length is written in full."""
+    length is written in full.  Stdout is flushed here, so a reader that
+    has closed it is met here and nowhere later."""
     with unlimited_int_digits():
         if out_path:
             with open(out_path, "w") as fh:
                 fh.writelines(lines)
-        else:
+            return
+        try:
             sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone, so the rest has no one to read it; the
+            # results these lines report were computed before them, so the
+            # run keeps the exit code they set.  stdout now points at the
+            # null device, so no later write or the flush at exit can fail.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _passed(rep) -> bool:
@@ -187,7 +205,7 @@ def run_forms(args) -> int:
 def run_selftest(args) -> int:
     from . import selftest  # imported here so other subcommands skip it
 
-    passed, failed = selftest.run()
+    passed, failed = selftest.run(lambda line: _emit([line + "\n"]))
     _emit([f"selftest: {passed} passed, {failed} failed\n"])
     return 0 if failed == 0 else 1
 
@@ -276,6 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the CLI on argv, or on the process's arguments when argv is None.
+
+    Run as a program (argv None), main first moves every object that the
+    imports made into the collector's permanent generation (gc.freeze):
+    none of them is ever garbage, so no later collection walks them, and
+    the interpreter's exit does not collect and free them one by one.  A
+    call with an explicit argv, as from a test or a profiler, leaves the
+    collector alone.
+    """
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,16 +20,19 @@ exactnum.half_power), and _halve checks each one even and non-negative
 before it is used as a power of p in Z.  The checks depend only on (n, k),
 so they run once per parameter pair, in the three tables double_sum_terms,
 dickson_exponents and bound_exponent; any other per-(n, k) table (such as
-double_sum_by_power) is derived from these.  Routes 1 and 3 both read the
-Gaussian binomials (n choose 0..n/2)_p, which gaussian_row computes once
-per prime.
+double_sum_by_power, reciprocal_terms and power_top) is derived from these.
+Routes 1 and 3 both read the Gaussian binomials (n choose 0..n/2)_p, which
+gaussian_row computes once per prime.
 
 In route 3 the scalar p^(h_i/2) that multiplies each Dickson polynomial
 D_{n/2-i} has h_i = i(i + 2k - 2n - 1): even, since i and i + 2k - 2n - 1
 differ in parity, and non-negative, since k > n.  So route 3 runs on
-Python ints, with D_0..D_{n/2} from one pass of the Dickson recurrence;
-the expansion of prod (x + r_i) it is checked against is multiplied out
-in place.
+Python ints.  D_m(x, c) is homogeneous in x and c (of degrees 1 and 2), so
+its coefficients at c = p^(2k-n-1) are those of D_m(x, 1), from one
+dickson_family pass per (n, k), times powers of p (reciprocal_terms); the
+expansion of prod (x + r_i) it is checked against is multiplied out in
+place.  Every power of p that the routes and the bounds read at one prime
+comes from one tuple, prime_powers.
 The bounds run on ints too: each factor 1 -+ p^-(i-1/2) is
 (p^i -+ sqrt(p)) / p^i, so a bound is p^e * (E -+ O sqrt(p))^2, where
 E + O sqrt(p) is prod (sqrt(p) + p^i) and e (bound_exponent) is a
@@ -37,9 +40,11 @@ non-negative integer.
 
 Every verification asserts the mutual agreement of the routes, and that the
 exact sqrt(p)-bounds equal the product route at the Deligne endpoints,
-where each linear factor is an int pair r_i -+ s*sqrt(p); the sign tests
-stay on QuadExt.sign.  Satake parameters themselves are never represented,
-so all arithmetic stays in Z, Q, or Q(sqrt(p)).
+where each linear factor is an int pair r_i -+ s*sqrt(p): the product at
+the upper endpoint is multiplied out once, and the lower bound is compared
+with its conjugate.  The sign tests stay on QuadExt.sign.  Satake
+parameters themselves are never represented, so all arithmetic stays in Z,
+Q, or Q(sqrt(p)).
 """
 
 from __future__ import annotations
@@ -135,6 +140,32 @@ def _halve(h, what: str) -> int:
     return e
 
 
+@lru_cache(maxsize=1)
+def prime_powers(p: int, top: int) -> tuple[int, ...]:
+    """(p^0, p^1, ..., p^top), one multiplication each.  Every power of p
+    that the routes and the bounds read at one prime comes from this
+    tuple; a sweep asks about one prime at a time, so only that prime's
+    powers are kept."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * p)
+    return tuple(out)
+
+
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def power_top(params: IkedaParams) -> int:
+    """The largest exponent of p that the routes and the bounds read from
+    prime_powers at (n, k): of route 1's terms, of route 2's factor
+    constants (k - 1), of route 3's terms, and of the bounds."""
+    return max(
+        max(exp for _, _, exp, _ in double_sum_terms(params)),
+        params.k - 1,
+        max(exp for *_, exp in reciprocal_terms(params)),
+        params.n // 2,
+        bound_exponent(params),
+    )
+
+
 # ---------------------------------------------------------------------------
 # route 1: explicit double sum
 # ---------------------------------------------------------------------------
@@ -205,12 +236,13 @@ def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
     are summed per power of a_f(p) (double_sum_by_power) and the powers
     combined by Horner's rule in a_f(p)."""
     qb = gaussian_row(params.n, p)
+    pw = prime_powers(p, power_top(params))
     total = 0
     for e0, group in reversed(double_sum_by_power(params)):
         coeff = 0
         for weight, m, exp in group:
-            coeff += weight * qb[m] * p**exp
-        total = total * ap + coeff * p**e0
+            coeff += weight * qb[m] * pw[exp]
+        total = total * ap + coeff * pw[e0]
     return total
 
 
@@ -224,7 +256,8 @@ def factor_constants(params: IkedaParams, p: int) -> tuple[int, ...]:
     """The constants r_i = p^(k-i) + p^(k-n-1+i), i = 1..n/2, of the linear
     factors (x + r_i) shared by routes 2 and 3."""
     n, k = params.n, params.k
-    return tuple(p ** (k - i) + p ** (k - n - 1 + i) for i in range(1, n // 2 + 1))
+    pw = prime_powers(p, power_top(params))
+    return tuple(pw[k - i] + pw[k - n - 1 + i] for i in range(1, n // 2 + 1))
 
 
 def eigenvalue_product(params: IkedaParams, p: int, ap):
@@ -265,32 +298,50 @@ def dickson_exponents(params: IkedaParams) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def reciprocal_terms(params: IkedaParams) -> tuple[tuple[int, int, int, int], ...]:
+    """Every term of route 3 as an integer tuple
+    (x-exponent j, Gaussian index i, Dickson coefficient, p-exponent).
+
+    The palindromic pair of coefficients i and n - i contributes
+    p^(h_i/2) * (n choose i)_p * D_{n/2-i}(x, c) with c = p^(2k-n-1), and
+    the centre coefficient p^(h_{n/2}/2) * (n choose n/2)_p.  D_m(x, c) is
+    homogeneous, x of degree 1 and c of degree 2: its coefficient of
+    x^(m-2t) is d_{m,t} c^t, where d_{m,t} is the coefficient in D_m(x, 1).
+    So D_m's term t adds d_{m,t} (n choose i)_p p^(h_i/2 + (2k-n-1) t) to
+    the coefficient of x^(m-2t), with every d_{m,t} from one
+    dickson_family(n/2, 1) pass and every exponent integral by
+    dickson_exponents.
+    """
+    half = params.n // 2
+    exps = dickson_exponents(params)
+    g = 2 * params.k - params.n - 1
+    family = dickson_family(half, 1)
+    out = [(0, half, 1, exps[half])]
+    for i in range(half):
+        m = half - i
+        for j, d in enumerate(family[m]):
+            if d:
+                out.append((j, i, d, exps[i] + g * ((m - j) // 2)))
+    return tuple(out)
+
+
 def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
     """Monic integer polynomial of degree n/2 sending a_f(p) to the
     eigenvalue, built through the Dickson transform.
 
-    The palindromic pair of coefficients i and n - i contributes
-    p^(h_i/2) * (n choose i)_p * D_{n/2-i}(x) with c = p^(2k-n-1), and the
-    centre coefficient contributes p^(h_{n/2}/2) * (n choose n/2)_p; every
-    exponent is integral by dickson_exponents, (n choose 0..n/2)_p come from
-    gaussian_row, and D_0..D_{n/2} from one dickson_family pass.  The result
-    is asserted monic of degree n/2 and equal to the expansion of
-    prod (x + r_i) over the factor_constants of route 2.  Either assertion
-    failing indicates an implementation defect.
+    The coefficients are sums of the terms of reciprocal_terms, with
+    (n choose 0..n/2)_p from gaussian_row and the powers of p from
+    prime_powers.  The result is asserted monic of degree n/2 and equal to
+    the expansion of prod (x + r_i) over the factor_constants of route 2.
+    Either assertion failing indicates an implementation defect.
     """
-    n, k = params.n, params.k
-    half = n // 2
-    exps = dickson_exponents(params)
-    qb = gaussian_row(n, p)
-    family = dickson_family(half, p ** (2 * k - n - 1))
-
+    half = params.n // 2
+    qb = gaussian_row(params.n, p)
+    pw = prime_powers(p, power_top(params))
     acc = [0] * (half + 1)
-    acc[0] = p ** exps[half] * qb[half]
-    for i in range(half):
-        scal = p ** exps[i] * qb[i]
-        for j, x in enumerate(family[half - i]):
-            if x:
-                acc[j] += scal * x
+    for j, i, d, exp in reciprocal_terms(params):
+        acc[j] += d * qb[i] * pw[exp]
 
     if acc[half] != 1:
         raise ArithmeticError(f"expected a monic polynomial of degree {half}: {acc!r}")
@@ -337,11 +388,12 @@ def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     the lower bound takes the conjugate.  p is taken to be prime, as
     verify_prime has checked; it is not tested again.
     """
+    pw = prime_powers(p, power_top(params))
     E, O = 1, 0
     for i in range(1, params.n // 2 + 1):
-        q = p**i
+        q = pw[i]
         E, O = E * q + O * p, E + O * q
-    s = p ** bound_exponent(params)
+    s = pw[bound_exponent(params)]
     rational, surd = s * (E * E + p * O * O), 2 * s * E * O
     # with D = 1 the parts are already in canonical form
     return _quad(rational, -surd, 1, p), _quad(rational, surd, 1, p)
@@ -401,18 +453,18 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
             f"routes disagree at p = {p}, a = {ap}: sum={v1} product={v2} reciprocal={v3}"
         )
     lower, upper = eigenvalue_bounds(params, p)
-    # the factors of route 2 at a = -+2*p^((w-1)/2) are perfect squares
-    # whose product is exactly the bound
+    # the factors of route 2 at a = 2*p^((w-1)/2) are perfect squares whose
+    # product is exactly the upper bound; at a = -2*p^((w-1)/2) each factor,
+    # and so the product, is the conjugate, which must be the lower bound
     s = 2 * p ** ((w - 2) // 2)
-    for bound, t in ((lower, -s), (upper, s)):
-        X, Y, tp = 1, 0, t * p
-        for r in factor_constants(params, p):
-            # (X + Y sqrt p)(r + t sqrt p)
-            X, Y = X * r + Y * tp, X * t + Y * r
-        if _quad(X, Y, 1, p) != bound:
-            raise BoundIdentityError(
-                f"bounds at p = {p} differ from the product route at a = -+2*{p}^({w - 1}/2)"
-            )
+    X, Y, sp = 1, 0, s * p
+    for r in factor_constants(params, p):
+        # (X + Y sqrt p)(r + s sqrt p)
+        X, Y = X * r + Y * sp, X * s + Y * r
+    if _quad(X, Y, 1, p) != upper or _quad(X, -Y, 1, p) != lower:
+        raise BoundIdentityError(
+            f"bounds at p = {p} differ from the product route at a = -+2*{p}^({w - 1}/2)"
+        )
     positive = v1 > 0
     within = (lower - v1).sign() <= 0 and (upper - v1).sign() >= 0
     return EigenvalueReport(

@@ -7,8 +7,9 @@ the same invariants at the same scale.
 
 The constructions that only the checks use also live here: the schoolbook
 polynomial product, the divisor-sum sweep, q-factorials, the
-q-binomial-theorem expansion, the Satake generating polynomial and the
-Deligne limit.  The modules that every CLI run imports carry none of them.
+q-binomial-theorem expansion, the Satake generating polynomial, route 3's
+literal Dickson construction and the Deligne limit.  The modules that every
+CLI run imports carry none of them.
 """
 
 from __future__ import annotations
@@ -139,6 +140,24 @@ def satake_polynomial(params: IkedaParams, p: int) -> tuple[QuadExt, ...]:
     return tuple(
         half_power(p, d + i * (i - n)) * q_binomial_eval(n, i, p) for i in range(n + 1)
     )
+
+
+def literal_eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
+    """Route 3's polynomial built literally: D_0..D_{n/2} from the Dickson
+    recurrence at c = p^(2k-n-1), each D_{n/2-i} scaled by
+    p^(h_i/2) * (n choose i)_p, plus the centre coefficient.  The oracle for
+    eigenvalue_polynomial, which reads the coefficients of D_m(x, c) off
+    D_m(x, 1) by homogeneity."""
+    n, k = params.n, params.k
+    half = n // 2
+    exps = dickson_exponents(params)
+    qb = q_binomial_row(n, half, p)
+    family = dickson_family(half, p ** (2 * k - n - 1))
+    acc = [p ** exps[half] * qb[half]] + [0] * half
+    for i in range(half):
+        for j, x in enumerate(family[half - i]):
+            acc[j] += p ** exps[i] * qb[i] * x
+    return tuple(acc)
 
 
 def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
@@ -404,6 +423,14 @@ def check_eigenvalue_polynomial_structure():
             assert all(isinstance(c, int) for c in tilde), (n, k, p)
 
 
+def check_eigenvalue_polynomial_oracle():
+    for n, k in valid_pairs(20, 40):
+        params = IkedaParams(n, k)
+        for p in primes_upto(50):
+            want = literal_eigenvalue_polynomial(params, p)
+            assert eigenvalue_polynomial(params, p) == want, (n, k, p)
+
+
 def check_satake_factorization():
     for n, k in valid_pairs(6, 16):
         params = IkedaParams(n, k)
@@ -564,6 +591,7 @@ CHECKS = [
     ("exponent integrality", check_exponent_integrality),
     ("Satake palindromes", check_satake_palindromes),
     ("monic integral eigenvalue polynomial", check_eigenvalue_polynomial_structure),
+    ("eigenvalue polynomial vs literal Dickson oracle", check_eigenvalue_polynomial_oracle),
     ("generating-polynomial factorization", check_satake_factorization),
     ("positivity and bounds at primes <= 1000", check_positivity_and_bounds_sweep),
     ("factor gaps above the Deligne limit", check_factor_gaps),
@@ -574,16 +602,17 @@ CHECKS = [
 ]
 
 
-def run() -> tuple[int, int]:
-    """Run every check, printing one line each; returns (passed, failed)."""
+def run(report=print) -> tuple[int, int]:
+    """Run every check, passing one line for each to report as it ends;
+    returns (passed, failed)."""
     passed = failed = 0
     for name, fn in CHECKS:
         try:
             fn()
         except Exception as exc:  # report and continue
             failed += 1
-            print(f"[FAIL] {name} ({fn.__name__}): {exc!r}")
+            report(f"[FAIL] {name} ({fn.__name__}): {exc!r}")
         else:
             passed += 1
-            print(f"[ok]   {name}")
+            report(f"[ok]   {name}")
     return passed, failed

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, CSV/JSON parity, file round trips."""
 
 import csv
+import gc
 import io
 import json
 import os
@@ -599,3 +600,79 @@ class TestSelftest:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+def _spawn_cli(*argv, **kwargs):
+    """`python -m ikedalift argv` in a fresh interpreter that imports the
+    package from this checkout."""
+    src = os.path.dirname(os.path.dirname(ikedalift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-m", "ikedalift", *argv], env=env, **kwargs)
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early (`| head`) is not a usage error:
+    the run keeps the exit code its results set and writes no stderr line.
+    Closing the read end before the child writes makes the broken pipe
+    certain, whatever the size of the output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--n", "8", "--k", "14", "--pmax", "300"),
+            ("eigen", "--n", "4", "--k", "12", "--pmax", "200", "--format", "json"),
+            ("qbinom", "--n", "6", "--m", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exits_0_with_empty_stderr(self, argv):
+        proc = _spawn_cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == b""
+
+    def test_out_file_error_still_exits_2(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # a reader that opens the FIFO and leaves at once; the 268 kB of
+        # output overflow the pipe, so the writer meets the closed end
+        reader = subprocess.Popen(
+            [sys.executable, "-c", f"open({str(fifo)!r}, 'rb').close()"]
+        )
+        try:
+            code, out, err = run_cli(
+                capsys, "eigen", "--n", "4", "--k", "12", "--pmax", "3000", "--out", str(fifo)
+            )
+        finally:
+            # a run that fails before it opens the FIFO leaves the reader
+            # waiting in open()
+            reader.kill()
+            reader.wait()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Broken pipe" in err
+
+
+class TestFrozenHeap:
+    def test_in_process_main_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["qbinom", "--n", "4", "--m", "2"]) == 0
+        assert main(["eigen", "--n", "2", "--k", "10", "--pmax", "20"]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    def test_program_run_freezes_the_import_heap(self):
+        src = os.path.dirname(os.path.dirname(ikedalift.__file__))
+        code = (
+            "import gc, sys; from ikedalift.cli import main; "
+            "sys.argv = ['ikedalift', 'qbinom', '--n', '4', '--m', '2']; "
+            "before = gc.get_freeze_count(); main(); "
+            "print(before, gc.get_freeze_count(), file=sys.stderr)"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        before, after = map(int, out.stderr.split())
+        assert before == 0 and after > 0

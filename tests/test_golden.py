@@ -3,9 +3,13 @@ scalars, the per-prime routes or the series build cannot alter a byte of
 what the CLI writes."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ikedalift
 from ikedalift.cli import main
 
 GOLDEN = [
@@ -62,3 +66,19 @@ def test_output_digest(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the program as it is run, `python -m ikedalift`, which also freezes the
+# import-time heap before it starts: one record-writing and one series case
+ENTRY_POINT = [GOLDEN[1], GOLDEN[5]]
+
+
+@pytest.mark.parametrize("argv, digest", ENTRY_POINT, ids=[" ".join(a) for a, _ in ENTRY_POINT])
+def test_entry_point_digest(argv, digest):
+    src = os.path.dirname(os.path.dirname(ikedalift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-m", "ikedalift", *argv], env=env, capture_output=True, check=True
+    )
+    assert run.stderr == b""
+    assert hashlib.sha256(run.stdout).hexdigest() == digest

@@ -183,6 +183,21 @@ class TestEigenvaluePolynomial:
     def test_monic_across_sweep(self):
         selftest.check_eigenvalue_polynomial_structure()
 
+    def test_matches_literal_dickson_oracle(self):
+        selftest.check_eigenvalue_polynomial_oracle()
+
+    def test_dickson_homogeneity(self):
+        # D_m(x, c) = sum_t d_{m,t} c^t x^(m-2t), with d_{m,t} read off
+        # D_m(x, 1): the identity reciprocal_terms rests on
+        for c in (2, 3, -4, 7**5, 10**40):
+            family, unit = dickson_family(12, c), dickson_family(12, 1)
+            for m, (dc, d1) in enumerate(zip(family, unit)):
+                assert dc == tuple(d * c ** ((m - j) // 2) for j, d in enumerate(d1)), (c, m)
+
+    def test_prime_powers(self):
+        assert ikeda.prime_powers(7, 4) == (1, 7, 49, 343, 2401)
+        assert ikeda.prime_powers(2999, 80) == tuple(2999**e for e in range(81))
+
 
 class TestSatakePolynomial:
     def test_coefficients_2_10_2(self):
@@ -409,7 +424,10 @@ class TestPerPrimeCaches:
             ikeda.double_sum_terms,
             ikeda.double_sum_by_power,
             ikeda.dickson_exponents,
+            ikeda.reciprocal_terms,
             ikeda.bound_exponent,
+            ikeda.power_top,
+            ikeda.prime_powers,
             exactnum.is_prime,
             exactnum._floor_surd,
         ):
