@@ -7,7 +7,7 @@ determination.  Eigenvalues are computed by three independent formulas whose
 agreement is asserted on every run.
 """
 
-from .exactnum import QuadExt, half_power, is_prime, primes_upto
+from .exactnum import QuadExt, is_prime, primes_upto
 from .ikeda import (
     BoundIdentityError,
     DeligneBoundError,

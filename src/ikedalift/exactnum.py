@@ -119,7 +119,8 @@ class QuadExt:
 
     The form is canonical: D > 0 and gcd(A, B, D) = 1, so equal values have
     equal parts.  The rational parts read as the Fractions .a = A/D and
-    .b = B/D.
+    .b = B/D.  Order is read from sign() of a difference alone, and the one
+    exact rendering is exact().
     """
 
     __slots__ = ("_A", "_B", "_D", "p")
@@ -204,19 +205,6 @@ class QuadExt:
     def __neg__(self):
         return _quad(-self._A, -self._B, self._D, self.p)
 
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        out = _quad(1, 0, 1, self.p)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
-
     def __eq__(self, other):
         if isinstance(other, QuadExt):
             # distinct radicands never represent the same irrational number;
@@ -244,7 +232,7 @@ class QuadExt:
             return hash(Fraction(self._A, self._D))
         return hash((self._A, self._B, self._D, self.p))
 
-    # -- exact sign and comparisons ----------------------------------------
+    # -- exact sign ---------------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1} of the real number (A + B*sqrt(p)) / D."""
@@ -264,30 +252,6 @@ class QuadExt:
             return sb
         # A^2 = B^2 p with A, B nonzero would make sqrt(p) rational
         raise ArithmeticError(f"sqrt({self.p}) is rational?  {self!r}")
-
-    def __lt__(self, other):
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() < 0
-
-    def __le__(self, other):
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() <= 0
-
-    def __gt__(self, other):
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() > 0
-
-    def __ge__(self, other):
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() >= 0
 
     # -- rendering ----------------------------------------------------------
 
@@ -320,17 +284,6 @@ class QuadExt:
         A, B, D = self._A, self._B, self._D
         ga, gb = gcd(A, D), gcd(B, D)
         return f"{A // ga}/{D // ga}+{B // gb}/{D // gb}*sqrt({self.p})"
-
-    def __str__(self):
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        surd = f"{b}*sqrt({self.p})"
-        if a == 0:
-            return surd
-        joiner = " + " if b > 0 else " - "
-        mag = f"{abs(b)}*sqrt({self.p})"
-        return f"{a}{joiner}{mag}"
 
     def __repr__(self):
         return f"QuadExt(a={self.a!r}, b={self.b!r}, p={self.p!r})"
@@ -382,16 +335,3 @@ def exact_pair(lower: QuadExt, upper: QuadExt) -> tuple[str, str]:
         a, b = str(A), str(B)
         return f"{a}/1+-{b}/1*sqrt({p})", f"{a}/1+{b}/1*sqrt({p})"
     return lower.exact(), upper.exact()
-
-
-def half_power(p: int, h: int) -> QuadExt:
-    """Exact p**(h/2) as an element of Q(sqrt(p)).
-
-    Even h gives a rational power (negative h gives exact fractions); odd h
-    gives p**((h-1)/2) * sqrt(p).
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    e, odd = divmod(h, 2)
-    num, den = (p**e, 1) if e >= 0 else (1, p**-e)
-    return _quad(0, num, den, p) if odd else _quad(num, 0, den, p)

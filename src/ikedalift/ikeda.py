@@ -16,7 +16,7 @@ The three routes are
 
 The paper's formulas carry half-integer powers of p.  Every exponent here is
 held doubled, as an int h standing for p^(h/2) (the convention of
-exactnum.half_power), and _halve checks each one even and non-negative
+selftest.half_power), and _halve checks each one even and non-negative
 before it is used as a power of p in Z.  The checks depend only on (n, k),
 so they run once per parameter pair, in the three tables double_sum_terms,
 dickson_exponents and bound_exponent; any other per-(n, k) table (such as
@@ -400,11 +400,10 @@ def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
 
 
 class EigenvalueReport:
-    """Per-prime verification record."""
+    """Per-prime verification record.  verify_prime makes one only after the
+    three routes agreed at its prime, so it carries no agreement flag."""
 
-    __slots__ = (
-        "p", "a_p", "eigenvalue", "lower", "upper", "positive", "within_bounds", "routes_agree"
-    )
+    __slots__ = ("p", "a_p", "eigenvalue", "lower", "upper", "positive", "within_bounds")
 
     def __init__(
         self,
@@ -415,7 +414,6 @@ class EigenvalueReport:
         upper: QuadExt,
         positive: bool,
         within_bounds: bool,
-        routes_agree: bool,
     ):
         self.p = p
         self.a_p = a_p
@@ -424,7 +422,6 @@ class EigenvalueReport:
         self.upper = upper
         self.positive = positive
         self.within_bounds = within_bounds
-        self.routes_agree = routes_agree
 
 
 def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
@@ -475,5 +472,4 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
         upper=upper,
         positive=positive,
         within_bounds=within,
-        routes_agree=True,
     )

@@ -35,22 +35,21 @@ class EigenformValidationError(Exception):
     Carries the first offending index in .index.
     """
 
-    line = None
-
     def __init__(self, index, message):
         self.index = index
         super().__init__(f"index {index}: {message}")
 
 
-class TableParseError(EigenformValidationError):
-    """A coefficient-table line is not two integers.
+class TableParseError(ValueError):
+    """A coefficient-table line is not two integers: a usage error, not a
+    failed validation.
 
-    Carries the 1-based line number in .line; .index is None.
+    Carries the 1-based line number in .line.
     """
 
     def __init__(self, line, message):
-        self.index, self.line = None, line
-        Exception.__init__(self, f"line {line}: {message}")
+        self.line = line
+        super().__init__(f"line {line}: {message}")
 
 
 BUILTIN_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -234,13 +233,23 @@ def eigenform(w: int, N: int) -> FourierSeries:
     return FourierSeries(w, tuple(coeffs))
 
 
+def _power_within(p: int, e: int, bits: int):
+    """p**e for p >= 2, or None when its lower bound
+    2**(e*(p.bit_length() - 1)) already has more than bits bits."""
+    if e * (p.bit_length() - 1) + 1 > bits:
+        return None
+    return p**e
+
+
 def within_deligne(a: int, p: int, w: int) -> bool:
     """Deligne's bound |a| <= 2*p**((w-1)/2) for a weight-w coefficient at
     the prime p, tested exactly as a^2 <= 4*p**(w-1).  Below w = 1 that
     power is a fraction, so such a weight raises ValueError."""
     if w < 1:
         raise ValueError(f"weight {w} is below 1; the Deligne bound is for weights >= 1")
-    return a * a <= 4 * p ** (w - 1)
+    square = a * a
+    power = _power_within(p, w - 1, square.bit_length())
+    return power is None or square <= 4 * power
 
 
 def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
@@ -304,7 +313,10 @@ def _check_composite(table: dict, w: int, m: int, p: int) -> None:
     aprev = table.get(prev)
     aprev2 = 1 if prev2 == 1 else table.get(prev2)
     if p in table and aprev is not None and aprev2 is not None:
-        if table[m] != table[p] * aprev - p ** (w - 1) * aprev2:
+        # p^(w-1) a(prev2) = r; a power longer than r needs a(prev2) = r = 0
+        r = table[p] * aprev - table[m]
+        power = _power_within(p, w - 1, r.bit_length())
+        if not (r == 0 == aprev2 if power is None else r == power * aprev2):
             raise EigenformValidationError(
                 m,
                 f"Hecke relation violated: a({m}) != "

@@ -195,7 +195,7 @@ class TestVerify:
 
         real = cli.verify_prime
 
-        def disagree_at_5(params, p, ap):
+        def out_of_bounds_at_5(params, p, ap):
             rep = real(params, p, ap)
             if p != 5:
                 return rep
@@ -206,15 +206,16 @@ class TestVerify:
                 lower=rep.lower,
                 upper=rep.upper,
                 positive=rep.positive,
-                within_bounds=rep.within_bounds,
-                routes_agree=False,
+                within_bounds=False,
             )
 
-        monkeypatch.setattr(cli, "verify_prime", disagree_at_5)
+        # a disagreement raises before any report exists (exit 3, below), so
+        # every summary states agreement; a bound failure is still counted
+        monkeypatch.setattr(cli, "verify_prime", out_of_bounds_at_5)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 1
         assert out.splitlines()[-1] == (
-            "summary: 4 primes checked, 1 failures; routes disagreed at 1 of 4 primes"
+            "summary: 4 primes checked, 1 failures; all routes agreed at every prime"
         )
 
 

@@ -6,7 +6,10 @@ where a file belongs, and weights outside the contract.  Each run must end
 in 0, 1 or 2 (3 is a fault of the program) and never print a traceback.
 Sizes are capped so that no example runs long: pmax <= 200, n and k <= 40,
 --digits <= 60 and qbinom --n <= 60; huge positive values go only where
-they are refused or cheap (qbinom --m and --q).
+they are refused or cheap (qbinom --m and --q, and forms --weight, whose
+Deligne and Hecke tests never form a power of p longer than the
+coefficients they test).  --k stays capped: the routes themselves read
+powers p^(k-1).
 """
 
 import io
@@ -61,7 +64,7 @@ OPTIONS = {
         ("--q", ints(-10, 10, (-1, 0, 1, 2), HUGE_NEGATIVE + HUGE_POSITIVE)),
     ],
     "forms": [
-        ("--weight", ints(-30, 60, (12, 13, 14, 20, 26))),
+        ("--weight", ints(-30, 60, (12, 13, 14, 20, 26), HUGE_NEGATIVE + HUGE_POSITIVE)),
         ("--pmax", ints(-2, 200, (1, 50, 200))),
         ("--eigenform", TABLES),
         ("--out", OUTS),

@@ -8,6 +8,7 @@ give a(2) by a one-step convolution (tau(2) + E-series a(1)).
 
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -28,7 +29,7 @@ from ikedalift.modforms import (
     within_deligne,
 )
 from ikedalift.ikeda import DeligneBoundError, IkedaParams, verify_prime
-from ikedalift.exactnum import PRIME_TEST_LIMIT
+from ikedalift.exactnum import PRIME_TEST_LIMIT, primes_upto
 
 
 class TestBernoulli:
@@ -299,16 +300,18 @@ class TestLoadEigenform:
         path = write_table(tmp_path, "# weight 12\n1 1\n2 -24 7\n")
         with pytest.raises(TableParseError) as info:
             load_eigenform(path, 12)
-        assert info.value.line == 3 and info.value.index is None
+        assert info.value.line == 3
         assert str(info.value) == "line 3: unparseable entry '2 -24 7\\n'"
 
     def test_non_integer_line_names_the_line(self, tmp_path):
         path = write_table(tmp_path, "1 1\n\n2 x\n")
         with pytest.raises(TableParseError) as info:
             load_eigenform(path, 12)
-        assert info.value.line == 3 and info.value.index is None
+        assert info.value.line == 3
         assert str(info.value) == "line 3: non-integer entry '2 x\\n'"
-        assert isinstance(info.value, EigenformValidationError)
+        # a usage error (exit 2), not a failed validation (exit 1)
+        assert isinstance(info.value, ValueError)
+        assert not isinstance(info.value, EigenformValidationError)
 
     def test_valid_table_needs_no_trial_division(self, tmp_path, monkeypatch):
         def no_trial_division(m):
@@ -352,6 +355,17 @@ class TestLoadEigenform:
         with pytest.raises(EigenformValidationError, match="^index 5: missing index"):
             load_eigenform(path, 12)
         assert time.perf_counter() - start < 0.1
+
+    def test_huge_weight_is_tested_without_its_power(self, tmp_path):
+        # 3**(10**7 - 1) has about 1.6 * 10**7 bits; neither test forms it
+        start = time.perf_counter()
+        f = load_eigenform(write_table(tmp_path, "1 1\n2 -24\n3 252\n"), 10**7)
+        assert f.coeffs == (0, 1, -24, 252)
+        # a(4) = a(2)^2 - 2^(w-1) a(1) cannot hold with a small a(4)
+        path = write_table(tmp_path, "1 1\n2 -24\n3 252\n4 -1472\n", "four.txt")
+        with pytest.raises(EigenformValidationError, match="^index 4: Hecke relation"):
+            load_eigenform(path, 10**7)
+        assert time.perf_counter() - start < 0.5
 
     def test_index_beyond_the_prime_test_is_refused(self, tmp_path):
         m = PRIME_TEST_LIMIT
@@ -412,6 +426,33 @@ class TestLoadEigenform:
         assert load_eigenform(write_table(tmp_path, head + "31603 15\n", "ok.txt"), 12).a(31603) == 15
 
 
+class TestHeckeRelation:
+    @staticmethod
+    def holds(table, w, m, p):
+        try:
+            modforms._check_composite(table, w, m, p)
+        except EigenformValidationError:
+            return False
+        return True
+
+    def test_matches_the_plain_test_around_every_bit_boundary(self):
+        # a(p^3) = a(p) a(p^2) - p^(w-1) a(p), with r = a(p) a(p^2) - a(p^3)
+        # at each bit length from where p^(w-1) is first formed to past its
+        # own, a(p) = 0 included
+        for p in primes_upto(50):
+            for w in range(1, 41):
+                power = p ** (w - 1)
+                rs = {0, 1, -1, power - 1, power, power + 1, -power}
+                first = (w - 1) * (p.bit_length() - 1) + 1
+                for j in range(max(0, first - 3), power.bit_length() + 2):
+                    rs |= {(1 << j) - 1, 1 << j, (1 << j) + 1, -(1 << j)}
+                for ap in (0, -1):
+                    for r in rs:
+                        table = {1: 1, p: ap, p * p: 5, p**3: ap * 5 - r}
+                        want = table[p**3] == ap * 5 - power * ap
+                        assert self.holds(table, w, p**3, p) == want, (p, w, ap, r)
+
+
 class TestDeligne:
     def test_boundary_is_exact(self):
         # weight 18 at p = 2: 4*2^17 = 524288, 724^2 = 524176, 725^2 = 525625
@@ -424,6 +465,21 @@ class TestDeligne:
         # 4*p**(w - 1) would be a float, and the comparison inexact
         with pytest.raises(ValueError, match="weight 0"):
             within_deligne(1, 2, 0)
+
+    def test_matches_the_plain_test_around_every_bit_boundary(self):
+        # |a| at the limit and where a*a changes bit length, the length
+        # that decides whether p**(w - 1) is formed
+        for p in primes_upto(50):
+            for w in range(1, 41):
+                bound = 4 * p ** (w - 1)
+                limit = isqrt(bound)
+                values = {0, limit - 1, limit, limit + 1}
+                for j in range(bound.bit_length() + 3):
+                    r = isqrt(1 << j)
+                    values |= {r - 1, r, r + 1}
+                for a in values:
+                    for s in (a, -a):
+                        assert within_deligne(s, p, w) == (s * s <= bound), (s, p, w)
 
     def test_callers_keep_their_errors(self):
         f = FourierSeries(18, (0, 1, 725))
