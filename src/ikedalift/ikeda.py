@@ -17,22 +17,22 @@ The three routes are
 The paper's formulas carry half-integer powers of p.  Every exponent here is
 held doubled, as an int h standing for p^(h/2) (the convention of
 selftest.half_power), and _halve checks each one even and non-negative
-before it is used as a power of p in Z.  The checks depend only on (n, k),
-so they run once per parameter pair, in the three tables double_sum_terms,
-dickson_exponents and bound_exponent; any other per-(n, k) table (such as
-double_sum_by_power, reciprocal_terms and power_top) is derived from these.
-Routes 1 and 3 both read the Gaussian binomials (n choose 0..n/2)_p, which
-gaussian_row computes once per prime.
+before it is used as a power of p in Z.  The checks depend only on (n, k);
+they run in the three functions double_sum_terms, dickson_exponents and
+bound_exponent, once per parameter pair, because the routes read them
+through params_record, which holds every term the routes and the bounds
+read at (n, k).  The routes' per-prime inputs (the powers p^0..p^top, the
+Gaussian binomials (n choose 0..n/2)_p and the factor constants r_i) come
+from prime_record.  A sweep runs one (n, k) and visits each prime once, so
+each of the two caches holds one record.
 
 In route 3 the scalar p^(h_i/2) that multiplies each Dickson polynomial
 D_{n/2-i} has h_i = i(i + 2k - 2n - 1): even, since i and i + 2k - 2n - 1
 differ in parity, and non-negative, since k > n.  So route 3 runs on
 Python ints.  D_m(x, c) is homogeneous in x and c (of degrees 1 and 2), so
 its coefficients at c = p^(2k-n-1) are those of D_m(x, 1), from one
-dickson_family pass per (n, k), times powers of p (reciprocal_terms); the
-expansion of prod (x + r_i) it is checked against is multiplied out in
-place.  Every power of p that the routes and the bounds read at one prime
-comes from one tuple, prime_powers.
+dickson_family pass per (n, k), times powers of p; the expansion of
+prod (x + r_i) it is checked against is multiplied out in place.
 The bounds run on ints too: each factor 1 -+ p^-(i-1/2) is
 (p^i -+ sqrt(p)) / p^i, so a bound is p^e * (E -+ O sqrt(p))^2, where
 E + O sqrt(p) is prod (sqrt(p) + p^i) and e (bound_exponent) is a
@@ -58,11 +58,6 @@ from .modforms import within_deligne
 from .polyalg import dickson, dickson_family, eval_poly
 from .qseries import q_binomial_row
 
-# Per-prime caches hold one prime's working set; tables that depend only
-# on (n, k) are kept for a handful of parameter pairs.
-PRIME_CACHE_SIZE = 32
-PARAMS_CACHE_SIZE = 16
-
 
 class RouteDisagreementError(ArithmeticError):
     """The independent eigenvalue formulas returned different values."""
@@ -85,11 +80,11 @@ class IkedaParams:
 
     The elliptic input lives in weight 2k - n, which must be at least 12 for
     a cusp form to exist.  Instances are immutable, equal and hash-equal on
-    (n, k): they key the per-(n, k) caches, so rebinding n or k would
-    corrupt them.
+    (n, k): they key params_record and prime_record, so rebinding n or k
+    would corrupt them.  The hash is computed once, at construction.
     """
 
-    __slots__ = ("n", "k")
+    __slots__ = ("n", "k", "_hash")
 
     def __init__(self, n: int, k: int):
         if n < 2 or n % 2 != 0:
@@ -105,6 +100,7 @@ class IkedaParams:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_hash", hash((n, k)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of IkedaParams")
@@ -115,7 +111,7 @@ class IkedaParams:
         return self.n == other.n and self.k == other.k
 
     def __hash__(self):
-        return hash((self.n, self.k))
+        return self._hash
 
     def __repr__(self):
         return f"IkedaParams(n={self.n}, k={self.k})"
@@ -140,38 +136,11 @@ def _halve(h, what: str) -> int:
     return e
 
 
-@lru_cache(maxsize=1)
-def prime_powers(p: int, top: int) -> tuple[int, ...]:
-    """(p^0, p^1, ..., p^top), one multiplication each.  Every power of p
-    that the routes and the bounds read at one prime comes from this
-    tuple; a sweep asks about one prime at a time, so only that prime's
-    powers are kept."""
-    out = [1]
-    for _ in range(top):
-        out.append(out[-1] * p)
-    return tuple(out)
-
-
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def power_top(params: IkedaParams) -> int:
-    """The largest exponent of p that the routes and the bounds read from
-    prime_powers at (n, k): of route 1's terms, of route 2's factor
-    constants (k - 1), of route 3's terms, and of the bounds."""
-    return max(
-        max(exp for _, _, exp, _ in double_sum_terms(params)),
-        params.k - 1,
-        max(exp for *_, exp in reciprocal_terms(params)),
-        params.n // 2,
-        bound_exponent(params),
-    )
-
-
 # ---------------------------------------------------------------------------
-# route 1: explicit double sum
+# the checked tables, and the two records the routes read
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def double_sum_terms(params: IkedaParams) -> tuple[tuple[int, int, int, int], ...]:
     """Every term of the double sum as an integer tuple
     (signed weight, q-binomial index, p-exponent, a_f-exponent).
@@ -180,7 +149,7 @@ def double_sum_terms(params: IkedaParams) -> tuple[tuple[int, int, int, int], ..
     has weight (-1)^r j/(j-r) C(j-r, r), asserted a positive integer up to
     sign, and doubled p-exponent d - (n/2-j)(n/2+j) + (j-2r)(n-2k+1); the
     a_f-free term (1, n/2, (d - n^2/4)/2, 0) comes last.  Every p-exponent
-    is checked by _halve, once per parameter pair.
+    is checked by _halve.
     """
     n, k = params.n, params.k
     half = n // 2
@@ -202,90 +171,10 @@ def double_sum_terms(params: IkedaParams) -> tuple[tuple[int, int, int, int], ..
     return tuple(out)
 
 
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def double_sum_by_power(params: IkedaParams) -> tuple[tuple[int, tuple], ...]:
-    """The rows of double_sum_terms grouped by their a_f-exponent, so that
-    route 1 is a polynomial in a_f(p).
-
-    Entry e is (e0, ((signed weight, q-binomial index, p-exponent - e0),
-    ...)) over the terms with a_f(p)^e, where e0 is the least p-exponent
-    among them: the coefficient of a_f(p)^e is p^e0 times the sum of the
-    terms with their p-powers measured from p^e0.
-    """
-    groups = [[] for _ in range(params.n // 2 + 1)]
-    for weight, m, exp, ap_exp in double_sum_terms(params):
-        groups[ap_exp].append((weight, m, exp))
-    out = []
-    for group in groups:
-        e0 = min(exp for _, _, exp in group)
-        out.append((e0, tuple((weight, m, exp - e0) for weight, m, exp in group)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=PRIME_CACHE_SIZE)
-def gaussian_row(n: int, p: int) -> tuple[int, ...]:
-    """(n choose 0..n/2)_p from one q_binomial_row pass, shared by routes 1
-    and 3 at one prime."""
-    return tuple(q_binomial_row(n, n // 2, p))
-
-
-def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
-    """Eigenvalue via the double sum over (j, r) plus the a_f-free term,
-    computed in Z from the integrality-checked table double_sum_terms and
-    the Gaussian binomials (n choose 0..n/2)_p of gaussian_row.  The terms
-    are summed per power of a_f(p) (double_sum_by_power) and the powers
-    combined by Horner's rule in a_f(p)."""
-    qb = gaussian_row(params.n, p)
-    pw = prime_powers(p, power_top(params))
-    total = 0
-    for e0, group in reversed(double_sum_by_power(params)):
-        coeff = 0
-        for weight, m, exp in group:
-            coeff += weight * qb[m] * pw[exp]
-        total = total * ap + coeff * pw[e0]
-    return total
-
-
-# ---------------------------------------------------------------------------
-# route 2: product over linear factors
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=PRIME_CACHE_SIZE)
-def factor_constants(params: IkedaParams, p: int) -> tuple[int, ...]:
-    """The constants r_i = p^(k-i) + p^(k-n-1+i), i = 1..n/2, of the linear
-    factors (x + r_i) shared by routes 2 and 3."""
-    n, k = params.n, params.k
-    pw = prime_powers(p, power_top(params))
-    return tuple(pw[k - i] + pw[k - n - 1 + i] for i in range(1, n // 2 + 1))
-
-
-def eigenvalue_product(params: IkedaParams, p: int, ap):
-    """Eigenvalue as the product of (a_f(p) + p^(k-i) + p^(k-n-1+i)).
-
-    ap may also be a QuadExt in Q(sqrt(p)): evaluated at the Deligne
-    endpoints, this is the literal oracle for the endpoint identity that
-    verify_prime checks on int pairs.
-    """
-    out = 1
-    for r in factor_constants(params, p):
-        out *= ap + r
-    return out
-
-
-# ---------------------------------------------------------------------------
-# route 3: reciprocal-polynomial construction
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def dickson_exponents(params: IkedaParams) -> tuple[int, ...]:
     """The exponents h_i/2 of the scalars p^(h_i/2) in route 3, i = 0..n/2,
-    with h_i = d + i(i-n) + (2k-n-1)(i-n/2).
-
-    Each h_i is checked by _halve, once per (n, k), so the per-prime
-    construction stays in Z.
-    """
+    with h_i = d + i(i-n) + (2k-n-1)(i-n/2), each checked by _halve, so the
+    per-prime construction stays in Z."""
     n, k = params.n, params.k
     half = n // 2
     d = params.double_base_exp
@@ -298,49 +187,130 @@ def dickson_exponents(params: IkedaParams) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def reciprocal_terms(params: IkedaParams) -> tuple[tuple[int, int, int, int], ...]:
-    """Every term of route 3 as an integer tuple
-    (x-exponent j, Gaussian index i, Dickson coefficient, p-exponent).
+def bound_exponent(params: IkedaParams) -> int:
+    """The exponent e = (d + n^2/4)/2 - 2 * sum_{i=1}^{n/2} i of the bounds
+    p^e * (E -+ O sqrt(p))^2, checked by _halve."""
+    half = params.n // 2
+    return _halve(
+        params.double_base_exp + half * half - 2 * half * (half + 1), "bound exponent"
+    )
 
-    The palindromic pair of coefficients i and n - i contributes
-    p^(h_i/2) * (n choose i)_p * D_{n/2-i}(x, c) with c = p^(2k-n-1), and
-    the centre coefficient p^(h_{n/2}/2) * (n choose n/2)_p.  D_m(x, c) is
-    homogeneous, x of degree 1 and c of degree 2: its coefficient of
-    x^(m-2t) is d_{m,t} c^t, where d_{m,t} is the coefficient in D_m(x, 1).
-    So D_m's term t adds d_{m,t} (n choose i)_p p^(h_i/2 + (2k-n-1) t) to
-    the coefficient of x^(m-2t), with every d_{m,t} from one
-    dickson_family(n/2, 1) pass and every exponent integral by
-    dickson_exponents.
+
+@lru_cache(maxsize=1)
+def params_record(params: IkedaParams) -> tuple:
+    """What the routes and the bounds read at (n, k), from the three
+    checked tables: (by_power, reciprocal, bound_exp, top).
+
+    by_power[e] = (e0, ((signed weight, q-binomial index, p-exponent - e0),
+    ...)) holds the terms of double_sum_terms with a_f(p)^e, where e0 is
+    their least p-exponent, so that route 1 is a polynomial in a_f(p).
+
+    reciprocal holds every term of route 3 as (x-exponent j, Gaussian
+    index i, Dickson coefficient, p-exponent).  The palindromic pair of
+    coefficients i and n - i contributes p^(h_i/2) * (n choose i)_p *
+    D_{n/2-i}(x, c) with c = p^(2k-n-1), and the centre coefficient
+    p^(h_{n/2}/2) * (n choose n/2)_p.  D_m's coefficient of x^(m-2t) is
+    d_{m,t} c^t, d_{m,t} from one dickson_family(n/2, 1) pass, so its term t
+    adds d_{m,t} (n choose i)_p p^(h_i/2 + (2k-n-1) t) to x^(m-2t).
+
+    bound_exp is bound_exponent, and top the largest exponent of p that
+    anything reads from prime_record's powers.
     """
     half = params.n // 2
+    terms = double_sum_terms(params)
+    by_power = []
+    for e in range(half + 1):
+        group = [(weight, m, exp) for weight, m, exp, ap_exp in terms if ap_exp == e]
+        e0 = min(exp for _, _, exp in group)
+        by_power.append((e0, tuple((weight, m, exp - e0) for weight, m, exp in group)))
+
     exps = dickson_exponents(params)
     g = 2 * params.k - params.n - 1
     family = dickson_family(half, 1)
-    out = [(0, half, 1, exps[half])]
+    reciprocal = [(0, half, 1, exps[half])]
     for i in range(half):
         m = half - i
         for j, d in enumerate(family[m]):
             if d:
-                out.append((j, i, d, exps[i] + g * ((m - j) // 2)))
-    return tuple(out)
+                reciprocal.append((j, i, d, exps[i] + g * ((m - j) // 2)))
+
+    bound_exp = bound_exponent(params)
+    top = max(
+        max(exp for _, _, exp, _ in terms),
+        # route 2's constants; the endpoint scale needs only k - n/2 - 1
+        params.k - 1,
+        max(exp for *_, exp in reciprocal),
+        half,
+        bound_exp,
+    )
+    return tuple(by_power), tuple(reciprocal), bound_exp, top
+
+
+@lru_cache(maxsize=1)
+def prime_record(params: IkedaParams, p: int) -> tuple:
+    """What the routes and the bounds read at one prime: (powers, gaussian,
+    constants), with powers = (p^0, ..., p^top) at one multiplication each,
+    gaussian = (n choose 0..n/2)_p from one q_binomial_row pass, and the
+    constants r_i = p^(k-i) + p^(k-n-1+i), i = 1..n/2, of the linear
+    factors (x + r_i) of routes 2 and 3."""
+    n, k = params.n, params.k
+    *_, top = params_record(params)
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * p)
+    constants = tuple(powers[k - i] + powers[k - n - 1 + i] for i in range(1, n // 2 + 1))
+    return tuple(powers), tuple(q_binomial_row(n, n // 2, p)), constants
+
+
+# ---------------------------------------------------------------------------
+# the three routes
+# ---------------------------------------------------------------------------
+
+
+def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
+    """Eigenvalue via the double sum over (j, r) plus the a_f-free term,
+    computed in Z from the integrality-checked terms of double_sum_terms and
+    the Gaussian binomials (n choose 0..n/2)_p, summed per power of a_f(p)
+    and combined by Horner's rule in a_f(p)."""
+    by_power, *_ = params_record(params)
+    pw, qb, _ = prime_record(params, p)
+    total = 0
+    for e0, group in reversed(by_power):
+        coeff = 0
+        for weight, m, exp in group:
+            coeff += weight * qb[m] * pw[exp]
+        total = total * ap + coeff * pw[e0]
+    return total
+
+
+def eigenvalue_product(params: IkedaParams, p: int, ap):
+    """Eigenvalue as the product of (a_f(p) + p^(k-i) + p^(k-n-1+i)).
+
+    ap may also be a QuadExt in Q(sqrt(p)): evaluated at the Deligne
+    endpoints, this is the literal oracle for the endpoint identity that
+    verify_prime checks on int pairs.
+    """
+    out = 1
+    *_, constants = prime_record(params, p)
+    for r in constants:
+        out *= ap + r
+    return out
 
 
 def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
     """Monic integer polynomial of degree n/2 sending a_f(p) to the
     eigenvalue, built through the Dickson transform.
 
-    The coefficients are sums of the terms of reciprocal_terms, with
-    (n choose 0..n/2)_p from gaussian_row and the powers of p from
-    prime_powers.  The result is asserted monic of degree n/2 and equal to
-    the expansion of prod (x + r_i) over the factor_constants of route 2.
-    Either assertion failing indicates an implementation defect.
+    The coefficients are sums of route 3's terms in params_record.  The
+    result is asserted monic of degree n/2 and equal to the expansion of
+    prod (x + r_i) over route 2's factor constants.  Either assertion
+    failing indicates an implementation defect.
     """
     half = params.n // 2
-    qb = gaussian_row(params.n, p)
-    pw = prime_powers(p, power_top(params))
+    _, reciprocal, *_ = params_record(params)
+    pw, qb, constants = prime_record(params, p)
     acc = [0] * (half + 1)
-    for j, i, d, exp in reciprocal_terms(params):
+    for j, i, d, exp in reciprocal:
         acc[j] += d * qb[i] * pw[exp]
 
     if acc[half] != 1:
@@ -348,7 +318,7 @@ def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
     # prod (x + r_i), multiplied out in place: descending, so that each
     # expanded[j - 1] still holds the coefficient before this factor
     expanded = [1]
-    for r in factor_constants(params, p):
+    for r in constants:
         expanded.append(expanded[-1])
         for j in range(len(expanded) - 2, 0, -1):
             expanded[j] = expanded[j] * r + expanded[j - 1]
@@ -368,16 +338,6 @@ def eigenvalue_reciprocal(params: IkedaParams, p: int, ap: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def bound_exponent(params: IkedaParams) -> int:
-    """The exponent e = (d + n^2/4)/2 - 2 * sum_{i=1}^{n/2} i of the bounds
-    p^e * (E -+ O sqrt(p))^2, checked by _halve once per (n, k)."""
-    half = params.n // 2
-    return _halve(
-        params.double_base_exp + half * half - 2 * half * (half + 1), "bound exponent"
-    )
-
-
 def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     """Exact lower and upper bounds for the eigenvalue at p:
     p^((d + n^2/4)/2) * prod_{i=1}^{n/2} (1 -+ p^-(i-1/2))^2.
@@ -388,12 +348,13 @@ def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     the lower bound takes the conjugate.  p is taken to be prime, as
     verify_prime has checked; it is not tested again.
     """
-    pw = prime_powers(p, power_top(params))
+    _, _, bound_exp, _ = params_record(params)
+    pw, *_ = prime_record(params, p)
     E, O = 1, 0
     for i in range(1, params.n // 2 + 1):
         q = pw[i]
         E, O = E * q + O * p, E + O * q
-    s = pw[bound_exponent(params)]
+    s = pw[bound_exp]
     rational, surd = s * (E * E + p * O * O), 2 * s * E * O
     # with D = 1 the parts are already in canonical form
     return _quad(rational, -surd, 1, p), _quad(rational, surd, 1, p)
@@ -453,9 +414,10 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
     # the factors of route 2 at a = 2*p^((w-1)/2) are perfect squares whose
     # product is exactly the upper bound; at a = -2*p^((w-1)/2) each factor,
     # and so the product, is the conjugate, which must be the lower bound
-    s = 2 * p ** ((w - 2) // 2)
+    pw, _, constants = prime_record(params, p)
+    s = 2 * pw[(w - 2) // 2]
     X, Y, sp = 1, 0, s * p
-    for r in factor_constants(params, p):
+    for r in constants:
         # (X + Y sqrt p)(r + s sqrt p)
         X, Y = X * r + Y * sp, X * s + Y * r
     if _quad(X, Y, 1, p) != upper or _quad(X, -Y, 1, p) != lower:

@@ -115,23 +115,40 @@ def _smallest_prime_factors(L: int) -> tuple[list[int], list[int]]:
     return primes, spf
 
 
+@lru_cache(maxsize=1)
+def _factor_sieve(N: int) -> tuple:
+    """For m <= N, the smallest prime factor spf[m] and cof[m], m with every
+    factor spf[m] taken out: what every sigma table of one build reads.
+
+    Both are arrays of machine ints, made before the sieve's temporary
+    lists are freed, so they hold no int objects and sit apart from the
+    series; eigenform makes them first and drops them before its final
+    product.
+    """
+    from array import array  # imported here: only a series build needs it
+
+    cof = array("l", [1]) * (N + 1)
+    spf = array("l", _smallest_prime_factors(N)[1])
+    for m in range(2, N + 1):
+        p = spf[m]
+        r = m // p
+        cof[m] = cof[r] if spf[r] == p else r
+    return spf, cof
+
+
 def _sigma_table(e: int, N: int) -> list[int]:
     """Divisor power sums sigma_e(m) for m = 0..N (index 0 unused), in one
-    multiplicative pass over the smallest-prime-factor sieve: with p^a the
-    exact power of p = spf[m] in m, sigma_e(m) = sigma_e(p^a) sigma_e(m/p^a),
-    and sigma_e(p^a) = sigma_e(p^(a-1)) + p^(ae)."""
+    multiplicative pass over _factor_sieve: with p^a the exact power of
+    p = spf[m] in m, sigma_e(m) = sigma_e(p^a) sigma_e(m/p^a), and
+    sigma_e(p^a) = sigma_e(p^(a-1)) + p^(ae)."""
     out = [0] * (N + 1)
     if N < 1:
         return out
     out[1] = 1
-    spf = _smallest_prime_factors(N)[1]
-    # cof[m]: m with every factor spf[m] taken out
-    cof = [1] * (N + 1)
+    spf, cof = _factor_sieve(N)
     for m in range(2, N + 1):
-        p = spf[m]
-        r = m // p
-        c = cof[m] = cof[r] if spf[r] == p else r
-        out[m] = out[r] + m**e if c == 1 else out[m // c] * out[c]
+        c = cof[m]
+        out[m] = out[m // spf[m]] + m**e if c == 1 else out[m // c] * out[c]
     return out
 
 
@@ -150,8 +167,11 @@ def eisenstein(w: int, N: int) -> FourierSeries:
             f"E_{w} has non-integer coefficients (a(1) = {c}); not representable"
         )
     cval = c.numerator
-    sig = _sigma_table(w - 1, N)
-    coeffs = [1] + [cval * sig[m] for m in range(1, N + 1)]
+    # scaled in place, so each coefficient takes the place of its sigma
+    coeffs = _sigma_table(w - 1, N)
+    coeffs[0] = 1
+    for m in range(1, N + 1):
+        coeffs[m] *= cval
     return FourierSeries(w, tuple(coeffs))
 
 
@@ -227,9 +247,17 @@ def eigenform(w: int, N: int) -> FourierSeries:
             f"no built-in eigenform of weight {w}; supported weights are "
             f"{BUILTIN_WEIGHTS} (use load_eigenform for a coefficient table)"
         )
-    if w == 12:
-        return delta(N)
-    coeffs = kernels.convolve_trunc(delta(N).coeffs, eisenstein(w - 12, N).coeffs, N + 1)
+    # one sieve serves every sigma table of the build; made first, it does
+    # not sit among the series, and it is not kept through the final product
+    _factor_sieve(N)
+    try:
+        base = delta(N)
+        if w == 12:
+            return base
+        eis = eisenstein(w - 12, N)
+    finally:
+        _factor_sieve.cache_clear()
+    coeffs = kernels.convolve_trunc(base.coeffs, eis.coeffs, N + 1)
     return FourierSeries(w, tuple(coeffs))
 
 

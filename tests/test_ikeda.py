@@ -130,12 +130,8 @@ class TestTermExponents:
     def test_corrupt_combinatorial_factor_is_caught(self, monkeypatch):
         # with C(j-r, r) replaced by 1, the weight of (j, r) = (3, 1) is 3/2
         monkeypatch.setattr(ikeda, "comb", lambda a, b: 1)
-        ikeda.double_sum_terms.cache_clear()
-        try:
-            with pytest.raises(ExponentIntegralityError, match="combinatorial factor"):
-                double_sum_terms(IkedaParams(6, 14))
-        finally:
-            ikeda.double_sum_terms.cache_clear()
+        with pytest.raises(ExponentIntegralityError, match="combinatorial factor"):
+            double_sum_terms(IkedaParams(6, 14))
 
 
 class TestRoutes:
@@ -194,10 +190,6 @@ class TestEigenvaluePolynomial:
             family, unit = dickson_family(12, c), dickson_family(12, 1)
             for m, (dc, d1) in enumerate(zip(family, unit)):
                 assert dc == tuple(d * c ** ((m - j) // 2) for j, d in enumerate(d1)), (c, m)
-
-    def test_prime_powers(self):
-        assert ikeda.prime_powers(7, 4) == (1, 7, 49, 343, 2401)
-        assert ikeda.prime_powers(2999, 80) == tuple(2999**e for e in range(81))
 
 
 class TestSatakePolynomial:
@@ -315,14 +307,13 @@ class TestIntegralExponents:
                 exponents(params)
 
     def test_corrupt_factor_constant_is_caught(self, monkeypatch):
-        true_constants = ikeda.factor_constants
+        true_record = ikeda.prime_record
 
         def corrupt(params, p):
-            r = list(true_constants(params, p))
-            r[1] += 1
-            return tuple(r)
+            powers, gaussian, (r1, *rest) = true_record(params, p)
+            return powers, gaussian, (r1 + 1, *rest)
 
-        monkeypatch.setattr(ikeda, "factor_constants", corrupt)
+        monkeypatch.setattr(ikeda, "prime_record", corrupt)
         with pytest.raises(ArithmeticError, match="factored form"):
             eigenvalue_polynomial(IkedaParams(6, 14), 3)
 
@@ -419,19 +410,9 @@ class TestBoundIdentity:
 
 class TestPerPrimeCaches:
     def test_caches_are_bounded(self):
-        for fn in (
-            ikeda.factor_constants,
-            ikeda.gaussian_row,
-            ikeda.double_sum_terms,
-            ikeda.double_sum_by_power,
-            ikeda.dickson_exponents,
-            ikeda.reciprocal_terms,
-            ikeda.bound_exponent,
-            ikeda.power_top,
-            ikeda.prime_powers,
-            exactnum.is_prime,
-            exactnum._floor_surd,
-        ):
+        for fn in (ikeda.params_record, ikeda.prime_record):
+            assert fn.cache_info().maxsize == 1
+        for fn in (exactnum.is_prime, exactnum._floor_surd):
             assert fn.cache_info().maxsize is not None
 
     def test_cached_polynomials_are_tuples(self):
@@ -445,24 +426,27 @@ class TestPerPrimeCaches:
         ):
             assert type(poly) is tuple, poly
 
-    def test_one_prime_working_set_fits(self):
-        # a second pass over the same prime is served from the cache
-        params = IkedaParams(20, 22)
-        ikeda.gaussian_row.cache_clear()
-        verify_prime(params, 101, 0)
-        verify_prime(params, 101, 7)
-        assert ikeda.gaussian_row.cache_info().misses == 1
-
-    def test_factor_constants_computed_once_per_prime(self):
-        params = IkedaParams(12, 20)
-        ikeda.factor_constants.cache_clear()
-        verify_prime(params, 103, 0)
-        verify_prime(params, 103, 5)
-        info = ikeda.factor_constants.cache_info()
+    def test_prime_record_built_once_per_prime(self):
+        # a second pass over the same prime is served from the record
+        n, k, p = 12, 20, 103
+        params = IkedaParams(n, k)
+        ikeda.prime_record.cache_clear()
+        verify_prime(params, p, 0)
+        verify_prime(params, p, 5)
+        info = ikeda.prime_record.cache_info()
         assert info.misses == 1 and info.hits > 0
-        assert ikeda.factor_constants(params, 103) == tuple(
-            103 ** (20 - i) + 103 ** (7 + i) for i in range(1, 7)
-        )
+        powers, gaussian, constants = ikeda.prime_record(params, p)
+        assert powers == tuple(p**e for e in range(len(powers)))
+        assert gaussian == tuple(qseries.q_binomial_eval(n, m, p) for m in range(n // 2 + 1))
+        assert constants == tuple(p ** (k - i) + p ** (k - n - 1 + i) for i in range(1, n // 2 + 1))
+
+    def test_params_record_built_once_per_sweep(self):
+        params = IkedaParams(16, 18)
+        ikeda.params_record.cache_clear()
+        for p in primes_upto(229):
+            verify_prime(params, p, 0)
+        assert len(primes_upto(229)) == 50
+        assert ikeda.params_record.cache_info().misses == 1
 
 
 class TestVerifyPrime:

@@ -184,6 +184,25 @@ class TestEigenform:
                 setattr(f, field, None)
         assert f.weight == 16 and f.a(2) == 216
 
+    def test_one_sieve_per_build(self, monkeypatch):
+        # every sigma table of one build reads one smallest-factor sieve,
+        # and the build does not keep it
+        real = modforms._smallest_prime_factors
+        calls = []
+
+        def counted(L):
+            calls.append(L)
+            return real(L)
+
+        monkeypatch.setattr(modforms, "_smallest_prime_factors", counted)
+        for w in BUILTIN_WEIGHTS:
+            for cached in (eigenform, delta, eisenstein, modforms._factor_sieve):
+                cached.cache_clear()
+            calls.clear()
+            eigenform(w, 97)
+            assert calls == [97], w
+            assert modforms._factor_sieve.cache_info().currsize == 0, w
+
     def test_sparse_defaults_to_a_fresh_dict(self):
         a, b = FourierSeries(12, (0, 1)), FourierSeries(12, (0, 1))
         assert a.sparse == {} and a.sparse is not b.sparse
