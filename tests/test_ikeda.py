@@ -185,11 +185,20 @@ class TestEigenvaluePolynomial:
 
     def test_dickson_homogeneity(self):
         # D_m(x, c) = sum_t d_{m,t} c^t x^(m-2t), with d_{m,t} read off
-        # D_m(x, 1): the identity reciprocal_terms rests on
+        # D_m(x, 1): the identity params_record's route-3 terms rest on
         for c in (2, 3, -4, 7**5, 10**40):
             family, unit = dickson_family(12, c), dickson_family(12, 1)
             for m, (dc, d1) in enumerate(zip(family, unit)):
                 assert dc == tuple(d * c ** ((m - j) // 2) for j, d in enumerate(d1)), (c, m)
+
+    def test_prime_powers(self):
+        # the record's powers run from p^0 to the largest exponent any
+        # route or bound reads at (n, k)
+        for params, p in ((IkedaParams(2, 10), 7), (IkedaParams(16, 18), 2999)):
+            powers, _, _ = ikeda.prime_record(params, p)
+            top = ikeda.params_record(params)[-1]
+            assert powers == tuple(p**e for e in range(top + 1))
+        assert ikeda.prime_record(IkedaParams(2, 10), 7)[0][:5] == (1, 7, 49, 343, 2401)
 
 
 class TestSatakePolynomial:
@@ -426,19 +435,28 @@ class TestPerPrimeCaches:
         ):
             assert type(poly) is tuple, poly
 
-    def test_prime_record_built_once_per_prime(self):
-        # a second pass over the same prime is served from the record
-        n, k, p = 12, 20, 103
-        params = IkedaParams(n, k)
+    def test_one_prime_working_set_fits(self):
+        # a second pass over the same prime is served from the record,
+        # Gaussian row included
+        n, p = 20, 101
+        params = IkedaParams(n, 22)
         ikeda.prime_record.cache_clear()
         verify_prime(params, p, 0)
-        verify_prime(params, p, 5)
+        verify_prime(params, p, 7)
+        assert ikeda.prime_record.cache_info().misses == 1
+        _, gaussian, _ = ikeda.prime_record(params, p)
+        assert gaussian == tuple(qseries.q_binomial_eval(n, m, p) for m in range(n // 2 + 1))
+
+    def test_factor_constants_computed_once_per_prime(self):
+        params = IkedaParams(12, 20)
+        ikeda.prime_record.cache_clear()
+        verify_prime(params, 103, 0)
+        verify_prime(params, 103, 5)
         info = ikeda.prime_record.cache_info()
         assert info.misses == 1 and info.hits > 0
-        powers, gaussian, constants = ikeda.prime_record(params, p)
-        assert powers == tuple(p**e for e in range(len(powers)))
-        assert gaussian == tuple(qseries.q_binomial_eval(n, m, p) for m in range(n // 2 + 1))
-        assert constants == tuple(p ** (k - i) + p ** (k - n - 1 + i) for i in range(1, n // 2 + 1))
+        assert ikeda.prime_record(params, 103)[2] == tuple(
+            103 ** (20 - i) + 103 ** (7 + i) for i in range(1, 7)
+        )
 
     def test_params_record_built_once_per_sweep(self):
         params = IkedaParams(16, 18)
