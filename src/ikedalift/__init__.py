@@ -14,11 +14,16 @@ from .ikeda import (
     EigenvalueReport,
     IkedaParams,
     RouteDisagreementError,
+    dickson,
     eigenvalue_bounds,
     eigenvalue_double_sum,
     eigenvalue_polynomial,
     eigenvalue_product,
     eigenvalue_reciprocal,
+    eval_poly,
+    q_binomial,
+    q_binomial_eval,
+    q_binomial_row,
     verify_prime,
 )
 from .modforms import (
@@ -33,8 +38,6 @@ from .modforms import (
     load_eigenform,
     within_deligne,
 )
-from .polyalg import dickson, eval_poly
-from .qseries import q_binomial, q_binomial_eval, q_binomial_row
 
 __version__ = "0.1.0"
 

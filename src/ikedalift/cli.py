@@ -28,15 +28,13 @@ import sys
 from itertools import chain
 
 from .exactnum import exact_pair, primes_upto, unlimited_int_digits
-from .ikeda import DeligneBoundError, IkedaParams, verify_prime
+from .ikeda import DeligneBoundError, IkedaParams, q_binomial, q_binomial_eval, verify_prime
 from .modforms import (
     EigenformValidationError,
     eigenform,
     hecke_eigenvalue_prime,
     load_eigenform,
 )
-from .polyalg import poly_str
-from .qseries import q_binomial, q_binomial_eval
 
 CSV_COLUMNS = [
     "p",
@@ -179,6 +177,26 @@ def run_verify(args) -> int:
     )
     _emit(chain([head], rows, [tail]))
     return 0 if failures == 0 else 1
+
+
+def poly_str(coeffs, var: str = "x") -> str:
+    """Human-readable ascending-exponent rendering, e.g. '1 + q + 2q^2'."""
+    parts = []
+    for e, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        neg = c < 0
+        mag = -c if neg else c
+        if e == 0:
+            term = str(mag)
+        else:
+            x = var if e == 1 else f"{var}^{e}"
+            term = x if mag == 1 else f"{mag}{x}"
+        if not parts:
+            parts.append(f"-{term}" if neg else term)
+        else:
+            parts.append(f"- {term}" if neg else f"+ {term}")
+    return " ".join(parts) or "0"
 
 
 def run_qbinom(args) -> int:

@@ -14,6 +14,16 @@ The three routes are
     independently through the Dickson transform of the palindromic degree-n
     polynomial.
 
+The per-prime algebra they read lives here too.  A polynomial is an
+immutable tuple c, c[i] the coefficient of x^i.  Gaussian binomials, in q
+(q_binomial) and at an integer q (q_binomial_row), come from one ratio
+recurrence [n, 0] = 1, [n, j] = [n, j-1] (1 - q^(n-j+1)) / (1 - q^j), whose
+every division is exact; a remainder raises ArithmeticError.  The Dickson
+polynomials, D_i(x + c/x) = x^i + (c/x)^i, come from one pass of
+D_0 = 2, D_1 = y, D_i = y D_{i-1} - c D_{i-2} (dickson_family).  That pass
+and eval_poly, the one Horner, work over int, Fraction and QuadExt.  The
+polynomial products that check both recurrences live only in selftest.
+
 The paper's formulas carry half-integer powers of p.  Every exponent here is
 held doubled, as an int h standing for p^(h/2) (the convention of
 selftest.half_power), and _halve checks each one even and non-negative
@@ -50,13 +60,11 @@ Q, or Q(sqrt(p)).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .exactnum import QuadExt, _quad, is_prime
 from .modforms import within_deligne
-# dickson is unused here; perfbench/tracer.py patches it as ikeda.dickson
-from .polyalg import dickson, dickson_family, eval_poly
-from .qseries import q_binomial_row
 
 
 class RouteDisagreementError(ArithmeticError):
@@ -134,6 +142,103 @@ def _halve(h, what: str) -> int:
     if e < 0:
         raise ExponentIntegralityError(f"{what} = {e} is negative")
     return e
+
+
+# ---------------------------------------------------------------------------
+# Gaussian binomials, Dickson polynomials and Horner
+# ---------------------------------------------------------------------------
+
+
+def _check_args(n: int, m: int) -> None:
+    if m < 0 or n < 0:
+        raise ValueError("arguments must be non-negative")
+    if m > n:
+        raise ValueError(f"m = {m} exceeds n = {n}")
+
+
+def q_binomial(n: int, m: int) -> tuple[int, ...]:
+    """Gaussian binomial coefficient as the coefficient tuple of a polynomial in q.
+
+    The ratio recurrence on coefficient tuples for j <= min(m, n - m) (the
+    binomial is symmetric in m and n - m): multiplying by 1 - q^(n-j+1)
+    subtracts a shifted copy, and dividing by 1 - q^j is a running sum with
+    stride j whose top j coefficients, the remainder, must vanish.
+    """
+    _check_args(n, m)
+    c = [1]
+    for j in range(1, min(m, n - m) + 1):
+        s = n - j + 1
+        c += [0] * s
+        c[s:] = [x - y for x, y in zip(c[s:], c)]
+        for r in range(j):
+            c[r::j] = accumulate(c[r::j])
+        if any(c[-j:]):
+            raise ArithmeticError(f"[{n}, {j}] is not a polynomial over Z")
+        del c[-j:]
+    return tuple(c)
+
+
+def q_binomial_row(n: int, m: int, q0: int) -> list[int]:
+    """[n, 0], ..., [n, m] evaluated at an integer q0, from one pass of the
+    ratio recurrence v_j = v_{j-1} (q0^(n-j+1) - 1) / (q0^j - 1).
+
+    The denominators vanish at q0 = 1, where [n, j] is C(n, j), and can
+    vanish at q0 = -1, where it is 0 for even n and odd j and C(n//2, j//2)
+    otherwise.
+    """
+    _check_args(n, m)
+    if q0 == 1:
+        return [comb(n, j) for j in range(m + 1)]
+    if q0 == -1:
+        return [0 if n % 2 == 0 and j % 2 else comb(n // 2, j // 2) for j in range(m + 1)]
+    row = [1]
+    for j in range(1, m + 1):
+        v, r = divmod(row[-1] * (q0 ** (n - j + 1) - 1), q0**j - 1)
+        if r:
+            raise ArithmeticError(f"[{n}, {j}] at q = {q0} is not an integer")
+        row.append(v)
+    return row
+
+
+def q_binomial_eval(n: int, m: int, q0: int) -> int:
+    """Gaussian binomial evaluated at an integer q0, without building the
+    polynomial: the last entry of q_binomial_row at min(m, n - m)."""
+    _check_args(n, m)
+    return q_binomial_row(n, min(m, n - m), q0)[-1]
+
+
+def eval_poly(coeffs, x):
+    """Horner evaluation at an int, Fraction, or QuadExt point."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def dickson_family(m: int, c) -> list[tuple]:
+    """[D_0, ..., D_m] for one c, where D_i is the unique polynomial with
+    D_i(x + c/x) = x**i + (c/x)**i.
+
+    One pass of the three-term recurrence D_0 = 2, D_1 = y,
+    D_i = y*D_{i-1} - c*D_{i-2}; D_i is monic of degree i for i >= 1, with
+    integer coefficients whenever c is an integer.
+    """
+    if m < 0:
+        raise ValueError("index must be non-negative")
+    fam = [(2,), (0, 1)]
+    for _ in range(m - 1):
+        prev, cur = fam[-2], fam[-1]
+        nxt = [0, *cur]
+        for j, x in enumerate(prev):
+            nxt[j] -= c * x
+        fam.append(tuple(nxt))
+    return fam[: m + 1]
+
+
+def dickson(i: int, c) -> tuple:
+    """The single Dickson polynomial D_i: the last member of
+    dickson_family(i, c)."""
+    return dickson_family(i, c)[i]
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,8 @@ def eigenform(w: int, N: int) -> FourierSeries:
     if w not in BUILTIN_WEIGHTS:
         raise UnsupportedWeightError(
             f"no built-in eigenform of weight {w}; supported weights are "
-            f"{BUILTIN_WEIGHTS} (use load_eigenform for a coefficient table)"
+            f"{BUILTIN_WEIGHTS} (give a coefficient table with --eigenform; "
+            "from Python, use load_eigenform)"
         )
     # one sieve serves every sigma table of the build; made first, it does
     # not sit among the series, and it is not kept through the final product
@@ -423,7 +424,8 @@ def load_eigenform(path, w: int) -> FourierSeries:
     the largest listed prime must be present.  Normalization,
     multiplicativity, Hecke relations at prime powers, and Deligne bounds at
     primes are all checked, and the first offending index is reported.  A
-    line that is not two integers raises TableParseError naming the line.
+    line that is not two decimal integers (ASCII digits, an optional sign)
+    raises TableParseError naming the line.
     """
     table = {}
     last = 0
@@ -435,6 +437,9 @@ def load_eigenform(path, w: int) -> FourierSeries:
             if len(parts) != 2:
                 raise TableParseError(lineno, f"unparseable entry {raw!r}")
             try:
+                # int() also takes '_' separators and non-ASCII digits
+                if "_" in raw or not (parts[0].isascii() and parts[1].isascii()):
+                    raise ValueError
                 m, am = int(parts[0]), int(parts[1])
             except ValueError:
                 raise TableParseError(lineno, f"non-integer entry {raw!r}")

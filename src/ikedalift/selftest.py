@@ -25,19 +25,23 @@ from .exactnum import QuadExt, _quad, is_prime, primes_upto
 from .ikeda import (
     IkedaParams,
     bound_exponent,
+    dickson,
     dickson_exponents,
+    dickson_family,
     eigenvalue_bounds,
     eigenvalue_double_sum,
     eigenvalue_polynomial,
     eigenvalue_product,
     eigenvalue_reciprocal,
     double_sum_terms,
+    eval_poly,
+    q_binomial,
+    q_binomial_eval,
+    q_binomial_row,
     verify_prime,
 )
 from .kernels import convolve_trunc
 from .modforms import BUILTIN_WEIGHTS, _sigma_table, bernoulli, delta, eigenform, eisenstein
-from .polyalg import dickson, dickson_family, eval_poly
-from .qseries import q_binomial, q_binomial_eval, q_binomial_row
 
 DESK_PAIRS = ((2, 10), (2, 12), (2, 14), (4, 8), (4, 10), (4, 12), (6, 14), (6, 16))
 

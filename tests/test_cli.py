@@ -104,7 +104,8 @@ class TestEigen:
             capsys, "eigen", "--n", "2", "--k", "10", "--pmax", "5", "--out", str(target)
         )
         assert code == 0 and out == ""
-        rows = list(csv.DictReader(target.open()))
+        with target.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert [int(r["p"]) for r in rows] == [2, 3, 5]
 
     def test_odd_weight_exits_2(self, capsys):
@@ -120,6 +121,8 @@ class TestEigen:
         # (2, 8) needs elliptic weight 14, which has no cusp form built in
         code, _, err = run_cli(capsys, "eigen", "--n", "2", "--k", "8", "--pmax", "10")
         assert code == 2
+        # the option for CLI users, the function for library callers
+        assert "(give a coefficient table with --eigenform; " in err
         assert "load_eigenform" in err
 
     def test_digits_flag(self, capsys):
@@ -346,8 +349,30 @@ class TestForms:
         assert "3 252" in lines
 
     def test_unsupported_weight_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "forms", "--weight", "14", "--pmax", "10")
-        assert code == 2
+        code, out, err = run_cli(capsys, "forms", "--weight", "14", "--pmax", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("error: no built-in eigenform of weight 14; ")
+        assert "--eigenform" in err
+
+    @pytest.mark.parametrize("entry", ["2 -2_4", "2 -\u0662\u0664"])
+    def test_non_decimal_table_entry_exits_2(self, capsys, tmp_path, entry):
+        # int() reads each of these as an integer; the table format does not
+        table = tmp_path / "t.txt"
+        table.write_text(f"1 1\n{entry}\n3 252\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "forms", "--weight", "12", "--pmax", "3", "--eigenform", str(table)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: non-integer entry ")
+
+    def test_signed_crlf_table_loads(self, capsys, tmp_path):
+        table = tmp_path / "t.txt"
+        table.write_bytes("# a(2) = -\u0662\u0664, 2_4\r\n1 1\r\n2 -24\r\n3 +252\r\n".encode())
+        code, out, err = run_cli(
+            capsys, "forms", "--weight", "12", "--pmax", "3", "--eigenform", str(table)
+        )
+        assert code == 0 and err == ""
+        assert out == "# weight 12 eigenform coefficients\n1 1\n2 -24\n3 252\n"
 
     @pytest.mark.parametrize("weight", ["-4", "0", "13", "10"])
     def test_weight_without_cusp_forms_exits_2(self, capsys, tmp_path, weight):
@@ -590,17 +615,23 @@ class TestSelftest:
     def test_cli_import_skips_selftest(self):
         src = os.path.dirname(os.path.dirname(ikedalift.__file__))
         # the CLI's cold start: importing it may load none of these (some
-        # interpreters' site hooks load inspect before any user code)
+        # interpreters' site hooks load inspect before any user code), and
+        # of the package exactly the six modules the CLI runs
         code = (
             "import sys; before = set(sys.modules); import ikedalift.cli; "
             "print(sorted((set(sys.modules) - before) & "
-            "{'ikedalift.selftest', 'dataclasses', 'inspect', 'csv', 'json'}))"
+            "{'ikedalift.selftest', 'dataclasses', 'inspect', 'csv', 'json'})); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ikedalift'))"
         )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.splitlines() == [
+            "[]",
+            "['ikedalift', 'ikedalift.cli', 'ikedalift.exactnum', 'ikedalift.ikeda', "
+            "'ikedalift.kernels', 'ikedalift.modforms']",
+        ]
 
 
 def _spawn_cli(*argv, **kwargs):

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikedalift.exactnum import QuadExt, primes_upto
-from ikedalift import exactnum, ikeda, qseries, selftest
+from ikedalift import exactnum, ikeda, selftest
 from ikedalift.selftest import half_power
 from ikedalift.ikeda import (
     BoundIdentityError,
@@ -32,6 +32,7 @@ from ikedalift.ikeda import (
     RouteDisagreementError,
     bound_exponent,
     dickson_exponents,
+    dickson_family,
     double_sum_terms,
     eigenvalue_bounds,
     eigenvalue_double_sum,
@@ -40,7 +41,6 @@ from ikedalift.ikeda import (
     eigenvalue_reciprocal,
     verify_prime,
 )
-from ikedalift.polyalg import dickson_family
 from ikedalift.selftest import deligne_limit, satake_factorization_holds, satake_polynomial
 
 
@@ -428,7 +428,7 @@ class TestPerPrimeCaches:
         # immutable, so a caller cannot change what a cache hands to the next
         params = IkedaParams(4, 8)
         for poly in (
-            qseries.q_binomial(4, 2),
+            ikeda.q_binomial(4, 2),
             eigenvalue_polynomial(params, 2),
             satake_polynomial(params, 2),
             *dickson_family(3, 5),
@@ -445,7 +445,7 @@ class TestPerPrimeCaches:
         verify_prime(params, p, 7)
         assert ikeda.prime_record.cache_info().misses == 1
         _, gaussian, _ = ikeda.prime_record(params, p)
-        assert gaussian == tuple(qseries.q_binomial_eval(n, m, p) for m in range(n // 2 + 1))
+        assert gaussian == tuple(ikeda.q_binomial_eval(n, m, p) for m in range(n // 2 + 1))
 
     def test_factor_constants_computed_once_per_prime(self):
         params = IkedaParams(12, 20)

@@ -1,6 +1,6 @@
 """The arithmetic kernels against the schoolbook oracle: the Kronecker
 series engine (kernels.convolve_trunc) on signed integers of any size, and the
-generic polynomial loops (polyalg.eval_poly and the oracle
+generic polynomial loops (ikeda.eval_poly and the oracle
 selftest.naive_product itself) on every coefficient ring."""
 
 import sys
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ikedalift
 from ikedalift.exactnum import QuadExt
 from ikedalift.kernels import convolve_trunc
-from ikedalift.polyalg import eval_poly
+from ikedalift.ikeda import eval_poly
 from ikedalift.selftest import check_series_engine_oracle, naive_product
 
 BIG = 10**40

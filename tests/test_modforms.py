@@ -332,6 +332,18 @@ class TestLoadEigenform:
         assert isinstance(info.value, ValueError)
         assert not isinstance(info.value, EigenformValidationError)
 
+    @pytest.mark.parametrize(
+        "entry", ["2 -2_4", "2 -\u0662\u0664", "2 -\uff12\uff14", "\u0662 -24"]
+    )
+    def test_non_decimal_entry_names_the_line(self, tmp_path, entry):
+        # each field is ASCII [+-]?[0-9]+, though int() takes all of these
+        path = tmp_path / "form.txt"
+        path.write_text(f"1 1\n{entry}\n", encoding="utf-8")
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(path, 12)
+        assert info.value.line == 2
+        assert str(info.value) == f"line 2: non-integer entry {entry + chr(10)!r}"
+
     def test_valid_table_needs_no_trial_division(self, tmp_path, monkeypatch):
         def no_trial_division(m):
             raise AssertionError(f"is_prime({m}) called")

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikedalift import selftest
+from ikedalift.cli import poly_str
 from ikedalift.exactnum import QuadExt
-from ikedalift.polyalg import dickson, dickson_family, eval_poly, poly_str
-from ikedalift.qseries import q_binomial
+from ikedalift.ikeda import dickson, dickson_family, eval_poly, q_binomial
 from ikedalift.selftest import expand_product, naive_product
 
 

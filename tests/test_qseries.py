@@ -13,8 +13,7 @@ from math import comb
 import pytest
 
 from ikedalift import selftest
-from ikedalift.polyalg import eval_poly
-from ikedalift.qseries import q_binomial, q_binomial_eval, q_binomial_row
+from ikedalift.ikeda import eval_poly, q_binomial, q_binomial_eval, q_binomial_row
 from ikedalift.selftest import binomial_product_coeffs, naive_product, q_factorial
 
 
@@ -75,7 +74,7 @@ class TestQBinomial:
     def test_inexact_division_raises(self, monkeypatch):
         # without the running sums nothing is divided: the top coefficient
         # of 1 - q^5 is left over as the remainder
-        monkeypatch.setattr("ikedalift.qseries.accumulate", lambda xs: xs)
+        monkeypatch.setattr("ikedalift.ikeda.accumulate", lambda xs: xs)
         with pytest.raises(ArithmeticError, match=r"\[5, 1\] is not a polynomial"):
             q_binomial(5, 2)
 
