@@ -1,22 +1,27 @@
 """Exact scalars: arbitrary-precision integers, rationals, and the real
 quadratic ring Q(sqrt(p)).
 
-Integers are Python ints and rationals are fractions.Fraction (always in
-lowest terms with positive denominator), so the only custom scalar is
-QuadExt: a number (A + B*sqrt(p)) / D held as three Python ints in
-canonical form (D > 0, gcd(A, B, D) = 1) with a fixed prime radicand p.
-Its arithmetic runs on ints alone: each result is reduced by one gcd and
-inherits p from operands whose radicand was checked when they were built.
-Values with different radicands never combine; the sign of a nonzero
-element is decided exactly by comparing A^2 against B^2*p (sqrt(p) is
-irrational for prime p), never by floating point.
+Integers are Python ints, so the only custom scalar is QuadExt: a number
+(A + B*sqrt(p)) / D held as three Python ints in canonical form (D > 0,
+gcd(A, B, D) = 1) with a fixed prime radicand p.  Its arithmetic runs on
+ints alone: each result is reduced by one gcd and inherits p from operands
+whose radicand was checked when they were built.  Values with different
+radicands never combine; the sign of a nonzero element is decided exactly
+by comparing A^2 against B^2*p (sqrt(p) is irrational for prime p), never
+by floating point.
+
+Rationals are fractions.Fraction, which QuadExt takes and gives, but this
+module does not import `fractions` when it is imported: a Fraction argument
+exists only once its caller has loaded the module, and reading .a, .b,
+repr() or the hash of a rational value loads it on demand.  So a run on
+ints alone, as every CLI subcommand but selftest is, never loads it.
+exactnum.Fraction resolves on first use (a module __getattr__).
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -106,43 +111,63 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(n + 1) if sieve[i]]
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def __getattr__(name: str):
+    # exactnum.Fraction, loaded on first use (PEP 562)
+    if name == "Fraction":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _ratio(x):
+    """x as (numerator, denominator > 0) ints for an int or a Fraction, else
+    None.  A Fraction can exist only once `fractions` is loaded, so it is
+    looked for there and never imported."""
     if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        return x, 1
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return x.numerator, x.denominator
+    return None
 
 
 class QuadExt:
     """(A + B*sqrt(p)) / D over Python ints, with prime radicand p.
 
     The form is canonical: D > 0 and gcd(A, B, D) = 1, so equal values have
-    equal parts.  The rational parts read as the Fractions .a = A/D and
-    .b = B/D.  Order is read from sign() of a difference alone, and the one
-    exact rendering is exact().
+    equal parts.  a and b may be ints or Fractions; the rational parts read
+    as the Fractions .a = A/D and .b = B/D.  Order is read from sign() of a
+    difference alone, and the one exact rendering is exact().
     """
 
     __slots__ = ("_A", "_B", "_D", "p")
 
     def __init__(self, a, b, p: int):
-        a, b = _to_fraction(a), _to_fraction(b)
+        ra, rb = _ratio(a), _ratio(b)
+        if ra is None or rb is None:
+            bad = a if ra is None else b
+            raise TypeError(f"expected int or Fraction, got {type(bad).__name__}")
         if not is_prime(p):
             raise ValueError(f"radicand {p} is not prime")
+        (na, da), (nb, db) = ra, rb
         # over the lcm of two reduced denominators, gcd(A, B, D) is already 1
-        da, db = a.denominator, b.denominator
         d = da // gcd(da, db) * db
-        self._A = a.numerator * (d // da)
-        self._B = b.numerator * (d // db)
+        self._A = na * (d // da)
+        self._B = nb * (d // db)
         self._D = d
         self.p = p
 
     @property
     def a(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._A, self._D)
 
     @property
     def b(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._B, self._D)
 
     # -- coercion ---------------------------------------------------------
@@ -155,11 +180,8 @@ class QuadExt:
                     f"cannot combine sqrt({self.p}) with sqrt({other.p})"
                 )
             return other._A, other._B, other._D
-        if isinstance(other, int):
-            return other, 0, 1
-        if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator
-        return None
+        r = _ratio(other)
+        return None if r is None else (r[0], 0, r[1])
 
     # -- ring operations --------------------------------------------------
 
@@ -217,18 +239,15 @@ class QuadExt:
                 other._D,
                 other.p,
             )
-        if isinstance(other, int):
-            return self._B == 0 and self._D == 1 and self._A == other
-        if isinstance(other, Fraction):
-            return (
-                self._B == 0
-                and self._A == other.numerator
-                and self._D == other.denominator
-            )
-        return NotImplemented
+        r = _ratio(other)
+        if r is None:
+            return NotImplemented
+        return self._B == 0 and (self._A, self._D) == r
 
     def __hash__(self):
         if self._B == 0:
+            from fractions import Fraction
+
             return hash(Fraction(self._A, self._D))
         return hash((self._A, self._B, self._D, self.p))
 

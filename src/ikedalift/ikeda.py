@@ -180,23 +180,29 @@ def q_binomial(n: int, m: int) -> tuple[int, ...]:
 
 def q_binomial_row(n: int, m: int, q0: int) -> list[int]:
     """[n, 0], ..., [n, m] evaluated at an integer q0, from one pass of the
-    ratio recurrence v_j = v_{j-1} (q0^(n-j+1) - 1) / (q0^j - 1).
+    ratio recurrence v_j = v_{j-1} (q0^(n-j+1) - 1) / (q0^j - 1).  The
+    powers run down from one q0^n and up from q0 by exact steps.
 
     The denominators vanish at q0 = 1, where [n, j] is C(n, j), and can
     vanish at q0 = -1, where it is 0 for even n and odd j and C(n//2, j//2)
-    otherwise.
+    otherwise.  At q0 = 0 every [n, j] is 1, the constant term.
     """
     _check_args(n, m)
     if q0 == 1:
         return [comb(n, j) for j in range(m + 1)]
     if q0 == -1:
         return [0 if n % 2 == 0 and j % 2 else comb(n // 2, j // 2) for j in range(m + 1)]
+    if q0 == 0:
+        return [1] * (m + 1)
     row = [1]
+    v, hi, lo = 1, q0**n, 1  # hi = q0^(n-j+1), lo = q0^j at step j
     for j in range(1, m + 1):
-        v, r = divmod(row[-1] * (q0 ** (n - j + 1) - 1), q0**j - 1)
+        lo *= q0
+        v, r = divmod(v * (hi - 1), lo - 1)
         if r:
             raise ArithmeticError(f"[{n}, {j}] at q = {q0} is not an integer")
         row.append(v)
+        hi //= q0
     return row
 
 

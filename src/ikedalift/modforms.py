@@ -5,23 +5,24 @@ Built-in weights are exactly those with a one-dimensional cusp space
 Hecke eigenform: the weight-12 discriminant form Delta times the Eisenstein
 series E_{w-12} (E_0 = 1), since M_{w-12} is one-dimensional too.  The
 discriminant form is built two independent ways (eighth power of Jacobi's
-eta^3 expansion, and 691 (E4 E8 - E12)/432000 from the identity
-E4 E8 = E12 + (432000/691) Delta) and the constructions are asserted to
+eta^3 expansion, and 691 (E12 - E6^2)/762048 from the identity
+E6^2 = E12 - (762048/691) Delta) and the constructions are asserted to
 agree, so the root of the data pipeline is its own oracle.  Any other
 weight enters through a validated coefficient table on disk.
 
 Every series product goes through kernels.convolve_trunc, which packs each
 truncated integer series into the decimal digits of one Decimal (Kronecker
-substitution) and lets libmpdec multiply them.
+substitution) and lets libmpdec multiply them.  Only the functions that
+build a series import kernels, so a run that loads a table and builds
+nothing loads neither kernels nor `decimal`.  Bernoulli numbers are
+reduced int pairs, so no path but bernoulli() itself loads `fractions`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from . import kernels
 from .exactnum import PRIME_TEST_LIMIT, is_prime, primes_upto
 
 
@@ -90,17 +91,41 @@ class FourierSeries:
 
 
 @lru_cache(maxsize=None)
-def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m (convention B_1 = -1/2), by the recurrence
-    sum_{j=0}^{m} C(m+1, j) B_j = 0 with B_0 = 1."""
+def _bernoulli_ratio(m: int) -> tuple[int, int]:
+    """B_m as a reduced pair (numerator, denominator > 0), convention
+    B_1 = -1/2, by the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 with
+    B_0 = 1."""
     if m < 0:
         raise ValueError("m must be non-negative")
     if m == 0:
-        return Fraction(1)
-    acc = Fraction(0)
+        return 1, 1
+    num, den = 0, 1  # sum_{j<m} C(m+1, j) B_j
     for j in range(m):
-        acc += comb(m + 1, j) * bernoulli(j)
-    return -acc / (m + 1)
+        bn, bd = _bernoulli_ratio(j)
+        num, den = num * bd + comb(m + 1, j) * bn * den, den * bd
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    den *= m + 1
+    g = gcd(num, den)
+    return -num // g, den // g
+
+
+def bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m (convention B_1 = -1/2) as a Fraction."""
+    from fractions import Fraction
+
+    return Fraction(*_bernoulli_ratio(m))
+
+
+def _eisenstein_constant(w: int) -> tuple[int, int]:
+    """-2w/B_w, the a(1) of E_w, as a reduced pair (numerator,
+    denominator > 0), for an even w >= 2 (where B_w != 0)."""
+    bn, bd = _bernoulli_ratio(w)
+    num, den = -2 * w * bd, bn
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _smallest_prime_factors(L: int) -> tuple[list[int], list[int]]:
@@ -161,12 +186,11 @@ def eisenstein(w: int, N: int) -> FourierSeries:
     """
     if w < 4 or w % 2 != 0:
         raise ValueError("weight must be an even integer >= 4")
-    c = Fraction(-2 * w) / bernoulli(w)
-    if c.denominator != 1:
+    cval, den = _eisenstein_constant(w)
+    if den != 1:
         raise ArithmeticError(
-            f"E_{w} has non-integer coefficients (a(1) = {c}); not representable"
+            f"E_{w} has non-integer coefficients (a(1) = {cval}/{den}); not representable"
         )
-    cval = c.numerator
     # scaled in place, so each coefficient takes the place of its sigma
     coeffs = _sigma_table(w - 1, N)
     coeffs[0] = 1
@@ -183,6 +207,8 @@ def _eta_power_24(nterms: int) -> list[int]:
     a series with about sqrt(2 nterms) nonzero terms; its eighth power is
     taken by three squarings of truncated series.
     """
+    from . import kernels
+
     cube = [0] * nterms
     j = 0
     while j * (j + 1) // 2 < nterms:
@@ -199,29 +225,32 @@ def delta(N: int) -> FourierSeries:
 
     Computed two independent ways and asserted to agree coefficient by
     coefficient: the eighth power of Jacobi's eta^3 expansion (three
-    squarings), and the Eisenstein identity E4 E8 = E12 + (432000/691) Delta
-    (one two-operand product; M_12 is spanned by E12 and Delta).  The
-    constants come from B_12 and a(1) of E4 E8, and 691 (E4 E8 - E12) is
-    asserted to be a multiple of 432000 at every index, m = 0 included.
+    squarings), and the Eisenstein identity E6^2 = E12 - (762048/691) Delta
+    (Zagier, "Elliptic modular forms and their applications"; one more
+    squaring, since M_12 is spanned by E12 and Delta).  The constants come
+    from B_12 and a(1) of E6^2, and 691 (E6^2 - E12) is asserted to be a
+    multiple of -762048 at every index, m = 0 included.
     """
     if N < 1:
         raise ValueError("truncation must be positive")
+    from . import kernels
+
     via_eta = [0] + _eta_power_24(N)
 
-    e4e8 = kernels.convolve_trunc(eisenstein(4, N).coeffs, eisenstein(8, N).coeffs, N + 1)
+    e6 = eisenstein(6, N).coeffs
+    e6sq = kernels.convolve_trunc(e6, e6, N + 1)
     # E12 = 1 + (num/den) sum sigma_11(m) q^m with num/den = -24/B_12, and
-    # E4 E8 - E12 = (a(1) - num/den) Delta with a(1) that of E4 E8, so
-    # Delta = den (E4 E8 - E12) / scale with scale = den a(1) - num
-    c12 = Fraction(-24) / bernoulli(12)
-    num, den = c12.numerator, c12.denominator
-    scale = den * e4e8[1] - num
+    # E6^2 - E12 = (a(1) - num/den) Delta with a(1) that of E6^2, so
+    # Delta = den (E6^2 - E12) / scale with scale = den a(1) - num
+    num, den = _eisenstein_constant(12)
+    scale = den * e6sq[1] - num
     sig = _sigma_table(11, N)
     via_eis = []
     for m in range(N + 1):
         # den E12 has a(0) = den and a(m) = num sigma_11(m)
-        d, r = divmod(den * e4e8[m] - (num * sig[m] if m else den), scale)
+        d, r = divmod(den * e6sq[m] - (num * sig[m] if m else den), scale)
         if r != 0:
-            raise ArithmeticError(f"{den}(E4*E8 - E12)/{scale} not integral at index {m}")
+            raise ArithmeticError(f"{den}(E6^2 - E12)/{scale} not integral at index {m}")
         via_eis.append(d)
 
     if via_eta != via_eis:
@@ -258,6 +287,8 @@ def eigenform(w: int, N: int) -> FourierSeries:
         eis = eisenstein(w - 12, N)
     finally:
         _factor_sieve.cache_clear()
+    from . import kernels
+
     coeffs = kernels.convolve_trunc(base.coeffs, eis.coeffs, N + 1)
     return FourierSeries(w, tuple(coeffs))
 

@@ -317,9 +317,9 @@ def check_sigma_sieve():
 
 
 def check_discriminant_identities():
-    # Delta as (E4^3 - E6^2)/1728, and by delta's own Eisenstein identity
-    # 691 (E4 E8 - E12)/432000 with literal constants and with E12 from B_12
-    # and the divisor sweep
+    # Delta as (E4^3 - E6^2)/1728, and as 691 (E4 E8 - E12)/432000 with
+    # literal constants and with E12 from B_12 and the divisor sweep: two
+    # identities apart from the E6^2 one that delta itself checks
     N = 500
     d = list(delta(N).coeffs)
     e4, e6 = eisenstein(4, N).coeffs, eisenstein(6, N).coeffs

@@ -616,11 +616,13 @@ class TestSelftest:
         src = os.path.dirname(os.path.dirname(ikedalift.__file__))
         # the CLI's cold start: importing it may load none of these (some
         # interpreters' site hooks load inspect before any user code), and
-        # of the package exactly the six modules the CLI runs
+        # of the package exactly the five modules every subcommand runs:
+        # the series engine loads with the first series built
         code = (
             "import sys; before = set(sys.modules); import ikedalift.cli; "
             "print(sorted((set(sys.modules) - before) & "
-            "{'ikedalift.selftest', 'dataclasses', 'inspect', 'csv', 'json'})); "
+            "{'ikedalift.selftest', 'dataclasses', 'inspect', 'csv', 'json', "
+            "'fractions', 'decimal', 'numbers'})); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ikedalift'))"
         )
         env = dict(os.environ, PYTHONPATH=src)
@@ -630,8 +632,47 @@ class TestSelftest:
         assert out.stdout.splitlines() == [
             "[]",
             "['ikedalift', 'ikedalift.cli', 'ikedalift.exactnum', 'ikedalift.ikeda', "
-            "'ikedalift.kernels', 'ikedalift.modforms']",
+            "'ikedalift.modforms']",
         ]
+
+
+class TestImportGraph:
+    """Each subcommand loads only what it runs: no path but selftest loads
+    `fractions`, and a run that builds no series loads neither the series
+    engine nor `decimal`."""
+
+    WATCHED = ("fractions", "decimal", "numbers", "ikedalift.kernels")
+
+    def _loaded_by(self, *argv):
+        """The watched modules that importing the CLI and running it on argv
+        load in a fresh interpreter, which must exit 0."""
+        src = os.path.dirname(os.path.dirname(ikedalift.__file__))
+        code = (
+            "import sys; before = set(sys.modules); from ikedalift.cli import main; "
+            f"code = main({list(argv)!r}); "
+            f"print(code, sorted((set(sys.modules) - before) & {set(self.WATCHED)!r}))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return out.stdout.splitlines()[-1]
+
+    def test_table_eigen_loads_no_fractions_decimal_or_engine(self, tmp_path, capsys):
+        table = tmp_path / "w20.txt"
+        assert main(["forms", "--weight", "20", "--pmax", "60", "--out", str(table)]) == 0
+        argv = ["eigen", "--n", "4", "--k", "12", "--pmax", "60", "--eigenform", str(table)]
+        out = tmp_path / "eigen.csv"
+        assert self._loaded_by(*argv, "--out", str(out)) == "0 []"
+        # the records themselves are those of the built-in path
+        assert main(["eigen", "--n", "4", "--k", "12", "--pmax", "60"]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
+    def test_series_build_loads_no_fractions(self, tmp_path):
+        out = tmp_path / "w20.txt"
+        loaded = self._loaded_by("forms", "--weight", "20", "--pmax", "60", "--out", str(out))
+        # the engine and its decimal module load, fractions does not
+        assert loaded == "0 ['decimal', 'ikedalift.kernels', 'numbers']"
 
 
 def _spawn_cli(*argv, **kwargs):

@@ -321,6 +321,32 @@ class TestCanonicalForm:
         assert x.a == Fraction(-7, 6) and x.b == Fraction(5, 4)
         assert repr(x) == "QuadExt(a=Fraction(-7, 6), b=Fraction(5, 4), p=11)"
 
+    def test_fraction_name_resolves_to_fractions_fraction(self):
+        import fractions
+
+        assert exactnum.Fraction is fractions.Fraction
+        from ikedalift.exactnum import Fraction as imported
+
+        assert imported is fractions.Fraction
+        with pytest.raises(AttributeError, match="no attribute 'Decimal'"):
+            exactnum.Decimal
+
+    def test_fraction_parts_keep_value_equality_and_hash(self):
+        x = QuadExt(Fraction(6, 8), Fraction(-10, 12), 7)
+        assert x.a == Fraction(3, 4) and x.b == Fraction(-5, 6)
+        same = exactnum._quad(9, -10, 12, 7)
+        assert x == same and hash(x) == hash(same)
+        assert x != QuadExt(Fraction(3, 4), Fraction(5, 6), 7)
+        r = QuadExt(Fraction(3, 4), Fraction(0), 7)
+        assert r == Fraction(3, 4) and hash(r) == hash(Fraction(3, 4))
+        assert r == QuadExt(Fraction(3, 4), 0, 5) and r != Fraction(3, 5)
+
+    def test_other_scalars_rejected(self):
+        for a, b in ((1.5, 1), (1, Decimal(2))):
+            with pytest.raises(TypeError, match="expected int or Fraction, got"):
+                QuadExt(a, b, 2)
+        assert QuadExt(1, 0, 2) != 1.0 and QuadExt(1, 0, 2) == 1
+
     def test_not_a_dataclass(self):
         assert not hasattr(QuadExt, "__dataclass_fields__")
         with pytest.raises(AttributeError):

@@ -1,14 +1,16 @@
 """Eigenform constructions and coefficient-table validation.
 
 The discriminant form is dual-sourced inside delta() (eta power vs
-691 (E4 E8 - E12)/432000); on top of that, spot values here are hand-derived:
+691 (E12 - E6^2)/762048); on top of that, spot values here are hand-derived:
 E4 has a(m) = 240*sigma_3(m), and products with the normalized discriminant
-give a(2) by a one-step convolution (tau(2) + E-series a(1)).
+give a(2) by a one-step convolution (tau(2) + E-series a(1)).  Bernoulli
+numbers, computed on int pairs, are checked against the same recurrence run
+on Fractions.
 """
 
 import time
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 
@@ -47,6 +49,16 @@ class TestBernoulli:
 
     def test_odd_vanish(self):
         assert bernoulli(3) == bernoulli(5) == bernoulli(7) == 0
+
+    def test_int_pairs_match_fraction_recurrence(self):
+        ref = [Fraction(1)]
+        for m in range(1, 31):
+            ref.append(-sum(comb(m + 1, j) * ref[j] for j in range(m)) / (m + 1))
+        assert [bernoulli(m) for m in range(31)] == ref
+        assert all(type(bernoulli(m)) is Fraction for m in range(31))
+        assert bernoulli(30) == Fraction(8615841276005, 14322)
+        with pytest.raises(ValueError):
+            bernoulli(-1)
 
 
 class TestEisenstein:
@@ -129,7 +141,7 @@ class TestDelta:
             delta.cache_clear()
 
     def test_corrupt_eisenstein_source_is_caught(self, monkeypatch):
-        # one wrong sigma_11 entry, or one wrong E8 coefficient, on the
+        # one wrong sigma_11 entry, or one wrong E6 coefficient, on the
         # Eisenstein side is named by its index
         real_sigma, real_eisenstein = modforms._sigma_table, modforms.eisenstein
 
@@ -139,15 +151,15 @@ class TestDelta:
                 out[37] += 1
             return out
 
-        def corrupt_e8(w, N):
+        def corrupt_e6(w, N):
             f = real_eisenstein(w, N)
-            if w != 8:
+            if w != 6:
                 return f
             coeffs = list(f.coeffs)
             coeffs[37] += 1
             return FourierSeries(w, tuple(coeffs))
 
-        for name, corrupt in (("_sigma_table", corrupt_sigma), ("eisenstein", corrupt_e8)):
+        for name, corrupt in (("_sigma_table", corrupt_sigma), ("eisenstein", corrupt_e6)):
             with monkeypatch.context() as m:
                 m.setattr(modforms, name, corrupt)
                 delta.cache_clear()
