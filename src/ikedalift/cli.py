@@ -27,7 +27,7 @@ import os
 import sys
 from itertools import chain
 
-from .exactnum import exact_pair, primes_upto, unlimited_int_digits
+from .exactnum import exact_pair, is_prime, primes_upto, unlimited_int_digits
 from .ikeda import DeligneBoundError, IkedaParams, q_binomial, q_binomial_eval, verify_prime
 from .modforms import (
     EigenformValidationError,
@@ -65,6 +65,11 @@ def _series_for(weight: int, pmax: int, path):
 
 def _reports(params: IkedaParams, pmax: int, path):
     series = _series_for(params.eigenform_weight, pmax, path)
+    # a table lists no prime past its dense prefix: refuse one <= pmax before the sieve
+    L = len(series.coeffs) - 1
+    q = next((q for q in range(L + 1, pmax + 1) if is_prime(q)), None)
+    if q is not None:
+        raise ValueError(f"coefficient table lacks a({q}), at the prime {q} <= pmax = {pmax}")
     out = []
     for p in primes_upto(pmax):
         ap = hecke_eigenvalue_prime(series, p)

@@ -59,6 +59,7 @@ Q, or Q(sqrt(p)).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -471,29 +472,12 @@ def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     return _quad(rational, -surd, 1, p), _quad(rational, surd, 1, p)
 
 
-class EigenvalueReport:
-    """Per-prime verification record.  verify_prime makes one only after the
-    three routes agreed at its prime, so it carries no agreement flag."""
-
-    __slots__ = ("p", "a_p", "eigenvalue", "lower", "upper", "positive", "within_bounds")
-
-    def __init__(
-        self,
-        p: int,
-        a_p: int,
-        eigenvalue: int,
-        lower: QuadExt,
-        upper: QuadExt,
-        positive: bool,
-        within_bounds: bool,
-    ):
-        self.p = p
-        self.a_p = a_p
-        self.eigenvalue = eigenvalue
-        self.lower = lower
-        self.upper = upper
-        self.positive = positive
-        self.within_bounds = within_bounds
+# verify_prime makes one only after the three routes agreed at its prime,
+# so a record carries no agreement flag
+EigenvalueReport = namedtuple(
+    "EigenvalueReport", "p a_p eigenvalue lower upper positive within_bounds"
+)
+EigenvalueReport.__doc__ = "Per-prime verification record."
 
 
 def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:

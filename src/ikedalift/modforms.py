@@ -60,10 +60,11 @@ class FourierSeries:
     """Weight plus the coefficients of a modular form: a(0..N) in the dense
     tuple coeffs, and any further listed indices in the dict sparse.
 
-    Built-in series are dense.  A loaded table keeps the indices past its
-    first gap (all composite, above the largest listed prime) in sparse, so
-    its size follows its line count, not its largest index.  Attributes are
-    read-only: eigenform() hands one instance to every caller from its cache.
+    Built-in series are dense.  A loaded table is parsed straight into the
+    two: indices past its first gap (all composite, above the largest listed
+    prime) go to sparse in ascending order, so its size follows its line
+    count, not its largest index.  Attributes are read-only: eigenform()
+    hands one instance to every caller from its cache.
     """
 
     __slots__ = ("weight", "coeffs", "sparse")
@@ -312,6 +313,15 @@ def within_deligne(a: int, p: int, w: int) -> bool:
     return power is None or square <= 4 * power
 
 
+def _deligne(a: int, p: int, w: int) -> int:
+    """a, or EigenformValidationError when it breaks Deligne's bound at p."""
+    if not within_deligne(a, p, w):
+        raise EigenformValidationError(
+            p, f"Deligne bound violated: a({p})^2 = {a * a} > 4*{p}^{w - 1}"
+        )
+    return a
+
+
 def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
     """a_f(p) for a normalized eigenform, with the Deligne bound asserted.
 
@@ -320,12 +330,7 @@ def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    ap = f.a(p)
-    if not within_deligne(ap, p, f.weight):
-        raise EigenformValidationError(
-            p, f"Deligne bound violated: a({p})^2 = {ap * ap} > 4*{p}^{f.weight - 1}"
-        )
-    return ap
+    return _deligne(f.a(p), p, f.weight)
 
 
 def _iroot(u: int, e: int) -> int:
@@ -340,41 +345,43 @@ def _iroot(u: int, e: int) -> int:
 
 
 def _prime_base(u: int):
-    """q if u = q^e for a prime q and some e >= 2, else None."""
-    for e in range(2, u.bit_length()):
-        q = _iroot(u, e)
-        if q**e == u and is_prime(q):
-            return q
+    """q if u = q^e for a prime q and some e >= 2, else None.  The least
+    prime e with u = r^e divides every such exponent, so r is q or its power."""
+    for e in filter(is_prime, range(2, u.bit_length())):
+        r = _iroot(u, e)
+        if r**e == u:
+            return r if is_prime(r) else _prime_base(r)
     return None
 
 
-def _check_split(table: dict, m: int, u: int, rest: int) -> None:
+def _check_split(get, m: int, u: int, rest: int) -> None:
     """Multiplicativity a(m) = a(u) a(rest) for the coprime split m = u * rest,
-    when both parts are listed."""
-    if u in table and rest in table and table[m] != table[u] * table[rest]:
+    when both parts are listed: get(i) is a(i), or None for an unlisted i."""
+    au, arest = get(u), get(rest)
+    if au is not None and arest is not None and get(m) != au * arest:
         raise EigenformValidationError(
             m, f"multiplicativity violated: a({m}) != a({u})*a({rest})"
         )
 
 
-def _check_composite(table: dict, w: int, m: int, p: int) -> None:
+def _check_composite(get, w: int, m: int, p: int) -> None:
     """The relation at a composite m with smallest prime factor p: the split
     m = p^e * rest, or for m = p^e the Hecke recursion at p, when the
-    entries it needs are listed."""
+    entries it needs are listed (get as for _check_split)."""
     u, rest = p, m // p
     while rest % p == 0:
         u *= p
         rest //= p
     if rest > 1:
-        _check_split(table, m, u, rest)
+        _check_split(get, m, u, rest)
         return
     # prime power p^e, e >= 2: Hecke recursion at p
     prev, prev2 = m // p, m // (p * p)
-    aprev = table.get(prev)
-    aprev2 = 1 if prev2 == 1 else table.get(prev2)
-    if p in table and aprev is not None and aprev2 is not None:
+    ap, aprev = get(p), get(prev)
+    aprev2 = 1 if prev2 == 1 else get(prev2)
+    if ap is not None and aprev is not None and aprev2 is not None:
         # p^(w-1) a(prev2) = r; a power longer than r needs a(prev2) = r = 0
-        r = table[p] * aprev - table[m]
+        r = ap * aprev - get(m)
         power = _power_within(p, w - 1, r.bit_length())
         if not (r == 0 == aprev2 if power is None else r == power * aprev2):
             raise EigenformValidationError(
@@ -384,67 +391,68 @@ def _check_composite(table: dict, w: int, m: int, p: int) -> None:
             )
 
 
-def _check_table(table: dict, w: int) -> None:
-    """Structural validation of a coefficient table; raises on the first
+def _check_table(f: FourierSeries) -> None:
+    """Structural validation of a loaded table f; raises on the first
     offending index (ascending).
 
-    The leading run of indices 1..L with no gap is classified by one
-    smallest-prime-factor sieve; L is at most the table's length, so a
-    sparse large index cannot inflate it.  Indices past the gap are tested
-    by is_prime, so an index at or above its exact range is refused, and a
-    prime there means a missing index.  So every listed prime is at most L,
-    and a composite index m past the gap is trial-divided only by the primes
-    up to min(L, isqrt(m)).  When none divides m, its smallest prime factor
-    is not listed, so no Hecke relation applies at it.  The one relation
-    left is a coprime split m = u * (m/u) with both parts listed and
-    u = q^e (e >= 2); such u are searched among the listed indices past the
-    gap that divide m, and the split with the least q is checked.  That is
-    the split at m's smallest prime whenever that prime's power is listed.
+    f.coeffs holds the leading run of indices 1..L with no gap, which one
+    smallest-prime-factor sieve classifies; L is at most the table's length,
+    so a sparse large index cannot inflate it.  The indices past the gap,
+    ascending in f.sparse, are tested by is_prime, so an index at or above
+    its exact range is refused, and a prime there means a missing index.  So
+    every listed prime is at most L, and a composite index m past the gap is
+    trial-divided only by the primes up to min(L, isqrt(m)).  When none
+    divides m, its smallest prime factor is not listed, so no Hecke relation
+    applies at it.  The one relation left is a coprime split m = u * (m/u)
+    with both parts listed and u = q^e (e >= 2); such u are the earlier
+    indices past the gap that _prime_base found to be prime powers, and the
+    split with the least q is checked.  That is the split at m's smallest
+    prime whenever that prime's power is listed.
     """
-    indices = sorted(table)
-    if indices[-1] >= PRIME_TEST_LIMIT:
+    coeffs, sparse, w = f.coeffs, f.sparse, f.weight
+    L = len(coeffs) - 1
+    top = next(reversed(sparse), L)
+    if top >= PRIME_TEST_LIMIT:
         raise EigenformValidationError(
-            indices[-1], f"at or above {PRIME_TEST_LIMIT}, where the exact primality test stops"
+            top, f"at or above {PRIME_TEST_LIMIT}, where the exact primality test stops"
         )
-    L = 0
-    while L < len(indices) and indices[L] == L + 1:
-        L += 1
     # a prime past the gap leaves the index L + 1 below it missing
-    if any(is_prime(m) for m in indices[L:]):
+    if any(is_prime(m) for m in sparse):
         raise EigenformValidationError(L + 1, "missing index at or below the largest listed prime")
     # so every index past the gap is composite
     primes, spf = _smallest_prime_factors(L)
 
-    am = table[1]
-    if am != 1:
-        raise EigenformValidationError(1, f"normalization violated: a(1) = {am}")
+    if coeffs[1] != 1:
+        raise EigenformValidationError(1, f"normalization violated: a(1) = {coeffs[1]}")
+    # every index below a dense m is listed, so no lookup here misses
+    get = coeffs.__getitem__
     for m in range(2, L + 1):
         p = spf[m]
         if p == m:
-            am = table[m]
-            if not within_deligne(am, m, w):
-                raise EigenformValidationError(
-                    m, f"Deligne bound violated: a({m})^2 = {am * am} > 4*{m}^{w - 1}"
-                )
+            _deligne(coeffs[m], m, w)
         else:
-            _check_composite(table, w, m, p)
+            _check_composite(get, w, m, p)
 
-    # listed indices past the gap with no prime factor <= L
-    unfactored = []
-    for m in indices[L:]:
+    def lookup(m):
+        return coeffs[m] if m <= L else sparse.get(m)
+
+    # (q, q^e) for the listed indices past the gap with no prime factor <= L
+    powers = []
+    for m in sparse:
         p = next((q for q in primes if q * q > m or m % q == 0), None)
         if p is not None and p * p <= m:
-            _check_composite(table, w, m, p)
+            _check_composite(lookup, w, m, p)
             continue
         best = None
-        for u in unfactored:
-            if m % u == 0 and gcd(u, m // u) == 1 and m // u in table:
-                q = _prime_base(u)
-                if q is not None and (best is None or q < best[0]):
+        for q, u in powers:
+            if m % u == 0 and gcd(u, m // u) == 1 and lookup(m // u) is not None:
+                if best is None or q < best[0]:
                     best = (q, u)
         if best is not None:
-            _check_split(table, m, best[1], m // best[1])
-        unfactored.append(m)
+            _check_split(lookup, m, best[1], m // best[1])
+        q = _prime_base(m)
+        if q is not None:
+            powers.append((q, m))
 
 
 def load_eigenform(path, w: int) -> FourierSeries:
@@ -457,10 +465,14 @@ def load_eigenform(path, w: int) -> FourierSeries:
     primes are all checked, and the first offending index is reported.  A
     line that is not two decimal integers (ASCII digits, an optional sign)
     raises TableParseError naming the line.
+
+    The entries go straight into the FourierSeries returned, which
+    _check_table validates.  The file is read as UTF-8 in any locale; an
+    undecodable byte may sit in a comment, and in a field it makes a
+    non-integer entry.
     """
-    table = {}
-    last = 0
-    with open(path) as fh:
+    coeffs, sparse, last = [0], {}, 0
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
@@ -478,16 +490,15 @@ def load_eigenform(path, w: int) -> FourierSeries:
                 raise EigenformValidationError(m, "table must start at index 1")
             if m <= last:
                 raise EigenformValidationError(m, f"indices not strictly increasing at {m}")
-            table[m] = am
+            # indices increase, so once one skips past len(coeffs) all later do
+            if m == len(coeffs):
+                coeffs.append(am)
+            else:
+                sparse[m] = am
             last = m
-    if not table:
+    if last == 0:
         raise EigenformValidationError(0, "empty coefficient table")
-    _check_table(table, w)
-    # the table is in ascending order: a dense prefix 1..L, then the rest
-    coeffs = [0]
-    for m, am in table.items():
-        if m != len(coeffs):
-            break
-        coeffs.append(am)
-    sparse = {m: am for m, am in table.items() if m >= len(coeffs)}
-    return FourierSeries(w, tuple(coeffs), sparse)
+    f = FourierSeries(w, tuple(coeffs), sparse)
+    del coeffs  # so the validation peak holds one copy of the dense prefix
+    _check_table(f)
+    return f

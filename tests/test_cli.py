@@ -445,6 +445,73 @@ class TestForms:
         assert err == "error: coefficient table covers m <= 10, below pmax = 100\n"
 
 
+class TestTableWithAGap:
+    """A table lists no prime past its first gap, so eigen and verify refuse
+    a prime in (L, pmax], L the end of the table's dense prefix, before they
+    sieve to pmax; forms still reads every coefficient first."""
+
+    @pytest.mark.parametrize("command", ["eigen", "verify"])
+    def test_refused_before_the_sieve(self, capsys, tmp_path, monkeypatch, command):
+        table = tmp_path / "sparse.txt"
+        table.write_text("1 1\n2 -528\n3 -4284\n4 147712\n10000000000 0\n")
+
+        def no_sieve(n):
+            raise AssertionError(f"primes_upto({n}) called")
+
+        monkeypatch.setattr(cli, "primes_upto", no_sieve)
+        code, out, err = run_cli(
+            capsys, command, "--n", "2", "--k", "10", "--pmax", "10000000000",
+            "--eigenform", str(table),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: coefficient table lacks a(5), at the prime 5 <= pmax = 10000000000\n"
+
+    def test_pmax_with_no_prime_past_the_prefix_runs(self, capsys, tmp_path):
+        # a(1..12) dense, then a(14): no prime lies in (12, 12], but 13 does
+        # lie in (12, 14]
+        f = ikedalift.eigenform(18, 14)
+        table = tmp_path / "gap.txt"
+        table.write_text("".join(f"{m} {f.a(m)}\n" for m in (*range(1, 13), 14)))
+        argv = ("verify", "--n", "2", "--k", "10")
+        assert main([*argv, "--pmax", "12"]) == 0
+        builtin = capsys.readouterr().out
+        code, out, err = run_cli(capsys, *argv, "--pmax", "12", "--eigenform", str(table))
+        assert (code, out, err) == (0, builtin, "")
+        code, out, err = run_cli(capsys, *argv, "--pmax", "14", "--eigenform", str(table))
+        assert code == 2 and out == ""
+        assert err == "error: coefficient table lacks a(13), at the prime 13 <= pmax = 14\n"
+
+
+class TestTableEncoding:
+    """A table is read as UTF-8 whatever the locale; a byte that is not
+    UTF-8 may sit in a comment, and in a field it is a non-integer entry."""
+
+    def test_latin1_comment_loads_and_bad_field_exits_2(self, capsys, tmp_path):
+        table = tmp_path / "t.txt"
+        argv = ("forms", "--weight", "12", "--pmax", "2", "--eigenform", str(table))
+        table.write_bytes(b"# caf\xe9\n1 1\n2 -24\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == "# weight 12 eigenform coefficients\n1 1\n2 -24\n"
+        table.write_bytes(b"# caf\xe9\n1 1\n3 25\xff2\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: line 3: non-integer entry '3 25\\udcff2\\n'\n"
+
+    def test_utf8_comment_loads_in_an_ascii_locale(self, tmp_path):
+        table = tmp_path / "t.txt"
+        table.write_bytes("# a(2) = -\u0662\u0664\n1 1\n2 -24\n".encode())
+        src = os.path.dirname(os.path.dirname(ikedalift.__file__))
+        # the C locale without UTF-8 mode or locale coercion: ASCII
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        argv = ("forms", "--weight", "12", "--pmax", "2", "--eigenform", str(table))
+        run = subprocess.run(
+            [sys.executable, "-m", "ikedalift", *argv], env=env, capture_output=True
+        )
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout == b"# weight 12 eigenform coefficients\n1 1\n2 -24\n"
+
+
 class TestBeyondIntStrLimit:
     """Exact results longer than CPython's 4300-digit int <-> str limit are
     printed in full, and the limit is back in place after main returns."""

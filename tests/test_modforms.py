@@ -9,6 +9,7 @@ on Fractions.
 """
 
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -469,11 +470,65 @@ class TestLoadEigenform:
         assert load_eigenform(write_table(tmp_path, head + "31603 15\n", "ok.txt"), 12).a(31603) == 15
 
 
+class TestTableHeldOnce:
+    """A table is parsed straight into the FourierSeries that load_eigenform
+    returns, and _check_table validates that series."""
+
+    def test_load_peak_stays_near_the_series_it_keeps(self, tmp_path):
+        f = eigenform(20, 3000)
+        path = write_table(tmp_path, "".join(f"{m} {f.a(m)}\n" for m in range(1, 3001)))
+        tracemalloc.start()
+        try:
+            g = load_eigenform(path, 20)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.coeffs == f.coeffs and g.sparse == {}
+        # a dict of every index, then the tuple copied from it, peaked at 3.5x
+        assert peak <= 2.5 * kept, (peak, kept)
+
+    @pytest.mark.parametrize("w", BUILTIN_WEIGHTS)
+    def test_validator_reads_a_built_series(self, w):
+        f = eigenform(w, 500)
+        modforms._check_table(f)
+        coeffs = list(f.coeffs)
+        coeffs[300] += 1
+        with pytest.raises(
+            EigenformValidationError,
+            match=r"^index 300: multiplicativity violated: a\(300\) != a\(4\)\*a\(75\)$",
+        ):
+            modforms._check_table(FourierSeries(w, tuple(coeffs)))
+
+    def test_comment_in_another_encoding_loads(self, tmp_path):
+        path = tmp_path / "form.txt"
+        path.write_bytes(b"# Latin-1: caf\xe9\n1 1\n2 -24\n")
+        assert load_eigenform(path, 12).coeffs == (0, 1, -24)
+
+    def test_undecodable_field_names_its_line(self, tmp_path):
+        path = tmp_path / "form.txt"
+        path.write_bytes(b"# caf\xe9\n1 1\n3 25\xff2\n")
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(path, 12)
+        assert str(info.value) == "line 3: non-integer entry '3 25\\udcff2\\n'"
+
+    def test_many_indices_past_the_gap_load_in_linear_time(self, tmp_path):
+        # 2 * 10^4 semiprimes whose factors all lie above the listed primes
+        # 2 and 3: each is classified once as it is passed, not tested
+        # against every earlier index (which took about 9 s)
+        ps = [p for p in primes_upto(600000) if p > 1000][:40000]
+        lines = "".join(f"{ps[i] * ps[i + 1]} {i}\n" for i in range(0, 40000, 2))
+        path = write_table(tmp_path, "1 1\n2 -24\n3 252\n4 -1472\n" + lines)
+        start = time.perf_counter()
+        f = load_eigenform(path, 12)
+        assert time.perf_counter() - start < 2
+        assert len(f.coeffs) == 5 and len(f.sparse) == 20000
+
+
 class TestHeckeRelation:
     @staticmethod
     def holds(table, w, m, p):
         try:
-            modforms._check_composite(table, w, m, p)
+            modforms._check_composite(table.get, w, m, p)
         except EigenformValidationError:
             return False
         return True
