@@ -9,14 +9,15 @@ Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 elliptic coefficient fails validation), 2 = usage or parameter error,
 including a path that cannot be read or written and a coefficient-table line
 that is not two integers, 3 = internal error: an implementation fault, such
-as routes that disagree, a failed exact identity or integrality check, or
-any other unexpected exception, reported as `internal error: <Type>:
-<message>` on stderr without a traceback.  A reader that closes standard
-output early (`| head`) changes none of these: the rest of the output is
-dropped, nothing is written to stderr, and the exit code is the one the
-results set, 0 or 1: every result is computed before the first byte, and
-selftest, which reports each check as it ends, runs the rest of them.  A
-file given by --out that cannot be written is still exit 2.
+as routes that disagree, a failed exact identity or integrality check, a
+built series that fails validation, or any other unexpected exception,
+reported as `internal error: <Type>: <message>` on stderr without a
+traceback.  A reader that closes standard output early (`| head`) changes
+none of these: the rest of the output is dropped, nothing is written to
+stderr, and the exit code is the one the results set, 0 or 1: every result
+is computed before the first byte, and selftest, which reports each check
+as it ends, runs the rest of them.  A file given by --out that cannot be
+written is still exit 2.
 """
 
 from __future__ import annotations
@@ -71,9 +72,15 @@ def _reports(params: IkedaParams, pmax: int, path):
     if q is not None:
         raise ValueError(f"coefficient table lacks a({q}), at the prime {q} <= pmax = {pmax}")
     out = []
-    for p in primes_upto(pmax):
-        ap = hecke_eigenvalue_prime(series, p)
-        out.append(verify_prime(params, p, ap))
+    try:
+        for p in primes_upto(pmax):
+            ap = hecke_eigenvalue_prime(series, p)
+            out.append(verify_prime(params, p, ap))
+    except EigenformValidationError as exc:
+        if path is not None:
+            raise
+        # a series this program built is no finding about any input
+        raise ArithmeticError(f"built weight-{series.weight} eigenform failed validation: {exc}")
     return out
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 
 
@@ -108,7 +109,7 @@ def primes_upto(n: int) -> list[int]:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [i for i in range(n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 def __getattr__(name: str):

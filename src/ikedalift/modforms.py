@@ -20,8 +20,9 @@ reduced int pairs, so no path but bernoulli() itself loads `fractions`.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from .exactnum import PRIME_TEST_LIMIT, is_prime, primes_upto
 
@@ -129,16 +130,15 @@ def _eisenstein_constant(w: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _smallest_prime_factors(L: int) -> tuple[list[int], list[int]]:
-    """The primes up to L, and the smallest prime factor spf[m] of each
-    m <= L (spf[0] = 0, spf[1] = 1): every prime marks its multiples from
-    p^2 on, the largest first, so the smallest marks last."""
-    primes = primes_upto(L)
-    spf = list(range(L + 1))
-    for p in reversed(primes):
-        if p * p <= L:
-            spf[p * p :: p] = [p] * len(range(p * p, L + 1, p))
-    return primes, spf
+def _smallest_prime_factors(N: int) -> array:
+    """The smallest prime factor spf[m] of each m <= N (spf[0] = 0,
+    spf[1] = 1), as one flat array of machine ints built in place: each
+    prime p <= isqrt(N) marks its multiples from p^2 on, the largest first,
+    so the smallest marks last.  Only those primes are listed."""
+    spf = array("l", range(N + 1))
+    for p in reversed(primes_upto(isqrt(N))):
+        spf[p * p :: p] = array("l", [p]) * len(range(p * p, N + 1, p))
+    return spf
 
 
 @lru_cache(maxsize=1)
@@ -146,15 +146,12 @@ def _factor_sieve(N: int) -> tuple:
     """For m <= N, the smallest prime factor spf[m] and cof[m], m with every
     factor spf[m] taken out: what every sigma table of one build reads.
 
-    Both are arrays of machine ints, made before the sieve's temporary
-    lists are freed, so they hold no int objects and sit apart from the
-    series; eigenform makes them first and drops them before its final
-    product.
+    Both are flat arrays of machine ints (spf is _smallest_prime_factors(N)
+    itself), so they hold no int objects and sit apart from the series;
+    eigenform makes them first and drops them before its final product.
     """
-    from array import array  # imported here: only a series build needs it
-
     cof = array("l", [1]) * (N + 1)
-    spf = array("l", _smallest_prime_factors(N)[1])
+    spf = _smallest_prime_factors(N)
     for m in range(2, N + 1):
         p = spf[m]
         r = m // p
@@ -395,13 +392,16 @@ def _check_table(f: FourierSeries) -> None:
     """Structural validation of a loaded table f; raises on the first
     offending index (ascending).
 
-    f.coeffs holds the leading run of indices 1..L with no gap, which one
-    smallest-prime-factor sieve classifies; L is at most the table's length,
-    so a sparse large index cannot inflate it.  The indices past the gap,
-    ascending in f.sparse, are tested by is_prime, so an index at or above
-    its exact range is refused, and a prime there means a missing index.  So
-    every listed prime is at most L, and a composite index m past the gap is
-    trial-divided only by the primes up to min(L, isqrt(m)).  When none
+    f.coeffs holds the leading run of indices 1..L with no gap, which the
+    flat smallest-prime-factor array _smallest_prime_factors(L), the sieve
+    a series build reads, classifies as it is; L is at most the table's
+    length, so a sparse large index cannot inflate it.  The indices past the
+    gap, ascending in f.sparse, are tested by is_prime, so an index at or
+    above its exact range is refused, and a prime there means a missing
+    index.  So every listed prime is at most L, and a composite index m past
+    the gap is trial-divided only by the primes up to min(L, isqrt(m)); they
+    are listed once, up to min(L, isqrt(top)) for the largest index top, and
+    only when the table has indices past its gap.  When none
     divides m, its smallest prime factor is not listed, so no Hecke relation
     applies at it.  The one relation left is a coprime split m = u * (m/u)
     with both parts listed and u = q^e (e >= 2); such u are the earlier
@@ -420,7 +420,7 @@ def _check_table(f: FourierSeries) -> None:
     if any(is_prime(m) for m in sparse):
         raise EigenformValidationError(L + 1, "missing index at or below the largest listed prime")
     # so every index past the gap is composite
-    primes, spf = _smallest_prime_factors(L)
+    spf = _smallest_prime_factors(L)
 
     if coeffs[1] != 1:
         raise EigenformValidationError(1, f"normalization violated: a(1) = {coeffs[1]}")
@@ -436,6 +436,9 @@ def _check_table(f: FourierSeries) -> None:
     def lookup(m):
         return coeffs[m] if m <= L else sparse.get(m)
 
+    # trial divisors, listed only for a tail: a composite m <= top has a
+    # prime factor at most isqrt(m)
+    primes = primes_upto(min(L, isqrt(top))) if sparse else ()
     # (q, q^e) for the listed indices past the gap with no prime factor <= L
     powers = []
     for m in sparse:

@@ -10,11 +10,12 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import getcontext, localcontext
+from math import isqrt
 
 import pytest
 
 import ikedalift
-from ikedalift import cli, ikeda, selftest
+from ikedalift import cli, exactnum, ikeda, modforms, selftest
 from ikedalift.cli import CSV_COLUMNS, main
 from ikedalift.exactnum import unlimited_int_digits
 from ikedalift.ikeda import EigenvalueReport
@@ -267,6 +268,22 @@ class TestInternalErrorExit3:
         assert code == 3
         assert err == "internal error: RuntimeError: unforeseen\n"
 
+    def test_corrupted_built_eigenform_exits_3(self, capsys, monkeypatch):
+        # a built series that fails validation is a fault, not a finding
+        def corrupted(w, N):
+            coeffs = list(modforms.eigenform(w, N).coeffs)
+            coeffs[5] = 10**9
+            return modforms.FourierSeries(w, tuple(coeffs))
+
+        monkeypatch.setattr(cli, "eigenform", corrupted)
+        code, out, err = run_cli(capsys, "verify", "--n", "8", "--k", "14", "--pmax", "7")
+        assert code == 3 and out == ""
+        assert err.startswith(
+            "internal error: ArithmeticError: built weight-20 eigenform failed validation: "
+            "index 5: Deligne bound violated: a(5)^2 = "
+        )
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_findings_and_usage_errors_keep_their_codes(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1\n2 -24\n3 252\n4 -1471\n")
@@ -480,6 +497,40 @@ class TestTableWithAGap:
         code, out, err = run_cli(capsys, *argv, "--pmax", "14", "--eigenform", str(table))
         assert code == 2 and out == ""
         assert err == "error: coefficient table lacks a(13), at the prime 13 <= pmax = 14\n"
+
+
+class TestPrimeListings:
+    """The sweep's primes_upto(pmax) is a run's one full prime listing: a
+    series build and a dense table load list only the primes up to the
+    square root of their length, which mark the sieve."""
+
+    def test_build_and_dense_load_list_primes_to_the_square_root(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        L, pmax = 500, 101
+        f = modforms.eigenform(18, L)
+        table = tmp_path / "w18.txt"
+        table.write_text("".join(f"{m} {f.a(m)}\n" for m in range(1, L + 1)))
+        listed = []
+        real = exactnum.primes_upto
+
+        def recording(n):
+            listed.append(n)
+            return real(n)
+
+        monkeypatch.setattr(cli, "primes_upto", recording)
+        monkeypatch.setattr(modforms, "primes_upto", recording)
+        for cached in (modforms.eigenform, modforms.delta, modforms.eisenstein):
+            cached.cache_clear()
+        assert main(["verify", "--n", "8", "--k", "14", "--pmax", "97"]) == 0
+        assert listed == [9, 97]
+        listed.clear()
+        code, _, err = run_cli(
+            capsys, "eigen", "--n", "2", "--k", "10", "--pmax", str(pmax),
+            "--eigenform", str(table),
+        )
+        assert (code, err) == (0, "")
+        assert listed == [isqrt(L), pmax]
 
 
 class TestTableEncoding:

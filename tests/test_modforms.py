@@ -389,7 +389,10 @@ class TestLoadEigenform:
         path = write_table(tmp_path, head + f"{5**17} 7\n{m} 0\n")
         with pytest.raises(EigenformValidationError, match=f"index {m}: multiplicativity"):
             load_eigenform(path, 12)
-        assert sieved == [4, 4]
+        # each load lists the primes up to isqrt(4) to mark its sieve, then
+        # its tail's trial divisors up to min(4, isqrt(top)): nothing above
+        # the prefix is sieved
+        assert sieved == [2, 4, 2, 4]
 
     def test_prime_index_near_1e18_is_rejected_fast(self, tmp_path):
         # 10**18 + 3 is prime, so index 5 below it is missing
@@ -484,8 +487,9 @@ class TestTableHeldOnce:
         finally:
             tracemalloc.stop()
         assert g.coeffs == f.coeffs and g.sparse == {}
-        # a dict of every index, then the tuple copied from it, peaked at 3.5x
-        assert peak <= 2.5 * kept, (peak, kept)
+        # the series kept, plus the validator's flat sieve of one machine
+        # int per index and the parser's line being read: about 1.28x here
+        assert peak <= 1.5 * kept, (peak, kept)
 
     @pytest.mark.parametrize("w", BUILTIN_WEIGHTS)
     def test_validator_reads_a_built_series(self, w):
