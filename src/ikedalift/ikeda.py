@@ -6,13 +6,14 @@ The three routes are
 
   * eigenvalue_double_sum: the explicit double sum in the prime p and the
     elliptic eigenvalue a_f(p), evaluated in Z from one integer table of
-    terms (double_sum_terms), summed per power of a_f(p) and combined by
-    Horner's rule in a_f(p);
+    terms (double_sum_terms), summed per power of a_f(p) by Horner's rule in
+    p and combined by Horner's rule in a_f(p);
   * eigenvalue_product: the closed product over n/2 linear factors
     (a_f(p) + p^(k-i) + p^(k-n-1+i));
   * eigenvalue_reciprocal: evaluation of a monic integer polynomial built
     independently through the Dickson transform of the palindromic degree-n
-    polynomial.
+    polynomial, each coefficient summed from its terms (dickson_terms) by
+    Horner's rule in p.
 
 The per-prime algebra they read lives here too.  A polynomial is an
 immutable tuple c, c[i] the coefficient of x^i.  Gaussian binomials, in q
@@ -28,13 +29,19 @@ The paper's formulas carry half-integer powers of p.  Every exponent here is
 held doubled, as an int h standing for p^(h/2) (the convention of
 selftest.half_power), and _halve checks each one even and non-negative
 before it is used as a power of p in Z.  The checks depend only on (n, k);
-they run in the three functions double_sum_terms, dickson_exponents and
-bound_exponent, once per parameter pair, because the routes read them
-through params_record, which holds every term the routes and the bounds
-read at (n, k).  The routes' per-prime inputs (the powers p^0..p^top, the
-Gaussian binomials (n choose 0..n/2)_p and the factor constants r_i) come
-from prime_record.  A sweep runs one (n, k) and visits each prime once, so
-each of the two caches holds one record.
+they run in the functions double_sum_terms, dickson_exponents (read by
+dickson_terms) and bound_exponent, once per parameter pair, because the
+routes read them through params_record, which holds every term the routes
+and the bounds read at (n, k).  It holds the terms of routes 1 and 3 as
+Horner layouts in p (horner_layouts): per power of a_f(p), or of x, the
+least exponent e0 and the terms in descending exponent, each with the gap
+to the exponent before it.  A group is then summed as
+c = c * p^gap + coefficient * (n choose m)_p and multiplied by p^e0 once,
+so most products are big by small, and no power above top, the largest
+exponent anything reads, is made.  The routes' per-prime inputs (the
+powers p^0..p^top, the Gaussian binomials (n choose 0..n/2)_p and the
+factor constants r_i) come from prime_record.  A sweep runs one (n, k) and
+visits each prime once, so each of the two caches holds one record.
 
 In route 3 the scalar p^(h_i/2) that multiplies each Dickson polynomial
 D_{n/2-i} has h_i = i(i + 2k - 2n - 1): even, since i and i + 2k - 2n - 1
@@ -50,9 +57,10 @@ non-negative integer.
 
 Every verification asserts the mutual agreement of the routes, and that the
 exact sqrt(p)-bounds equal the product route at the Deligne endpoints,
-where each linear factor is an int pair r_i -+ s*sqrt(p): the product at
-the upper endpoint is multiplied out once, and the lower bound is compared
-with its conjugate.  The sign tests stay on QuadExt.sign.  Satake
+where each linear factor is an int pair r_i -+ s*sqrt(p): the product
+X + Y sqrt(p) at the upper endpoint is multiplied out once and compared
+part by part with the upper bound, and the lower bound with its
+conjugate.  The sign tests run QuadExt.sign on (X - v) -+ Y sqrt(p).  Satake
 parameters themselves are never represented, so all arithmetic stays in Z,
 Q, or Q(sqrt(p)).
 """
@@ -61,8 +69,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
+from operator import itemgetter, mul
 
 from .exactnum import QuadExt, _quad, is_prime
 from .modforms import within_deligne
@@ -308,70 +317,83 @@ def bound_exponent(params: IkedaParams) -> int:
     )
 
 
-@lru_cache(maxsize=1)
-def params_record(params: IkedaParams) -> tuple:
-    """What the routes and the bounds read at (n, k), from the three
-    checked tables: (by_power, reciprocal, bound_exp, top).
+def dickson_terms(params: IkedaParams) -> tuple[tuple[int, int, int, int], ...]:
+    """Every term of route 3 as an integer tuple (Dickson coefficient,
+    Gaussian index i, p-exponent, x-exponent j).
 
-    by_power[e] = (e0, ((signed weight, q-binomial index, p-exponent - e0),
-    ...)) holds the terms of double_sum_terms with a_f(p)^e, where e0 is
-    their least p-exponent, so that route 1 is a polynomial in a_f(p).
-
-    reciprocal holds every term of route 3 as (x-exponent j, Gaussian
-    index i, Dickson coefficient, p-exponent).  The palindromic pair of
-    coefficients i and n - i contributes p^(h_i/2) * (n choose i)_p *
-    D_{n/2-i}(x, c) with c = p^(2k-n-1), and the centre coefficient
-    p^(h_{n/2}/2) * (n choose n/2)_p.  D_m's coefficient of x^(m-2t) is
-    d_{m,t} c^t, d_{m,t} from one dickson_family(n/2, 1) pass, so its term t
-    adds d_{m,t} (n choose i)_p p^(h_i/2 + (2k-n-1) t) to x^(m-2t).
-
-    bound_exp is bound_exponent, and top the largest exponent of p that
-    anything reads from prime_record's powers.
+    The palindromic pair of coefficients i and n - i contributes
+    p^(h_i/2) * (n choose i)_p * D_{n/2-i}(x, c) with c = p^(2k-n-1), and the
+    centre coefficient p^(h_{n/2}/2) * (n choose n/2)_p, which comes first.
+    D_m's coefficient of x^(m-2t) is d_{m,t} c^t, d_{m,t} from one
+    dickson_family(n/2, 1) pass, so its term t is
+    (d_{m,t}, i, h_i/2 + (2k-n-1) t, m - 2t).  The h_i/2 come from
+    dickson_exponents, checked by _halve.
     """
     half = params.n // 2
-    terms = double_sum_terms(params)
-    by_power = []
-    for e in range(half + 1):
-        group = [(weight, m, exp) for weight, m, exp, ap_exp in terms if ap_exp == e]
-        e0 = min(exp for _, _, exp in group)
-        by_power.append((e0, tuple((weight, m, exp - e0) for weight, m, exp in group)))
-
     exps = dickson_exponents(params)
     g = 2 * params.k - params.n - 1
     family = dickson_family(half, 1)
-    reciprocal = [(0, half, 1, exps[half])]
+    out = [(1, half, exps[half], 0)]
     for i in range(half):
         m = half - i
         for j, d in enumerate(family[m]):
             if d:
-                reciprocal.append((j, i, d, exps[i] + g * ((m - j) // 2)))
+                out.append((d, i, exps[i] + g * ((m - j) // 2), j))
+    return tuple(out)
 
+
+def horner_layouts(terms, degree: int) -> tuple:
+    """Terms (coefficient, Gaussian index, p-exponent, x-exponent), as
+    double_sum_terms and dickson_terms give them, grouped per x-exponent
+    0..degree into Horner layouts in p: group j is (e0, ((coefficient,
+    Gaussian index, gap), ...)), e0 its least p-exponent and its terms in
+    descending p-exponent, each gap the drop from the exponent of the term
+    before it (0 for the first).  Then c = c * p^gap + coefficient * qb[m]
+    over a group, from c = 0, ends at its sum divided by p^e0.
+    """
+    out = []
+    for j in range(degree + 1):
+        group = sorted((t for t in terms if t[3] == j), key=itemgetter(2), reverse=True)
+        exps = [exp for _, _, exp, _ in group]
+        layout = ((c, m, prev - exp) for (c, m, exp, _), prev in zip(group, [exps[0], *exps]))
+        out.append((exps[-1], tuple(layout)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1)
+def params_record(params: IkedaParams) -> tuple:
+    """What the routes and the bounds read at (n, k), from the checked
+    tables: (by_power, reciprocal, bound_exp, top).
+
+    by_power is route 1 as a polynomial in a_f(p), reciprocal route 3 as a
+    polynomial in x: the horner_layouts of double_sum_terms and of
+    dickson_terms, one group per power.  bound_exp is bound_exponent, and top
+    the largest exponent of p that anything reads from prime_record's
+    powers: an e0 or a gap of a layout, k - 1 for route 2's constants (the
+    endpoint scale needs only k - n/2 - 1), n/2 for the bounds' factors, or
+    bound_exp.
+    """
+    half = params.n // 2
+    by_power = horner_layouts(double_sum_terms(params), half)
+    reciprocal = horner_layouts(dickson_terms(params), half)
     bound_exp = bound_exponent(params)
-    top = max(
-        max(exp for _, _, exp, _ in terms),
-        # route 2's constants; the endpoint scale needs only k - n/2 - 1
-        params.k - 1,
-        max(exp for *_, exp in reciprocal),
-        half,
-        bound_exp,
-    )
-    return tuple(by_power), tuple(reciprocal), bound_exp, top
+    read = [x for e0, group in by_power + reciprocal for x in (e0, *(gap for *_, gap in group))]
+    top = max(*read, params.k - 1, half, bound_exp)
+    return by_power, reciprocal, bound_exp, top
 
 
 @lru_cache(maxsize=1)
 def prime_record(params: IkedaParams, p: int) -> tuple:
     """What the routes and the bounds read at one prime: (powers, gaussian,
     constants), with powers = (p^0, ..., p^top) at one multiplication each,
-    gaussian = (n choose 0..n/2)_p from one q_binomial_row pass, and the
-    constants r_i = p^(k-i) + p^(k-n-1+i), i = 1..n/2, of the linear
-    factors (x + r_i) of routes 2 and 3."""
+    top from params_record, gaussian = (n choose 0..n/2)_p from one
+    q_binomial_row pass, and the constants r_i = p^(k-i) + p^(k-n-1+i),
+    i = 1..n/2, of the linear factors (x + r_i) of routes 2 and 3."""
     n, k = params.n, params.k
     *_, top = params_record(params)
-    powers = [1]
-    for _ in range(top):
-        powers.append(powers[-1] * p)
+    powers = tuple(accumulate(repeat(p, top), mul, initial=1))
     constants = tuple(powers[k - i] + powers[k - n - 1 + i] for i in range(1, n // 2 + 1))
-    return tuple(powers), tuple(q_binomial_row(n, n // 2, p)), constants
+    return powers, tuple(q_binomial_row(n, n // 2, p)), constants
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +401,28 @@ def prime_record(params: IkedaParams, p: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _horner_sum(layout, pw, qb) -> int:
+    """The sum of one group of horner_layouts at a prime, from its powers
+    pw and Gaussian binomials qb: one multiplication by p^gap per term and
+    one by p^e0."""
+    e0, group = layout
+    c = 0
+    for coeff, m, gap in group:
+        c = c * pw[gap] + coeff * qb[m]
+    return c * pw[e0]
+
+
 def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
     """Eigenvalue via the double sum over (j, r) plus the a_f-free term,
     computed in Z from the integrality-checked terms of double_sum_terms and
-    the Gaussian binomials (n choose 0..n/2)_p, summed per power of a_f(p)
-    and combined by Horner's rule in a_f(p)."""
+    the Gaussian binomials (n choose 0..n/2)_p: each power of a_f(p) gets
+    its sum by Horner's rule in p, and the sums are combined by Horner's
+    rule in a_f(p)."""
     by_power, *_ = params_record(params)
     pw, qb, _ = prime_record(params, p)
     total = 0
-    for e0, group in reversed(by_power):
-        coeff = 0
-        for weight, m, exp in group:
-            coeff += weight * qb[m] * pw[exp]
-        total = total * ap + coeff * pw[e0]
+    for layout in reversed(by_power):
+        total = total * ap + _horner_sum(layout, pw, qb)
     return total
 
 
@@ -413,18 +444,16 @@ def eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
     """Monic integer polynomial of degree n/2 sending a_f(p) to the
     eigenvalue, built through the Dickson transform.
 
-    The coefficients are sums of route 3's terms in params_record.  The
-    result is asserted monic of degree n/2 and equal to the expansion of
-    prod (x + r_i) over route 2's factor constants.  Either assertion
-    failing indicates an implementation defect.
+    The coefficient of x^j is the sum of route 3's terms with x^j, from
+    its Horner layout in params_record.  The result is asserted monic of
+    degree n/2 and equal to the expansion of prod (x + r_i) over route 2's
+    factor constants.  Either assertion failing indicates an implementation
+    defect.
     """
     half = params.n // 2
     _, reciprocal, *_ = params_record(params)
     pw, qb, constants = prime_record(params, p)
-    acc = [0] * (half + 1)
-    for j, i, d, exp in reciprocal:
-        acc[j] += d * qb[i] * pw[exp]
-
+    acc = [_horner_sum(layout, pw, qb) for layout in reciprocal]
     if acc[half] != 1:
         raise ArithmeticError(f"expected a monic polynomial of degree {half}: {acc!r}")
     # prod (x + r_i), multiplied out in place: descending, so that each
@@ -485,8 +514,10 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
     check positivity and the exact bounds by quadratic-ring sign tests.
 
     The bounds are also asserted equal to route 2 at a = -+2*p^((w-1)/2),
-    w = 2k - n, as a product of the int pairs r_i -+ s*sqrt(p) with
-    s = 2*p^((w-2)/2); a mismatch raises BoundIdentityError.
+    w = 2k - n, as a product X -+ Y sqrt(p) of the int pairs
+    r_i -+ s*sqrt(p) with s = 2*p^((w-2)/2), compared part by part with the
+    bounds; a mismatch raises BoundIdentityError.  The sign tests then run
+    on those parts: (X - v) -+ Y sqrt(p) against 0.
 
     a_f(p) must satisfy the Deligne bound; anything else is rejected, since
     the positivity statement presumes it.
@@ -515,18 +546,11 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
     for r in constants:
         # (X + Y sqrt p)(r + s sqrt p)
         X, Y = X * r + Y * sp, X * s + Y * r
-    if _quad(X, Y, 1, p) != upper or _quad(X, -Y, 1, p) != lower:
+    if (lower._A, lower._B, lower._D, lower.p, upper._A, upper._B, upper._D, upper.p) != (
+        X, -Y, 1, p, X, Y, 1, p
+    ):
         raise BoundIdentityError(
             f"bounds at p = {p} differ from the product route at a = -+2*{p}^({w - 1}/2)"
         )
-    positive = v1 > 0
-    within = (lower - v1).sign() <= 0 and (upper - v1).sign() >= 0
-    return EigenvalueReport(
-        p=p,
-        a_p=ap,
-        eigenvalue=v1,
-        lower=lower,
-        upper=upper,
-        positive=positive,
-        within_bounds=within,
-    )
+    within = _quad(X - v1, -Y, 1, p).sign() <= 0 and _quad(X - v1, Y, 1, p).sign() >= 0
+    return EigenvalueReport(p, ap, v1, lower, upper, v1 > 0, within)

@@ -9,8 +9,10 @@ The constructions that only the checks use also live here: the schoolbook
 polynomial product, the divisor-sum sweep, q-factorials, the
 q-binomial-theorem expansion, the Satake generating polynomial, route 3's
 literal Dickson construction, the Deligne limit, and the exact half-integer
-powers of p (half_power) with the literal bound formula built on them.  The
-modules that every CLI run imports carry none of them.
+powers of p (half_power) with the literal bound formula built on them, and
+the Hurwitz class numbers with the Eichler-Selberg trace formula, a source
+of a_f(p) independent of the series engine.  The modules that every CLI run
+imports carry none of them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .ikeda import (
     dickson,
     dickson_exponents,
     dickson_family,
+    dickson_terms,
     eigenvalue_bounds,
     eigenvalue_double_sum,
     eigenvalue_polynomial,
@@ -35,6 +38,7 @@ from .ikeda import (
     eigenvalue_reciprocal,
     double_sum_terms,
     eval_poly,
+    params_record,
     q_binomial,
     q_binomial_eval,
     q_binomial_row,
@@ -173,6 +177,42 @@ def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
     scale = half_power(p, params.double_base_exp)
     factors = [(1, half_power(p, 2 * j + 1 - n)) for j in range(n)]
     return lhs == tuple(scale * c for c in expand_product(factors))
+
+
+def hurwitz_class_numbers_12(nmax: int) -> list[int]:
+    """12 H(N) for N = 0..nmax (index 0 unused), H the Hurwitz class number,
+    counted over the reduced forms (a, b, c) of discriminant b^2 - 4ac = -N:
+    |b| <= a <= c, with b >= 0 when |b| = a or a = c.  A form equivalent to
+    a(x^2 + y^2), reduced (a, 0, a), counts 1/2, one equivalent to
+    a(x^2 + xy + y^2), reduced (a, a, a), counts 1/3, every other form 1."""
+    h12 = [0] * (nmax + 1)
+    a = 1
+    while 3 * a * a <= nmax:
+        for b in range(1 - a, a + 1):
+            c = a if b >= 0 else a + 1
+            while 4 * a * c - b * b <= nmax:
+                h12[4 * a * c - b * b] += 4 if a == b == c else 6 if b == 0 and a == c else 12
+                c += 1
+        a += 1
+    return h12
+
+
+def trace_formula_coefficient(w: int, p: int, h12: list[int]) -> int:
+    """a(p) of the weight-w level-1 eigenform, for w with a one-dimensional
+    cusp space, by the Eichler-Selberg trace formula at a prime p:
+    -1/2 sum_{t^2 < 4p} u_{w-1}(t, p) H(4p - t^2) - 1, where u_0 = 0,
+    u_1 = 1 and u_{m+1} = t u_m - p u_{m-1}.  h12 is
+    hurwitz_class_numbers_12 to at least 4p.  u_{w-1} is even in t, so each
+    t > 0 counts twice."""
+    total = 0
+    for t in range(isqrt(4 * p - 1) + 1):
+        u_prev, u = 0, 1
+        for _ in range(w - 2):
+            u_prev, u = u, t * u - p * u_prev
+        total += (2 if t else 1) * u * h12[4 * p - t * t]
+    half_sum, rem = divmod(-total, 24)
+    assert rem == 0, (w, p, total)
+    return half_sum - 1
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +412,21 @@ def check_eigenform_hecke():
                 e += 1
 
 
+def check_trace_formula(N: int = 400):
+    # an independent source of a_f(p): the built-in eigenforms at every
+    # prime below N against the Eichler-Selberg trace formula, whose class
+    # numbers first pass the Hurwitz relation sum_t H(4p - t^2) = 2p
+    primes = primes_upto(N - 1)
+    h12 = hurwitz_class_numbers_12(4 * primes[-1])
+    for p in primes:
+        T = isqrt(4 * p - 1)
+        assert h12[4 * p] + 2 * sum(h12[4 * p - t * t] for t in range(1, T + 1)) == 24 * p, p
+    for w in BUILTIN_WEIGHTS:
+        f = eigenform(w, N)
+        for p in primes:
+            assert f.a(p) == trace_formula_coefficient(w, p, h12), (w, p)
+
+
 def check_route_agreement():
     # every valid (n, k) with elliptic weight in 12..26, primes to 100, 50
     # random admissible values each; the identity is polynomial in a, so
@@ -434,6 +489,37 @@ def check_eigenvalue_polynomial_oracle():
         for p in primes_upto(50):
             want = literal_eigenvalue_polynomial(params, p)
             assert eigenvalue_polynomial(params, p) == want, (n, k, p)
+
+
+def check_horner_layouts():
+    # each group of params_record's Horner layouts, run as
+    # c = c p^gap + coefficient qb[m] and one p^e0, is the literal sum of
+    # its terms; top is the largest exponent of p read at a prime: by the
+    # layouts, route 2's constants, the endpoint scale and the bounds
+    for n, k in valid_pairs(20, 40):
+        params = IkedaParams(n, k)
+        half = n // 2
+        by_power, reciprocal, bound_exp, top = params_record(params)
+        read = {bound_exp, k - half - 1, *range(1, half + 1)}
+        read |= {e for i in range(1, half + 1) for e in (k - i, k - n - 1 + i)}
+        routes = ((by_power, double_sum_terms(params)), (reciprocal, dickson_terms(params)))
+        for layouts, terms in routes:
+            assert len(layouts) == half + 1, (n, k)
+            for e0, group in layouts:
+                read |= {e0, *(gap for *_, gap in group)}
+            for p in primes_upto(50):
+                qb = [q_binomial_eval(n, m, p) for m in range(half + 1)]
+                want = [0] * (half + 1)
+                for coeff, m, exp, j in terms:
+                    want[j] += coeff * qb[m] * p**exp
+                got = []
+                for e0, group in layouts:
+                    c = 0
+                    for coeff, m, gap in group:
+                        c = c * p**gap + coeff * qb[m]
+                    got.append(c * p**e0)
+                assert got == want, (n, k, p)
+        assert max(read) == top, (n, k, top, max(read))
 
 
 def check_satake_factorization():
@@ -604,12 +690,14 @@ CHECKS = [
     ("eigenform Deligne bound", check_eigenform_deligne),
     ("eigenform multiplicativity", check_eigenform_multiplicativity),
     ("eigenform Hecke relations", check_eigenform_hecke),
+    ("eigenforms vs the Eichler-Selberg trace formula", check_trace_formula),
     ("triple-route agreement", check_route_agreement),
     ("degree-2 reduction", check_saito_kurokawa_reduction),
     ("exponent integrality", check_exponent_integrality),
     ("Satake palindromes", check_satake_palindromes),
     ("monic integral eigenvalue polynomial", check_eigenvalue_polynomial_structure),
     ("eigenvalue polynomial vs literal Dickson oracle", check_eigenvalue_polynomial_oracle),
+    ("Horner layouts sum to their terms", check_horner_layouts),
     ("generating-polynomial factorization", check_satake_factorization),
     ("positivity and bounds at primes <= 1000", check_positivity_and_bounds_sweep),
     ("factor gaps above the Deligne limit", check_factor_gaps),

@@ -315,6 +315,9 @@ class TestIntegralExponents:
             with pytest.raises(ExponentIntegralityError, match=what):
                 exponents(params)
 
+    def test_horner_layouts_sum_to_their_terms(self):
+        selftest.check_horner_layouts()
+
     def test_corrupt_factor_constant_is_caught(self, monkeypatch):
         true_record = ikeda.prime_record
 
@@ -373,6 +376,47 @@ class TestCorruptedTables:
         with pytest.raises(ArithmeticError, match=what) as info:
             verify_prime(self.PARAMS, 7, 11)
         assert type(info.value) is ArithmeticError
+
+    # (layout, group, term or None for e0, shift): at (16, 18) top = 44 is
+    # the e0 of group 0 in both layouts, so that e0 is shifted down
+    @pytest.mark.parametrize(
+        "route, j, term, shift",
+        [
+            (0, 0, 2, 1),
+            (0, 3, 1, -1),
+            (0, 0, None, -1),
+            (0, 4, None, 1),
+            (1, 0, 3, 1),
+            (1, 1, 1, -1),
+            (1, 0, None, -1),
+            (1, 2, None, 1),
+        ],
+    )
+    def test_horner_layout(self, monkeypatch, route, j, term, shift):
+        true_record = ikeda.params_record
+
+        def corrupt(params):
+            record = list(true_record(params))
+            layouts = list(record[route])
+            e0, group = layouts[j]
+            if term is None:
+                e0 += shift
+            else:
+                group = list(group)
+                coeff, m, gap = group[term]
+                group[term] = (coeff, m, gap + shift)
+            layouts[j] = (e0, tuple(group))
+            record[route] = tuple(layouts)
+            return tuple(record)
+
+        monkeypatch.setattr(ikeda, "params_record", corrupt)
+        error, what = (
+            (RouteDisagreementError, "routes disagree"),
+            (ArithmeticError, "factored form"),
+        )[route]
+        with pytest.raises(ArithmeticError, match=what) as info:
+            verify_prime(self.PARAMS, 7, 11)
+        assert type(info.value) is error
 
     def test_bound_exponent(self, monkeypatch):
         true_exp = ikeda.bound_exponent

@@ -236,6 +236,54 @@ class TestEigenform:
         selftest.check_eigenform_hecke()
 
 
+class TestTraceFormula:
+    """a(p) of each built-in eigenform against the Eichler-Selberg trace
+    formula, a source that shares nothing with the series engine."""
+
+    def test_primes_below_400(self):
+        selftest.check_trace_formula()
+
+    def test_hurwitz_class_numbers(self):
+        # H(3) = 1/3, H(4) = 1/2, H(12) = 1 + 1/3, H(16) = 1 + 1/2, H(23) = 3
+        h12 = selftest.hurwitz_class_numbers_12(23)
+        assert [h12[N] for N in (3, 4, 7, 12, 16, 23)] == [4, 6, 12, 16, 18, 36]
+        assert [h12[N] for N in (1, 2, 5, 6, 9, 10)] == [0] * 6
+
+    @pytest.mark.parametrize("w", BUILTIN_WEIGHTS)
+    def test_prime_above_half_the_truncation(self, w):
+        # 1499 lies in (N/2, N] for N = 1500, where the multiplicativity and
+        # Hecke checks have no second index to compare with
+        h12 = selftest.hurwitz_class_numbers_12(4 * 1499)
+        assert eigenform(w, 1500).a(1499) == selftest.trace_formula_coefficient(w, 1499, h12)
+
+    # at weight 12 the final product is an eta squaring, which delta's two
+    # constructions already compare; above it, delta * E_(w-12) is not
+    # compared with anything else
+    @pytest.mark.parametrize("w", BUILTIN_WEIGHTS[1:])
+    def test_corrupt_final_product_is_caught(self, monkeypatch, w):
+        from ikedalift import kernels
+
+        real = kernels.convolve_trunc
+
+        def corrupt(a, b, n):
+            out = real(a, b, n)
+            if n == 1501 and a is not b:  # delta * E_(w-12); E6^2 is a square
+                out[1499] += 1
+            return out
+
+        monkeypatch.setattr(kernels, "convolve_trunc", corrupt)
+        caches = (eigenform, delta, eisenstein)
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            f = eigenform(w, 1500)
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+        h12 = selftest.hurwitz_class_numbers_12(4 * 1499)
+        assert f.a(1499) != selftest.trace_formula_coefficient(w, 1499, h12)
+
+
 class TestHeckeEigenvaluePrime:
     def test_delta_at_two(self):
         assert hecke_eigenvalue_prime(delta(10), 2) == -24
