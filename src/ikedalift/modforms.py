@@ -10,6 +10,11 @@ E6^2 = E12 - (762048/691) Delta) and the constructions are asserted to
 agree, so the root of the data pipeline is its own oracle.  Any other
 weight enters through a validated coefficient table on disk.
 
+A build keeps only the series it returns.  eigenform() is the one cached
+series, since selftest and the tests read each form in several checks;
+delta() and eisenstein() are not cached, so Delta, E6 and E_{w-12} are
+freed once the build stops reading them.
+
 Every series product goes through kernels.convolve_trunc, which packs each
 truncated integer series into the decimal digits of one Decimal (Kronecker
 substitution) and lets libmpdec multiply them.  Only the functions that
@@ -175,12 +180,12 @@ def _sigma_table(e: int, N: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def eisenstein(w: int, N: int) -> FourierSeries:
     """Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(m) q^m to m = N.
 
     Only weights where -2w/B_w is an integer are representable here; the
-    weights the constructions need (4, 6, 8, 10, 14) qualify.
+    weights the constructions need (4, 6, 8, 10, 14) qualify.  Not cached:
+    a series build frees each E_w once it has read it.
     """
     if w < 4 or w % 2 != 0:
         raise ValueError("weight must be an even integer >= 4")
@@ -217,7 +222,6 @@ def _eta_power_24(nterms: int) -> list[int]:
     return kernels.convolve_trunc(p4, p4, nterms)
 
 
-@lru_cache(maxsize=None)
 def delta(N: int) -> FourierSeries:
     """The weight-12 discriminant cusp form to truncation N.
 
@@ -226,8 +230,11 @@ def delta(N: int) -> FourierSeries:
     squarings), and the Eisenstein identity E6^2 = E12 - (762048/691) Delta
     (Zagier, "Elliptic modular forms and their applications"; one more
     squaring, since M_12 is spanned by E12 and Delta).  The constants come
-    from B_12 and a(1) of E6^2, and 691 (E6^2 - E12) is asserted to be a
-    multiple of -762048 at every index, m = 0 included.
+    from B_12 and a(1) of E6^2.  Each Eisenstein-side value is tested as it
+    is computed, so no second series is built: 691 (E6^2 - E12) is asserted
+    to be a multiple of -762048 at the index, m = 0 included, and the
+    quotient to equal the eta side there.  Like eisenstein(), it is not
+    cached: a build frees it once the final product has read it.
     """
     if N < 1:
         raise ValueError("truncation must be positive")
@@ -243,20 +250,16 @@ def delta(N: int) -> FourierSeries:
     num, den = _eisenstein_constant(12)
     scale = den * e6sq[1] - num
     sig = _sigma_table(11, N)
-    via_eis = []
     for m in range(N + 1):
         # den E12 has a(0) = den and a(m) = num sigma_11(m)
         d, r = divmod(den * e6sq[m] - (num * sig[m] if m else den), scale)
         if r != 0:
             raise ArithmeticError(f"{den}(E6^2 - E12)/{scale} not integral at index {m}")
-        via_eis.append(d)
-
-    if via_eta != via_eis:
-        bad = next(m for m in range(N + 1) if via_eta[m] != via_eis[m])
-        raise ArithmeticError(
-            f"discriminant constructions disagree at index {bad}: "
-            f"{via_eta[bad]} (eta) vs {via_eis[bad]} (Eisenstein)"
-        )
+        if d != via_eta[m]:
+            raise ArithmeticError(
+                f"discriminant constructions disagree at index {m}: "
+                f"{via_eta[m]} (eta) vs {d} (Eisenstein)"
+            )
     return FourierSeries(12, tuple(via_eta))
 
 
@@ -268,6 +271,11 @@ def eigenform(w: int, N: int) -> FourierSeries:
     There M_{w-12} is one-dimensional too, so the eigenform is delta times
     E_{w-12}: one series product.  For anything else, supply a coefficient
     table via load_eigenform.
+
+    The build keeps only the series it returns: delta and E_{w-12} are not
+    cached, so they are freed once the product has read them (weight 18
+    builds E6 twice, once inside delta).  This is the one cached series,
+    because selftest and the tests read each form in several checks.
     """
     if w not in BUILTIN_WEIGHTS:
         raise UnsupportedWeightError(

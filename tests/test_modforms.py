@@ -8,6 +8,7 @@ numbers, computed on int pairs, are checked against the same recurrence run
 on Fractions.
 """
 
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -134,12 +135,8 @@ class TestDelta:
             return out
 
         monkeypatch.setattr(modforms, "_eta_power_24", corrupt)
-        delta.cache_clear()
-        try:
-            with pytest.raises(ArithmeticError, match=r"disagree at index 37:"):
-                delta(60)
-        finally:
-            delta.cache_clear()
+        with pytest.raises(ArithmeticError, match=r"disagree at index 37:"):
+            delta(60)
 
     def test_corrupt_eisenstein_source_is_caught(self, monkeypatch):
         # one wrong sigma_11 entry, or one wrong E6 coefficient, on the
@@ -163,12 +160,8 @@ class TestDelta:
         for name, corrupt in (("_sigma_table", corrupt_sigma), ("eisenstein", corrupt_e6)):
             with monkeypatch.context() as m:
                 m.setattr(modforms, name, corrupt)
-                delta.cache_clear()
-                try:
-                    with pytest.raises(ArithmeticError, match=r"at index 37$"):
-                        delta(60)
-                finally:
-                    delta.cache_clear()
+                with pytest.raises(ArithmeticError, match=r"at index 37$"):
+                    delta(60)
 
 
 class TestEigenform:
@@ -209,12 +202,36 @@ class TestEigenform:
 
         monkeypatch.setattr(modforms, "_smallest_prime_factors", counted)
         for w in BUILTIN_WEIGHTS:
-            for cached in (eigenform, delta, eisenstein, modforms._factor_sieve):
+            for cached in (eigenform, modforms._factor_sieve):
                 cached.cache_clear()
             calls.clear()
             eigenform(w, 97)
             assert calls == [97], w
             assert modforms._factor_sieve.cache_info().currsize == 0, w
+
+    def test_build_keeps_only_its_result(self):
+        # a first build loads kernels and decimal, so they are not counted
+        eigenform(20, 50)
+        eigenform.cache_clear()
+        modforms._factor_sieve.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f = eigenform(20, 5000)
+            gained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            eigenform.cache_clear()
+        # the series object, its coefficient tuple and its int objects
+        held = [f, f.sparse, f.coeffs, *{id(c): c for c in f.coeffs}.values()]
+        size = sum(map(sys.getsizeof, held))
+        # Delta, E6 and E8 kept in caches would hold about 3.9x
+        assert gained <= 1.25 * size, (gained, size)
+
+    def test_only_eigenform_is_cached(self):
+        assert hasattr(eigenform, "cache_info")
+        assert not hasattr(delta, "cache_info")
+        assert not hasattr(eisenstein, "cache_info")
 
     def test_sparse_defaults_to_a_fresh_dict(self):
         a, b = FourierSeries(12, (0, 1)), FourierSeries(12, (0, 1))
@@ -256,6 +273,14 @@ class TestTraceFormula:
         h12 = selftest.hurwitz_class_numbers_12(4 * 1499)
         assert eigenform(w, 1500).a(1499) == selftest.trace_formula_coefficient(w, 1499, h12)
 
+    def test_largest_prime_below_twenty_thousand(self):
+        # 19997 lies in (N/2, N] for N = 2 * 10**4; the class numbers are
+        # shared by the six weights, since they take longer than a build
+        h12 = selftest.hurwitz_class_numbers_12(4 * 19997)
+        for w in BUILTIN_WEIGHTS:
+            expected = selftest.trace_formula_coefficient(w, 19997, h12)
+            assert eigenform(w, 20000).a(19997) == expected, w
+
     # at weight 12 the final product is an eta squaring, which delta's two
     # constructions already compare; above it, delta * E_(w-12) is not
     # compared with anything else
@@ -272,14 +297,11 @@ class TestTraceFormula:
             return out
 
         monkeypatch.setattr(kernels, "convolve_trunc", corrupt)
-        caches = (eigenform, delta, eisenstein)
-        for cached in caches:
-            cached.cache_clear()
+        eigenform.cache_clear()
         try:
             f = eigenform(w, 1500)
         finally:
-            for cached in caches:
-                cached.cache_clear()
+            eigenform.cache_clear()
         h12 = selftest.hurwitz_class_numbers_12(4 * 1499)
         assert f.a(1499) != selftest.trace_formula_coefficient(w, 1499, h12)
 
