@@ -2,7 +2,10 @@
 Gaussian binomial queries, eigenform inspection, self-test.
 
 Each subcommand computes all that can fail, then hands _emit, the one
-writer, lazy lines that it writes as they are made.
+writer, lazy lines that it writes as they are made.  A sweep (eigen,
+verify) reads every a(p) before the routes run, then lets the series go,
+so it holds its records, each with its bounds as one int pair (A, B), and
+no loaded table.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 (reportable finding: positivity or a bound fails, or a coefficient table or
@@ -28,7 +31,7 @@ import os
 import sys
 from itertools import chain
 
-from .exactnum import exact_pair, is_prime, primes_upto, unlimited_int_digits
+from .exactnum import is_prime, primes_upto, unlimited_int_digits
 from .ikeda import DeligneBoundError, IkedaParams, q_binomial, q_binomial_eval, verify_prime
 from .modforms import (
     EigenformValidationError,
@@ -71,17 +74,18 @@ def _reports(params: IkedaParams, pmax: int, path):
     q = next((q for q in range(L + 1, pmax + 1) if is_prime(q)), None)
     if q is not None:
         raise ValueError(f"coefficient table lacks a({q}), at the prime {q} <= pmax = {pmax}")
-    out = []
+    primes = primes_upto(pmax)
     try:
-        for p in primes_upto(pmax):
-            ap = hecke_eigenvalue_prime(series, p)
-            out.append(verify_prime(params, p, ap))
+        # a table's load checked Deligne at every listed prime, so only a
+        # built series can fail here
+        coefficients = [hecke_eigenvalue_prime(series, p) for p in primes]
     except EigenformValidationError as exc:
         if path is not None:
             raise
         # a series this program built is no finding about any input
         raise ArithmeticError(f"built weight-{series.weight} eigenform failed validation: {exc}")
-    return out
+    del series  # a loaded table, which nothing else holds, is freed here
+    return [verify_prime(params, p, ap) for p, ap in zip(primes, coefficients)]
 
 
 # columns whose JSON value is a string; the others are numbers or booleans
@@ -104,15 +108,17 @@ def _flag(value: bool) -> str:
 
 def _fields(rep, digits: int) -> list[str]:
     """The record of one prime, field by field in CSV_COLUMNS order, each
-    rendered as both formats write it."""
-    lower, upper = rep.lower, rep.upper
+    rendered as both formats write it; the exact bounds, as QuadExt.exact
+    writes them, from one str() of A and one of B."""
+    p, a, b = rep.p, str(rep.bound_a), str(rep.bound_b)
     return [
-        str(rep.p),
+        str(p),
         str(rep.a_p),
         str(rep.eigenvalue),
-        *exact_pair(lower, upper),
-        lower.decimal(digits),
-        upper.decimal(digits),
+        f"{a}/1+-{b}/1*sqrt({p})",
+        f"{a}/1+{b}/1*sqrt({p})",
+        rep.lower.decimal(digits),
+        rep.upper.decimal(digits),
         _flag(rep.positive),
         _flag(rep.within_bounds),
         # a disagreement raised RouteDisagreementError before any record

@@ -339,19 +339,3 @@ def _quad(A: int, B: int, D: int, p: int) -> QuadExt:
     x.p = p
     return x
 
-
-def exact_pair(lower: QuadExt, upper: QuadExt) -> tuple[str, str]:
-    """(lower.exact(), upper.exact()).  When the two are integral (D = 1)
-    and conjugate with upper's surd part positive, as the bounds at one
-    prime are, both strings come from one str() of A and one of B."""
-    A, B, p = upper._A, upper._B, upper.p
-    if (
-        B > 0
-        and upper._D == lower._D == 1
-        and lower._A == A
-        and lower._B == -B
-        and lower.p == p
-    ):
-        a, b = str(A), str(B)
-        return f"{a}/1+-{b}/1*sqrt({p})", f"{a}/1+{b}/1*sqrt({p})"
-    return lower.exact(), upper.exact()

@@ -37,11 +37,11 @@ Horner layouts in p (horner_layouts): per power of a_f(p), or of x, the
 least exponent e0 and the terms in descending exponent, each with the gap
 to the exponent before it.  A group is then summed as
 c = c * p^gap + coefficient * (n choose m)_p and multiplied by p^e0 once,
-so most products are big by small, and no power above top, the largest
-exponent anything reads, is made.  The routes' per-prime inputs (the
-powers p^0..p^top, the Gaussian binomials (n choose 0..n/2)_p and the
-factor constants r_i) come from prime_record.  A sweep runs one (n, k) and
-visits each prime once, so each of the two caches holds one record.
+so most products are big by small.  The routes' per-prime inputs (the
+powers of p that params_record lists as read, and no others, the Gaussian
+binomials (n choose 0..n/2)_p and the factor constants r_i) come from
+prime_record.  A sweep runs one (n, k) and visits each prime once, so each
+of the two caches holds one record.
 
 In route 3 the scalar p^(h_i/2) that multiplies each Dickson polynomial
 D_{n/2-i} has h_i = i(i + 2k - 2n - 1): even, since i and i + 2k - 2n - 1
@@ -60,7 +60,8 @@ exact sqrt(p)-bounds equal the product route at the Deligne endpoints,
 where each linear factor is an int pair r_i -+ s*sqrt(p): the product
 X + Y sqrt(p) at the upper endpoint is multiplied out once and compared
 part by part with the upper bound, and the lower bound with its
-conjugate.  The sign tests run QuadExt.sign on (X - v) -+ Y sqrt(p).  Satake
+conjugate.  The sign tests run QuadExt.sign on (X - v) -+ Y sqrt(p), and
+the report keeps that int pair as its bounds A -+ B sqrt(p).  Satake
 parameters themselves are never represented, so all arithmetic stays in Z,
 Q, or Q(sqrt(p)).
 """
@@ -69,9 +70,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import comb
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .exactnum import QuadExt, _quad, is_prime
 from .modforms import within_deligne
@@ -363,35 +364,55 @@ def horner_layouts(terms, degree: int) -> tuple:
 @lru_cache(maxsize=1)
 def params_record(params: IkedaParams) -> tuple:
     """What the routes and the bounds read at (n, k), from the checked
-    tables: (by_power, reciprocal, bound_exp, top).
+    tables: (by_power, reciprocal, bound_exp, read).
 
     by_power is route 1 as a polynomial in a_f(p), reciprocal route 3 as a
     polynomial in x: the horner_layouts of double_sum_terms and of
-    dickson_terms, one group per power.  bound_exp is bound_exponent, and top
-    the largest exponent of p that anything reads from prime_record's
-    powers: an e0 or a gap of a layout, k - 1 for route 2's constants (the
-    endpoint scale needs only k - n/2 - 1), n/2 for the bounds' factors, or
-    bound_exp.
+    dickson_terms, one group per power.  bound_exp is bound_exponent, and
+    read the ascending exponents of p read from prime_record's powers: an
+    e0 or a gap of a layout, k - i and k - n - 1 + i for route 2's
+    constants (the latter at i = n/2 also for the endpoint scale), i for
+    the bounds' factors, i = 1..n/2, and bound_exp.
     """
-    half = params.n // 2
+    n, k = params.n, params.k
+    half = n // 2
     by_power = horner_layouts(double_sum_terms(params), half)
     reciprocal = horner_layouts(dickson_terms(params), half)
     bound_exp = bound_exponent(params)
-    read = [x for e0, group in by_power + reciprocal for x in (e0, *(gap for *_, gap in group))]
-    top = max(*read, params.k - 1, half, bound_exp)
-    return by_power, reciprocal, bound_exp, top
+    read = {x for e0, group in by_power + reciprocal for x in (e0, *(gap for *_, gap in group))}
+    for i in range(1, half + 1):
+        read |= {k - i, k - n - 1 + i, i}
+    read.add(bound_exp)
+    return by_power, reciprocal, bound_exp, tuple(sorted(read))
+
+
+class _Powers(dict):
+    """p^e keyed by e.  A power not stored, as a corrupted layout may ask
+    for, is computed on the miss and not kept."""
+
+    __slots__ = ("p",)
+
+    def __missing__(self, e):
+        return self.p**e
 
 
 @lru_cache(maxsize=1)
 def prime_record(params: IkedaParams, p: int) -> tuple:
     """What the routes and the bounds read at one prime: (powers, gaussian,
-    constants), with powers = (p^0, ..., p^top) at one multiplication each,
-    top from params_record, gaussian = (n choose 0..n/2)_p from one
-    q_binomial_row pass, and the constants r_i = p^(k-i) + p^(k-n-1+i),
-    i = 1..n/2, of the linear factors (x + r_i) of routes 2 and 3."""
+    constants), with powers p^e for the exponents e that params_record
+    lists as read, each from the one below it, so their number does not grow
+    with k, gaussian = (n choose 0..n/2)_p from one q_binomial_row pass, and
+    the constants r_i = p^(k-i) + p^(k-n-1+i), i = 1..n/2, of the linear
+    factors (x + r_i) of routes 2 and 3."""
     n, k = params.n, params.k
-    *_, top = params_record(params)
-    powers = tuple(accumulate(repeat(p, top), mul, initial=1))
+    *_, read = params_record(params)
+    powers = _Powers()
+    powers.p = p
+    x, below = 1, 0
+    for e in read:
+        x *= p ** (e - below)
+        powers[e] = x
+        below = e
     constants = tuple(powers[k - i] + powers[k - n - 1 + i] for i in range(1, n // 2 + 1))
     return powers, tuple(q_binomial_row(n, n // 2, p)), constants
 
@@ -501,12 +522,23 @@ def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     return _quad(rational, -surd, 1, p), _quad(rational, surd, 1, p)
 
 
-# verify_prime makes one only after the three routes agreed at its prime,
-# so a record carries no agreement flag
-EigenvalueReport = namedtuple(
-    "EigenvalueReport", "p a_p eigenvalue lower upper positive within_bounds"
-)
-EigenvalueReport.__doc__ = "Per-prime verification record."
+class EigenvalueReport(
+    namedtuple("EigenvalueReport", "p a_p eigenvalue bound_a bound_b positive within_bounds")
+):
+    """Per-prime verification record, with the bounds A -+ B sqrt(p) held
+    as one int pair (bound_a, bound_b), B > 0; lower and upper build them
+    as QuadExt on access.  verify_prime makes one only after the three
+    routes agreed at its prime, so a record carries no agreement flag."""
+
+    __slots__ = ()
+
+    @property
+    def lower(self) -> QuadExt:
+        return _quad(self.bound_a, -self.bound_b, 1, self.p)
+
+    @property
+    def upper(self) -> QuadExt:
+        return _quad(self.bound_a, self.bound_b, 1, self.p)
 
 
 def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
@@ -553,4 +585,4 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
             f"bounds at p = {p} differ from the product route at a = -+2*{p}^({w - 1}/2)"
         )
     within = _quad(X - v1, -Y, 1, p).sign() <= 0 and _quad(X - v1, Y, 1, p).sign() >= 0
-    return EigenvalueReport(p, ap, v1, lower, upper, v1 > 0, within)
+    return EigenvalueReport(p, ap, v1, X, Y, v1 > 0, within)

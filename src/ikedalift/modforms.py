@@ -70,10 +70,11 @@ class FourierSeries:
     two: indices past its first gap (all composite, above the largest listed
     prime) go to sparse in ascending order, so its size follows its line
     count, not its largest index.  Attributes are read-only: eigenform()
-    hands one instance to every caller from its cache.
+    hands one instance to every caller from its cache.  A series takes weak
+    references, so a test can see when a loaded table is freed.
     """
 
-    __slots__ = ("weight", "coeffs", "sparse")
+    __slots__ = ("weight", "coeffs", "sparse", "__weakref__")
 
     def __init__(self, weight: int, coeffs: tuple, sparse: dict | None = None):
         object.__setattr__(self, "weight", weight)

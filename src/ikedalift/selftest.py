@@ -39,6 +39,7 @@ from .ikeda import (
     double_sum_terms,
     eval_poly,
     params_record,
+    prime_record,
     q_binomial,
     q_binomial_eval,
     q_binomial_row,
@@ -494,12 +495,13 @@ def check_eigenvalue_polynomial_oracle():
 def check_horner_layouts():
     # each group of params_record's Horner layouts, run as
     # c = c p^gap + coefficient qb[m] and one p^e0, is the literal sum of
-    # its terms; top is the largest exponent of p read at a prime: by the
-    # layouts, route 2's constants, the endpoint scale and the bounds
+    # its terms; the record lists exactly the exponents of p read at a
+    # prime: by the layouts, route 2's constants, the endpoint scale and the
+    # bounds, and prime_record holds those powers alone
     for n, k in valid_pairs(20, 40):
         params = IkedaParams(n, k)
         half = n // 2
-        by_power, reciprocal, bound_exp, top = params_record(params)
+        by_power, reciprocal, bound_exp, listed = params_record(params)
         read = {bound_exp, k - half - 1, *range(1, half + 1)}
         read |= {e for i in range(1, half + 1) for e in (k - i, k - n - 1 + i)}
         routes = ((by_power, double_sum_terms(params)), (reciprocal, dickson_terms(params)))
@@ -519,7 +521,9 @@ def check_horner_layouts():
                         c = c * p**gap + coeff * qb[m]
                     got.append(c * p**e0)
                 assert got == want, (n, k, p)
-        assert max(read) == top, (n, k, top, max(read))
+        assert listed == tuple(sorted(read)), (n, k, listed, sorted(read))
+        powers = prime_record(params, 7)[0]
+        assert powers == {e: 7**e for e in read}, (n, k)
 
 
 def check_satake_factorization():

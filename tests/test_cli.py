@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from decimal import getcontext, localcontext
 from math import isqrt
 
@@ -18,8 +19,8 @@ import pytest
 import ikedalift
 from ikedalift import cli, exactnum, ikeda, modforms, selftest
 from ikedalift.cli import CSV_COLUMNS, main
-from ikedalift.exactnum import unlimited_int_digits
-from ikedalift.ikeda import EigenvalueReport
+from ikedalift.exactnum import primes_upto, unlimited_int_digits
+from ikedalift.ikeda import IkedaParams, verify_prime
 
 EXACT_RE = re.compile(r"^(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*sqrt\((\d+)\)$")
 
@@ -204,15 +205,7 @@ class TestVerify:
             rep = real(params, p, ap)
             if p != 5:
                 return rep
-            return EigenvalueReport(
-                p=rep.p,
-                a_p=rep.a_p,
-                eigenvalue=rep.eigenvalue,
-                lower=rep.lower,
-                upper=rep.upper,
-                positive=rep.positive,
-                within_bounds=False,
-            )
+            return rep._replace(within_bounds=False)
 
         # a disagreement raises before any report exists (exit 3, below), so
         # every summary states agreement; a bound failure is still counted
@@ -628,6 +621,52 @@ class TestOutputMemory:
         # 46 primes, two decimal fields each, 18000 more digits per field
         assert size_large - size_small == 46 * 2 * 18000
         assert peak_large - peak_small <= (size_large - size_small) / 4
+
+
+class TestSweepHoldsRecordsAlone:
+    """A sweep reads a(p) at every prime, then lets the series go, so a
+    loaded table is freed before the first route runs; each record renders
+    its exact bounds from its one int pair."""
+
+    @pytest.mark.parametrize("command", ["eigen", "verify"])
+    def test_table_is_freed_before_the_first_route(self, capsys, monkeypatch, tmp_path, command):
+        f = modforms.eigenform(18, 200)
+        table = tmp_path / "w18.txt"
+        table.write_text("".join(f"{m} {f.a(m)}\n" for m in range(1, 201)))
+        loaded, alive = [], []
+        real_load, real_verify = cli.load_eigenform, cli.verify_prime
+
+        def load(path, w):
+            series = real_load(path, w)
+            loaded.append(weakref.ref(series))
+            return series
+
+        def verify(params, p, ap):
+            alive.append(loaded[0]() is not None)
+            return real_verify(params, p, ap)
+
+        monkeypatch.setattr(cli, "load_eigenform", load)
+        monkeypatch.setattr(cli, "verify_prime", verify)
+        code, _, err = run_cli(
+            capsys, command, "--n", "2", "--k", "10", "--pmax", "199", "--eigenform", str(table)
+        )
+        assert (code, err) == (0, "")
+        assert len(alive) == 46 and not any(alive)
+
+    @pytest.mark.parametrize("n, k", [(2, 10), (4, 12), (8, 14), (16, 18)])
+    def test_exact_strings_are_exact_of_each_bound(self, n, k):
+        params = IkedaParams(n, k)
+        for p in primes_upto(50):
+            rep = verify_prime(params, p, 0)
+            fields = dict(zip(CSV_COLUMNS, cli._fields(rep, 10)))
+            assert fields["lower_exact"] == rep.lower.exact(), (n, k, p)
+            assert fields["upper_exact"] == rep.upper.exact(), (n, k, p)
+        if (n, k) == (2, 10):
+            # 2^9 (1 -+ 1/sqrt2)^2 = 768 -+ 512 sqrt2, as a QuadExt writes it
+            assert cli._fields(verify_prime(params, 2, 0), 0)[3:5] == [
+                "768/1+-512/1*sqrt(2)",
+                "768/1+512/1*sqrt(2)",
+            ]
 
 
 class TestPmaxBelowTwo:

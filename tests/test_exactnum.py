@@ -18,7 +18,6 @@ from ikedalift.exactnum import (
     PRIME_TEST_LIMIT,
     QuadExt,
     RadicandMismatchError,
-    exact_pair,
     is_prime,
     primes_upto,
 )
@@ -134,23 +133,6 @@ class TestDecimalRendering:
 
     def test_rational_value(self):
         assert q2(Fraction(7, 2), 0).decimal(3) == "3.500"
-
-    @pytest.mark.parametrize(
-        "lower, upper",
-        [
-            # a conjugate pair with D = 1, the bounds' case: the shared strings
-            (q2(768, -512), q2(768, 512)),
-            (QuadExt(10**60, -(10**59), 7), QuadExt(10**60, 10**59, 7)),
-            # every other pair renders each element on its own
-            (q2(768, 512), q2(768, -512)),
-            (q2(3, 0), q2(3, 0)),
-            (q2(Fraction(1, 2), Fraction(-1, 2)), q2(Fraction(1, 2), Fraction(1, 2))),
-            (q2(5, -1), q2(4, 1)),
-            (QuadExt(1, -1, 3), QuadExt(1, 1, 5)),
-        ],
-    )
-    def test_exact_pair_is_exact_of_each(self, lower, upper):
-        assert exact_pair(lower, upper) == (lower.exact(), upper.exact())
 
     def test_negative_value(self):
         got = q2(0, -1).decimal(6)

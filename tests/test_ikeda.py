@@ -192,13 +192,26 @@ class TestEigenvaluePolynomial:
                 assert dc == tuple(d * c ** ((m - j) // 2) for j, d in enumerate(d1)), (c, m)
 
     def test_prime_powers(self):
-        # the record's powers run from p^0 to the largest exponent any
-        # route or bound reads at (n, k)
+        # the record holds p^e for exactly the exponents params_record lists
+        # as read at (n, k); any other power is computed on a miss, not kept
         for params, p in ((IkedaParams(2, 10), 7), (IkedaParams(16, 18), 2999)):
             powers, _, _ = ikeda.prime_record(params, p)
-            top = ikeda.params_record(params)[-1]
-            assert powers == tuple(p**e for e in range(top + 1))
-        assert ikeda.prime_record(IkedaParams(2, 10), 7)[0][:5] == (1, 7, 49, 343, 2401)
+            read = ikeda.params_record(params)[-1]
+            assert read == tuple(sorted(set(read))) and read[0] == 0
+            assert powers == {e: p**e for e in read}
+        powers, _, _ = ikeda.prime_record(IkedaParams(2, 10), 7)
+        assert [powers[e] for e in range(5)] == [1, 7, 49, 343, 2401]
+        assert set(powers) == set(ikeda.params_record(IkedaParams(2, 10))[-1])
+
+    def test_prime_powers_skip_the_exponents_nothing_reads(self):
+        # at n = 2 route 2 reads p^(k-1) and p^(k-2) and the bounds p^(k-3),
+        # but nothing reads an exponent between 1 and those, so the record
+        # stays small at large k
+        params = IkedaParams(2, 40000)
+        assert ikeda.params_record(params)[-1] == (0, 1, 39997, 39998, 39999)
+        powers, _, constants = ikeda.prime_record(params, 3)
+        assert len(powers) == 5
+        assert constants == (3**39999 + 3**39998,)
 
 
 class TestSatakePolynomial:
@@ -538,6 +551,18 @@ class TestVerifyPrime:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             verify_prime(IkedaParams(2, 10), 6, 0)
+
+    def test_report_holds_one_int_pair_for_its_bounds(self):
+        # (bound_a, bound_b) = (A, B) with lower, upper = A -+ B sqrt(p)
+        for n, k in ((2, 10), (8, 14), (16, 18)):
+            params = IkedaParams(n, k)
+            for p in primes_upto(60):
+                rep = verify_prime(params, p, 0)
+                assert type(rep.bound_a) is int and type(rep.bound_b) is int, (n, k, p)
+                assert rep.bound_b > 0
+                lower, upper = eigenvalue_bounds(params, p)
+                assert (rep.lower, rep.upper) == (lower, upper), (n, k, p)
+                assert rep.lower.sign() > 0 and (rep.upper - rep.lower).sign() > 0
 
 
 class TestPositivityStress:
