@@ -10,8 +10,9 @@ no loaded table.
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 (reportable finding: positivity or a bound fails, or a coefficient table or
 elliptic coefficient fails validation), 2 = usage or parameter error,
-including a path that cannot be read or written and a coefficient-table line
-that is not two integers, 3 = internal error: an implementation fault, such
+including a path that cannot be read or written, a weight with no cusp form,
+and a coefficient-table line that is not two integers or whose index breaks
+the run a(1), a(2), ..., 3 = internal error: an implementation fault, such
 as routes that disagree, a failed exact identity or integrality check, a
 built series that fails validation, or any other unexpected exception,
 reported as `internal error: <Type>: <message>` on stderr without a
@@ -31,7 +32,7 @@ import os
 import sys
 from itertools import chain
 
-from .exactnum import is_prime, primes_upto, unlimited_int_digits
+from .exactnum import primes_upto, unlimited_int_digits
 from .ikeda import DeligneBoundError, IkedaParams, q_binomial, q_binomial_eval, verify_prime
 from .modforms import (
     EigenformValidationError,
@@ -69,11 +70,6 @@ def _series_for(weight: int, pmax: int, path):
 
 def _reports(params: IkedaParams, pmax: int, path):
     series = _series_for(params.eigenform_weight, pmax, path)
-    # a table lists no prime past its dense prefix: refuse one <= pmax before the sieve
-    L = len(series.coeffs) - 1
-    q = next((q for q in range(L + 1, pmax + 1) if is_prime(q)), None)
-    if q is not None:
-        raise ValueError(f"coefficient table lacks a({q}), at the prime {q} <= pmax = {pmax}")
     primes = primes_upto(pmax)
     try:
         # a table's load checked Deligne at every listed prime, so only a
@@ -227,9 +223,7 @@ def run_qbinom(args) -> int:
 
 
 def run_forms(args) -> int:
-    series = _series_for(args.weight, args.pmax, args.eigenform)
-    # every coefficient is read first: a table with a gap exits 2 here
-    coeffs = [series.a(m) for m in range(1, args.pmax + 1)]
+    coeffs = _series_for(args.weight, args.pmax, args.eigenform).coeffs[1 : args.pmax + 1]
     head = f"# weight {args.weight} eigenform coefficients\n"
     _emit(chain([head], (f"{m} {c}\n" for m, c in enumerate(coeffs, 1))), args.out)
     return 0
@@ -266,11 +260,14 @@ _weight_at_least_12 = _int_at_least(12, "an even integer >= 12")
 
 
 def _cusp_weight(text: str) -> int:
-    """argparse type for an elliptic weight: an even integer >= 12, where
-    level-one cusp forms exist (the rule IkedaParams applies to 2k - n)."""
+    """argparse type for an elliptic weight: an even integer >= 12 other
+    than 14, where level-one cusp forms exist (the rule IkedaParams applies
+    to 2k - n)."""
     value = _weight_at_least_12(text)
     if value % 2:
         raise argparse.ArgumentTypeError(f"must be an even integer >= 12, got {value}")
+    if value == 14:
+        raise argparse.ArgumentTypeError("no cusp form has weight 14: dim S_14 = 0")
     return value
 
 
@@ -313,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     forms = sub.add_parser("forms", help="print eigenform coefficients")
     forms.add_argument(
-        "--weight", type=_cusp_weight, required=True, help="even, >= 12"
+        "--weight", type=_cusp_weight, required=True, help="even, >= 12, not 14"
     )
     forms.add_argument("--pmax", type=_positive_int, default=100)
     forms.add_argument("--eigenform", help="coefficient table to inspect")

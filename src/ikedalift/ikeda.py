@@ -97,10 +97,11 @@ class BoundIdentityError(ArithmeticError):
 class IkedaParams:
     """Degree n and weight k of the lift; both even, k > n + 1.
 
-    The elliptic input lives in weight 2k - n, which must be at least 12 for
-    a cusp form to exist.  Instances are immutable, equal and hash-equal on
-    (n, k): they key params_record and prime_record, so rebinding n or k
-    would corrupt them.  The hash is computed once, at construction.
+    The elliptic input lives in weight 2k - n, which must be at least 12 and
+    not 14 for a cusp form to exist.  Instances are immutable, equal and
+    hash-equal on (n, k): they key params_record and prime_record, so
+    rebinding n or k would corrupt them.  The hash is computed once, at
+    construction.
     """
 
     __slots__ = ("n", "k", "_hash")
@@ -117,6 +118,8 @@ class IkedaParams:
                 f"elliptic weight 2k - n = {2 * k - n} is below 12; "
                 "no cusp form exists"
             )
+        if 2 * k - n == 14:
+            raise ValueError("elliptic weight 2k - n = 14 has no cusp form: dim S_14 = 0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "_hash", hash((n, k)))

@@ -8,7 +8,8 @@ discriminant form is built two independent ways (eighth power of Jacobi's
 eta^3 expansion, and 691 (E12 - E6^2)/762048 from the identity
 E6^2 = E12 - (762048/691) Delta) and the constructions are asserted to
 agree, so the root of the data pipeline is its own oracle.  Any other
-weight enters through a validated coefficient table on disk.
+weight enters through a coefficient table on disk: the dense run a(1..L),
+validated as it is loaded.
 
 A build keeps only the series it returns.  eigenform() is the one cached
 series, since selftest and the tests read each form in several checks;
@@ -29,7 +30,7 @@ from array import array
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
-from .exactnum import PRIME_TEST_LIMIT, is_prime, primes_upto
+from .exactnum import is_prime, primes_upto
 
 
 class UnsupportedWeightError(ValueError):
@@ -48,8 +49,8 @@ class EigenformValidationError(Exception):
 
 
 class TableParseError(ValueError):
-    """A coefficient-table line is not two integers: a usage error, not a
-    failed validation.
+    """A coefficient-table line is not two integers, or its index is not the
+    next of the run 1, 2, 3, ...: a usage error, not a failed validation.
 
     Carries the 1-based line number in .line.
     """
@@ -63,39 +64,32 @@ BUILTIN_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 
 class FourierSeries:
-    """Weight plus the coefficients of a modular form: a(0..N) in the dense
-    tuple coeffs, and any further listed indices in the dict sparse.
+    """Weight plus the coefficients a(0..N) of a modular form, in the tuple
+    coeffs.
 
-    Built-in series are dense.  A loaded table is parsed straight into the
-    two: indices past its first gap (all composite, above the largest listed
-    prime) go to sparse in ascending order, so its size follows its line
-    count, not its largest index.  Attributes are read-only: eigenform()
-    hands one instance to every caller from its cache.  A series takes weak
-    references, so a test can see when a loaded table is freed.
+    A built series and a loaded table alike are the one dense run, so a
+    table's size follows its line count.  Attributes are read-only:
+    eigenform() hands one instance to every caller from its cache.  A series
+    takes weak references, so a test can see when a loaded table is freed.
     """
 
-    __slots__ = ("weight", "coeffs", "sparse", "__weakref__")
+    __slots__ = ("weight", "coeffs", "__weakref__")
 
-    def __init__(self, weight: int, coeffs: tuple, sparse: dict | None = None):
+    def __init__(self, weight: int, coeffs: tuple):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "sparse", {} if sparse is None else sparse)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of FourierSeries")
 
     @property
     def truncation(self) -> int:
-        return max(len(self.coeffs) - 1, max(self.sparse, default=0))
+        return len(self.coeffs) - 1
 
     def a(self, m: int) -> int:
         if 0 <= m < len(self.coeffs):
             return self.coeffs[m]
-        if m in self.sparse:
-            return self.sparse[m]
-        if m < 0 or m > self.truncation:
-            raise ValueError(f"index {m} outside truncation {self.truncation}")
-        raise ValueError(f"coefficient a({m}) not present in the table")
+        raise ValueError(f"index {m} outside truncation {self.truncation}")
 
 
 @lru_cache(maxsize=None)
@@ -339,151 +333,74 @@ def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
     return _deligne(f.a(p), p, f.weight)
 
 
-def _iroot(u: int, e: int) -> int:
-    """floor(u ** (1/e)) for u >= 1 and e >= 1, by Newton's method on ints
-    from a start above the root."""
-    x = 1 << -(-u.bit_length() // e)
-    while True:
-        y = ((e - 1) * x + u // x ** (e - 1)) // e
-        if y >= x:
-            return x
-        x = y
-
-
-def _prime_base(u: int):
-    """q if u = q^e for a prime q and some e >= 2, else None.  The least
-    prime e with u = r^e divides every such exponent, so r is q or its power."""
-    for e in filter(is_prime, range(2, u.bit_length())):
-        r = _iroot(u, e)
-        if r**e == u:
-            return r if is_prime(r) else _prime_base(r)
-    return None
-
-
-def _check_split(get, m: int, u: int, rest: int) -> None:
-    """Multiplicativity a(m) = a(u) a(rest) for the coprime split m = u * rest,
-    when both parts are listed: get(i) is a(i), or None for an unlisted i."""
-    au, arest = get(u), get(rest)
-    if au is not None and arest is not None and get(m) != au * arest:
-        raise EigenformValidationError(
-            m, f"multiplicativity violated: a({m}) != a({u})*a({rest})"
-        )
-
-
-def _check_composite(get, w: int, m: int, p: int) -> None:
+def _check_composite(a, w: int, m: int, p: int) -> None:
     """The relation at a composite m with smallest prime factor p: the split
-    m = p^e * rest, or for m = p^e the Hecke recursion at p, when the
-    entries it needs are listed (get as for _check_split)."""
+    m = p^e * rest, or for m = p^e the Hecke recursion at p.  a[i] is a(i),
+    and every index below m is listed, with a[1] = 1."""
     u, rest = p, m // p
     while rest % p == 0:
         u *= p
         rest //= p
     if rest > 1:
-        _check_split(get, m, u, rest)
+        if a[m] != a[u] * a[rest]:
+            raise EigenformValidationError(
+                m, f"multiplicativity violated: a({m}) != a({u})*a({rest})"
+            )
         return
     # prime power p^e, e >= 2: Hecke recursion at p
     prev, prev2 = m // p, m // (p * p)
-    ap, aprev = get(p), get(prev)
-    aprev2 = 1 if prev2 == 1 else get(prev2)
-    if ap is not None and aprev is not None and aprev2 is not None:
-        # p^(w-1) a(prev2) = r; a power longer than r needs a(prev2) = r = 0
-        r = ap * aprev - get(m)
-        power = _power_within(p, w - 1, r.bit_length())
-        if not (r == 0 == aprev2 if power is None else r == power * aprev2):
-            raise EigenformValidationError(
-                m,
-                f"Hecke relation violated: a({m}) != "
-                f"a({p})a({prev}) - {p}^{w - 1}a({prev2})",
-            )
+    # p^(w-1) a(prev2) = r; a power longer than r needs a(prev2) = r = 0
+    r = a[p] * a[prev] - a[m]
+    power = _power_within(p, w - 1, r.bit_length())
+    if not (r == 0 == a[prev2] if power is None else r == power * a[prev2]):
+        raise EigenformValidationError(
+            m,
+            f"Hecke relation violated: a({m}) != "
+            f"a({p})a({prev}) - {p}^{w - 1}a({prev2})",
+        )
 
 
 def _check_table(f: FourierSeries) -> None:
-    """Structural validation of a loaded table f; raises on the first
-    offending index (ascending).
+    """Structural validation of a series f, a loaded table or a built form:
+    a(1) = 1, Deligne's bound at each prime, and at each composite the
+    relation _check_composite reads.  Raises on the first offending index
+    (ascending).
 
-    f.coeffs holds the leading run of indices 1..L with no gap, which the
-    flat smallest-prime-factor array _smallest_prime_factors(L), the sieve
-    a series build reads, classifies as it is; L is at most the table's
-    length, so a sparse large index cannot inflate it.  The indices past the
-    gap, ascending in f.sparse, are tested by is_prime, so an index at or
-    above its exact range is refused, and a prime there means a missing
-    index.  So every listed prime is at most L, and a composite index m past
-    the gap is trial-divided only by the primes up to min(L, isqrt(m)); they
-    are listed once, up to min(L, isqrt(top)) for the largest index top, and
-    only when the table has indices past its gap.  When none
-    divides m, its smallest prime factor is not listed, so no Hecke relation
-    applies at it.  The one relation left is a coprime split m = u * (m/u)
-    with both parts listed and u = q^e (e >= 2); such u are the earlier
-    indices past the gap that _prime_base found to be prime powers, and the
-    split with the least q is checked.  That is the split at m's smallest
-    prime whenever that prime's power is listed.
+    f.coeffs is the dense run a(0..L), which the flat smallest-prime-factor
+    array _smallest_prime_factors(L), the sieve a series build reads,
+    classifies as it is.
     """
-    coeffs, sparse, w = f.coeffs, f.sparse, f.weight
-    L = len(coeffs) - 1
-    top = next(reversed(sparse), L)
-    if top >= PRIME_TEST_LIMIT:
-        raise EigenformValidationError(
-            top, f"at or above {PRIME_TEST_LIMIT}, where the exact primality test stops"
-        )
-    # a prime past the gap leaves the index L + 1 below it missing
-    if any(is_prime(m) for m in sparse):
-        raise EigenformValidationError(L + 1, "missing index at or below the largest listed prime")
-    # so every index past the gap is composite
-    spf = _smallest_prime_factors(L)
-
+    coeffs, w = f.coeffs, f.weight
     if coeffs[1] != 1:
         raise EigenformValidationError(1, f"normalization violated: a(1) = {coeffs[1]}")
-    # every index below a dense m is listed, so no lookup here misses
-    get = coeffs.__getitem__
-    for m in range(2, L + 1):
+    spf = _smallest_prime_factors(len(coeffs) - 1)
+    for m in range(2, len(coeffs)):
         p = spf[m]
         if p == m:
             _deligne(coeffs[m], m, w)
         else:
-            _check_composite(get, w, m, p)
-
-    def lookup(m):
-        return coeffs[m] if m <= L else sparse.get(m)
-
-    # trial divisors, listed only for a tail: a composite m <= top has a
-    # prime factor at most isqrt(m)
-    primes = primes_upto(min(L, isqrt(top))) if sparse else ()
-    # (q, q^e) for the listed indices past the gap with no prime factor <= L
-    powers = []
-    for m in sparse:
-        p = next((q for q in primes if q * q > m or m % q == 0), None)
-        if p is not None and p * p <= m:
-            _check_composite(lookup, w, m, p)
-            continue
-        best = None
-        for q, u in powers:
-            if m % u == 0 and gcd(u, m // u) == 1 and lookup(m // u) is not None:
-                if best is None or q < best[0]:
-                    best = (q, u)
-        if best is not None:
-            _check_split(lookup, m, best[1], m // best[1])
-        q = _prime_base(m)
-        if q is not None:
-            powers.append((q, m))
+            _check_composite(coeffs, w, m, p)
 
 
 def load_eigenform(path, w: int) -> FourierSeries:
     """Read a coefficient table ("m a(m)" per line, '#' comments) and
     validate it as a normalized eigenform of weight w.
 
-    Indices must be strictly increasing starting at m = 1; every index up to
-    the largest listed prime must be present.  Normalization,
+    A table is the dense run a(1), a(2), ..., a(L): the i-th entry must have
+    index i.  A line that is not two decimal integers (ASCII digits, an
+    optional sign), or whose index breaks that run (a first index other
+    than 1, a repeated or decreasing index, a gap), raises TableParseError
+    naming the line and, for the index, the a(i) expected there; so a huge
+    index is refused on its line, before any sieve.  Normalization,
     multiplicativity, Hecke relations at prime powers, and Deligne bounds at
-    primes are all checked, and the first offending index is reported.  A
-    line that is not two decimal integers (ASCII digits, an optional sign)
-    raises TableParseError naming the line.
+    primes are then checked by _check_table, which reports the first
+    offending index.
 
-    The entries go straight into the FourierSeries returned, which
-    _check_table validates.  The file is read as UTF-8 in any locale; an
-    undecodable byte may sit in a comment, and in a field it makes a
-    non-integer entry.
+    The entries go straight into the FourierSeries returned.  The file is
+    read as UTF-8 in any locale; an undecodable byte may sit in a comment,
+    and in a field it makes a non-integer entry.
     """
-    coeffs, sparse, last = [0], {}, 0
+    coeffs = [0]
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split()
@@ -498,19 +415,16 @@ def load_eigenform(path, w: int) -> FourierSeries:
                 m, am = int(parts[0]), int(parts[1])
             except ValueError:
                 raise TableParseError(lineno, f"non-integer entry {raw!r}")
-            if last == 0 and m != 1:
-                raise EigenformValidationError(m, "table must start at index 1")
-            if m <= last:
-                raise EigenformValidationError(m, f"indices not strictly increasing at {m}")
-            # indices increase, so once one skips past len(coeffs) all later do
-            if m == len(coeffs):
-                coeffs.append(am)
-            else:
-                sparse[m] = am
-            last = m
-    if last == 0:
+            if m != len(coeffs):
+                raise TableParseError(
+                    lineno,
+                    f"index {m} where a({len(coeffs)}) comes next; "
+                    "a table lists a(1), a(2), ... with no gap",
+                )
+            coeffs.append(am)
+    if len(coeffs) == 1:
         raise EigenformValidationError(0, "empty coefficient table")
-    f = FourierSeries(w, tuple(coeffs), sparse)
-    del coeffs  # so the validation peak holds one copy of the dense prefix
+    f = FourierSeries(w, tuple(coeffs))
+    del coeffs  # so the validation peak holds one copy of the run
     _check_table(f)
     return f

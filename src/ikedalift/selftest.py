@@ -51,13 +51,20 @@ from .modforms import BUILTIN_WEIGHTS, _sigma_table, bernoulli, delta, eigenform
 DESK_PAIRS = ((2, 10), (2, 12), (2, 14), (4, 8), (4, 10), (4, 12), (6, 14), (6, 16))
 
 
+def cusp_dimension(w: int) -> int:
+    """dim S_w of level-one cusp forms for an even w >= 4:
+    floor(w/12), less 1 when w = 2 mod 12."""
+    return w // 12 - (w % 12 == 2)
+
+
 def valid_pairs(nmax: int, kmax: int) -> list[tuple[int, int]]:
-    """Every (n, k) with n <= nmax, k <= kmax and elliptic weight >= 12."""
+    """Every (n, k) with n <= nmax and k <= kmax whose elliptic weight
+    2k - n has a cusp form."""
     return [
         (n, k)
         for n in range(2, nmax + 1, 2)
         for k in range(n + 2, kmax + 1, 2)
-        if 2 * k - n >= 12
+        if cusp_dimension(2 * k - n) >= 1
     ]
 
 
@@ -384,6 +391,13 @@ def check_eisenstein_products():
     assert list(eisenstein(14, N).coeffs) == convolve_trunc(e4sq, e6, N + 1)
 
 
+def check_builtin_weights():
+    # the weights in 12..26 with a one-dimensional cusp space, where the
+    # normalized cusp form is the eigenform: not 14 (dim 0) nor 24 (dim 2)
+    derived = tuple(w for w in range(12, 27, 2) if cusp_dimension(w) == 1)
+    assert derived == BUILTIN_WEIGHTS, derived
+
+
 def check_eigenform_deligne():
     for w in BUILTIN_WEIGHTS:
         f = eigenform(w, 500)
@@ -691,6 +705,7 @@ CHECKS = [
     ("discriminant by the E4/E6 and E4/E8 identities", check_discriminant_identities),
     ("divisor-sum sieve vs divisor sweep", check_sigma_sieve),
     ("E8, E10, E14 as products of E4 and E6", check_eisenstein_products),
+    ("built-in weights are those with dim S_w = 1", check_builtin_weights),
     ("eigenform Deligne bound", check_eigenform_deligne),
     ("eigenform multiplicativity", check_eigenform_multiplicativity),
     ("eigenform Hecke relations", check_eigenform_hecke),

@@ -121,10 +121,14 @@ class TestEigen:
         assert code == 2
 
     def test_unsupported_weight_without_file_exits_2(self, capsys):
-        # (2, 8) needs elliptic weight 14, which has no cusp form built in
-        code, _, err = run_cli(capsys, "eigen", "--n", "2", "--k", "8", "--pmax", "10")
-        assert code == 2
+        # (2, 8) needs elliptic weight 14, where no cusp form exists
+        code, out, err = run_cli(capsys, "eigen", "--n", "2", "--k", "8", "--pmax", "10")
+        assert code == 2 and out == ""
+        assert err == "error: elliptic weight 2k - n = 14 has no cusp form: dim S_14 = 0\n"
+        # (4, 14) needs weight 24, which has cusp forms but none built in:
         # the option for CLI users, the function for library callers
+        code, out, err = run_cli(capsys, "eigen", "--n", "4", "--k", "14", "--pmax", "10")
+        assert code == 2 and out == ""
         assert "(give a coefficient table with --eigenform; " in err
         assert "load_eigenform" in err
 
@@ -360,10 +364,18 @@ class TestForms:
         assert "3 252" in lines
 
     def test_unsupported_weight_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "forms", "--weight", "14", "--pmax", "10")
+        code, out, err = run_cli(capsys, "forms", "--weight", "24", "--pmax", "10")
         assert code == 2 and out == ""
-        assert err.startswith("error: no built-in eigenform of weight 14; ")
+        assert err.startswith("error: no built-in eigenform of weight 24; ")
         assert "--eigenform" in err
+        # weight 14 has no cusp form at all, so argparse refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(["forms", "--weight", "14", "--pmax", "10"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "ikedalift forms: error: argument --weight: no cusp form has weight 14: dim S_14 = 0"
+        )
 
     @pytest.mark.parametrize("entry", ["2 -2_4", "2 -\u0662\u0664"])
     def test_non_decimal_table_entry_exits_2(self, capsys, tmp_path, entry):
@@ -410,7 +422,10 @@ class TestForms:
                 capsys, "forms", "--weight", "12", "--pmax", "8", "--eigenform", str(table), *extra
             )
             assert code == 2 and out == ""
-            assert err == "error: coefficient a(5) not present in the table\n"
+            assert err == (
+                "error: line 5: index 8 where a(5) comes next; "
+                "a table lists a(1), a(2), ... with no gap\n"
+            )
         assert not target.exists()
 
     def test_decimal_context_is_left_alone(self, capsys):
@@ -456,13 +471,21 @@ class TestForms:
         assert err == "error: coefficient table covers m <= 10, below pmax = 100\n"
 
 
-class TestTableWithAGap:
-    """A table lists no prime past its first gap, so eigen and verify refuse
-    a prime in (L, pmax], L the end of the table's dense prefix, before they
-    sieve to pmax; forms still reads every coefficient first."""
+GAP_ERROR = "error: line {}: index {} where a({}) comes next; a table lists a(1), a(2), ... with no gap\n"
+# argv of each table-reading subcommand, all needing weight 18, to pmax 3
+TABLE_COMMANDS = [
+    ("eigen", "--n", "2", "--k", "10"),
+    ("verify", "--n", "2", "--k", "10"),
+    ("forms", "--weight", "18"),
+]
 
-    @pytest.mark.parametrize("command", ["eigen", "verify"])
-    def test_refused_before_the_sieve(self, capsys, tmp_path, monkeypatch, command):
+
+class TestTableWithAGap:
+    """A table is the dense run a(1), a(2), ...: an index past a gap is
+    refused as its line is parsed, so at any pmax and before any sieve."""
+
+    @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: argv[0])
+    def test_refused_before_the_sieve(self, capsys, tmp_path, monkeypatch, argv):
         table = tmp_path / "sparse.txt"
         table.write_text("1 1\n2 -528\n3 -4284\n4 147712\n10000000000 0\n")
 
@@ -470,27 +493,92 @@ class TestTableWithAGap:
             raise AssertionError(f"primes_upto({n}) called")
 
         monkeypatch.setattr(cli, "primes_upto", no_sieve)
+        monkeypatch.setattr(modforms, "primes_upto", no_sieve)
         code, out, err = run_cli(
-            capsys, command, "--n", "2", "--k", "10", "--pmax", "10000000000",
-            "--eigenform", str(table),
+            capsys, *argv, "--pmax", "10000000000", "--eigenform", str(table)
         )
         assert code == 2 and out == ""
-        assert err == "error: coefficient table lacks a(5), at the prime 5 <= pmax = 10000000000\n"
+        assert err == GAP_ERROR.format(5, 10000000000, 5)
 
-    def test_pmax_with_no_prime_past_the_prefix_runs(self, capsys, tmp_path):
-        # a(1..12) dense, then a(14): no prime lies in (12, 12], but 13 does
-        # lie in (12, 14]
+    def test_gap_is_refused_at_any_pmax(self, capsys, tmp_path):
+        # a(1..12), then a(14): refused below the gap as above it
         f = ikedalift.eigenform(18, 14)
         table = tmp_path / "gap.txt"
         table.write_text("".join(f"{m} {f.a(m)}\n" for m in (*range(1, 13), 14)))
         argv = ("verify", "--n", "2", "--k", "10")
-        assert main([*argv, "--pmax", "12"]) == 0
-        builtin = capsys.readouterr().out
-        code, out, err = run_cli(capsys, *argv, "--pmax", "12", "--eigenform", str(table))
-        assert (code, out, err) == (0, builtin, "")
-        code, out, err = run_cli(capsys, *argv, "--pmax", "14", "--eigenform", str(table))
-        assert code == 2 and out == ""
-        assert err == "error: coefficient table lacks a(13), at the prime 13 <= pmax = 14\n"
+        for pmax in ("12", "14"):
+            code, out, err = run_cli(capsys, *argv, "--pmax", pmax, "--eigenform", str(table))
+            assert (code, out, err) == (2, "", GAP_ERROR.format(13, 14, 13))
+
+
+def _w18(*indices):
+    f = modforms.eigenform(18, 25)
+    return "".join(f"{m} {f.a(m)}\n" for m in indices)
+
+
+class TestOneIndexRule:
+    """Each way a table can break the run a(1), a(2), ... exits 2 under
+    each subcommand that reads a table, with no output, no --out file and
+    a message naming the line and the a(i) expected there."""
+
+    @pytest.mark.parametrize(
+        "text, line, index, expected",
+        [
+            ("2 -528\n3 -4284\n", 1, 2, 1),
+            ("0 1\n1 1\n", 1, 0, 1),
+            ("-3 1\n", 1, -3, 1),
+            ("# weight 18\n" + _w18(1, 2, 3, 3), 5, 3, 4),
+            (_w18(1, 2, 3, 4, 2), 5, 2, 5),
+            # a consistent composite tail: a(6), a(8), a(9), a(10) agree
+            # with the relations, a(5) is missing
+            (_w18(1, 2, 3, 4, 6, 8, 9, 10), 5, 6, 5),
+            (_w18(1, 2, 3, 4, 7), 5, 7, 5),
+        ],
+        ids=["first-2", "first-0", "first-negative", "repeated", "decreasing",
+             "gap-before-composites", "gap-before-a-prime"],
+    )
+    @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: argv[0])
+    def test_exits_2_naming_the_expected_index(
+        self, capsys, tmp_path, argv, text, line, index, expected
+    ):
+        table = tmp_path / "t.txt"
+        table.write_text(text)
+        target = tmp_path / "out.txt"
+        extra = () if argv[0] == "verify" else ("--out", str(target))
+        code, out, err = run_cli(
+            capsys, *argv, "--pmax", "3", "--eigenform", str(table), *extra
+        )
+        assert (code, out) == (2, "")
+        assert err == GAP_ERROR.format(line, index, expected)
+        assert not target.exists()
+
+
+class TestWeightFourteen:
+    """dim S_14 = 0: no eigenform, and so no lift, has weight 14, whether a
+    table is given or not."""
+
+    @pytest.mark.parametrize("with_table", [False, True], ids=["built-in", "table"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("eigen", "--n", "2", "--k", "8"), ("verify", "--n", "6", "--k", "10"),
+         ("forms", "--weight", "14")],
+        ids=lambda argv: argv[0],
+    )
+    def test_exits_2_naming_the_empty_space(self, capsys, tmp_path, argv, with_table):
+        table = tmp_path / "t14.txt"
+        table.write_text("1 1\n2 0\n3 0\n")
+        extra = ("--eigenform", str(table)) if with_table else ()
+        try:
+            code = main([*argv, "--pmax", "3", *extra])
+        except SystemExit as exc:  # argparse refuses forms --weight 14
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines()[-1] == (
+            "ikedalift forms: error: argument --weight: no cusp form has weight 14: dim S_14 = 0"
+            if argv[0] == "forms"
+            else "error: elliptic weight 2k - n = 14 has no cusp form: dim S_14 = 0"
+        )
 
 
 class TestPrimeListings:

@@ -67,6 +67,12 @@ class TestParams:
         with pytest.raises(ValueError):
             IkedaParams(2, 6)  # 2k - n = 10 < 12
 
+    def test_rejects_weight_fourteen(self):
+        # 2k - n = 14 for (2, 8), (6, 10) and (10, 12): dim S_14 = 0
+        for n, k in ((2, 8), (6, 10), (10, 12)):
+            with pytest.raises(ValueError, match=r"^elliptic weight 2k - n = 14 .*dim S_14 = 0$"):
+                IkedaParams(n, k)
+
     def test_base_exponent(self):
         # doubled: 2 * 17/2 and 2 * 11
         assert IkedaParams(2, 10).double_base_exp == 17

@@ -185,7 +185,7 @@ class TestEigenform:
     def test_fields_are_read_only(self):
         # eigenform() hands the same cached instance to every caller
         f = eigenform(16, 10)
-        for field in ("weight", "coeffs", "sparse"):
+        for field in ("weight", "coeffs"):
             with pytest.raises(AttributeError):
                 setattr(f, field, None)
         assert f.weight == 16 and f.a(2) == 216
@@ -223,7 +223,7 @@ class TestEigenform:
             tracemalloc.stop()
             eigenform.cache_clear()
         # the series object, its coefficient tuple and its int objects
-        held = [f, f.sparse, f.coeffs, *{id(c): c for c in f.coeffs}.values()]
+        held = [f, f.coeffs, *{id(c): c for c in f.coeffs}.values()]
         size = sum(map(sys.getsizeof, held))
         # Delta, E6 and E8 kept in caches would hold about 3.9x
         assert gained <= 1.25 * size, (gained, size)
@@ -233,9 +233,12 @@ class TestEigenform:
         assert not hasattr(delta, "cache_info")
         assert not hasattr(eisenstein, "cache_info")
 
-    def test_sparse_defaults_to_a_fresh_dict(self):
-        a, b = FourierSeries(12, (0, 1)), FourierSeries(12, (0, 1))
-        assert a.sparse == {} and a.sparse is not b.sparse
+    def test_a_series_is_its_weight_and_one_dense_run(self):
+        assert FourierSeries.__slots__ == ("weight", "coeffs", "__weakref__")
+        f = FourierSeries(12, (0, 1, -24))
+        assert f.truncation == 2 and f.a(2) == -24
+        with pytest.raises(ValueError, match="^index 3 outside truncation 2$"):
+            f.a(3)
 
     def test_unsupported_weight(self):
         with pytest.raises(UnsupportedWeightError, match="load_eigenform"):
@@ -366,19 +369,29 @@ class TestLoadEigenform:
 
     def test_rejects_missing_index_below_largest_prime(self, tmp_path):
         path = write_table(tmp_path, "1 1\n2 -24\n5 4830\n")
-        with pytest.raises(EigenformValidationError, match="index 3"):
+        with pytest.raises(TableParseError) as info:
             load_eigenform(path, 12)
+        assert info.value.line == 3
+        assert str(info.value) == (
+            "line 3: index 5 where a(3) comes next; a table lists a(1), a(2), ... with no gap"
+        )
+        # a usage error (exit 2), not a failed validation (exit 1)
+        assert not isinstance(info.value, EigenformValidationError)
 
     def test_rejects_non_increasing(self, tmp_path):
-        path = write_table(tmp_path, "1 1\n3 252\n2 -24\n")
-        with pytest.raises(EigenformValidationError):
-            load_eigenform(path, 12)
+        # a repeated index, then a decreasing one; a comment line counts
+        for text, line, expected in (
+            ("1 1\n2 -24\n2 -24\n", 3, 3),
+            ("# w 12\n1 1\n2 -24\n3 252\n1 1\n", 5, 4),
+        ):
+            with pytest.raises(TableParseError, match=rf"^line {line}: index \d where a\({expected}\) comes next"):
+                load_eigenform(write_table(tmp_path, text), 12)
 
     def test_rejects_start_above_one(self, tmp_path):
-        # and a first index of 0 or below, before any ordering check
-        for text in ("2 -24\n3 252\n", "0 1\n1 1\n", "-3 1\n"):
+        # and a first index of 0 or below
+        for first, text in ((2, "2 -24\n3 252\n"), (0, "0 1\n1 1\n"), (-3, "-3 1\n")):
             path = write_table(tmp_path, text)
-            with pytest.raises(EigenformValidationError, match="table must start at index 1"):
+            with pytest.raises(TableParseError, match=rf"^line 1: index {first} where a\(1\) comes next"):
                 load_eigenform(path, 12)
 
     def test_reports_first_offending_index(self, tmp_path):
@@ -437,41 +450,29 @@ class TestLoadEigenform:
         path = write_table(tmp_path, lines + "\n")
         assert load_eigenform(path, 18).coeffs == f.coeffs
 
-    def test_sparse_large_index_sieves_only_the_prefix(self, tmp_path, monkeypatch):
-        sieved = []
-        real = modforms.primes_upto
+    @staticmethod
+    def refused_on_its_line(monkeypatch, path, line, expected):
+        # a huge index is refused as it is parsed: neither sieved nor tested
+        def never(n):
+            raise AssertionError(f"called on {n}")
 
-        def recording(n):
-            sieved.append(n)
-            return real(n)
-
-        monkeypatch.setattr(modforms, "primes_upto", recording)
-        head = "1 1\n2 -24\n3 252\n4 -1472\n"
-        # indices past the gap are stored sparsely, so this loads in memory
-        # proportional to its five lines
-        f = load_eigenform(write_table(tmp_path, head + f"{10**12} 5\n"), 12)
-        assert f.a(10**12) == 5 and f.a(4) == -1472
-        assert f.truncation == 10**12 and len(f.coeffs) == 5
-        with pytest.raises(ValueError, match="not present"):
-            f.a(10**12 - 1)
-        # 2 * 5^17 ~ 1.5e12 breaks multiplicativity against a(2) * a(5^17)
-        m = 2 * 5**17
-        path = write_table(tmp_path, head + f"{5**17} 7\n{m} 0\n")
-        with pytest.raises(EigenformValidationError, match=f"index {m}: multiplicativity"):
-            load_eigenform(path, 12)
-        # each load lists the primes up to isqrt(4) to mark its sieve, then
-        # its tail's trial divisors up to min(4, isqrt(top)): nothing above
-        # the prefix is sieved
-        assert sieved == [2, 4, 2, 4]
-
-    def test_prime_index_near_1e18_is_rejected_fast(self, tmp_path):
-        # 10**18 + 3 is prime, so index 5 below it is missing
-        path = write_table(tmp_path, "1 1\n2 -24\n3 252\n4 -1472\n1000000000000000003 5\n")
-        modforms.is_prime.cache_clear()
+        for name in ("primes_upto", "is_prime"):
+            monkeypatch.setattr(modforms, name, never)
         start = time.perf_counter()
-        with pytest.raises(EigenformValidationError, match="^index 5: missing index"):
+        with pytest.raises(TableParseError, match=rf"^line {line}: index \d+ where a\({expected}\) comes next"):
             load_eigenform(path, 12)
         assert time.perf_counter() - start < 0.1
+
+    def test_sparse_large_index_sieves_only_the_prefix(self, tmp_path, monkeypatch):
+        # nothing is sieved: the index 10^12 past the gap is refused on its line
+        head = "1 1\n2 -24\n3 252\n4 -1472\n"
+        path = write_table(tmp_path, head + f"{10**12} 5\n")
+        self.refused_on_its_line(monkeypatch, path, 5, 5)
+
+    def test_prime_index_near_1e18_is_rejected_fast(self, tmp_path, monkeypatch):
+        # 10**18 + 3 is prime, and index 5 below it is missing
+        path = write_table(tmp_path, "1 1\n2 -24\n3 252\n4 -1472\n1000000000000000003 5\n")
+        self.refused_on_its_line(monkeypatch, path, 5, 5)
 
     def test_huge_weight_is_tested_without_its_power(self, tmp_path):
         # 3**(10**7 - 1) has about 1.6 * 10**7 bits; neither test forms it
@@ -484,63 +485,27 @@ class TestLoadEigenform:
             load_eigenform(path, 10**7)
         assert time.perf_counter() - start < 0.5
 
-    def test_index_beyond_the_prime_test_is_refused(self, tmp_path):
+    def test_index_beyond_the_prime_test_is_refused(self, tmp_path, monkeypatch):
         m = PRIME_TEST_LIMIT
         path = write_table(tmp_path, f"1 1\n2 -24\n3 252\n4 -1472\n{m} 5\n")
-        with pytest.raises(EigenformValidationError, match=f"^index {m}: at or above {m}"):
-            load_eigenform(path, 12)
+        self.refused_on_its_line(monkeypatch, path, 5, 5)
 
     def test_composite_pair_past_the_gap_is_checked(self, tmp_path):
-        # 1225 = 25 * 49: no prime factor of 1225 is listed, yet both
-        # coprime parts are, so multiplicativity still applies to it
+        # 1225 = 25 * 49 past the gap at 5: refused at its first line past
+        # the gap, whether or not a(1225) = a(25) a(49)
         head = "1 1\n2 -24\n3 252\n4 -1472\n25 5\n49 7\n"
-        path = write_table(tmp_path, head + "1225 36\n")
-        with pytest.raises(
-            EigenformValidationError,
-            match=r"^index 1225: multiplicativity violated: a\(1225\) != a\(25\)\*a\(49\)$",
-        ):
-            load_eigenform(path, 12)
-        f = load_eigenform(write_table(tmp_path, head + "1225 35\n", "ok.txt"), 12)
-        assert f.a(1225) == 35
+        for a1225 in (35, 36):
+            with pytest.raises(TableParseError, match=r"^line 5: index 25 where a\(5\) comes next"):
+                load_eigenform(write_table(tmp_path, head + f"1225 {a1225}\n"), 12)
 
     @pytest.mark.parametrize(
-        "q1, q2", [(10**7 + 19, 10**7 + 79), (10**11 + 3, 10**11 + 19)]
+        "q1, q2", [(10**7 + 19, 10**7 + 79), (10**11 + 3, 10**11 + 19)], ids=["1e7", "1e11"]
     )
-    def test_semiprime_past_the_gap_loads_at_once(self, tmp_path, q1, q2):
-        # both factors lie far above the listed primes 2 and 3, so only those
-        # two are tried as divisors; searching up to sqrt(m) would take from
-        # about a second (q ~ 10^7) to hours (q ~ 10^11)
-        assert modforms.is_prime(q1) and modforms.is_prime(q2)
+    def test_semiprime_past_the_gap_is_refused_at_once(self, tmp_path, monkeypatch, q1, q2):
+        # no trial division and no primality test reaches q1 * q2
         head = "1 1\n2 -24\n3 252\n4 -1472\n"
-        start = time.perf_counter()
-        f = load_eigenform(write_table(tmp_path, head + f"{q1 * q2} 9\n"), 12)
-        assert time.perf_counter() - start < 0.1
-        assert f.a(q1 * q2) == 9
-
-    def test_split_past_the_gap_uses_the_smallest_listed_prime_power(self, tmp_path):
-        # m = 11^2 * 13^2 * 17 splits as 121 * 2873 and as 169 * 2057, both
-        # listed; the split at its smallest prime 11 is the one reported
-        head = "1 1\n2 -24\n3 252\n4 -1472\n"
-        m = 121 * 169 * 17
-        lines = f"121 2\n169 3\n2057 10\n2873 15\n{m} 1\n"
-        with pytest.raises(
-            EigenformValidationError,
-            match=rf"^index {m}: multiplicativity violated: a\({m}\) != a\(121\)\*a\(2873\)$",
-        ):
-            load_eigenform(write_table(tmp_path, head + lines), 12)
-        ok = lines.replace(f"{m} 1", f"{m} 30")
-        assert load_eigenform(write_table(tmp_path, head + ok, "ok.txt"), 12).a(m) == 30
-
-    def test_split_at_a_larger_prime_is_checked_when_the_smallest_is_not_listed(self, tmp_path):
-        # m = 11 * 17 * 13^2: the power of its smallest prime, 11, is not
-        # listed, but the split 169 * 187 is, and a split at any prime must hold
-        head = "1 1\n2 -24\n3 252\n4 -1472\n169 3\n187 5\n"
-        with pytest.raises(
-            EigenformValidationError,
-            match=r"^index 31603: multiplicativity violated: a\(31603\) != a\(169\)\*a\(187\)$",
-        ):
-            load_eigenform(write_table(tmp_path, head + "31603 1\n"), 12)
-        assert load_eigenform(write_table(tmp_path, head + "31603 15\n", "ok.txt"), 12).a(31603) == 15
+        path = write_table(tmp_path, head + f"{q1 * q2} 9\n")
+        self.refused_on_its_line(monkeypatch, path, 5, 5)
 
 
 class TestTableHeldOnce:
@@ -556,7 +521,7 @@ class TestTableHeldOnce:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert g.coeffs == f.coeffs and g.sparse == {}
+        assert g.coeffs == f.coeffs
         # the series kept, plus the validator's flat sieve of one machine
         # int per index and the parser's line being read: about 1.28x here
         assert peak <= 1.5 * kept, (peak, kept)
@@ -586,23 +551,22 @@ class TestTableHeldOnce:
         assert str(info.value) == "line 3: non-integer entry '3 25\\udcff2\\n'"
 
     def test_many_indices_past_the_gap_load_in_linear_time(self, tmp_path):
-        # 2 * 10^4 semiprimes whose factors all lie above the listed primes
-        # 2 and 3: each is classified once as it is passed, not tested
-        # against every earlier index (which took about 9 s)
+        # 2 * 10^4 semiprimes past the gap: the load ends at the first one,
+        # so its time does not grow with the lines after it
         ps = [p for p in primes_upto(600000) if p > 1000][:40000]
         lines = "".join(f"{ps[i] * ps[i + 1]} {i}\n" for i in range(0, 40000, 2))
         path = write_table(tmp_path, "1 1\n2 -24\n3 252\n4 -1472\n" + lines)
         start = time.perf_counter()
-        f = load_eigenform(path, 12)
-        assert time.perf_counter() - start < 2
-        assert len(f.coeffs) == 5 and len(f.sparse) == 20000
+        with pytest.raises(TableParseError, match=rf"^line 5: index {ps[0] * ps[1]} where a\(5\)"):
+            load_eigenform(path, 12)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestHeckeRelation:
     @staticmethod
     def holds(table, w, m, p):
         try:
-            modforms._check_composite(table.get, w, m, p)
+            modforms._check_composite(table, w, m, p)
         except EigenformValidationError:
             return False
         return True
