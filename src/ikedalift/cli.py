@@ -36,9 +36,11 @@ from .exactnum import primes_upto, unlimited_int_digits
 from .ikeda import DeligneBoundError, IkedaParams, q_binomial, q_binomial_eval, verify_prime
 from .modforms import (
     EigenformValidationError,
+    UnsupportedWeightError,
     eigenform,
     hecke_eigenvalue_prime,
     load_eigenform,
+    require_cusp_forms,
 )
 
 CSV_COLUMNS = [
@@ -193,31 +195,22 @@ def run_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def poly_str(coeffs, var: str = "x") -> str:
-    """Human-readable ascending-exponent rendering, e.g. '1 + q + 2q^2'."""
-    parts = []
-    for e, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        neg = c < 0
-        mag = -c if neg else c
-        if e == 0:
-            term = str(mag)
-        else:
-            x = var if e == 1 else f"{var}^{e}"
-            term = x if mag == 1 else f"{mag}{x}"
-        if not parts:
-            parts.append(f"-{term}" if neg else term)
-        else:
-            parts.append(f"- {term}" if neg else f"+ {term}")
-    return " ".join(parts) or "0"
+def poly_str(coeffs) -> str:
+    """A Gaussian binomial in q, as q_binomial gives it (coefficients >= 0,
+    constant term 1), in ascending exponents, e.g. '1 + q + 2q^2'."""
+    terms = ["1"]
+    for e, c in enumerate(coeffs[1:], 1):
+        if c:
+            x = "q" if e == 1 else f"q^{e}"
+            terms.append(x if c == 1 else f"{c}{x}")
+    return " + ".join(terms)
 
 
 def run_qbinom(args) -> int:
     if args.q is not None:
         value, render = q_binomial_eval(args.n, args.m, args.q), str
     else:
-        value, render = q_binomial(args.n, args.m), lambda c: poly_str(c, var="q")
+        value, render = q_binomial(args.n, args.m), poly_str
     _emit(render(v) + "\n" for v in [value])
     return 0
 
@@ -256,19 +249,17 @@ def _int_at_least(low: int, what: str):
 _nonnegative_int = _int_at_least(0, "a non-negative integer")
 _positive_int = _int_at_least(1, "a positive integer")
 _prime_bound = _int_at_least(2, "at least 2, the smallest prime")
-_weight_at_least_12 = _int_at_least(12, "an even integer >= 12")
 
 
 def _cusp_weight(text: str) -> int:
-    """argparse type for an elliptic weight: an even integer >= 12 other
-    than 14, where level-one cusp forms exist (the rule IkedaParams applies
-    to 2k - n)."""
-    value = _weight_at_least_12(text)
-    if value % 2:
-        raise argparse.ArgumentTypeError(f"must be an even integer >= 12, got {value}")
-    if value == 14:
-        raise argparse.ArgumentTypeError("no cusp form has weight 14: dim S_14 = 0")
-    return value
+    """argparse type for an elliptic weight: modforms.require_cusp_forms,
+    the rule IkedaParams applies to 2k - n, raising ArgumentTypeError."""
+    try:
+        return require_cusp_forms(int(text))
+    except UnsupportedWeightError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

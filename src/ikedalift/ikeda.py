@@ -75,7 +75,7 @@ from math import comb
 from operator import itemgetter
 
 from .exactnum import QuadExt, _quad, is_prime
-from .modforms import within_deligne
+from .modforms import require_cusp_forms, within_deligne
 
 
 class RouteDisagreementError(ArithmeticError):
@@ -97,8 +97,8 @@ class BoundIdentityError(ArithmeticError):
 class IkedaParams:
     """Degree n and weight k of the lift; both even, k > n + 1.
 
-    The elliptic input lives in weight 2k - n, which must be at least 12 and
-    not 14 for a cusp form to exist.  Instances are immutable, equal and
+    The elliptic input lives in weight 2k - n, which
+    modforms.require_cusp_forms checks.  Instances are immutable, equal and
     hash-equal on (n, k): they key params_record and prime_record, so
     rebinding n or k would corrupt them.  The hash is computed once, at
     construction.
@@ -113,13 +113,7 @@ class IkedaParams:
             raise ValueError(f"weight k = {k} must be even")
         if k <= n + 1:
             raise ValueError(f"need k > n + 1, got k = {k}, n = {n}")
-        if 2 * k - n < 12:
-            raise ValueError(
-                f"elliptic weight 2k - n = {2 * k - n} is below 12; "
-                "no cusp form exists"
-            )
-        if 2 * k - n == 14:
-            raise ValueError("elliptic weight 2k - n = 14 has no cusp form: dim S_14 = 0")
+        require_cusp_forms(2 * k - n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "_hash", hash((n, k)))
@@ -389,16 +383,6 @@ def params_record(params: IkedaParams) -> tuple:
     return by_power, reciprocal, bound_exp, tuple(sorted(read))
 
 
-class _Powers(dict):
-    """p^e keyed by e.  A power not stored, as a corrupted layout may ask
-    for, is computed on the miss and not kept."""
-
-    __slots__ = ("p",)
-
-    def __missing__(self, e):
-        return self.p**e
-
-
 @lru_cache(maxsize=1)
 def prime_record(params: IkedaParams, p: int) -> tuple:
     """What the routes and the bounds read at one prime: (powers, gaussian,
@@ -406,11 +390,11 @@ def prime_record(params: IkedaParams, p: int) -> tuple:
     lists as read, each from the one below it, so their number does not grow
     with k, gaussian = (n choose 0..n/2)_p from one q_binomial_row pass, and
     the constants r_i = p^(k-i) + p^(k-n-1+i), i = 1..n/2, of the linear
-    factors (x + r_i) of routes 2 and 3."""
+    factors (x + r_i) of routes 2 and 3.  powers is a plain dict, so an
+    exponent params_record fails to list raises KeyError (exit 3)."""
     n, k = params.n, params.k
     *_, read = params_record(params)
-    powers = _Powers()
-    powers.p = p
+    powers = {}
     x, below = 1, 0
     for e in read:
         x *= p ** (e - below)

@@ -9,7 +9,9 @@ eta^3 expansion, and 691 (E12 - E6^2)/762048 from the identity
 E6^2 = E12 - (762048/691) Delta) and the constructions are asserted to
 agree, so the root of the data pipeline is its own oracle.  Any other
 weight enters through a coefficient table on disk: the dense run a(1..L),
-validated as it is loaded.
+validated as it is loaded.  A weight with dim S_w = 0 has no eigenform:
+require_cusp_forms, the one place that refuses it, does so for IkedaParams
+(on 2k - n), the CLI's --weight, eigenform() and load_eigenform() alike.
 
 A build keeps only the series it returns.  eigenform() is the one cached
 series, since selftest and the tests read each form in several checks;
@@ -34,7 +36,7 @@ from .exactnum import is_prime, primes_upto
 
 
 class UnsupportedWeightError(ValueError):
-    """Weight without a built-in eigenform construction."""
+    """A weight with no cusp form, or none built in for eigenform()."""
 
 
 class EigenformValidationError(Exception):
@@ -61,6 +63,19 @@ class TableParseError(ValueError):
 
 
 BUILTIN_WEIGHTS = (12, 16, 18, 20, 22, 26)
+
+
+def cusp_dimension(w: int) -> int:
+    """dim S_w of level-one cusp forms: 0 for an odd w or a w below 12,
+    otherwise floor(w/12), less 1 when w = 2 mod 12."""
+    return 0 if w % 2 or w < 12 else w // 12 - (w % 12 == 2)
+
+
+def require_cusp_forms(w: int) -> int:
+    """w, or UnsupportedWeightError when dim S_w = 0 (no eigenform, no lift)."""
+    if not cusp_dimension(w):
+        raise UnsupportedWeightError(f"elliptic weight {w} has no cusp form: dim S_{w} = 0")
+    return w
 
 
 class FourierSeries:
@@ -262,16 +277,17 @@ def delta(N: int) -> FourierSeries:
 def eigenform(w: int, N: int) -> FourierSeries:
     """The unique normalized cusp eigenform of weight w, to truncation N.
 
-    Supported weights are exactly those with a one-dimensional cusp space.
-    There M_{w-12} is one-dimensional too, so the eigenform is delta times
-    E_{w-12}: one series product.  For anything else, supply a coefficient
-    table via load_eigenform.
+    Built in are the weights with a one-dimensional cusp space.  There
+    M_{w-12} is one-dimensional too, so the eigenform is delta times
+    E_{w-12}: one series product.  require_cusp_forms refuses a weight with
+    dim S_w = 0; for any other, supply a table via load_eigenform.
 
     The build keeps only the series it returns: delta and E_{w-12} are not
     cached, so they are freed once the product has read them (weight 18
     builds E6 twice, once inside delta).  This is the one cached series,
     because selftest and the tests read each form in several checks.
     """
+    require_cusp_forms(w)
     if w not in BUILTIN_WEIGHTS:
         raise UnsupportedWeightError(
             f"no built-in eigenform of weight {w}; supported weights are "
@@ -384,7 +400,8 @@ def _check_table(f: FourierSeries) -> None:
 
 def load_eigenform(path, w: int) -> FourierSeries:
     """Read a coefficient table ("m a(m)" per line, '#' comments) and
-    validate it as a normalized eigenform of weight w.
+    validate it as a normalized eigenform of weight w, which
+    require_cusp_forms checks before the file is opened.
 
     A table is the dense run a(1), a(2), ..., a(L): the i-th entry must have
     index i.  A line that is not two decimal integers (ASCII digits, an
@@ -400,6 +417,7 @@ def load_eigenform(path, w: int) -> FourierSeries:
     read as UTF-8 in any locale; an undecodable byte may sit in a comment,
     and in a field it makes a non-integer entry.
     """
+    require_cusp_forms(w)
     coeffs = [0]
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):

@@ -46,15 +46,17 @@ from .ikeda import (
     verify_prime,
 )
 from .kernels import convolve_trunc
-from .modforms import BUILTIN_WEIGHTS, _sigma_table, bernoulli, delta, eigenform, eisenstein
+from .modforms import (
+    BUILTIN_WEIGHTS,
+    _sigma_table,
+    bernoulli,
+    cusp_dimension,
+    delta,
+    eigenform,
+    eisenstein,
+)
 
 DESK_PAIRS = ((2, 10), (2, 12), (2, 14), (4, 8), (4, 10), (4, 12), (6, 14), (6, 16))
-
-
-def cusp_dimension(w: int) -> int:
-    """dim S_w of level-one cusp forms for an even w >= 4:
-    floor(w/12), less 1 when w = 2 mod 12."""
-    return w // 12 - (w % 12 == 2)
 
 
 def valid_pairs(nmax: int, kmax: int) -> list[tuple[int, int]]:
@@ -391,6 +393,14 @@ def check_eisenstein_products():
     assert list(eisenstein(14, N).coeffs) == convolve_trunc(e4sq, e6, N + 1)
 
 
+def check_cusp_dimension_from_monomials():
+    # M_* = C[E4, E6], so dim M_w counts the monomials E4^a E6^b of weight
+    # w, and S_w is the kernel of a(0), nonzero on M_w when M_w is
+    for w in range(-4, 201):
+        monomials = sum(1 for b in range(w // 6 + 1) if (w - 6 * b) % 4 == 0)
+        assert cusp_dimension(w) == max(0, monomials - 1), w
+
+
 def check_builtin_weights():
     # the weights in 12..26 with a one-dimensional cusp space, where the
     # normalized cusp form is the eigenform: not 14 (dim 0) nor 24 (dim 2)
@@ -705,6 +715,7 @@ CHECKS = [
     ("discriminant by the E4/E6 and E4/E8 identities", check_discriminant_identities),
     ("divisor-sum sieve vs divisor sweep", check_sigma_sieve),
     ("E8, E10, E14 as products of E4 and E6", check_eisenstein_products),
+    ("dim S_w from the monomials E4^a E6^b", check_cusp_dimension_from_monomials),
     ("built-in weights are those with dim S_w = 1", check_builtin_weights),
     ("eigenform Deligne bound", check_eigenform_deligne),
     ("eigenform multiplicativity", check_eigenform_multiplicativity),

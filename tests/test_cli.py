@@ -21,6 +21,7 @@ from ikedalift import cli, exactnum, ikeda, modforms, selftest
 from ikedalift.cli import CSV_COLUMNS, main
 from ikedalift.exactnum import primes_upto, unlimited_int_digits
 from ikedalift.ikeda import IkedaParams, verify_prime
+from ikedalift.modforms import UnsupportedWeightError
 
 EXACT_RE = re.compile(r"^(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*sqrt\((\d+)\)$")
 
@@ -124,7 +125,7 @@ class TestEigen:
         # (2, 8) needs elliptic weight 14, where no cusp form exists
         code, out, err = run_cli(capsys, "eigen", "--n", "2", "--k", "8", "--pmax", "10")
         assert code == 2 and out == ""
-        assert err == "error: elliptic weight 2k - n = 14 has no cusp form: dim S_14 = 0\n"
+        assert err == "error: elliptic weight 14 has no cusp form: dim S_14 = 0\n"
         # (4, 14) needs weight 24, which has cusp forms but none built in:
         # the option for CLI users, the function for library callers
         code, out, err = run_cli(capsys, "eigen", "--n", "4", "--k", "14", "--pmax", "10")
@@ -374,7 +375,8 @@ class TestForms:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            "ikedalift forms: error: argument --weight: no cusp form has weight 14: dim S_14 = 0"
+            "ikedalift forms: error: argument --weight: "
+            "elliptic weight 14 has no cusp form: dim S_14 = 0"
         )
 
     @pytest.mark.parametrize("entry", ["2 -2_4", "2 -\u0662\u0664"])
@@ -399,8 +401,8 @@ class TestForms:
 
     @pytest.mark.parametrize("weight", ["-4", "0", "13", "10"])
     def test_weight_without_cusp_forms_exits_2(self, capsys, tmp_path, weight):
-        # a level-one cusp form needs an even weight >= 12; below 1 the
-        # Deligne bound would even be a fraction
+        # dim S_w = 0 at each of these weights; below 1 the Deligne bound
+        # would even be a fraction
         table = tmp_path / "w12.txt"
         run_cli(capsys, "forms", "--weight", "12", "--pmax", "5", "--out", str(table))
         with pytest.raises(SystemExit) as exc:
@@ -409,7 +411,7 @@ class TestForms:
         assert exc.value.code == 2 and captured.out == ""
         assert captured.err.splitlines()[-1] == (
             "ikedalift forms: error: argument --weight: "
-            f"must be an even integer >= 12, got {weight}"
+            f"elliptic weight {weight} has no cusp form: dim S_{weight} = 0"
         )
 
     def test_table_gap_leaves_no_output(self, capsys, tmp_path):
@@ -575,10 +577,19 @@ class TestWeightFourteen:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.splitlines()[-1] == (
-            "ikedalift forms: error: argument --weight: no cusp form has weight 14: dim S_14 = 0"
-            if argv[0] == "forms"
-            else "error: elliptic weight 2k - n = 14 has no cusp form: dim S_14 = 0"
-        )
+            "ikedalift forms: error: argument --weight: " if argv[0] == "forms" else "error: "
+        ) + "elliptic weight 14 has no cusp form: dim S_14 = 0"
+
+    def test_one_message_from_every_entry_point(self, capsys):
+        with pytest.raises(UnsupportedWeightError) as info:
+            IkedaParams(2, 8)
+        message = str(info.value)
+        for argv in (("eigen", "--n", "2", "--k", "8"), ("verify", "--n", "2", "--k", "8")):
+            assert main([*argv, "--pmax", "3"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(SystemExit):
+            main(["forms", "--weight", "14", "--pmax", "3"])
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"--weight: {message}")
 
 
 class TestPrimeListings:
@@ -810,6 +821,7 @@ class TestNonIntegerArgument:
             ("eigen", "--pmax", "x"),
             ("verify", "--pmax", "x"),
             ("eigen", "--digits", "x"),
+            ("forms", "--weight", "x"),
         ],
         ids=lambda argv: f"{argv[0]}{argv[1]}",
     )

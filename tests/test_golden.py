@@ -58,6 +58,19 @@ GOLDEN = [
         ["forms", "--weight", "26", "--pmax", "1500"],
         "5eed56e44eff7eb93e54ba743f30f67604bf3f262883dfd6fbecb43ae0828280",
     ),
+    # Gaussian binomials in q: a long one, a linear one, and the constant 1
+    (
+        ["qbinom", "--n", "30", "--m", "15"],
+        "0368979cb17ddec904abba7a6346cbdbcf560fbde453f65a49dd2db3cecd7ef9",
+    ),
+    (
+        ["qbinom", "--n", "12", "--m", "1"],
+        "74f8eb198971bca45272cd58cfad71652defb95dc68fda9b8cc25a2e7c47f5e9",
+    ),
+    (
+        ["qbinom", "--n", "5", "--m", "0"],
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ),
 ]
 
 

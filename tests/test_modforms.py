@@ -241,9 +241,10 @@ class TestEigenform:
             f.a(3)
 
     def test_unsupported_weight(self):
-        with pytest.raises(UnsupportedWeightError, match="load_eigenform"):
+        # 14 has no cusp form; 24 has cusp forms but none built in
+        with pytest.raises(UnsupportedWeightError, match=r"dim S_14 = 0$"):
             eigenform(14, 10)
-        with pytest.raises(UnsupportedWeightError):
+        with pytest.raises(UnsupportedWeightError, match="load_eigenform"):
             eigenform(24, 10)
 
     def test_deligne_bound_to_500(self):
@@ -254,6 +255,30 @@ class TestEigenform:
 
     def test_hecke_relations_to_500(self):
         selftest.check_eigenform_hecke()
+
+
+class TestWeightRule:
+    """One rule from dim S_w, with one message, for every entry point."""
+
+    EMPTY = (-4, 0, 10, 13, 14)
+
+    def test_cusp_dimension_from_monomials(self):
+        selftest.check_cusp_dimension_from_monomials()
+
+    @pytest.mark.parametrize("w", EMPTY)
+    def test_eigenform_refuses(self, w):
+        with pytest.raises(UnsupportedWeightError) as info:
+            eigenform(w, 10)
+        assert str(info.value) == f"elliptic weight {w} has no cusp form: dim S_{w} = 0"
+
+    @pytest.mark.parametrize("w", EMPTY)
+    def test_load_eigenform_refuses_before_opening(self, tmp_path, w):
+        table = tmp_path / "t.txt"
+        table.write_text("1 1\n2 0\n3 0\n")
+        for path in (table, tmp_path / "missing.txt"):
+            with pytest.raises(UnsupportedWeightError) as info:
+                load_eigenform(path, w)
+            assert str(info.value) == f"elliptic weight {w} has no cusp form: dim S_{w} = 0"
 
 
 class TestTraceFormula:
