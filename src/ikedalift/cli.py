@@ -35,6 +35,7 @@ from itertools import chain
 from .exactnum import primes_upto, unlimited_int_digits
 from .ikeda import DeligneBoundError, IkedaParams, q_binomial, q_binomial_eval, verify_prime
 from .modforms import (
+    BUILTIN_WEIGHTS,
     EigenformValidationError,
     UnsupportedWeightError,
     eigenform,
@@ -272,13 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    eigen = sub.add_parser("eigen", help="per-prime eigenvalue records (CSV/JSON)")
-    eigen.add_argument("--n", type=int, required=True, help="degree (even)")
-    eigen.add_argument("--k", type=int, required=True, help="weight (even, > n+1)")
-    eigen.add_argument(
+    sweep = argparse.ArgumentParser(add_help=False)  # eigen's and verify's options
+    sweep.add_argument("--n", type=int, required=True, help="degree (even)")
+    sweep.add_argument("--k", type=int, required=True, help="weight (even, > n+1)")
+    sweep.add_argument(
         "--pmax", type=_prime_bound, default=100, help="largest prime checked (>= 2)"
     )
-    eigen.add_argument("--eigenform", help="coefficient table for weight 2k-n")
+    sweep.add_argument("--eigenform", help="coefficient table for weight 2k-n")
+
+    eigen = sub.add_parser(
+        "eigen", parents=[sweep], help="per-prime eigenvalue records (CSV/JSON)"
+    )
     eigen.add_argument("--format", choices=("csv", "json"), default="csv")
     eigen.add_argument("--out", help="output path (default stdout)")
     eigen.add_argument(
@@ -286,11 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     eigen.set_defaults(func=run_eigen)
 
-    verify = sub.add_parser("verify", help="verification sweep with summary table")
-    verify.add_argument("--n", type=int, required=True)
-    verify.add_argument("--k", type=int, required=True)
-    verify.add_argument("--pmax", type=_prime_bound, default=100)
-    verify.add_argument("--eigenform", help="coefficient table for weight 2k-n")
+    verify = sub.add_parser(
+        "verify", parents=[sweep], help="verification sweep with summary table"
+    )
     verify.set_defaults(func=run_verify)
 
     qbinom = sub.add_parser("qbinom", help="Gaussian binomial coefficient")
@@ -300,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     qbinom.set_defaults(func=run_qbinom)
 
     forms = sub.add_parser("forms", help="print eigenform coefficients")
+    built_in = ", ".join(map(str, BUILTIN_WEIGHTS))
     forms.add_argument(
-        "--weight", type=_cusp_weight, required=True, help="even, >= 12, not 14"
+        "--weight", type=_cusp_weight, required=True, help=f"with cusp forms; built in: {built_in}"
     )
     forms.add_argument("--pmax", type=_positive_int, default=100)
     forms.add_argument("--eigenform", help="coefficient table to inspect")

@@ -74,8 +74,9 @@ PRIME_TEST_LIMIT = _SPSP[-1]
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < PRIME_TEST_LIMIT
     (about 3.3 * 10**24) with the fewest of the first 13 prime bases that
-    the size of n needs; a larger n raises ValueError.  A sweep asks about
-    one prime many times in a row, so a bounded cache serves the repeats."""
+    the size of n needs; a larger n raises ValueError.  A sweep asks twice
+    about each prime, a pass over its primes apart, so the cache serves the
+    second ask in sweeps of at most 1024 primes (pmax < 8167)."""
     if n >= PRIME_TEST_LIMIT:
         raise ValueError(f"{n} is beyond the exact primality test (n < {PRIME_TEST_LIMIT})")
     if n < 2:

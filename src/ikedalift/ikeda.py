@@ -53,17 +53,16 @@ prod (x + r_i) it is checked against is multiplied out in place.
 The bounds run on ints too: each factor 1 -+ p^-(i-1/2) is
 (p^i -+ sqrt(p)) / p^i, so a bound is p^e * (E -+ O sqrt(p))^2, where
 E + O sqrt(p) is prod (sqrt(p) + p^i) and e (bound_exponent) is a
-non-negative integer.
+non-negative integer: A -+ B sqrt(p), from eigenvalue_bounds' int pair.
 
 Every verification asserts the mutual agreement of the routes, and that the
 exact sqrt(p)-bounds equal the product route at the Deligne endpoints,
 where each linear factor is an int pair r_i -+ s*sqrt(p): the product
-X + Y sqrt(p) at the upper endpoint is multiplied out once and compared
-part by part with the upper bound, and the lower bound with its
-conjugate.  The sign tests run QuadExt.sign on (X - v) -+ Y sqrt(p), and
-the report keeps that int pair as its bounds A -+ B sqrt(p).  Satake
-parameters themselves are never represented, so all arithmetic stays in Z,
-Q, or Q(sqrt(p)).
+X + Y sqrt(p) at the upper endpoint, multiplied out once, must be (A, B).
+One sign test, QuadExt.sign on -|X - v| + Y sqrt(p), decides
+|v - A| <= B sqrt(p); the report's lower and upper view (A, B) in
+Q(sqrt(p)).  Satake parameters themselves are never represented, so all
+arithmetic stays in Z, Q, or Q(sqrt(p)).
 """
 
 from __future__ import annotations
@@ -424,14 +423,11 @@ def eigenvalue_double_sum(params: IkedaParams, p: int, ap: int) -> int:
     """Eigenvalue via the double sum over (j, r) plus the a_f-free term,
     computed in Z from the integrality-checked terms of double_sum_terms and
     the Gaussian binomials (n choose 0..n/2)_p: each power of a_f(p) gets
-    its sum by Horner's rule in p, and the sums are combined by Horner's
-    rule in a_f(p)."""
+    its sum by Horner's rule in p, and eval_poly combines the sums at
+    a_f(p)."""
     by_power, *_ = params_record(params)
     pw, qb, _ = prime_record(params, p)
-    total = 0
-    for layout in reversed(by_power):
-        total = total * ap + _horner_sum(layout, pw, qb)
-    return total
+    return eval_poly([_horner_sum(layout, pw, qb) for layout in by_power], ap)
 
 
 def eigenvalue_product(params: IkedaParams, p: int, ap):
@@ -487,35 +483,32 @@ def eigenvalue_reciprocal(params: IkedaParams, p: int, ap: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
-    """Exact lower and upper bounds for the eigenvalue at p:
-    p^((d + n^2/4)/2) * prod_{i=1}^{n/2} (1 -+ p^-(i-1/2))^2.
+def eigenvalue_bounds(params: IkedaParams, p: int) -> tuple[int, int]:
+    """Exact bounds A -+ B sqrt(p), as the int pair (A, B), for the eigenvalue
+    at p: p^((d + n^2/4)/2) * prod_{i=1}^{n/2} (1 -+ p^-(i-1/2))^2.
 
     Since 1 -+ p^-(i-1/2) = (p^i -+ sqrt(p)) / p^i, the bounds are
     p^e * (E -+ O sqrt(p))^2 with e = bound_exponent(params) and
-    E + O sqrt(p) = prod_{i=1}^{n/2} (sqrt(p) + p^i), computed on ints;
-    the lower bound takes the conjugate.  p is taken to be prime, as
+    E + O sqrt(p) = prod_{i=1}^{n/2} (sqrt(p) + p^i), computed on ints, so
+    A = p^e (E^2 + p O^2) and B = 2 p^e E O.  p is taken to be prime, as
     verify_prime has checked; it is not tested again.
     """
     _, _, bound_exp, _ = params_record(params)
     pw, *_ = prime_record(params, p)
     E, O = 1, 0
     for i in range(1, params.n // 2 + 1):
-        q = pw[i]
-        E, O = E * q + O * p, E + O * q
+        E, O = E * pw[i] + O * p, E + O * pw[i]
     s = pw[bound_exp]
-    rational, surd = s * (E * E + p * O * O), 2 * s * E * O
-    # with D = 1 the parts are already in canonical form
-    return _quad(rational, -surd, 1, p), _quad(rational, surd, 1, p)
+    return s * (E * E + p * O * O), 2 * s * E * O
 
 
 class EigenvalueReport(
     namedtuple("EigenvalueReport", "p a_p eigenvalue bound_a bound_b positive within_bounds")
 ):
     """Per-prime verification record, with the bounds A -+ B sqrt(p) held
-    as one int pair (bound_a, bound_b), B > 0; lower and upper build them
-    as QuadExt on access.  verify_prime makes one only after the three
-    routes agreed at its prime, so a record carries no agreement flag."""
+    as one int pair (bound_a, bound_b), B > 0; lower and upper are their
+    Q(sqrt(p)) view, QuadExts built on access.  verify_prime makes one only
+    after the three routes agreed at its prime: no agreement flag."""
 
     __slots__ = ()
 
@@ -529,14 +522,14 @@ class EigenvalueReport(
 
 
 def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
-    """Compute the eigenvalue by all three routes, assert agreement, and
-    check positivity and the exact bounds by quadratic-ring sign tests.
+    """Compute the eigenvalue v by all three routes, assert agreement, and
+    check positivity and, by one sign test in Q(sqrt(p)), the exact bounds.
 
-    The bounds are also asserted equal to route 2 at a = -+2*p^((w-1)/2),
-    w = 2k - n, as a product X -+ Y sqrt(p) of the int pairs
-    r_i -+ s*sqrt(p) with s = 2*p^((w-2)/2), compared part by part with the
-    bounds; a mismatch raises BoundIdentityError.  The sign tests then run
-    on those parts: (X - v) -+ Y sqrt(p) against 0.
+    The bounds (A, B) are also asserted equal to route 2 at
+    a = 2*p^((w-1)/2), w = 2k - n: the product X + Y sqrt(p) of the int
+    pairs r_i + s*sqrt(p), s = 2*p^((w-2)/2); a mismatch raises
+    BoundIdentityError.  The sign test decides |v - A| <= B sqrt(p) as
+    -|X - v| + Y sqrt(p) >= 0.
 
     a_f(p) must satisfy the Deligne bound; anything else is rejected, since
     the positivity statement presumes it.
@@ -555,21 +548,17 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
         raise RouteDisagreementError(
             f"routes disagree at p = {p}, a = {ap}: sum={v1} product={v2} reciprocal={v3}"
         )
-    lower, upper = eigenvalue_bounds(params, p)
     # the factors of route 2 at a = 2*p^((w-1)/2) are perfect squares whose
-    # product is exactly the upper bound; at a = -2*p^((w-1)/2) each factor,
-    # and so the product, is the conjugate, which must be the lower bound
+    # product is exactly the upper bound; at -a, the conjugates, the lower
     pw, _, constants = prime_record(params, p)
     s = 2 * pw[(w - 2) // 2]
     X, Y, sp = 1, 0, s * p
     for r in constants:
         # (X + Y sqrt p)(r + s sqrt p)
         X, Y = X * r + Y * sp, X * s + Y * r
-    if (lower._A, lower._B, lower._D, lower.p, upper._A, upper._B, upper._D, upper.p) != (
-        X, -Y, 1, p, X, Y, 1, p
-    ):
+    if eigenvalue_bounds(params, p) != (X, Y):
         raise BoundIdentityError(
             f"bounds at p = {p} differ from the product route at a = -+2*{p}^({w - 1}/2)"
         )
-    within = _quad(X - v1, -Y, 1, p).sign() <= 0 and _quad(X - v1, Y, 1, p).sign() >= 0
+    within = _quad(-abs(X - v1), Y, 1, p).sign() >= 0
     return EigenvalueReport(p, ap, v1, X, Y, v1 > 0, within)

@@ -605,12 +605,11 @@ def check_end_to_end_values():
         assert eigenvalue_double_sum(params, p, ap) == want
         assert eigenvalue_product(params, p, ap) == want
         assert eigenvalue_reciprocal(params, p, ap) == want
-        lo, hi = eigenvalue_bounds(params, p)
+        lo, hi = bound_pair(params, p)
         assert (want - lo).sign() > 0, "strictly above the lower bound"
         assert (hi - want).sign() > 0, "strictly below the upper bound"
     # 2^9 * (1 -+ 1/sqrt2)^2 = 768 -+ 512 sqrt2
-    lo, hi = eigenvalue_bounds(IkedaParams(2, 10), 2)
-    assert lo == QuadExt(768, -512, 2) and hi == QuadExt(768, 512, 2)
+    assert eigenvalue_bounds(IkedaParams(2, 10), 2) == (768, 512)
 
 
 def half_power(p: int, h: int) -> QuadExt:
@@ -640,6 +639,12 @@ def formula_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     return base * lo * lo, base * hi * hi
 
 
+def bound_pair(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
+    """eigenvalue_bounds' int pair (A, B) as the QuadExts A -+ B sqrt(p)."""
+    A, B = eigenvalue_bounds(params, p)
+    return QuadExt(A, -B, p), QuadExt(A, B, p)
+
+
 def check_bounds_match_formula():
     # k enters the bounds only through the power of p in front, so k <= 30
     # covers every n <= 20 with several weights each
@@ -647,7 +652,7 @@ def check_bounds_match_formula():
         params = IkedaParams(n, k)
         for p in primes_upto(200):
             lo, hi = formula_bounds(params, p)
-            assert eigenvalue_bounds(params, p) == (lo, hi), (n, k, p)
+            assert bound_pair(params, p) == (lo, hi), (n, k, p)
             # route 2 evaluated in Q(sqrt(p)) at the Deligne endpoints: the
             # literal form of the identity verify_prime checks on int pairs
             edge = 2 * half_power(p, 2 * k - n - 1)

@@ -32,6 +32,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def help_text(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
 class TestEigen:
     def test_csv_run(self, capsys):
         code, out, _ = run_cli(
@@ -163,6 +170,12 @@ class TestEigen:
 
 
 class TestVerify:
+    def test_help_lists_the_sweep_options_as_eigen_does(self, capsys):
+        # one parent parser: verify's options, help texts included, open eigen's
+        verify = help_text(capsys, "verify").partition("options:")[2]
+        eigen = help_text(capsys, "eigen").partition("options:")[2]
+        assert "--n N                 degree (even)" in verify and eigen.startswith(verify)
+
     def test_sweep_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "6", "--k", "14", "--pmax", "40")
         assert code == 0
@@ -357,6 +370,11 @@ class TestQbinom:
 
 
 class TestForms:
+    def test_weight_help_names_the_builtin_weights(self, capsys):
+        text = " ".join(help_text(capsys, "forms").split())
+        built_in = ", ".join(map(str, modforms.BUILTIN_WEIGHTS))
+        assert f"--weight WEIGHT with cusp forms; built in: {built_in}" in text
+
     def test_builtin_weight(self, capsys):
         code, out, _ = run_cli(capsys, "forms", "--weight", "12", "--pmax", "10")
         assert code == 0

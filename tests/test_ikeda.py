@@ -14,7 +14,7 @@ The double sum confirms the last case independently:
 """
 
 from itertools import count
-from math import comb
+from math import comb, isqrt
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from ikedalift.exactnum import QuadExt, primes_upto
 from ikedalift.modforms import UnsupportedWeightError
 from ikedalift import exactnum, ikeda, selftest
-from ikedalift.selftest import half_power
+from ikedalift.selftest import bound_pair, half_power
 from ikedalift.ikeda import (
     BoundIdentityError,
     DeligneBoundError,
@@ -253,15 +253,17 @@ class TestFactorization:
 
 class TestBounds:
     def test_exact_2_10_2(self):
-        lo, hi = eigenvalue_bounds(IkedaParams(2, 10), 2)
         # 2^9 * (1 - 1/sqrt2)^2 = 2^9 * (3/2 - sqrt2) = 768 - 512 sqrt2
+        assert eigenvalue_bounds(IkedaParams(2, 10), 2) == (768, 512)
+        lo, hi = bound_pair(IkedaParams(2, 10), 2)
         assert lo == QuadExt(Fraction(768), Fraction(-512), 2)
         assert hi == QuadExt(Fraction(768), Fraction(512), 2)
         assert lo.decimal(4).startswith("43.92")
 
     def test_exact_4_8_2_with_decimal_oracle(self):
-        lo, hi = eigenvalue_bounds(IkedaParams(4, 8), 2)
         # 2^13 (3/2 - sqrt2)(9/8 - sqrt2/2) = 22016 - 15360 sqrt2, hand-expanded
+        assert eigenvalue_bounds(IkedaParams(4, 8), 2) == (22016, 15360)
+        lo, hi = bound_pair(IkedaParams(4, 8), 2)
         assert lo == QuadExt(Fraction(22016), Fraction(-15360), 2)
         assert hi == QuadExt(Fraction(22016), Fraction(15360), 2)
         # cross-check the 50-digit renderings in high-precision decimal
@@ -276,7 +278,9 @@ class TestBounds:
     def test_half_integer_base_exponent(self):
         # (2,10): base exponent 17/2 + 1/2 = 9 is integral; (6,14) has
         # base 31.5 + 4.5 = 36
-        lo, hi = eigenvalue_bounds(IkedaParams(6, 14), 5)
+        A, B = eigenvalue_bounds(IkedaParams(6, 14), 5)
+        assert type(A) is int and type(B) is int and B > 0
+        lo, hi = bound_pair(IkedaParams(6, 14), 5)
         assert (hi - lo).sign() > 0
         assert lo.sign() > 0
 
@@ -302,7 +306,7 @@ class TestLargerParams:
             == eigenvalue_product(params, p, a)
             == eigenvalue_reciprocal(params, p, a)
         )
-        assert eigenvalue_bounds(params, p) == selftest.formula_bounds(params, p)
+        assert bound_pair(params, p) == selftest.formula_bounds(params, p)
 
     def test_bounds_match_formula_sweep(self):
         selftest.check_bounds_match_formula()
@@ -457,18 +461,19 @@ class TestBoundIdentity:
             params = IkedaParams(n, k)
             for p in primes_upto(200):
                 edge = 2 * half_power(p, 2 * k - n - 1)
-                lo, hi = eigenvalue_bounds(params, p)
+                lo, hi = bound_pair(params, p)
                 assert eigenvalue_product(params, p, -edge) == lo, (n, k, p)
                 assert eigenvalue_product(params, p, edge) == hi, (n, k, p)
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_corrupt_bound_is_caught(self, monkeypatch, side):
+        # side 0 corrupts A, side 1 corrupts B of the int pair (A, B)
         true_bounds = ikeda.eigenvalue_bounds
         corruptions = (
-            lambda b: b + Fraction(1, 10**9),  # non-integral parts, D != 1
-            lambda b: b + 1,  # +1 to the rational part, D == 1
-            lambda b: b + QuadExt(0, 1, 5),  # +1 to the surd part, D == 1
-            lambda b: b * Fraction(1, 3),  # the same A and B over D == 3
+            lambda x: x + 1,
+            lambda x: x - 1,
+            lambda x: -x,  # -B swaps the lower and upper bounds
+            lambda x: Fraction(x, 3),  # not an int: the same part over 3
         )
         for change in corruptions:
 
@@ -569,9 +574,49 @@ class TestVerifyPrime:
                 rep = verify_prime(params, p, 0)
                 assert type(rep.bound_a) is int and type(rep.bound_b) is int, (n, k, p)
                 assert rep.bound_b > 0
-                lower, upper = eigenvalue_bounds(params, p)
-                assert (rep.lower, rep.upper) == (lower, upper), (n, k, p)
+                assert (rep.bound_a, rep.bound_b) == eigenvalue_bounds(params, p), (n, k, p)
+                assert (rep.lower, rep.upper) == selftest.formula_bounds(params, p), (n, k, p)
                 assert rep.lower.sign() > 0 and (rep.upper - rep.lower).sign() > 0
+
+    FLAG_CASES = ((2, 10, 2), (2, 10, 97), (4, 12, 5), (8, 14, 3), (16, 18, 101))
+
+    @pytest.mark.parametrize("n, k, p", FLAG_CASES)
+    def test_flags_follow_the_eigenvalue(self, monkeypatch, n, k, p):
+        # every route returns one agreed value v, so the flags are decided
+        # on v alone: within_bounds iff |v - A| <= B sqrt(p), positive iff
+        # v > 0.  r = floor(B sqrt(p)) < B sqrt(p) < r + 1.
+        params = IkedaParams(n, k)
+        A, B = eigenvalue_bounds(params, p)
+        r = isqrt(B * B * p)
+        cases = {
+            A - r: (True, True),
+            A + r: (True, True),
+            A - r - 1: (True, False),
+            A + r + 1: (True, False),
+            1: (True, False),
+            0: (False, False),
+            -1: (False, False),
+        }
+        for v, flags in cases.items():
+            for route in ("eigenvalue_double_sum", "eigenvalue_product", "eigenvalue_reciprocal"):
+                monkeypatch.setattr(ikeda, route, lambda params, p, ap, v=v: v)
+            rep = verify_prime(params, p, 0)
+            assert (rep.eigenvalue, rep.positive, rep.within_bounds) == (v, *flags), (n, k, p, v)
+
+    def test_one_sign_test_per_prime(self, monkeypatch):
+        calls = []
+        sign = QuadExt.sign
+
+        def counted(self):
+            calls.append(self)
+            return sign(self)
+
+        monkeypatch.setattr(QuadExt, "sign", counted)
+        primes = primes_upto(300)
+        for n, k in ((2, 10), (8, 14), (16, 18)):
+            for p in primes:
+                verify_prime(IkedaParams(n, k), p, 0)
+        assert len(calls) == 3 * len(primes)
 
 
 class TestPositivityStress:
