@@ -60,7 +60,8 @@ CSV_COLUMNS = [
 
 def _series_for(weight: int, pmax: int, path):
     """The eigenform of the given weight to m = pmax: loaded from the table
-    at path, which must reach pmax, or built when path is None."""
+    at path, which must reach pmax, or built when path is None.  Either way
+    modforms has validated it, so its a(p) are read alike."""
     if path is not None:
         series = load_eigenform(path, weight)
         if series.truncation < pmax:
@@ -74,15 +75,7 @@ def _series_for(weight: int, pmax: int, path):
 def _reports(params: IkedaParams, pmax: int, path):
     series = _series_for(params.eigenform_weight, pmax, path)
     primes = primes_upto(pmax)
-    try:
-        # a table's load checked Deligne at every listed prime, so only a
-        # built series can fail here
-        coefficients = [hecke_eigenvalue_prime(series, p) for p in primes]
-    except EigenformValidationError as exc:
-        if path is not None:
-            raise
-        # a series this program built is no finding about any input
-        raise ArithmeticError(f"built weight-{series.weight} eigenform failed validation: {exc}")
+    coefficients = [hecke_eigenvalue_prime(series, p) for p in primes]
     del series  # a loaded table, which nothing else holds, is freed here
     return [verify_prime(params, p, ap) for p, ap in zip(primes, coefficients)]
 

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb
 from operator import itemgetter
 
@@ -347,10 +347,16 @@ def horner_layouts(terms, degree: int) -> tuple:
     descending p-exponent, each gap the drop from the exponent of the term
     before it (0 for the first).  Then c = c * p^gap + coefficient * qb[m]
     over a group, from c = 0, ends at its sum divided by p^e0.
+
+    One stable sort by (x-exponent, descending p-exponent) orders every
+    group at once, so terms of equal exponents keep their order; a power
+    with no term raises KeyError.
     """
+    ordered = sorted(terms, key=lambda t: (t[3], -t[2]))
+    groups = {j: list(group) for j, group in groupby(ordered, itemgetter(3))}
     out = []
     for j in range(degree + 1):
-        group = sorted((t for t in terms if t[3] == j), key=itemgetter(2), reverse=True)
+        group = groups[j]
         exps = [exp for _, _, exp, _ in group]
         layout = ((c, m, prev - exp) for (c, m, exp, _), prev in zip(group, [exps[0], *exps]))
         out.append((exps[-1], tuple(layout)))

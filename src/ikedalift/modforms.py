@@ -13,6 +13,13 @@ validated as it is loaded.  A weight with dim S_w = 0 has no eigenform:
 require_cusp_forms, the one place that refuses it, does so for IkedaParams
 (on 2k - n), the CLI's --weight, eigenform() and load_eigenform() alike.
 
+Every series that eigenform() or load_eigenform() hands out has passed the
+one validator, _check_table: a(1) = 1, Deligne's bound at each prime, and
+multiplicativity or the Hecke relation at each composite.  A table that
+fails it is a finding about the input (EigenformValidationError); a built
+series that fails it is a fault of the program (ArithmeticError).  So a
+caller reads a(p) from either source the same way.
+
 A build keeps only the series it returns.  eigenform() is the one cached
 series, since selftest and the tests read each form in several checks;
 delta() and eisenstein() are not cached, so Delta, E6 and E_{w-12} are
@@ -282,6 +289,10 @@ def eigenform(w: int, N: int) -> FourierSeries:
     E_{w-12}: one series product.  require_cusp_forms refuses a weight with
     dim S_w = 0; for any other, supply a table via load_eigenform.
 
+    The series returned, weight 12 included, has passed _check_table, as a
+    loaded table has; a failure raises ArithmeticError("built weight-W
+    eigenform failed validation: index M: ..."), since no input is at fault.
+
     The build keeps only the series it returns: delta and E_{w-12} are not
     cached, so they are freed once the product has read them (weight 18
     builds E6 twice, once inside delta).  This is the one cached series,
@@ -298,16 +309,20 @@ def eigenform(w: int, N: int) -> FourierSeries:
     # not sit among the series, and it is not kept through the final product
     _factor_sieve(N)
     try:
-        base = delta(N)
-        if w == 12:
-            return base
-        eis = eisenstein(w - 12, N)
+        f = delta(N)
+        eis = eisenstein(w - 12, N) if w > 12 else None
     finally:
         _factor_sieve.cache_clear()
-    from . import kernels
+    if eis is not None:
+        from . import kernels
 
-    coeffs = kernels.convolve_trunc(base.coeffs, eis.coeffs, N + 1)
-    return FourierSeries(w, tuple(coeffs))
+        f = FourierSeries(w, tuple(kernels.convolve_trunc(f.coeffs, eis.coeffs, N + 1)))
+        del eis  # so the validation holds the one series it reads
+    try:
+        _check_table(f)
+    except EigenformValidationError as exc:
+        raise ArithmeticError(f"built weight-{w} eigenform failed validation: {exc}") from None
+    return f
 
 
 def _power_within(p: int, e: int, bits: int):
@@ -342,7 +357,8 @@ def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
     """a_f(p) for a normalized eigenform, with the Deligne bound asserted.
 
     For normalized eigenforms the p-th Fourier coefficient is the p-th Hecke
-    eigenvalue.  A Deligne violation signals a corrupt input table.
+    eigenvalue.  Every series from eigenform() or load_eigenform() has
+    passed this test already; a violation signals a series made otherwise.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

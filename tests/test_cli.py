@@ -280,21 +280,59 @@ class TestInternalErrorExit3:
         assert code == 3
         assert err == "internal error: RuntimeError: unforeseen\n"
 
+    @staticmethod
+    def corrupt_final_product(monkeypatch, m, value):
+        """Make the engine's last product of a build, Delta * E_(w-12) (its
+        one product of two different series), return a(m) = value(a(m)),
+        with no built series cached."""
+        from ikedalift import kernels
+
+        real, finals = kernels.convolve_trunc, []
+
+        def convolve_trunc(a, b, n):
+            out = real(a, b, n)
+            if a is not b:
+                finals.append(n)
+                out[m] = value(out[m])
+            return out
+
+        monkeypatch.setattr(kernels, "convolve_trunc", convolve_trunc)
+        modforms.eigenform.cache_clear()
+        return finals
+
     def test_corrupted_built_eigenform_exits_3(self, capsys, monkeypatch):
         # a built series that fails validation is a fault, not a finding
-        def corrupted(w, N):
-            coeffs = list(modforms.eigenform(w, N).coeffs)
-            coeffs[5] = 10**9
-            return modforms.FourierSeries(w, tuple(coeffs))
-
-        monkeypatch.setattr(cli, "eigenform", corrupted)
+        finals = self.corrupt_final_product(monkeypatch, 5, lambda a: 10**9)
         code, out, err = run_cli(capsys, "verify", "--n", "8", "--k", "14", "--pmax", "7")
+        assert finals == [8]
         assert code == 3 and out == ""
         assert err.startswith(
             "internal error: ArithmeticError: built weight-20 eigenform failed validation: "
             "index 5: Deligne bound violated: a(5)^2 = "
         )
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "m, relation",
+        [
+            (4, "Hecke relation violated: a(4) != a(2)a(2) - 2^19a(1)"),
+            (6, "multiplicativity violated: a(6) != a(2)*a(3)"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["forms --weight 20", "verify --n 8 --k 14"])
+    def test_corrupted_product_at_a_composite_exits_3(
+        self, capsys, monkeypatch, command, m, relation
+    ):
+        # modforms validates every series it builds, so neither a sweep nor
+        # forms writes a coefficient that no relation was checked against
+        finals = self.corrupt_final_product(monkeypatch, m, lambda a: a + 1)
+        code, out, err = run_cli(capsys, *command.split(), "--pmax", "7")
+        assert finals == [8]
+        assert code == 3 and out == ""
+        assert err == (
+            "internal error: ArithmeticError: built weight-20 eigenform failed validation: "
+            f"index {m}: {relation}\n"
+        )
 
     def test_findings_and_usage_errors_keep_their_codes(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -633,7 +671,7 @@ class TestPrimeListings:
         monkeypatch.setattr(modforms, "primes_upto", recording)
         modforms.eigenform.cache_clear()
         assert main(["verify", "--n", "8", "--k", "14", "--pmax", "97"]) == 0
-        assert listed == [9, 97]
+        assert listed == [9, 9, 97]  # the build's sieve, then the validator's
         listed.clear()
         code, _, err = run_cli(
             capsys, "eigen", "--n", "2", "--k", "10", "--pmax", str(pmax),

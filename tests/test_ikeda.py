@@ -342,6 +342,16 @@ class TestIntegralExponents:
     def test_horner_layouts_sum_to_their_terms(self):
         selftest.check_horner_layouts()
 
+    def test_horner_layouts_group_in_descending_exponents_keeping_ties(self):
+        # (coefficient, Gaussian index, p-exponent, x-exponent), powers mixed
+        terms = ((5, 0, 3, 1), (7, 1, 4, 0), (2, 2, 3, 1), (9, 0, 1, 0), (4, 1, 6, 1))
+        assert ikeda.horner_layouts(terms, 1) == (
+            (1, ((7, 1, 0), (9, 0, 3))),
+            (3, ((4, 1, 0), (5, 0, 3), (2, 2, 0))),
+        )
+        with pytest.raises(KeyError):
+            ikeda.horner_layouts(terms, 2)  # no term has x^2
+
     def test_corrupt_factor_constant_is_caught(self, monkeypatch):
         true_record = ikeda.prime_record
 

@@ -192,7 +192,8 @@ class TestEigenform:
 
     def test_one_sieve_per_build(self, monkeypatch):
         # every sigma table of one build reads one smallest-factor sieve,
-        # and the build does not keep it
+        # and the build does not keep it; the validator of the series
+        # returned sieves once more, as it does for a loaded table
         real = modforms._smallest_prime_factors
         calls = []
 
@@ -206,7 +207,7 @@ class TestEigenform:
                 cached.cache_clear()
             calls.clear()
             eigenform(w, 97)
-            assert calls == [97], w
+            assert calls == [97, 97], w
             assert modforms._factor_sieve.cache_info().currsize == 0, w
 
     def test_build_keeps_only_its_result(self):
@@ -562,6 +563,25 @@ class TestTableHeldOnce:
             match=r"^index 300: multiplicativity violated: a\(300\) != a\(4\)\*a\(75\)$",
         ):
             modforms._check_table(FourierSeries(w, tuple(coeffs)))
+
+    @pytest.mark.parametrize("w", BUILTIN_WEIGHTS)
+    def test_every_built_series_is_validated(self, monkeypatch, w):
+        # weight 12 returns Delta itself; the others its product with E_(w-12)
+        real = modforms.delta
+
+        def corrupted(N):
+            coeffs = list(real(N).coeffs)
+            coeffs[6] += 1
+            return FourierSeries(12, tuple(coeffs))
+
+        monkeypatch.setattr(modforms, "delta", corrupted)
+        modforms.eigenform.cache_clear()
+        with pytest.raises(
+            ArithmeticError,
+            match=rf"^built weight-{w} eigenform failed validation: index 6: "
+            r"multiplicativity violated: a\(6\) != a\(2\)\*a\(3\)$",
+        ):
+            eigenform(w, 10)
 
     def test_comment_in_another_encoding_loads(self, tmp_path):
         path = tmp_path / "form.txt"
