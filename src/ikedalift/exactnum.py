@@ -310,11 +310,11 @@ class QuadExt:
         return f"QuadExt(a={self.a!r}, b={self.b!r}, p={self.p!r})"
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _floor_surd(b: int, p: int) -> int:
     """floor(b * sqrt(p)) for b > 0.  The decimals of a conjugate pair
     (A -+ B sqrt(p)) / D, rendered one after the other, ask for the same b,
-    so the second is served from the cache."""
+    so one entry serves the second: the cache hits once per pair."""
     return isqrt(b * b * p)
 
 

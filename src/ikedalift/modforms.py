@@ -20,10 +20,11 @@ fails it is a finding about the input (EigenformValidationError); a built
 series that fails it is a fault of the program (ArithmeticError).  So a
 caller reads a(p) from either source the same way.
 
-A build keeps only the series it returns.  eigenform() is the one cached
-series, since selftest and the tests read each form in several checks;
-delta() and eisenstein() are not cached, so Delta, E6 and E_{w-12} are
-freed once the build stops reading them.
+Every series built here belongs to its caller: no function caches one,
+and no sieve outlives the call that made it.  eigenform() builds one
+factor sieve and hands it to delta() and eisenstein(), whose default
+builds their own; Delta, E6, E_{w-12} and the sieve are freed once the
+build stops reading them.
 
 Every series product goes through kernels.convolve_trunc, which packs each
 truncated integer series into the decimal digits of one Decimal (Kronecker
@@ -90,9 +91,9 @@ class FourierSeries:
     coeffs.
 
     A built series and a loaded table alike are the one dense run, so a
-    table's size follows its line count.  Attributes are read-only:
-    eigenform() hands one instance to every caller from its cache.  A series
-    takes weak references, so a test can see when a loaded table is freed.
+    table's size follows its line count.  Attributes are read-only, so a
+    series handed on cannot be changed under its reader.  A series takes
+    weak references, so a test can see when one is freed.
     """
 
     __slots__ = ("weight", "coeffs", "__weakref__")
@@ -163,14 +164,14 @@ def _smallest_prime_factors(N: int) -> array:
     return spf
 
 
-@lru_cache(maxsize=1)
 def _factor_sieve(N: int) -> tuple:
     """For m <= N, the smallest prime factor spf[m] and cof[m], m with every
     factor spf[m] taken out: what every sigma table of one build reads.
 
     Both are flat arrays of machine ints (spf is _smallest_prime_factors(N)
-    itself), so they hold no int objects and sit apart from the series;
-    eigenform makes them first and drops them before its final product.
+    itself), so they hold no int objects and sit apart from the series.
+    Nothing keeps the pair: eigenform makes it first, hands it to each
+    sigma table of its build and drops it before its final product.
     """
     cof = array("l", [1]) * (N + 1)
     spf = _smallest_prime_factors(N)
@@ -181,28 +182,31 @@ def _factor_sieve(N: int) -> tuple:
     return spf, cof
 
 
-def _sigma_table(e: int, N: int) -> list[int]:
+def _sigma_table(e: int, N: int, sieve=None) -> list[int]:
     """Divisor power sums sigma_e(m) for m = 0..N (index 0 unused), in one
-    multiplicative pass over _factor_sieve: with p^a the exact power of
-    p = spf[m] in m, sigma_e(m) = sigma_e(p^a) sigma_e(m/p^a), and
+    multiplicative pass over sieve, the pair _factor_sieve(N) gives (built
+    here when none is given): with p^a the exact power of p = spf[m] in m,
+    sigma_e(m) = sigma_e(p^a) sigma_e(m/p^a), and
     sigma_e(p^a) = sigma_e(p^(a-1)) + p^(ae)."""
     out = [0] * (N + 1)
     if N < 1:
         return out
     out[1] = 1
-    spf, cof = _factor_sieve(N)
+    spf, cof = sieve or _factor_sieve(N)
     for m in range(2, N + 1):
         c = cof[m]
         out[m] = out[m // spf[m]] + m**e if c == 1 else out[m // c] * out[c]
     return out
 
 
-def eisenstein(w: int, N: int) -> FourierSeries:
+def eisenstein(w: int, N: int, sieve=None) -> FourierSeries:
     """Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(m) q^m to m = N.
 
     Only weights where -2w/B_w is an integer are representable here; the
-    weights the constructions need (4, 6, 8, 10, 14) qualify.  Not cached:
-    a series build frees each E_w once it has read it.
+    weights the constructions need (4, 6, 8, 10, 14) qualify.  sieve is
+    _factor_sieve(N), read by the sigma table; without one, the call builds
+    and drops its own.  Not cached: a series build frees each E_w once it
+    has read it.
     """
     if w < 4 or w % 2 != 0:
         raise ValueError("weight must be an even integer >= 4")
@@ -212,7 +216,7 @@ def eisenstein(w: int, N: int) -> FourierSeries:
             f"E_{w} has non-integer coefficients (a(1) = {cval}/{den}); not representable"
         )
     # scaled in place, so each coefficient takes the place of its sigma
-    coeffs = _sigma_table(w - 1, N)
+    coeffs = _sigma_table(w - 1, N, sieve)
     coeffs[0] = 1
     for m in range(1, N + 1):
         coeffs[m] *= cval
@@ -239,7 +243,7 @@ def _eta_power_24(nterms: int) -> list[int]:
     return kernels.convolve_trunc(p4, p4, nterms)
 
 
-def delta(N: int) -> FourierSeries:
+def delta(N: int, sieve=None) -> FourierSeries:
     """The weight-12 discriminant cusp form to truncation N.
 
     Computed two independent ways and asserted to agree coefficient by
@@ -250,8 +254,10 @@ def delta(N: int) -> FourierSeries:
     from B_12 and a(1) of E6^2.  Each Eisenstein-side value is tested as it
     is computed, so no second series is built: 691 (E6^2 - E12) is asserted
     to be a multiple of -762048 at the index, m = 0 included, and the
-    quotient to equal the eta side there.  Like eisenstein(), it is not
-    cached: a build frees it once the final product has read it.
+    quotient to equal the eta side there.  sieve is _factor_sieve(N), read
+    by E6 and sigma_11; without one, one is built for this call.  Like
+    eisenstein(), it is not cached: a build frees it once the final product
+    has read it.
     """
     if N < 1:
         raise ValueError("truncation must be positive")
@@ -259,14 +265,15 @@ def delta(N: int) -> FourierSeries:
 
     via_eta = [0] + _eta_power_24(N)
 
-    e6 = eisenstein(6, N).coeffs
+    sieve = sieve or _factor_sieve(N)
+    e6 = eisenstein(6, N, sieve).coeffs
     e6sq = kernels.convolve_trunc(e6, e6, N + 1)
     # E12 = 1 + (num/den) sum sigma_11(m) q^m with num/den = -24/B_12, and
     # E6^2 - E12 = (a(1) - num/den) Delta with a(1) that of E6^2, so
     # Delta = den (E6^2 - E12) / scale with scale = den a(1) - num
     num, den = _eisenstein_constant(12)
     scale = den * e6sq[1] - num
-    sig = _sigma_table(11, N)
+    sig = _sigma_table(11, N, sieve)
     for m in range(N + 1):
         # den E12 has a(0) = den and a(m) = num sigma_11(m)
         d, r = divmod(den * e6sq[m] - (num * sig[m] if m else den), scale)
@@ -280,7 +287,6 @@ def delta(N: int) -> FourierSeries:
     return FourierSeries(12, tuple(via_eta))
 
 
-@lru_cache(maxsize=None)
 def eigenform(w: int, N: int) -> FourierSeries:
     """The unique normalized cusp eigenform of weight w, to truncation N.
 
@@ -293,10 +299,11 @@ def eigenform(w: int, N: int) -> FourierSeries:
     loaded table has; a failure raises ArithmeticError("built weight-W
     eigenform failed validation: index M: ..."), since no input is at fault.
 
-    The build keeps only the series it returns: delta and E_{w-12} are not
-    cached, so they are freed once the product has read them (weight 18
-    builds E6 twice, once inside delta).  This is the one cached series,
-    because selftest and the tests read each form in several checks.
+    Each call builds a fresh series and keeps nothing but the one it
+    returns: the factor sieve, made first so that it does not sit among the
+    series, serves every sigma table and is dropped before the final
+    product; delta and E_{w-12} are freed once the product has read them
+    (weight 18 builds E6 twice, once inside delta).
     """
     require_cusp_forms(w)
     if w not in BUILTIN_WEIGHTS:
@@ -305,14 +312,10 @@ def eigenform(w: int, N: int) -> FourierSeries:
             f"{BUILTIN_WEIGHTS} (give a coefficient table with --eigenform; "
             "from Python, use load_eigenform)"
         )
-    # one sieve serves every sigma table of the build; made first, it does
-    # not sit among the series, and it is not kept through the final product
-    _factor_sieve(N)
-    try:
-        f = delta(N)
-        eis = eisenstein(w - 12, N) if w > 12 else None
-    finally:
-        _factor_sieve.cache_clear()
+    sieve = _factor_sieve(N)
+    f = delta(N, sieve)
+    eis = eisenstein(w - 12, N, sieve) if w > 12 else None
+    del sieve  # so the final product and the validation do not hold it
     if eis is not None:
         from . import kernels
 

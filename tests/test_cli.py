@@ -140,6 +140,15 @@ class TestEigen:
         assert "(give a coefficient table with --eigenform; " in err
         assert "load_eigenform" in err
 
+    def test_each_conjugate_pair_reads_one_surd(self, capsys):
+        # both decimals of a prime's bounds ask for the same floor(b sqrt(p)),
+        # so a one-entry cache serves the second of each pair
+        exactnum._floor_surd.cache_clear()
+        code, _, _ = run_cli(capsys, "eigen", "--n", "16", "--k", "18", "--pmax", "97")
+        info = exactnum._floor_surd.cache_info()
+        assert code == 0 and info.maxsize == 1
+        assert info.hits == info.misses == len(primes_upto(97))
+
     def test_digits_flag(self, capsys):
         _, out, _ = run_cli(
             capsys, "eigen", "--n", "2", "--k", "10", "--pmax", "3", "--digits", "5"
@@ -283,8 +292,7 @@ class TestInternalErrorExit3:
     @staticmethod
     def corrupt_final_product(monkeypatch, m, value):
         """Make the engine's last product of a build, Delta * E_(w-12) (its
-        one product of two different series), return a(m) = value(a(m)),
-        with no built series cached."""
+        one product of two different series), return a(m) = value(a(m))."""
         from ikedalift import kernels
 
         real, finals = kernels.convolve_trunc, []
@@ -297,7 +305,6 @@ class TestInternalErrorExit3:
             return out
 
         monkeypatch.setattr(kernels, "convolve_trunc", convolve_trunc)
-        modforms.eigenform.cache_clear()
         return finals
 
     def test_corrupted_built_eigenform_exits_3(self, capsys, monkeypatch):
@@ -669,7 +676,6 @@ class TestPrimeListings:
 
         monkeypatch.setattr(cli, "primes_upto", recording)
         monkeypatch.setattr(modforms, "primes_upto", recording)
-        modforms.eigenform.cache_clear()
         assert main(["verify", "--n", "8", "--k", "14", "--pmax", "97"]) == 0
         assert listed == [9, 9, 97]  # the build's sieve, then the validator's
         listed.clear()

@@ -8,11 +8,15 @@ numbers, computed on int pairs, are checked against the same recurrence run
 on Fractions.
 """
 
+import importlib
 import sys
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
+from functools import partial
 from math import comb, isqrt
+from pathlib import Path
 
 import pytest
 
@@ -143,14 +147,14 @@ class TestDelta:
         # Eisenstein side is named by its index
         real_sigma, real_eisenstein = modforms._sigma_table, modforms.eisenstein
 
-        def corrupt_sigma(e, N):
-            out = real_sigma(e, N)
+        def corrupt_sigma(e, N, sieve=None):
+            out = real_sigma(e, N, sieve)
             if e == 11:
                 out[37] += 1
             return out
 
-        def corrupt_e6(w, N):
-            f = real_eisenstein(w, N)
+        def corrupt_e6(w, N, sieve=None):
+            f = real_eisenstein(w, N, sieve)
             if w != 6:
                 return f
             coeffs = list(f.coeffs)
@@ -183,7 +187,7 @@ class TestEigenform:
             assert f.a(0) == 0 and f.a(1) == 1
 
     def test_fields_are_read_only(self):
-        # eigenform() hands the same cached instance to every caller
+        # a series handed on cannot be changed under its reader
         f = eigenform(16, 10)
         for field in ("weight", "coeffs"):
             with pytest.raises(AttributeError):
@@ -191,9 +195,9 @@ class TestEigenform:
         assert f.weight == 16 and f.a(2) == 216
 
     def test_one_sieve_per_build(self, monkeypatch):
-        # every sigma table of one build reads one smallest-factor sieve,
-        # and the build does not keep it; the validator of the series
-        # returned sieves once more, as it does for a loaded table
+        # every sigma table of one build reads one smallest-factor sieve;
+        # the validator of the series returned sieves once more, as it does
+        # for a loaded table
         real = modforms._smallest_prime_factors
         calls = []
 
@@ -203,36 +207,64 @@ class TestEigenform:
 
         monkeypatch.setattr(modforms, "_smallest_prime_factors", counted)
         for w in BUILTIN_WEIGHTS:
-            for cached in (eigenform, modforms._factor_sieve):
-                cached.cache_clear()
             calls.clear()
             eigenform(w, 97)
             assert calls == [97, 97], w
-            assert modforms._factor_sieve.cache_info().currsize == 0, w
 
     def test_build_keeps_only_its_result(self):
         # a first build loads kernels and decimal, so they are not counted
         eigenform(20, 50)
-        eigenform.cache_clear()
-        modforms._factor_sieve.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             f = eigenform(20, 5000)
             gained = tracemalloc.get_traced_memory()[0] - before
+            # the series object, its coefficient tuple and its int objects
+            held = [f, f.coeffs, *{id(c): c for c in f.coeffs}.values()]
+            size = sum(map(sys.getsizeof, held))
+            del f, held
+            left = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-            eigenform.cache_clear()
-        # the series object, its coefficient tuple and its int objects
-        held = [f, f.coeffs, *{id(c): c for c in f.coeffs}.values()]
-        size = sum(map(sys.getsizeof, held))
         # Delta, E6 and E8 kept in caches would hold about 3.9x
         assert gained <= 1.25 * size, (gained, size)
+        # and once the caller drops the series, nothing of the build stays
+        assert left <= 0.1 * 2**20, left
 
-    def test_only_eigenform_is_cached(self):
-        assert hasattr(eigenform, "cache_info")
-        assert not hasattr(delta, "cache_info")
-        assert not hasattr(eisenstein, "cache_info")
+    @pytest.mark.parametrize("build", [partial(eisenstein, 4), delta])
+    def test_a_standalone_call_drops_its_sieve(self, build):
+        build(50)  # kernels and decimal load once, and are not counted
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build(10**4)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a kept factor sieve to 10^4 would hold about 0.15 MiB
+        assert left <= 0.01 * 2**20, left
+
+    def test_no_series_is_cached(self):
+        f, g = eigenform(20, 50), eigenform(20, 50)
+        assert f is not g and f.coeffs == g.coeffs
+        for fn in (eigenform, delta, eisenstein, modforms._factor_sieve):
+            assert not hasattr(fn, "cache_info"), fn
+        ref = weakref.ref(f)
+        del f
+        assert ref() is None
+
+    def test_every_cache_of_the_package_is_bounded(self):
+        # only the Bernoulli ratios, whose count is bounded by the weight,
+        # may grow without a bound (importing __main__ would run the CLI)
+        unbounded = set()
+        for path in Path(modforms.__file__).parent.glob("*.py"):
+            if path.stem == "__main__":
+                continue
+            for fn in vars(importlib.import_module(f"ikedalift.{path.stem}")).values():
+                info = getattr(fn, "cache_info", None)
+                if callable(info) and info().maxsize is None:
+                    unbounded.add(f"{fn.__module__}.{fn.__qualname__}")
+        assert unbounded == {"ikedalift.modforms._bernoulli_ratio"}
 
     def test_a_series_is_its_weight_and_one_dense_run(self):
         assert FourierSeries.__slots__ == ("weight", "coeffs", "__weakref__")
@@ -326,11 +358,7 @@ class TestTraceFormula:
             return out
 
         monkeypatch.setattr(kernels, "convolve_trunc", corrupt)
-        eigenform.cache_clear()
-        try:
-            f = eigenform(w, 1500)
-        finally:
-            eigenform.cache_clear()
+        f = eigenform(w, 1500)
         h12 = selftest.hurwitz_class_numbers_12(4 * 1499)
         assert f.a(1499) != selftest.trace_formula_coefficient(w, 1499, h12)
 
@@ -569,13 +597,12 @@ class TestTableHeldOnce:
         # weight 12 returns Delta itself; the others its product with E_(w-12)
         real = modforms.delta
 
-        def corrupted(N):
-            coeffs = list(real(N).coeffs)
+        def corrupted(N, sieve=None):
+            coeffs = list(real(N, sieve).coeffs)
             coeffs[6] += 1
             return FourierSeries(12, tuple(coeffs))
 
         monkeypatch.setattr(modforms, "delta", corrupted)
-        modforms.eigenform.cache_clear()
         with pytest.raises(
             ArithmeticError,
             match=rf"^built weight-{w} eigenform failed validation: index 6: "
