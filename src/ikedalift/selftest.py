@@ -1,9 +1,10 @@
 """The invariant suite: the one definition of every check on the library.
 
-Each check is a plain function raising AssertionError on failure.  The
-`selftest` CLI subcommand runs them all through run(); the pytest acceptance
-gate and the unit tests call the same functions, so both entry points check
-the same invariants at the same scale.
+Each check is a plain function raising AssertionError on failure, listed
+once in CHECKS.  The `selftest` CLI subcommand runs them all through run();
+pytest runs each entry of CHECKS once, as one case of
+tests/test_acceptance.py named after the function, so both entry points
+check the same invariants at the same scale.  No other test calls a check.
 
 The constructions that only the checks use also live here: the schoolbook
 polynomial product, the divisor-sum sweep, q-factorials, the
@@ -408,47 +409,35 @@ def check_builtin_weights():
     assert derived == BUILTIN_WEIGHTS, derived
 
 
-def check_eigenform_deligne():
-    for w in BUILTIN_WEIGHTS:
-        f = eigenform(w, 500)
-        for p in primes_upto(500):
-            assert f.a(p) ** 2 <= 4 * p ** (w - 1), (w, p)
-
-
-def check_eigenform_multiplicativity():
-    for w in BUILTIN_WEIGHTS:
-        f = eigenform(w, 500)
-        assert f.a(0) == 0 and f.a(1) == 1
-        for m in range(2, 501):
-            for m2 in range(2, 500 // m + 1):
-                if gcd(m, m2) == 1:
-                    assert f.a(m * m2) == f.a(m) * f.a(m2), (w, m, m2)
-
-
-def check_eigenform_hecke():
-    for w in BUILTIN_WEIGHTS:
-        f = eigenform(w, 500)
-        for p in primes_upto(500):
-            e = 2
-            while p**e <= 500:
-                assert f.a(p**e) == f.a(p) * f.a(p ** (e - 1)) - p ** (w - 1) * f.a(
-                    p ** (e - 2)
-                ), (w, p, e)
-                e += 1
-
-
-def check_trace_formula(N: int = 400):
-    # an independent source of a_f(p): the built-in eigenforms at every
-    # prime below N against the Eichler-Selberg trace formula, whose class
-    # numbers first pass the Hurwitz relation sum_t H(4p - t^2) = 2p
-    primes = primes_upto(N - 1)
-    h12 = hurwitz_class_numbers_12(4 * primes[-1])
-    for p in primes:
+def check_eigenforms():
+    # each built-in eigenform, built once to N: Deligne's bound, the
+    # multiplicativity and the Hecke relations to N, and a(p) at every prime
+    # below 400 against the Eichler-Selberg trace formula, an independent
+    # source of a_f(p) whose class numbers first pass the Hurwitz relation
+    # sum_t H(4p - t^2) = 2p
+    N = 500
+    primes = primes_upto(N)
+    trace_primes = primes_upto(399)
+    h12 = hurwitz_class_numbers_12(4 * trace_primes[-1])
+    for p in trace_primes:
         T = isqrt(4 * p - 1)
         assert h12[4 * p] + 2 * sum(h12[4 * p - t * t] for t in range(1, T + 1)) == 24 * p, p
     for w in BUILTIN_WEIGHTS:
         f = eigenform(w, N)
+        assert f.a(0) == 0 and f.a(1) == 1
         for p in primes:
+            assert f.a(p) ** 2 <= 4 * p ** (w - 1), (w, p)
+            e = 2
+            while p**e <= N:
+                assert f.a(p**e) == f.a(p) * f.a(p ** (e - 1)) - p ** (w - 1) * f.a(
+                    p ** (e - 2)
+                ), (w, p, e)
+                e += 1
+        for m in range(2, N + 1):
+            for m2 in range(2, N // m + 1):
+                if gcd(m, m2) == 1:
+                    assert f.a(m * m2) == f.a(m) * f.a(m2), (w, m, m2)
+        for p in trace_primes:
             assert f.a(p) == trace_formula_coefficient(w, p, h12), (w, p)
 
 
@@ -561,11 +550,14 @@ def check_positivity_and_bounds_sweep():
     # every desk pair at every prime <= 1000, with genuine elliptic coefficients
     primes = primes_upto(1000)
     assert len(primes) == 168
+    # one build per weight: (2, 12) and (6, 14) share w = 22, as (2, 14)
+    # and (6, 16) share w = 26
+    weights = {IkedaParams(n, k).eigenform_weight for n, k in DESK_PAIRS}
+    series = {w: eigenform(w, 1000) for w in weights}
     for n, k in DESK_PAIRS:
         params = IkedaParams(n, k)
-        series = eigenform(params.eigenform_weight, 1000)
         for p in primes:
-            rep = verify_prime(params, p, series.a(p))
+            rep = verify_prime(params, p, series[params.eigenform_weight].a(p))
             assert rep.eigenvalue > 0 and rep.positive, (n, k, p)
             assert rep.within_bounds, (n, k, p)
 
@@ -722,10 +714,7 @@ CHECKS = [
     ("E8, E10, E14 as products of E4 and E6", check_eisenstein_products),
     ("dim S_w from the monomials E4^a E6^b", check_cusp_dimension_from_monomials),
     ("built-in weights are those with dim S_w = 1", check_builtin_weights),
-    ("eigenform Deligne bound", check_eigenform_deligne),
-    ("eigenform multiplicativity", check_eigenform_multiplicativity),
-    ("eigenform Hecke relations", check_eigenform_hecke),
-    ("eigenforms vs the Eichler-Selberg trace formula", check_trace_formula),
+    ("eigenform relations and the Eichler-Selberg trace formula", check_eigenforms),
     ("triple-route agreement", check_route_agreement),
     ("degree-2 reduction", check_saito_kurokawa_reduction),
     ("exponent integrality", check_exponent_integrality),

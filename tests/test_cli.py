@@ -1,6 +1,5 @@
 """CLI surface: subcommands, exit codes, CSV/JSON parity, file round trips."""
 
-import contextlib
 import csv
 import gc
 import io
@@ -898,26 +897,6 @@ class TestNonIntegerArgument:
         )
 
 
-@pytest.fixture(scope="module")
-def selftest_run():
-    """One run of the whole suite, shared by the tests that read it: exit
-    code, stdout, and the decimal precision left after it.  capsys works per
-    test, so stdout is captured here."""
-    out = io.StringIO()
-    with localcontext() as ctx:
-        ctx.prec = 17
-        with contextlib.redirect_stdout(out):
-            code = main(["selftest"])
-        prec = getcontext().prec
-    return code, out.getvalue(), prec
-
-
-def test_selftest_passes(selftest_run):
-    code, out, _ = selftest_run
-    assert code == 0
-    assert "0 failed" in out
-
-
 class TestSelftest:
     def test_failure_is_reported_and_the_rest_still_run(self, capsys, monkeypatch):
         # five checks are enough to show the rest run after a failure
@@ -938,10 +917,6 @@ class TestSelftest:
             f"[ok]   {n}" for n in others
         ]
         assert lines[-1] == f"selftest: {len(others)} passed, 1 failed"
-
-    def test_decimal_precision_is_left_alone(self, selftest_run):
-        _, _, prec = selftest_run
-        assert prec == 17
 
     def test_cli_import_skips_selftest(self):
         src = os.path.dirname(os.path.dirname(ikedalift.__file__))

@@ -83,7 +83,8 @@ def command_lines(draw):
         # a required option is left out now and then, any other one often
         if draw(st.integers(0, 7)) >= (1 if flag in REQUIRED else 4):
             argv += [flag, draw(values)]
-    # a bare selftest runs the whole suite, which test_cli runs once
+    # a bare selftest would run the whole suite, which test_acceptance runs
+    # once, a check per case
     if command == "selftest" or draw(st.integers(0, 7)) == 0:
         argv.insert(draw(st.integers(1, len(argv))), draw(JUNK))
     return argv

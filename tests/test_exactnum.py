@@ -1,7 +1,8 @@
 """Quadratic-ring arithmetic: exactness, canonical forms, sign determination.
 
 The sign oracle is 100-digit decimal evaluation; ring laws run on 1000
-seeded random triples.  Both seeded checks live in ikedalift.selftest.
+seeded random triples.  Both seeded checks live in ikedalift.selftest and
+run as cases of tests/test_acceptance.py.
 """
 
 import operator
@@ -61,9 +62,6 @@ class TestQuadArith:
         assert x - Fraction(1, 2) == q2(Fraction(5, 2), 2)
         assert Fraction(1, 2) - x == q2(Fraction(-5, 2), -2)
 
-    def test_ring_laws_thousand_samples(self):
-        selftest.check_quad_ring_laws()
-
 
 class TestSign:
     def test_positive_rational(self):
@@ -82,9 +80,6 @@ class TestSign:
         assert q2(0, 1).sign() == 1
         assert q2(0, -1).sign() == -1
         assert q2(-1, 0).sign() == -1
-
-    def test_against_decimal_oracle_seeded(self):
-        selftest.check_quad_sign_vs_decimal()
 
     @given(
         st.fractions(min_value=-1000, max_value=1000, max_denominator=500),
@@ -111,9 +106,6 @@ class TestHalfPower:
 
     def test_negative_odd_exponent(self):
         assert half_power(3, -1) == QuadExt(Fraction(0), Fraction(1, 3), 3)
-
-    def test_product_law(self):
-        selftest.check_half_power_products()
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):

@@ -98,9 +98,6 @@ class TestEisenstein:
             assert _sigma_table(e, 1) == [0, 1]
             assert _sigma_table(e, 2) == [0, 1, 1 + 2**e]
 
-    def test_products_of_e4_and_e6(self):
-        selftest.check_eisenstein_products()
-
 
 class TestDelta:
     def test_normalization(self):
@@ -280,23 +277,11 @@ class TestEigenform:
         with pytest.raises(UnsupportedWeightError, match="load_eigenform"):
             eigenform(24, 10)
 
-    def test_deligne_bound_to_500(self):
-        selftest.check_eigenform_deligne()
-
-    def test_multiplicativity_to_500(self):
-        selftest.check_eigenform_multiplicativity()
-
-    def test_hecke_relations_to_500(self):
-        selftest.check_eigenform_hecke()
-
 
 class TestWeightRule:
     """One rule from dim S_w, with one message, for every entry point."""
 
     EMPTY = (-4, 0, 10, 13, 14)
-
-    def test_cusp_dimension_from_monomials(self):
-        selftest.check_cusp_dimension_from_monomials()
 
     @pytest.mark.parametrize("w", EMPTY)
     def test_eigenform_refuses(self, w):
@@ -317,9 +302,6 @@ class TestWeightRule:
 class TestTraceFormula:
     """a(p) of each built-in eigenform against the Eichler-Selberg trace
     formula, a source that shares nothing with the series engine."""
-
-    def test_primes_below_400(self):
-        selftest.check_trace_formula()
 
     def test_hurwitz_class_numbers(self):
         # H(3) = 1/3, H(4) = 1/2, H(12) = 1 + 1/3, H(16) = 1 + 1/2, H(23) = 3

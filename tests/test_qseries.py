@@ -5,16 +5,16 @@ The Gaussian binomial is built by the ratio recurrence
 The oracle is the q-factorial identity
     (n choose m)_q * [m]_q! * [n-m]_q! = [n]_q!,
 checked by polynomial multiplication, a different code path from the
-shifted subtractions and running sums of the recurrence.
+shifted subtractions and running sums of the recurrence, in the invariant
+suite's check_q_binomial_identities (a case of tests/test_acceptance.py).
 """
 
 from math import comb
 
 import pytest
 
-from ikedalift import selftest
 from ikedalift.ikeda import eval_poly, q_binomial, q_binomial_eval, q_binomial_row
-from ikedalift.selftest import binomial_product_coeffs, naive_product, q_factorial
+from ikedalift.selftest import binomial_product_coeffs, q_factorial
 
 
 class TestQInt:
@@ -78,22 +78,6 @@ class TestQBinomial:
         with pytest.raises(ArithmeticError, match=r"\[5, 1\] is not a polynomial"):
             q_binomial(5, 2)
 
-    def test_matches_factorial_oracle(self):
-        for n in range(17):
-            for m in range(n + 1):
-                product = naive_product(q_binomial(n, m), q_factorial(m))
-                product = naive_product(product, q_factorial(n - m))
-                assert tuple(product) == q_factorial(n), (n, m)
-
-    def test_symmetry(self):
-        selftest.check_q_binomial_identities()
-
-    def test_classical_limit_at_one(self):
-        selftest.check_q_binomial_identities()
-
-    def test_nonnegative_coefficients(self):
-        selftest.check_q_binomial_identities()
-
 
 class TestQBinomialEval:
     def test_four_two_at_two(self):
@@ -126,6 +110,3 @@ class TestBinomialProduct:
 
     def test_three_factors_x_squared(self):
         assert binomial_product_coeffs(3)[2] == (0, 1, 1, 1)
-
-    def test_identity_up_to_sixteen(self):
-        selftest.check_q_binomial_theorem()
