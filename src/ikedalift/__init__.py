@@ -10,7 +10,6 @@ agreement is asserted on every run.
 from .exactnum import QuadExt, is_prime, primes_upto
 from .ikeda import (
     BoundIdentityError,
-    DeligneBoundError,
     EigenvalueReport,
     IkedaParams,
     RouteDisagreementError,
@@ -28,6 +27,7 @@ from .ikeda import (
 )
 from .modforms import (
     BUILTIN_WEIGHTS,
+    DeligneBoundError,
     FourierSeries,
     UnsupportedWeightError,
     bernoulli,

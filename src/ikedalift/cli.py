@@ -9,7 +9,8 @@ no loaded table.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 (reportable finding: positivity or a bound fails, or a coefficient table or
-elliptic coefficient fails validation), 2 = usage or parameter error,
+elliptic coefficient fails validation, which from any caller raises the one
+class modforms.EigenformValidationError), 2 = usage or parameter error,
 including a path that cannot be read or written, a weight with no cusp form,
 and a coefficient-table line that is not two integers or whose index breaks
 the run a(1), a(2), ..., 3 = internal error: an implementation fault, such
@@ -33,7 +34,7 @@ import sys
 from itertools import chain
 
 from .exactnum import primes_upto, unlimited_int_digits
-from .ikeda import DeligneBoundError, IkedaParams, q_binomial, q_binomial_eval, verify_prime
+from .ikeda import IkedaParams, q_binomial, q_binomial_eval, verify_prime
 from .modforms import (
     BUILTIN_WEIGHTS,
     EigenformValidationError,
@@ -100,8 +101,9 @@ def _flag(value: bool) -> str:
 
 def _fields(rep, digits: int) -> list[str]:
     """The record of one prime, field by field in CSV_COLUMNS order, each
-    rendered as both formats write it; the exact bounds, as QuadExt.exact
-    writes them, from one str() of A and one of B."""
+    rendered as both formats write it; the exact bounds R+S*sqrt(P), with
+    R and S as num/den in lowest terms, from one str() of A and one of B
+    (the bounds are A -+ B*sqrt(p) with integer A, B)."""
     p, a, b = rep.p, str(rep.bound_a), str(rep.bound_b)
     return [
         str(p),
@@ -327,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EigenformValidationError, DeligneBoundError) as exc:
+    except EigenformValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

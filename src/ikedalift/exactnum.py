@@ -101,6 +101,14 @@ def is_prime(n: int) -> bool:
             return True
 
 
+def require_prime(p: int) -> int:
+    """p, or ValueError when it is not prime: the one primality guard of
+    every caller that takes a prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
+
+
 def primes_upto(n: int) -> list[int]:
     """All primes <= n, by sieve."""
     if n < 2:
@@ -140,7 +148,7 @@ class QuadExt:
     The form is canonical: D > 0 and gcd(A, B, D) = 1, so equal values have
     equal parts.  a and b may be ints or Fractions; the rational parts read
     as the Fractions .a = A/D and .b = B/D.  Order is read from sign() of a
-    difference alone, and the one exact rendering is exact().
+    difference alone; decimal() renders a value for display.
     """
 
     __slots__ = ("_A", "_B", "_D", "p")
@@ -150,8 +158,7 @@ class QuadExt:
         if ra is None or rb is None:
             bad = a if ra is None else b
             raise TypeError(f"expected int or Fraction, got {type(bad).__name__}")
-        if not is_prime(p):
-            raise ValueError(f"radicand {p} is not prime")
+        require_prime(p)
         (na, da), (nb, db) = ra, rb
         # over the lcm of two reduced denominators, gcd(A, B, D) is already 1
         d = da // gcd(da, db) * db
@@ -298,13 +305,6 @@ class QuadExt:
         # at least one digit before the point
         s = str(abs(scaled)).rjust(digits + 1, "0")
         return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else sign + s
-
-    def exact(self) -> str:
-        """Lossless rendering R+S*sqrt(P), with R = A/D and S = B/D each
-        written num/den in lowest terms (den 1 included)."""
-        A, B, D = self._A, self._B, self._D
-        ga, gb = gcd(A, D), gcd(B, D)
-        return f"{A // ga}/{D // ga}+{B // gb}/{D // gb}*sqrt({self.p})"
 
     def __repr__(self):
         return f"QuadExt(a={self.a!r}, b={self.b!r}, p={self.p!r})"

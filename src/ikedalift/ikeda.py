@@ -73,16 +73,12 @@ from itertools import accumulate, groupby
 from math import comb
 from operator import itemgetter
 
-from .exactnum import QuadExt, _quad, is_prime
-from .modforms import require_cusp_forms, within_deligne
+from .exactnum import QuadExt, _quad, require_prime
+from .modforms import require_cusp_forms, require_deligne
 
 
 class RouteDisagreementError(ArithmeticError):
     """The independent eigenvalue formulas returned different values."""
-
-
-class DeligneBoundError(ValueError):
-    """An elliptic coefficient outside the Deligne range was supplied."""
 
 
 class ExponentIntegralityError(ArithmeticError):
@@ -537,16 +533,14 @@ def verify_prime(params: IkedaParams, p: int, ap: int) -> EigenvalueReport:
     BoundIdentityError.  The sign test decides |v - A| <= B sqrt(p) as
     -|X - v| + Y sqrt(p) >= 0.
 
-    a_f(p) must satisfy the Deligne bound; anything else is rejected, since
-    the positivity statement presumes it.
+    p must pass exactnum.require_prime, and a_f(p) modforms.require_deligne
+    (DeligneBoundError, a finding), since the positivity statement presumes
+    both.  Any admissible a_f(p) is taken: Ramanujan's congruence, which
+    the series validator tests, is not asked of it.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     w = params.eigenform_weight
-    if not within_deligne(ap, p, w):
-        raise DeligneBoundError(
-            f"a_f({p}) = {ap} violates the Deligne bound |a| <= 2*{p}^({w - 1}/2)"
-        )
+    require_deligne(ap, p, w)
     v1 = eigenvalue_double_sum(params, p, ap)
     v2 = eigenvalue_product(params, p, ap)
     v3 = eigenvalue_reciprocal(params, p, ap)

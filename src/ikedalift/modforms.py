@@ -14,11 +14,14 @@ require_cusp_forms, the one place that refuses it, does so for IkedaParams
 (on 2k - n), the CLI's --weight, eigenform() and load_eigenform() alike.
 
 Every series that eigenform() or load_eigenform() hands out has passed the
-one validator, _check_table: a(1) = 1, Deligne's bound at each prime, and
+one validator, _check_table: a(1) = 1, Deligne's bound at each prime (and,
+at the six weights with dim S_w = 1, Ramanujan's congruence there), and
 multiplicativity or the Hecke relation at each composite.  A table that
 fails it is a finding about the input (EigenformValidationError); a built
 series that fails it is a fault of the program (ArithmeticError).  So a
-caller reads a(p) from either source the same way.
+caller reads a(p) from either source the same way.  require_deligne is the
+one Deligne check that raises, for the validator, hecke_eigenvalue_prime
+and ikeda.verify_prime alike, and DeligneBoundError its one class.
 
 Every series built here belongs to its caller: no function caches one,
 and no sieve outlives the call that made it.  eigenform() builds one
@@ -40,7 +43,7 @@ from array import array
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
-from .exactnum import is_prime, primes_upto
+from .exactnum import primes_upto, require_prime
 
 
 class UnsupportedWeightError(ValueError):
@@ -56,6 +59,11 @@ class EigenformValidationError(Exception):
     def __init__(self, index, message):
         self.index = index
         super().__init__(f"index {index}: {message}")
+
+
+class DeligneBoundError(EigenformValidationError):
+    """A coefficient a(p) outside Deligne's range, whether it came from a
+    table, a series or a caller of ikeda.verify_prime; .index is p."""
 
 
 class TableParseError(ValueError):
@@ -347,25 +355,26 @@ def within_deligne(a: int, p: int, w: int) -> bool:
     return power is None or square <= 4 * power
 
 
-def _deligne(a: int, p: int, w: int) -> int:
-    """a, or EigenformValidationError when it breaks Deligne's bound at p."""
+def require_deligne(a: int, p: int, w: int) -> int:
+    """a, or DeligneBoundError when it breaks Deligne's bound at p.  The
+    message names p, w and the bound, never a, so its length does not
+    follow the coefficient's."""
     if not within_deligne(a, p, w):
-        raise EigenformValidationError(
-            p, f"Deligne bound violated: a({p})^2 = {a * a} > 4*{p}^{w - 1}"
-        )
+        raise DeligneBoundError(p, f"Deligne bound violated: a({p})^2 > 4*{p}^{w - 1}")
     return a
 
 
 def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
-    """a_f(p) for a normalized eigenform, with the Deligne bound asserted.
+    """a_f(p) for a normalized eigenform: p passes require_prime, then a(p)
+    passes require_deligne.
 
     For normalized eigenforms the p-th Fourier coefficient is the p-th Hecke
     eigenvalue.  Every series from eigenform() or load_eigenform() has
-    passed this test already; a violation signals a series made otherwise.
+    passed the Deligne test already; a violation signals a series made
+    otherwise.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _deligne(f.a(p), p, f.weight)
+    require_prime(p)
+    return require_deligne(f.a(p), p, f.weight)
 
 
 def _check_composite(a, w: int, m: int, p: int) -> None:
@@ -401,6 +410,13 @@ def _check_table(f: FourierSeries) -> None:
     relation _check_composite reads.  Raises on the first offending index
     (ascending).
 
+    Where dim S_w = 1 (the built-in weights), each prime also meets
+    Ramanujan's congruence a(p) = 1 + p^(w-1) mod M, M the denominator of
+    -2w/B_w, the a(1) of E_w: 691, 3617, 43867, 174611, 77683 and 657931
+    at w = 12, 16, 18, 20, 22 and 26 (Ramanujan 1916; Swinnerton-Dyer,
+    LNM 350).  It reaches the primes in (L/2, L], which no relation does;
+    an error that is a multiple of M passes it.
+
     f.coeffs is the dense run a(0..L), which the flat smallest-prime-factor
     array _smallest_prime_factors(L), the sieve a series build reads,
     classifies as it is.
@@ -408,11 +424,17 @@ def _check_table(f: FourierSeries) -> None:
     coeffs, w = f.coeffs, f.weight
     if coeffs[1] != 1:
         raise EigenformValidationError(1, f"normalization violated: a(1) = {coeffs[1]}")
+    # cusp_dimension first, so that no other weight computes a Bernoulli number
+    M = _eisenstein_constant(w)[1] if cusp_dimension(w) == 1 else 0
     spf = _smallest_prime_factors(len(coeffs) - 1)
     for m in range(2, len(coeffs)):
         p = spf[m]
         if p == m:
-            _deligne(coeffs[m], m, w)
+            a = require_deligne(coeffs[m], m, w)
+            if M and (a - 1 - pow(m, w - 1, M)) % M:
+                raise EigenformValidationError(
+                    m, f"Ramanujan congruence violated: a({m}) != 1 + {m}^{w - 1} mod {M}"
+                )
         else:
             _check_composite(coeffs, w, m, p)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd, isqrt
 
-from .exactnum import QuadExt, _quad, is_prime, primes_upto
+from .exactnum import QuadExt, _quad, primes_upto, require_prime
 from .ikeda import (
     IkedaParams,
     bound_exponent,
@@ -49,6 +49,10 @@ from .ikeda import (
 from .kernels import convolve_trunc
 from .modforms import (
     BUILTIN_WEIGHTS,
+    EigenformValidationError,
+    FourierSeries,
+    _check_table,
+    _eisenstein_constant,
     _sigma_table,
     bernoulli,
     cusp_dimension,
@@ -58,6 +62,10 @@ from .modforms import (
 )
 
 DESK_PAIRS = ((2, 10), (2, 12), (2, 14), (4, 8), (4, 10), (4, 12), (6, 14), (6, 16))
+
+# the modulus M of a(p) = 1 + p^(w-1) mod M at each built-in weight
+# (Ramanujan 1916; Swinnerton-Dyer, LNM 350)
+CONGRUENCE_MODULI = {12: 691, 16: 3617, 18: 43867, 20: 283 * 617, 22: 131 * 593, 26: 657931}
 
 
 def valid_pairs(nmax: int, kmax: int) -> list[tuple[int, int]]:
@@ -410,11 +418,13 @@ def check_builtin_weights():
 
 
 def check_eigenforms():
-    # each built-in eigenform, built once to N: Deligne's bound, the
-    # multiplicativity and the Hecke relations to N, and a(p) at every prime
-    # below 400 against the Eichler-Selberg trace formula, an independent
-    # source of a_f(p) whose class numbers first pass the Hurwitz relation
-    # sum_t H(4p - t^2) = 2p
+    # each built-in eigenform, built once to N: Deligne's bound, Ramanujan's
+    # congruence, the multiplicativity and the Hecke relations to N, and
+    # a(p) at every prime below 400 against the Eichler-Selberg trace
+    # formula, an independent source of a_f(p) whose class numbers first
+    # pass the Hurwitz relation sum_t H(4p - t^2) = 2p.  The validator
+    # refuses a(499) + 2 and passes a(499) + M: 499 lies in (N/2, N], which
+    # only the congruence reaches
     N = 500
     primes = primes_upto(N)
     trace_primes = primes_upto(399)
@@ -425,8 +435,11 @@ def check_eigenforms():
     for w in BUILTIN_WEIGHTS:
         f = eigenform(w, N)
         assert f.a(0) == 0 and f.a(1) == 1
+        M = CONGRUENCE_MODULI[w]
+        assert _eisenstein_constant(w)[1] == M, w
         for p in primes:
             assert f.a(p) ** 2 <= 4 * p ** (w - 1), (w, p)
+            assert (f.a(p) - 1 - p ** (w - 1)) % M == 0, (w, p)
             e = 2
             while p**e <= N:
                 assert f.a(p**e) == f.a(p) * f.a(p ** (e - 1)) - p ** (w - 1) * f.a(
@@ -439,6 +452,15 @@ def check_eigenforms():
                     assert f.a(m * m2) == f.a(m) * f.a(m2), (w, m, m2)
         for p in trace_primes:
             assert f.a(p) == trace_formula_coefficient(w, p, h12), (w, p)
+        for shift, refused in ((2, True), (M, False)):
+            coeffs = list(f.coeffs)
+            coeffs[499] += shift
+            try:
+                _check_table(FourierSeries(w, tuple(coeffs)))
+            except EigenformValidationError as exc:
+                assert refused and exc.index == 499, (w, shift, exc)
+            else:
+                assert not refused, (w, shift)
 
 
 def check_route_agreement():
@@ -610,8 +632,7 @@ def half_power(p: int, h: int) -> QuadExt:
     Even h gives a rational power (negative h gives exact fractions); odd h
     gives p**((h-1)/2) * sqrt(p).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     e, odd = divmod(h, 2)
     num, den = (p**e, 1) if e >= 0 else (1, p**-e)
     return _quad(0, num, den, p) if odd else _quad(num, 0, den, p)

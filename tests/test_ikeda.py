@@ -23,12 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikedalift.exactnum import QuadExt, primes_upto
-from ikedalift.modforms import UnsupportedWeightError
+from ikedalift.modforms import DeligneBoundError, UnsupportedWeightError
 from ikedalift import exactnum, ikeda, selftest
 from ikedalift.selftest import bound_pair, half_power
 from ikedalift.ikeda import (
     BoundIdentityError,
-    DeligneBoundError,
     IkedaParams,
     ExponentIntegralityError,
     RouteDisagreementError,

@@ -23,6 +23,7 @@ import pytest
 from ikedalift import modforms, selftest
 from ikedalift.modforms import (
     BUILTIN_WEIGHTS,
+    DeligneBoundError,
     EigenformValidationError,
     FourierSeries,
     TableParseError,
@@ -36,7 +37,7 @@ from ikedalift.modforms import (
     load_eigenform,
     within_deligne,
 )
-from ikedalift.ikeda import DeligneBoundError, IkedaParams, verify_prime
+from ikedalift.ikeda import IkedaParams, verify_prime
 from ikedalift.exactnum import PRIME_TEST_LIMIT, primes_upto
 
 
@@ -324,11 +325,9 @@ class TestTraceFormula:
             expected = selftest.trace_formula_coefficient(w, 19997, h12)
             assert eigenform(w, 20000).a(19997) == expected, w
 
-    # at weight 12 the final product is an eta squaring, which delta's two
-    # constructions already compare; above it, delta * E_(w-12) is not
-    # compared with anything else
-    @pytest.mark.parametrize("w", BUILTIN_WEIGHTS[1:])
-    def test_corrupt_final_product_is_caught(self, monkeypatch, w):
+    @staticmethod
+    def corrupt_final_product(monkeypatch, shift):
+        """Make the build's final product add shift to a(1499) at N = 1500."""
         from ikedalift import kernels
 
         real = kernels.convolve_trunc
@@ -336,13 +335,33 @@ class TestTraceFormula:
         def corrupt(a, b, n):
             out = real(a, b, n)
             if n == 1501 and a is not b:  # delta * E_(w-12); E6^2 is a square
-                out[1499] += 1
+                out[1499] += shift
             return out
 
         monkeypatch.setattr(kernels, "convolve_trunc", corrupt)
+
+    # at weight 12 the final product is an eta squaring, which delta's two
+    # constructions already compare; above it, delta * E_(w-12) is compared
+    # with nothing but the validator.  A shift by the congruence's modulus M
+    # passes the validator, so the trace formula is what catches it
+    @pytest.mark.parametrize("w", BUILTIN_WEIGHTS[1:])
+    def test_corrupt_final_product_is_caught(self, monkeypatch, w):
+        self.corrupt_final_product(monkeypatch, modforms._eisenstein_constant(w)[1])
         f = eigenform(w, 1500)
         h12 = selftest.hurwitz_class_numbers_12(4 * 1499)
         assert f.a(1499) != selftest.trace_formula_coefficient(w, 1499, h12)
+
+    @pytest.mark.parametrize("w", BUILTIN_WEIGHTS[1:])
+    def test_final_product_off_by_one_is_refused_by_the_build(self, monkeypatch, w):
+        # 1499 lies in (N/2, N], which no relation reaches; the congruence does
+        M = modforms._eisenstein_constant(w)[1]
+        self.corrupt_final_product(monkeypatch, 1)
+        with pytest.raises(ArithmeticError) as info:
+            eigenform(w, 1500)
+        assert str(info.value) == (
+            f"built weight-{w} eigenform failed validation: index 1499: "
+            f"Ramanujan congruence violated: a(1499) != 1 + 1499^{w - 1} mod {M}"
+        )
 
 
 class TestHeckeEigenvaluePrime:
@@ -478,9 +497,9 @@ class TestLoadEigenform:
 
     def test_valid_table_needs_no_trial_division(self, tmp_path, monkeypatch):
         def no_trial_division(m):
-            raise AssertionError(f"is_prime({m}) called")
+            raise AssertionError(f"require_prime({m}) called")
 
-        monkeypatch.setattr(modforms, "is_prime", no_trial_division)
+        monkeypatch.setattr(modforms, "require_prime", no_trial_division)
         f = eigenform(18, 300)
         lines = "\n".join(f"{m} {f.a(m)}" for m in range(1, 301))
         path = write_table(tmp_path, lines + "\n")
@@ -492,7 +511,7 @@ class TestLoadEigenform:
         def never(n):
             raise AssertionError(f"called on {n}")
 
-        for name in ("primes_upto", "is_prime"):
+        for name in ("primes_upto", "require_prime"):
             monkeypatch.setattr(modforms, name, never)
         start = time.perf_counter()
         with pytest.raises(TableParseError, match=rf"^line {line}: index \d+ where a\({expected}\) comes next"):
@@ -671,9 +690,20 @@ class TestDeligne:
                     for s in (a, -a):
                         assert within_deligne(s, p, w) == (s * s <= bound), (s, p, w)
 
-    def test_callers_keep_their_errors(self):
-        f = FourierSeries(18, (0, 1, 725))
-        with pytest.raises(EigenformValidationError, match="Deligne"):
-            hecke_eigenvalue_prime(f, 2)
-        with pytest.raises(DeligneBoundError, match="Deligne"):
-            verify_prime(IkedaParams(2, 10), 2, 725)
+    def test_one_violation_gives_one_error(self, tmp_path):
+        # a(2) = 725 at weight 18 (4*2^17 < 725^2), from a table, a series and
+        # a caller of verify_prime: one class, one message, index 2
+        table = write_table(tmp_path, "1 1\n2 725\n")
+        calls = (
+            lambda: load_eigenform(table, 18),
+            lambda: hecke_eigenvalue_prime(FourierSeries(18, (0, 1, 725)), 2),
+            lambda: verify_prime(IkedaParams(2, 10), 2, 725),
+        )
+        for call in calls:
+            with pytest.raises(DeligneBoundError) as info:
+                call()
+            assert info.value.index == 2
+            assert str(info.value) == "index 2: Deligne bound violated: a(2)^2 > 4*2^17"
+        # a finding about the input, as every failed validation is
+        assert issubclass(DeligneBoundError, EigenformValidationError)
+        assert not issubclass(DeligneBoundError, ValueError)
