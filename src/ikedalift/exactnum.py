@@ -117,7 +117,7 @@ def primes_upto(n: int) -> list[int]:
     sieve[:2] = b"\x00\x00"
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
+            sieve[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
     return list(compress(range(n + 1), sieve))
 
 

@@ -24,10 +24,12 @@ one Deligne check that raises, for the validator, hecke_eigenvalue_prime
 and ikeda.verify_prime alike, and DeligneBoundError its one class.
 
 Every series built here belongs to its caller: no function caches one,
-and no sieve outlives the call that made it.  eigenform() builds one
-factor sieve and hands it to delta() and eisenstein(), whose default
-builds their own; Delta, E6, E_{w-12} and the sieve are freed once the
-build stops reading them.
+and no sieve outlives the call that made it.  _smallest_prime_factors is
+the module's one sieve: each sigma table builds its own and drops it as it
+returns, and _check_table builds one more, so a build sieves three times
+at weight 12 and four at any other (a sieve to 10^5 takes milliseconds,
+the series products that follow it seconds).  Delta, E6 and E_{w-12} are
+freed once the build stops reading them.
 
 Every series product goes through kernels.convolve_trunc, which packs each
 truncated integer series into the decimal digits of one Decimal (Kronecker
@@ -68,7 +70,8 @@ class DeligneBoundError(EigenformValidationError):
 
 class TableParseError(ValueError):
     """A coefficient-table line is not two integers, or its index is not the
-    next of the run 1, 2, 3, ...: a usage error, not a failed validation.
+    next of the run 1, 2, 3, ..., or the table has no entry: a usage error,
+    not a failed validation.
 
     Carries the 1-based line number in .line.
     """
@@ -172,49 +175,33 @@ def _smallest_prime_factors(N: int) -> array:
     return spf
 
 
-def _factor_sieve(N: int) -> tuple:
-    """For m <= N, the smallest prime factor spf[m] and cof[m], m with every
-    factor spf[m] taken out: what every sigma table of one build reads.
-
-    Both are flat arrays of machine ints (spf is _smallest_prime_factors(N)
-    itself), so they hold no int objects and sit apart from the series.
-    Nothing keeps the pair: eigenform makes it first, hands it to each
-    sigma table of its build and drops it before its final product.
-    """
-    cof = array("l", [1]) * (N + 1)
-    spf = _smallest_prime_factors(N)
-    for m in range(2, N + 1):
-        p = spf[m]
-        r = m // p
-        cof[m] = cof[r] if spf[r] == p else r
-    return spf, cof
-
-
-def _sigma_table(e: int, N: int, sieve=None) -> list[int]:
+def _sigma_table(e: int, N: int) -> list[int]:
     """Divisor power sums sigma_e(m) for m = 0..N (index 0 unused), in one
-    multiplicative pass over sieve, the pair _factor_sieve(N) gives (built
-    here when none is given): with p^a the exact power of p = spf[m] in m,
-    sigma_e(m) = sigma_e(p^a) sigma_e(m/p^a), and
-    sigma_e(p^a) = sigma_e(p^(a-1)) + p^(ae)."""
+    pass over _smallest_prime_factors(N), which the call builds and drops.
+    With p = spf[m] and r = m/p, sigma_e(m) = sigma_e(p) sigma_e(r), less
+    p^e sigma_e(r/p) when p divides r.  That p^e is sigma_e(p) - 1, so the
+    only power formed is the one in sigma_e(p) = 1 + p^e, at the prime
+    p = m itself (r = 1)."""
     out = [0] * (N + 1)
     if N < 1:
         return out
     out[1] = 1
-    spf, cof = sieve or _factor_sieve(N)
+    spf = _smallest_prime_factors(N)
     for m in range(2, N + 1):
-        c = cof[m]
-        out[m] = out[m // spf[m]] + m**e if c == 1 else out[m // c] * out[c]
+        p = spf[m]
+        r = m // p
+        sp = out[p] if r > 1 else 1 + m**e
+        out[m] = sp * out[r] - (sp - 1) * out[r // p] if spf[r] == p else sp * out[r]
     return out
 
 
-def eisenstein(w: int, N: int, sieve=None) -> FourierSeries:
+def eisenstein(w: int, N: int) -> FourierSeries:
     """Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(m) q^m to m = N.
 
     Only weights where -2w/B_w is an integer are representable here; the
-    weights the constructions need (4, 6, 8, 10, 14) qualify.  sieve is
-    _factor_sieve(N), read by the sigma table; without one, the call builds
-    and drops its own.  Not cached: a series build frees each E_w once it
-    has read it.
+    weights the constructions need (4, 6, 8, 10, 14) qualify.  The sigma
+    table sieves for itself and keeps no sieve.  Not cached: a series build
+    frees each E_w once it has read it.
     """
     if w < 4 or w % 2 != 0:
         raise ValueError("weight must be an even integer >= 4")
@@ -224,7 +211,7 @@ def eisenstein(w: int, N: int, sieve=None) -> FourierSeries:
             f"E_{w} has non-integer coefficients (a(1) = {cval}/{den}); not representable"
         )
     # scaled in place, so each coefficient takes the place of its sigma
-    coeffs = _sigma_table(w - 1, N, sieve)
+    coeffs = _sigma_table(w - 1, N)
     coeffs[0] = 1
     for m in range(1, N + 1):
         coeffs[m] *= cval
@@ -251,7 +238,7 @@ def _eta_power_24(nterms: int) -> list[int]:
     return kernels.convolve_trunc(p4, p4, nterms)
 
 
-def delta(N: int, sieve=None) -> FourierSeries:
+def delta(N: int) -> FourierSeries:
     """The weight-12 discriminant cusp form to truncation N.
 
     Computed two independent ways and asserted to agree coefficient by
@@ -262,10 +249,9 @@ def delta(N: int, sieve=None) -> FourierSeries:
     from B_12 and a(1) of E6^2.  Each Eisenstein-side value is tested as it
     is computed, so no second series is built: 691 (E6^2 - E12) is asserted
     to be a multiple of -762048 at the index, m = 0 included, and the
-    quotient to equal the eta side there.  sieve is _factor_sieve(N), read
-    by E6 and sigma_11; without one, one is built for this call.  Like
-    eisenstein(), it is not cached: a build frees it once the final product
-    has read it.
+    quotient to equal the eta side there.  E6 and sigma_11 each sieve for
+    themselves.  Like eisenstein(), it is not cached: a build frees it once
+    the final product has read it.
     """
     if N < 1:
         raise ValueError("truncation must be positive")
@@ -273,15 +259,14 @@ def delta(N: int, sieve=None) -> FourierSeries:
 
     via_eta = [0] + _eta_power_24(N)
 
-    sieve = sieve or _factor_sieve(N)
-    e6 = eisenstein(6, N, sieve).coeffs
+    e6 = eisenstein(6, N).coeffs
     e6sq = kernels.convolve_trunc(e6, e6, N + 1)
     # E12 = 1 + (num/den) sum sigma_11(m) q^m with num/den = -24/B_12, and
     # E6^2 - E12 = (a(1) - num/den) Delta with a(1) that of E6^2, so
     # Delta = den (E6^2 - E12) / scale with scale = den a(1) - num
     num, den = _eisenstein_constant(12)
     scale = den * e6sq[1] - num
-    sig = _sigma_table(11, N, sieve)
+    sig = _sigma_table(11, N)
     for m in range(N + 1):
         # den E12 has a(0) = den and a(m) = num sigma_11(m)
         d, r = divmod(den * e6sq[m] - (num * sig[m] if m else den), scale)
@@ -308,10 +293,9 @@ def eigenform(w: int, N: int) -> FourierSeries:
     eigenform failed validation: index M: ..."), since no input is at fault.
 
     Each call builds a fresh series and keeps nothing but the one it
-    returns: the factor sieve, made first so that it does not sit among the
-    series, serves every sigma table and is dropped before the final
-    product; delta and E_{w-12} are freed once the product has read them
-    (weight 18 builds E6 twice, once inside delta).
+    returns: each sigma table sieves for itself and drops its sieve, and
+    delta and E_{w-12} are freed once the product has read them (weight 18
+    builds E6 twice, once inside delta).
     """
     require_cusp_forms(w)
     if w not in BUILTIN_WEIGHTS:
@@ -320,10 +304,8 @@ def eigenform(w: int, N: int) -> FourierSeries:
             f"{BUILTIN_WEIGHTS} (give a coefficient table with --eigenform; "
             "from Python, use load_eigenform)"
         )
-    sieve = _factor_sieve(N)
-    f = delta(N, sieve)
-    eis = eisenstein(w - 12, N, sieve) if w > 12 else None
-    del sieve  # so the final product and the validation do not hold it
+    f = delta(N)
+    eis = eisenstein(w - 12, N) if w > 12 else None
     if eis is not None:
         from . import kernels
 
@@ -418,8 +400,8 @@ def _check_table(f: FourierSeries) -> None:
     an error that is a multiple of M passes it.
 
     f.coeffs is the dense run a(0..L), which the flat smallest-prime-factor
-    array _smallest_prime_factors(L), the sieve a series build reads,
-    classifies as it is.
+    array _smallest_prime_factors(L), the sieve each sigma table also
+    builds for itself, classifies as it is.
     """
     coeffs, w = f.coeffs, f.weight
     if coeffs[1] != 1:
@@ -449,7 +431,9 @@ def load_eigenform(path, w: int) -> FourierSeries:
     optional sign), or whose index breaks that run (a first index other
     than 1, a repeated or decreasing index, a gap), raises TableParseError
     naming the line and, for the index, the a(i) expected there; so a huge
-    index is refused on its line, before any sieve.  Normalization,
+    index is refused on its line, before any sieve.  A table with no entry
+    (no line, or only comments and blanks) raises it too, naming a(1) at
+    the line after the last one read.  Normalization,
     multiplicativity, Hecke relations at prime powers, and Deligne bounds at
     primes are then checked by _check_table, which reports the first
     offending index.
@@ -459,7 +443,7 @@ def load_eigenform(path, w: int) -> FourierSeries:
     and in a field it makes a non-integer entry.
     """
     require_cusp_forms(w)
-    coeffs = [0]
+    coeffs, lineno = [0], 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split()
@@ -482,7 +466,9 @@ def load_eigenform(path, w: int) -> FourierSeries:
                 )
             coeffs.append(am)
     if len(coeffs) == 1:
-        raise EigenformValidationError(0, "empty coefficient table")
+        raise TableParseError(
+            lineno + 1, "end of table where a(1) comes next; a table lists a(1), a(2), ..."
+        )
     f = FourierSeries(w, tuple(coeffs))
     del coeffs  # so the validation peak holds one copy of the run
     _check_table(f)

@@ -653,6 +653,20 @@ class TestOneIndexRule:
         assert err == GAP_ERROR.format(line, index, expected)
         assert not target.exists()
 
+    @pytest.mark.parametrize(
+        "text, line", [("", 1), ("# weight 18\n\n", 3)], ids=["zero-byte", "comments-only"]
+    )
+    @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: argv[0])
+    def test_empty_table_exits_2_naming_a1(self, capsys, tmp_path, argv, text, line):
+        table = tmp_path / "empty.txt"
+        table.write_text(text)
+        code, out, err = run_cli(capsys, *argv, "--pmax", "2", "--eigenform", str(table))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line {line}: end of table where a(1) comes next; "
+            "a table lists a(1), a(2), ...\n"
+        )
+
 
 class TestWeightFourteen:
     """dim S_14 = 0: no eigenform, and so no lift, has weight 14, whether a
@@ -713,7 +727,8 @@ class TestPrimeListings:
         monkeypatch.setattr(cli, "primes_upto", recording)
         monkeypatch.setattr(modforms, "primes_upto", recording)
         assert main(["verify", "--n", "8", "--k", "14", "--pmax", "97"]) == 0
-        assert listed == [9, 9, 97]  # the build's sieve, then the validator's
+        # the sieves of sigma_5, sigma_11 and sigma_7, then the validator's
+        assert listed == [9, 9, 9, 9, 97]
         listed.clear()
         code, _, err = run_cli(
             capsys, "eigen", "--n", "2", "--k", "10", "--pmax", str(pmax),

@@ -145,14 +145,14 @@ class TestDelta:
         # Eisenstein side is named by its index
         real_sigma, real_eisenstein = modforms._sigma_table, modforms.eisenstein
 
-        def corrupt_sigma(e, N, sieve=None):
-            out = real_sigma(e, N, sieve)
+        def corrupt_sigma(e, N):
+            out = real_sigma(e, N)
             if e == 11:
                 out[37] += 1
             return out
 
-        def corrupt_e6(w, N, sieve=None):
-            f = real_eisenstein(w, N, sieve)
+        def corrupt_e6(w, N):
+            f = real_eisenstein(w, N)
             if w != 6:
                 return f
             coeffs = list(f.coeffs)
@@ -192,10 +192,11 @@ class TestEigenform:
                 setattr(f, field, None)
         assert f.weight == 16 and f.a(2) == 216
 
-    def test_one_sieve_per_build(self, monkeypatch):
-        # every sigma table of one build reads one smallest-factor sieve;
-        # the validator of the series returned sieves once more, as it does
-        # for a loaded table
+    def test_one_sieve_per_sigma_table_and_one_for_the_validator(self, monkeypatch):
+        # each sigma table of a build sieves for itself: sigma_5 (in E6) and
+        # sigma_11 in delta, and that of E_(w-12) above weight 12; the
+        # validator of the series returned sieves once more, as it does for
+        # a loaded table
         real = modforms._smallest_prime_factors
         calls = []
 
@@ -207,7 +208,7 @@ class TestEigenform:
         for w in BUILTIN_WEIGHTS:
             calls.clear()
             eigenform(w, 97)
-            assert calls == [97, 97], w
+            assert calls == [97] * (3 if w == 12 else 4), w
 
     def test_build_keeps_only_its_result(self):
         # a first build loads kernels and decimal, so they are not counted
@@ -239,13 +240,13 @@ class TestEigenform:
             left = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # a kept factor sieve to 10^4 would hold about 0.15 MiB
+        # a kept smallest-factor sieve to 10^4 would hold about 0.08 MiB
         assert left <= 0.01 * 2**20, left
 
     def test_no_series_is_cached(self):
         f, g = eigenform(20, 50), eigenform(20, 50)
         assert f is not g and f.coeffs == g.coeffs
-        for fn in (eigenform, delta, eisenstein, modforms._factor_sieve):
+        for fn in (eigenform, delta, eisenstein, modforms._smallest_prime_factors):
             assert not hasattr(fn, "cache_info"), fn
         ref = weakref.ref(f)
         del f
@@ -433,6 +434,20 @@ class TestLoadEigenform:
         # a usage error (exit 2), not a failed validation (exit 1)
         assert not isinstance(info.value, EigenformValidationError)
 
+    @pytest.mark.parametrize(
+        "text, line", [("", 1), ("# weight 12\n\n  \n", 4)], ids=["zero-byte", "comments-only"]
+    )
+    def test_empty_table_names_a1_after_its_last_line(self, tmp_path, text, line):
+        path = write_table(tmp_path, text)
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(path, 12)
+        assert info.value.line == line
+        assert str(info.value) == (
+            f"line {line}: end of table where a(1) comes next; a table lists a(1), a(2), ..."
+        )
+        # a usage error (exit 2), not a failed validation (exit 1)
+        assert not isinstance(info.value, EigenformValidationError)
+
     def test_rejects_non_increasing(self, tmp_path):
         # a repeated index, then a decreasing one; a comment line counts
         for text, line, expected in (
@@ -598,8 +613,8 @@ class TestTableHeldOnce:
         # weight 12 returns Delta itself; the others its product with E_(w-12)
         real = modforms.delta
 
-        def corrupted(N, sieve=None):
-            coeffs = list(real(N, sieve).coeffs)
+        def corrupted(N):
+            coeffs = list(real(N).coeffs)
             coeffs[6] += 1
             return FourierSeries(12, tuple(coeffs))
 
