@@ -12,10 +12,11 @@ Exit codes: 0 = all checks passed, 1 = a mathematical check failed
 elliptic coefficient fails validation, which from any caller raises the one
 class modforms.EigenformValidationError), 2 = usage or parameter error,
 including a path that cannot be read or written, a weight with no cusp form,
-and a coefficient-table line that is not two integers or whose index breaks
-the run a(1), a(2), ..., 3 = internal error: an implementation fault, such
-as routes that disagree, a failed exact identity or integrality check, a
-built series that fails validation, or any other unexpected exception,
+a coefficient-table line that is not two integers or whose index breaks
+the run a(1), a(2), ..., and a table whose header names another weight,
+3 = internal error: an implementation fault, such as routes that disagree,
+a failed exact identity or integrality check, a built series that fails
+validation, or any other unexpected exception,
 reported as `internal error: <Type>: <message>` on stderr without a
 traceback.  A reader that closes standard output early (`| head`) changes
 none of these: the rest of the output is dropped, nothing is written to

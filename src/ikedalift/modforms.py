@@ -41,6 +41,7 @@ reduced int pairs, so no path but bernoulli() itself loads `fractions`.
 
 from __future__ import annotations
 
+import re
 from array import array
 from functools import lru_cache
 from math import comb, gcd, isqrt
@@ -70,8 +71,8 @@ class DeligneBoundError(EigenformValidationError):
 
 class TableParseError(ValueError):
     """A coefficient-table line is not two integers, or its index is not the
-    next of the run 1, 2, 3, ..., or the table has no entry: a usage error,
-    not a failed validation.
+    next of the run 1, 2, 3, ..., or the table has no entry, or its header
+    names another weight: a usage error, not a failed validation.
 
     Carries the 1-based line number in .line.
     """
@@ -421,6 +422,10 @@ def _check_table(f: FourierSeries) -> None:
             _check_composite(coeffs, w, m, p)
 
 
+# the first line that `ikedalift forms` writes; its weight is a decimal int
+_HEADER = r"# weight ([1-9][0-9]*) eigenform coefficients\n?"
+
+
 def load_eigenform(path, w: int) -> FourierSeries:
     """Read a coefficient table ("m a(m)" per line, '#' comments) and
     validate it as a normalized eigenform of weight w, which
@@ -433,7 +438,13 @@ def load_eigenform(path, w: int) -> FourierSeries:
     naming the line and, for the index, the a(i) expected there; so a huge
     index is refused on its line, before any sieve.  A table with no entry
     (no line, or only comments and blanks) raises it too, naming a(1) at
-    the line after the last one read.  Normalization,
+    the line after the last one read.  A first line that is exactly the
+    header `ikedalift forms` writes, "# weight W eigenform coefficients",
+    names the table's weight: a W other than w raises TableParseError at
+    line 1, naming both weights, before any other line is read (W is
+    compared as text with str(w), so no int is parsed from it).  Any other
+    first line, such as a shorter "# weight W", is a comment like any other.
+    Normalization,
     multiplicativity, Hecke relations at prime powers, and Deligne bounds at
     primes are then checked by _check_table, which reports the first
     offending index.
@@ -448,6 +459,10 @@ def load_eigenform(path, w: int) -> FourierSeries:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
+                if lineno == 1 and (header := re.fullmatch(_HEADER, raw)) and header[1] != str(w):
+                    raise TableParseError(
+                        1, f"the header names weight {header[1]}, not the weight {w} asked for"
+                    )
                 continue
             if len(parts) != 2:
                 raise TableParseError(lineno, f"unparseable entry {raw!r}")

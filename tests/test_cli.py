@@ -612,6 +612,31 @@ class TestTableWithAGap:
             assert (code, out, err) == (2, "", GAP_ERROR.format(13, 14, 13))
 
 
+class TestTableOfAnotherWeight:
+    """A table that opens with the header `forms` writes is read at that
+    weight only: at another weight it is a usage error (exit 2) on line 1,
+    where it used to be a finding (exit 1) at its first failed check."""
+
+    @pytest.mark.parametrize(
+        "argv, weight",
+        [
+            (("verify", "--n", "2", "--k", "12"), 22),  # was index 2: Ramanujan congruence
+            (("verify", "--n", "4", "--k", "14"), 24),  # was index 4: Hecke relation
+            (("eigen", "--n", "2", "--k", "10"), 18),
+            (("forms", "--weight", "12"), 12),
+        ],
+        ids=["verify-22", "verify-24", "eigen-18", "forms-12"],
+    )
+    def test_exits_2_naming_both_weights(self, capsys, tmp_path, argv, weight):
+        table = tmp_path / "w20.txt"
+        assert main(["forms", "--weight", "20", "--pmax", "50", "--out", str(table)]) == 0
+        code, out, err = run_cli(capsys, *argv, "--pmax", "50", "--eigenform", str(table))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line 1: the header names weight 20, not the weight {weight} asked for\n"
+        )
+
+
 def _w18(*indices):
     f = modforms.eigenform(18, 25)
     return "".join(f"{m} {f.a(m)}\n" for m in indices)

@@ -448,6 +448,43 @@ class TestLoadEigenform:
         # a usage error (exit 2), not a failed validation (exit 1)
         assert not isinstance(info.value, EigenformValidationError)
 
+    def test_header_of_another_weight_is_refused_at_line_1(self, tmp_path):
+        # the header `forms --weight 20` writes, read at weight 22: refused
+        # before line 2 is read, so line 2 may be anything
+        path = write_table(tmp_path, "# weight 20 eigenform coefficients\nnot an entry\n")
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(path, 22)
+        assert info.value.line == 1
+        assert str(info.value) == "line 1: the header names weight 20, not the weight 22 asked for"
+        # a usage error (exit 2), not a failed validation (exit 1)
+        assert not isinstance(info.value, EigenformValidationError)
+
+    def test_header_weight_is_compared_as_text(self, tmp_path):
+        # a W past int()'s digit limit is refused, not parsed
+        w = "9" * 5000
+        path = write_table(tmp_path, f"# weight {w} eigenform coefficients\n1 1\n")
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(path, 12)
+        assert info.value.line == 1
+        assert str(info.value).endswith(f"weight {w}, not the weight 12 asked for")
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "# weight 12 eigenform coefficients\n",
+            "# weight 18\n",
+            "# weight 18 eigenform coefficients, by hand\n",
+            "# weight 012 eigenform coefficients\n",
+            "#weight 18 eigenform coefficients\n",
+            "\n# weight 18 eigenform coefficients\n",
+        ],
+        ids=["matching", "short", "longer", "leading-zero", "no-space", "on-line-2"],
+    )
+    def test_other_first_lines_read_as_comments(self, tmp_path, head):
+        body = "1 1\n2 -24\n3 252\n4 -1472\n"
+        f = load_eigenform(write_table(tmp_path, head + body), 12)
+        assert f.coeffs == load_eigenform(write_table(tmp_path, body, "bare.txt"), 12).coeffs
+
     def test_rejects_non_increasing(self, tmp_path):
         # a repeated index, then a decreasing one; a comment line counts
         for text, line, expected in (
