@@ -1,5 +1,5 @@
-"""Exact scalars: arbitrary-precision integers, rationals, and the real
-quadratic ring Q(sqrt(p)).
+"""Exact scalars: arbitrary-precision integers and the real quadratic ring
+Q(sqrt(p)).
 
 Integers are Python ints, so the only custom scalar is QuadExt: a number
 (A + B*sqrt(p)) / D held as three Python ints in canonical form (D > 0,
@@ -8,14 +8,16 @@ ints alone: each result is reduced by one gcd and inherits p from operands
 whose radicand was checked when they were built.  Values with different
 radicands never combine; the sign of a nonzero element is decided exactly
 by comparing A^2 against B^2*p (sqrt(p) is irrational for prime p), never
-by floating point.
+by floating point.  A QuadExt combines with ints and QuadExts alone: any
+other operand, a Fraction included, is a TypeError.
 
-Rationals are fractions.Fraction, which QuadExt takes and gives, but this
-module does not import `fractions` when it is imported: a Fraction argument
-exists only once its caller has loaded the module, and reading .a, .b,
-repr() or the hash of a rational value loads it on demand.  So a run on
-ints alone, as every CLI subcommand but selftest is, never loads it.
-exactnum.Fraction resolves on first use (a module __getattr__).
+Its constructor still takes a Fraction part, recognised without importing
+`fractions` (a Fraction exists only once its caller has loaded that
+module), and exactnum.Fraction resolves on first use (a module
+__getattr__).  The benchmark harness's self-test,
+perfbench/test_harness.py, builds a QuadExt from exactnum.Fraction; the
+package itself builds every QuadExt from ints, so a CLI run never loads
+`fractions`.
 """
 
 from __future__ import annotations
@@ -130,54 +132,36 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _ratio(x):
+def _ratio(x) -> tuple[int, int]:
     """x as (numerator, denominator > 0) ints for an int or a Fraction, else
-    None.  A Fraction can exist only once `fractions` is loaded, so it is
-    looked for there and never imported."""
+    TypeError.  A Fraction can exist only once `fractions` is loaded, so it
+    is looked for there and never imported."""
     if isinstance(x, int):
         return x, 1
     fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(x, fractions.Fraction):
-        return x.numerator, x.denominator
-    return None
+    if fractions is None or not isinstance(x, fractions.Fraction):
+        raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    return x.numerator, x.denominator
 
 
 class QuadExt:
     """(A + B*sqrt(p)) / D over Python ints, with prime radicand p.
 
+    QuadExt(a, b, p) is a + b*sqrt(p); the program builds it from ints a
+    and b, and an element with D > 1 comes from arithmetic or from _quad.
     The form is canonical: D > 0 and gcd(A, B, D) = 1, so equal values have
-    equal parts.  a and b may be ints or Fractions; the rational parts read
-    as the Fractions .a = A/D and .b = B/D.  Order is read from sign() of a
-    difference alone; decimal() renders a value for display.
+    equal parts.  Arithmetic and equality take ints and QuadExts alone.
+    Order is read from sign() of a difference alone; decimal() renders a
+    value for display.
     """
 
     __slots__ = ("_A", "_B", "_D", "p")
 
     def __init__(self, a, b, p: int):
-        ra, rb = _ratio(a), _ratio(b)
-        if ra is None or rb is None:
-            bad = a if ra is None else b
-            raise TypeError(f"expected int or Fraction, got {type(bad).__name__}")
-        require_prime(p)
-        (na, da), (nb, db) = ra, rb
+        (na, da), (nb, db) = _ratio(a), _ratio(b)
         # over the lcm of two reduced denominators, gcd(A, B, D) is already 1
         d = da // gcd(da, db) * db
-        self._A = na * (d // da)
-        self._B = nb * (d // db)
-        self._D = d
-        self.p = p
-
-    @property
-    def a(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self._A, self._D)
-
-    @property
-    def b(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self._B, self._D)
+        self._A, self._B, self._D, self.p = na * (d // da), nb * (d // db), d, require_prime(p)
 
     # -- coercion ---------------------------------------------------------
 
@@ -189,8 +173,7 @@ class QuadExt:
                     f"cannot combine sqrt({self.p}) with sqrt({other.p})"
                 )
             return other._A, other._B, other._D
-        r = _ratio(other)
-        return None if r is None else (r[0], 0, r[1])
+        return (other, 0, 1) if isinstance(other, int) else None
 
     # -- ring operations --------------------------------------------------
 
@@ -248,17 +231,14 @@ class QuadExt:
                 other._D,
                 other.p,
             )
-        r = _ratio(other)
-        if r is None:
-            return NotImplemented
-        return self._B == 0 and (self._A, self._D) == r
+        if isinstance(other, int):
+            return self._B == 0 and self._D == 1 and self._A == other
+        return NotImplemented
 
     def __hash__(self):
-        if self._B == 0:
-            from fractions import Fraction
-
-            return hash(Fraction(self._A, self._D))
-        return hash((self._A, self._B, self._D, self.p))
+        if self._B == 0 and self._D == 1:
+            return hash(self._A)
+        return hash((self._A, self._B, self._D))
 
     # -- exact sign ---------------------------------------------------------
 
@@ -307,7 +287,7 @@ class QuadExt:
         return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else sign + s
 
     def __repr__(self):
-        return f"QuadExt(a={self.a!r}, b={self.b!r}, p={self.p!r})"
+        return f"QuadExt(A={self._A!r}, B={self._B!r}, D={self._D!r}, p={self.p!r})"
 
 
 @lru_cache(maxsize=1)

@@ -42,6 +42,7 @@ reduced int pairs, so no path but bernoulli() itself loads `fractions`.
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from functools import lru_cache
 from math import comb, gcd, isqrt
@@ -406,7 +407,7 @@ def _check_table(f: FourierSeries) -> None:
     """
     coeffs, w = f.coeffs, f.weight
     if coeffs[1] != 1:
-        raise EigenformValidationError(1, f"normalization violated: a(1) = {coeffs[1]}")
+        raise EigenformValidationError(1, "normalization violated: a(1) != 1")
     # cusp_dimension first, so that no other weight computes a Bernoulli number
     M = _eisenstein_constant(w)[1] if cusp_dimension(w) == 1 else 0
     spf = _smallest_prime_factors(len(coeffs) - 1)
@@ -424,6 +425,19 @@ def _check_table(f: FourierSeries) -> None:
 
 # the first line that `ikedalift forms` writes; its weight is a decimal int
 _HEADER = r"# weight ([1-9][0-9]*) eigenform coefficients\n?"
+# a table field as the format has it: ASCII digits, an optional sign
+_DECIMAL = r"[+-]?[0-9]+"
+# the characters of a table line that a message quotes at most
+_EXCERPT = 60
+
+
+def _excerpt(text: str, short=repr) -> str:
+    """short(text), or when text is longer than _EXCERPT characters the repr
+    of its first _EXCERPT and its length: no message grows with the line it
+    names."""
+    if len(text) <= _EXCERPT:
+        return short(text)
+    return f"{text[:_EXCERPT]!r}... ({len(text)} characters)"
 
 
 def load_eigenform(path, w: int) -> FourierSeries:
@@ -436,7 +450,11 @@ def load_eigenform(path, w: int) -> FourierSeries:
     optional sign), or whose index breaks that run (a first index other
     than 1, a repeated or decreasing index, a gap), raises TableParseError
     naming the line and, for the index, the a(i) expected there; so a huge
-    index is refused on its line, before any sieve.  A table with no entry
+    index is refused on its line, before any sieve.  A message quotes at
+    most the first _EXCERPT characters of a line, an index or a weight.  A
+    decimal field longer than the interpreter's int-parsing limit
+    (sys.get_int_max_str_digits()) raises TableParseError too, naming the
+    limit; no field is parsed with the limit lifted.  A table with no entry
     (no line, or only comments and blanks) raises it too, naming a(1) at
     the line after the last one read.  A first line that is exactly the
     header `ikedalift forms` writes, "# weight W eigenform coefficients",
@@ -461,22 +479,33 @@ def load_eigenform(path, w: int) -> FourierSeries:
             if not parts or parts[0].startswith("#"):
                 if lineno == 1 and (header := re.fullmatch(_HEADER, raw)) and header[1] != str(w):
                     raise TableParseError(
-                        1, f"the header names weight {header[1]}, not the weight {w} asked for"
+                        1,
+                        f"the header names weight {_excerpt(header[1], str)}, "
+                        f"not the weight {w} asked for",
                     )
                 continue
             if len(parts) != 2:
-                raise TableParseError(lineno, f"unparseable entry {raw!r}")
+                raise TableParseError(lineno, f"unparseable entry {_excerpt(raw)}")
             try:
                 # int() also takes '_' separators and non-ASCII digits
                 if "_" in raw or not (parts[0].isascii() and parts[1].isascii()):
                     raise ValueError
                 m, am = int(parts[0]), int(parts[1])
             except ValueError:
-                raise TableParseError(lineno, f"non-integer entry {raw!r}")
+                if not all(re.fullmatch(_DECIMAL, field) for field in parts):
+                    raise TableParseError(lineno, f"non-integer entry {_excerpt(raw)}")
+                # two decimal fields that int() refused: one is longer than
+                # the interpreter's limit, which stays in force here
+                digits = max(len(field.lstrip("+-")) for field in parts)
+                raise TableParseError(
+                    lineno,
+                    f"a {digits}-digit entry is past the interpreter's limit of "
+                    f"{sys.get_int_max_str_digits()} digits for parsing an int",
+                )
             if m != len(coeffs):
                 raise TableParseError(
                     lineno,
-                    f"index {m} where a({len(coeffs)}) comes next; "
+                    f"index {_excerpt(str(m), str)} where a({len(coeffs)}) comes next; "
                     "a table lists a(1), a(2), ... with no gap",
                 )
             coeffs.append(am)

@@ -243,14 +243,13 @@ def check_quad_ring_laws():
     rng = random.Random(20260810)
     for _ in range(1000):
         p = rng.choice((2, 3, 5, 7, 11, 13))
-        x, y, z = (
-            QuadExt(
-                Fraction(rng.randint(-99, 99), rng.randint(1, 30)),
-                Fraction(rng.randint(-99, 99), rng.randint(1, 30)),
-                p,
-            )
-            for _ in range(3)
-        )
+        elements = []
+        for _ in range(3):
+            a, c = rng.randint(-99, 99), rng.randint(1, 30)
+            b, d = rng.randint(-99, 99), rng.randint(1, 30)
+            # a/c + (b/d) sqrt(p) over the unreduced denominator c*d
+            elements.append(_quad(a * d, b * c, c * d, p))
+        x, y, z = elements
         assert x + y == y + x
         assert x * y == y * x
         assert (x + y) + z == x + (y + z)
@@ -275,9 +274,10 @@ def check_quad_sign_vs_decimal():
     small_primes = primes_upto(50)
     for _ in range(1000):
         p = rng.choice(small_primes)
-        a = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
-        b = Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000))
-        assert QuadExt(a, b, p).sign() == decimal_sign(a, b, p), (a, b, p)
+        a, c = rng.randint(-1000, 1000), rng.randint(1, 1000)
+        b, d = rng.randint(-1000, 1000), rng.randint(1, 1000)
+        x = _quad(a * d, b * c, c * d, p)
+        assert x.sign() == decimal_sign(Fraction(a, c), Fraction(b, d), p), (x, p)
 
 
 def check_half_power_products():

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 import weakref
 from decimal import getcontext, localcontext
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -26,9 +27,10 @@ EXACT_RE = re.compile(r"^(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*sqrt\((\d+)\)$")
 
 
 def exact(x) -> str:
-    """The grammar R+S*sqrt(P) of a QuadExt, from its rational parts, each
-    num/den in lowest terms (den 1 included)."""
-    return f"{x.a.numerator}/{x.a.denominator}+{x.b.numerator}/{x.b.denominator}*sqrt({x.p})"
+    """The grammar R+S*sqrt(P) of a QuadExt, from its rational parts A/D and
+    B/D, each num/den in lowest terms (den 1 included)."""
+    a, b = Fraction(x._A, x._D), Fraction(x._B, x._D)
+    return f"{a.numerator}/{a.denominator}+{b.numerator}/{b.denominator}*sqrt({x.p})"
 
 
 def run_cli(capsys, *argv):
@@ -843,6 +845,36 @@ class TestBeyondIntStrLimit:
         )
         assert (code, out) == (1, "")
         assert err == "validation failed: index 2: Deligne bound violated: a(2)^2 > 4*2^11\n"
+
+
+class TestMessagesStayShort:
+    """No table message follows the length of the line or entry it names:
+    each is one stderr line under 200 bytes, with the exit code of its
+    class."""
+
+    @pytest.mark.parametrize(
+        "text, code, start",
+        [
+            ("1 1 " + "x" * 10**5 + "\n", 2, "error: line 1: unparseable entry '1 1 xxx"),
+            ("1 1\n2 y" + "x" * 10**5 + "\n", 2, "error: line 2: non-integer entry '2 yxx"),
+            ("1 1\n2 " + "7" * 4400 + "\n", 2, "error: line 2: a 4400-digit entry is past"),
+            ("1 1\n2 " + "9" * 5000 + "\n", 2, "error: line 2: a 5000-digit entry is past"),
+            ("1 1\n" + "5" * 4000 + " 1\n", 2, "error: line 2: index '555"),
+            ("1 " + "7" * 4000 + "\n", 1, "validation failed: index 1: normalization violated"),
+            (f"# weight {'9' * 10**5} eigenform coefficients\n", 2, "error: line 1: the header"),
+        ],
+        ids=["unparseable", "non-integer", "4400-digit", "5000-digit", "long-index", "a(1)", "header"],
+    )
+    def test_one_short_line(self, capsys, tmp_path, text, code, start):
+        table = tmp_path / "t.txt"
+        table.write_text(text)
+        limit = sys.get_int_max_str_digits()
+        got, out, err = run_cli(
+            capsys, "forms", "--weight", "12", "--pmax", "2", "--eigenform", str(table)
+        )
+        assert (got, out) == (code, "") and sys.get_int_max_str_digits() == limit
+        assert err.startswith(start) and err.count("\n") == 1
+        assert len(err.encode()) < 200
 
 
 class TestOutputMemory:

@@ -204,15 +204,15 @@ class TestSatakePolynomial:
     def test_coefficients_2_10_2(self):
         g = satake_polynomial(IkedaParams(2, 10), 2)
         # a_0 = a_2 = 2^(17/2) = 256*sqrt(2); a_1 = 2^8 * (1 + 2) = 768
-        root2_256 = QuadExt(Fraction(0), Fraction(256), 2)
+        root2_256 = QuadExt(0, 256, 2)
         assert g[0] == root2_256
         assert g[2] == root2_256
-        assert g[1] == QuadExt(Fraction(768), Fraction(0), 2)
+        assert g[1] == QuadExt(768, 0, 2)
 
     def test_center_coefficient_4_8_2(self):
         g = satake_polynomial(IkedaParams(4, 8), 2)
         # 2^(11-2) * (4 choose 2)_2 = 512 * 35
-        assert g[2] == QuadExt(Fraction(17920), Fraction(0), 2)
+        assert g[2] == QuadExt(17920, 0, 2)
 
 
 class TestBounds:
@@ -220,21 +220,21 @@ class TestBounds:
         # 2^9 * (1 - 1/sqrt2)^2 = 2^9 * (3/2 - sqrt2) = 768 - 512 sqrt2
         assert eigenvalue_bounds(IkedaParams(2, 10), 2) == (768, 512)
         lo, hi = bound_pair(IkedaParams(2, 10), 2)
-        assert lo == QuadExt(Fraction(768), Fraction(-512), 2)
-        assert hi == QuadExt(Fraction(768), Fraction(512), 2)
+        assert lo == QuadExt(768, -512, 2)
+        assert hi == QuadExt(768, 512, 2)
         assert lo.decimal(4).startswith("43.92")
 
     def test_exact_4_8_2_with_decimal_oracle(self):
         # 2^13 (3/2 - sqrt2)(9/8 - sqrt2/2) = 22016 - 15360 sqrt2, hand-expanded
         assert eigenvalue_bounds(IkedaParams(4, 8), 2) == (22016, 15360)
         lo, hi = bound_pair(IkedaParams(4, 8), 2)
-        assert lo == QuadExt(Fraction(22016), Fraction(-15360), 2)
-        assert hi == QuadExt(Fraction(22016), Fraction(15360), 2)
+        assert lo == QuadExt(22016, -15360, 2)
+        assert hi == QuadExt(22016, 15360, 2)
         # cross-check the 50-digit renderings in high-precision decimal
         with localcontext() as ctx:
             ctx.prec = 80
             for val, rendered in ((lo, lo.decimal(50)), (hi, hi.decimal(50))):
-                approx = Decimal(int(val.a)) + Decimal(int(val.b)) * Decimal(2).sqrt()
+                approx = Decimal(val._A) + Decimal(val._B) * Decimal(2).sqrt()
                 assert abs(Decimal(rendered) - approx) < Decimal(10) ** -50
         assert lo.decimal(50).startswith("293.6")
         assert hi.decimal(50).startswith("43738.3")

@@ -132,13 +132,13 @@ class TestPolyLoops:
         assert eval_poly(a, x) == sum(c * x**i for i, c in enumerate(a))
 
     def test_horner_quadratic_point(self):
-        x = QuadExt(Fraction(1), Fraction(1), 2)
+        x = QuadExt(1, 1, 2)
         coeffs = [3, -1, 2]
         assert eval_poly(coeffs, x) == 3 - x + 2 * x * x
 
     def test_quadratic_coefficients(self):
-        x = QuadExt(Fraction(1), Fraction(1), 2)
-        y = QuadExt(Fraction(0), Fraction(3), 2)
+        x = QuadExt(1, 1, 2)
+        y = QuadExt(0, 3, 2)
         assert naive_product([x, y], [x, y]) == [x * x, x * y + y * x, y * y]
 
     def test_fraction_coefficients(self):

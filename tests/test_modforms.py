@@ -466,7 +466,10 @@ class TestLoadEigenform:
         with pytest.raises(TableParseError) as info:
             load_eigenform(path, 12)
         assert info.value.line == 1
-        assert str(info.value).endswith(f"weight {w}, not the weight 12 asked for")
+        assert str(info.value) == (
+            f"line 1: the header names weight {w[:60]!r}... (5000 characters), "
+            "not the weight 12 asked for"
+        )
 
     @pytest.mark.parametrize(
         "head",
@@ -546,6 +549,42 @@ class TestLoadEigenform:
             load_eigenform(path, 12)
         assert info.value.line == 2
         assert str(info.value) == f"line 2: non-integer entry {entry + chr(10)!r}"
+
+    def test_long_line_is_quoted_by_its_prefix(self, tmp_path):
+        line = "2 " + "x" * 10**5 + "\n"
+        path = write_table(tmp_path, "1 1\n" + line)
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(path, 12)
+        assert info.value.line == 2
+        assert str(info.value) == (
+            f"line 2: non-integer entry {line[:60]!r}... ({len(line)} characters)"
+        )
+
+    @pytest.mark.parametrize("entry", ["2 " + "7" * 4400, "+" + "9" * 4301 + " 5"])
+    def test_entry_past_the_int_parsing_limit_is_named_so(self, tmp_path, entry):
+        limit = sys.get_int_max_str_digits()
+        path = write_table(tmp_path, f"1 1\n{entry}\n")
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(path, 12)
+        assert info.value.line == 2 and sys.get_int_max_str_digits() == limit
+        digits = max(len(field.lstrip("+")) for field in entry.split())
+        assert str(info.value) == (
+            f"line 2: a {digits}-digit entry is past the interpreter's limit of "
+            f"{limit} digits for parsing an int"
+        )
+
+    def test_long_index_is_quoted_by_its_prefix(self, tmp_path):
+        index = "5" * 4000
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(write_table(tmp_path, f"1 1\n{index} 1\n"), 12)
+        assert str(info.value).startswith(
+            f"line 2: index {index[:60]!r}... (4000 characters) where a(2) comes next"
+        )
+
+    def test_normalization_message_omits_the_value(self, tmp_path):
+        with pytest.raises(EigenformValidationError) as info:
+            load_eigenform(write_table(tmp_path, "1 " + "7" * 4000 + "\n"), 12)
+        assert str(info.value) == "index 1: normalization violated: a(1) != 1"
 
     def test_valid_table_needs_no_trial_division(self, tmp_path, monkeypatch):
         def no_trial_division(m):

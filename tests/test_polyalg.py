@@ -94,11 +94,9 @@ class TestEvalPoly:
         assert eval_poly((9, 4, 4), 0) == 9
 
     def test_quad_coefficients(self):
-        x = QuadExt(Fraction(1), Fraction(1), 2)
+        x = QuadExt(1, 1, 2)
         poly = (x, 1)
-        assert eval_poly(poly, QuadExt(Fraction(1), Fraction(0), 2)) == QuadExt(
-            Fraction(2), Fraction(1), 2
-        )
+        assert eval_poly(poly, QuadExt(1, 0, 2)) == QuadExt(2, 1, 2)
 
 
 class TestPolyOverQuadExt:

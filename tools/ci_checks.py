@@ -15,6 +15,7 @@ from ikedalift itself, imported from src/ by the steps that call it.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import importlib
 import importlib.util
@@ -117,18 +118,32 @@ def selftest():
 
 @step
 def closed_pipe():
-    """A reader that closes the pipe early (exit 0, nothing on stderr)."""
-    argv = "verify --n 8 --k 14 --pmax 3000".split()
-    print(f"$ ikedalift {' '.join(argv)} | head -n 1", flush=True)
-    with subprocess.Popen(
-        [sys.executable, "-m", "ikedalift", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=ENV,
-    ) as proc:
-        print(proc.stdout.readline().decode(), end="")
-        proc.stdout.close()
-        err = proc.communicate()[1]
+    """A reader that closes the pipe early (exit 0, nothing on stderr).  The
+    pipe is shrunk to one page before the child starts (Linux), so that the
+    child is still writing when the reader closes it on any host."""
+    command = "verify --n 8 --k 14 --pmax 3000"
+    ikedalift(command, out="verify.out")
+    size = Path("verify.out").stat().st_size
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader:
+        try:
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, os.sysconf("SC_PAGE_SIZE"))
+            capacity = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ)
+            if 2 * capacity >= size:
+                raise StepFailed(f"a {capacity}-byte pipe is not under half of {size} bytes")
+            print(f"$ ikedalift {command} | head -n 1  ({capacity}-byte pipe)", flush=True)
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "ikedalift", *command.split()],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=ENV,
+            )
+        finally:
+            os.close(write_end)
+        with proc:
+            print(reader.readline().decode(), end="")
+            reader.close()
+            err = proc.communicate()[1]
     if proc.returncode != 0 or err:
         raise StepFailed(f"exit {proc.returncode}, stderr {err!r}")
 
@@ -155,13 +170,25 @@ def gap_table():
 @step
 def findings():
     """A huge table entry and a table off Ramanujan's congruence are
-    findings (exit 1, one short line naming the index); a table read at a
-    weight other than its header's is a usage error (exit 2, one line)."""
+    findings (exit 1, one short line naming the index); an entry past the
+    interpreter's int-parsing limit, a 10^5-character line and a table read
+    at a weight other than its header's are usage errors (exit 2, one
+    line, the first two under 200 bytes)."""
     Path("huge.txt").write_text("1 1\n2 " + "9" * 3000 + "\n")
     command = "forms --weight 12 --pmax 2 --eigenform huge.txt"
     err = ikedalift(command, code=1, stderr=["index 2: Deligne bound violated"])
     if len(err.encode()) >= 200:
         raise StepFailed(f"{len(err.encode())} bytes on stderr, not under 200")
+    for name, text, message in (
+        ("digits.txt", "1 1\n2 " + "9" * 5000 + "\n", "line 2: a 5000-digit entry is past"),
+        ("long.txt", "1 1 " + "x" * 10**5 + "\n", "line 1: unparseable entry '1 1 x"),
+    ):
+        Path(name).write_text(text)
+        command = f"forms --weight 12 --pmax 2 --eigenform {name}"
+        err = ikedalift(command, code=2, stderr=[message])
+        if len(err.splitlines()) != 1 or len(err.encode()) >= 200:
+            lines, size = len(err.splitlines()), len(err.encode())
+            raise StepFailed(f"{size} bytes in {lines} lines on stderr, not one line under 200")
     # a(199) + 2 keeps Deligne's bound, and no relation reaches 199 in (100, 200]
     ikedalift("forms --weight 20 --pmax 200 --out w20_200.txt")
     table = Path("w20_200.txt").read_text().splitlines()
