@@ -44,6 +44,7 @@ from .modforms import (
     hecke_eigenvalue_prime,
     load_eigenform,
     require_cusp_forms,
+    table_lines,
 )
 
 CSV_COLUMNS = [
@@ -213,9 +214,7 @@ def run_qbinom(args) -> int:
 
 
 def run_forms(args) -> int:
-    coeffs = _series_for(args.weight, args.pmax, args.eigenform).coeffs[1 : args.pmax + 1]
-    head = f"# weight {args.weight} eigenform coefficients\n"
-    _emit(chain([head], (f"{m} {c}\n" for m, c in enumerate(coeffs, 1))), args.out)
+    _emit(table_lines(_series_for(args.weight, args.pmax, args.eigenform), args.pmax), args.out)
     return 0
 
 

@@ -5,11 +5,12 @@ Integers are Python ints, so the only custom scalar is QuadExt: a number
 (A + B*sqrt(p)) / D held as three Python ints in canonical form (D > 0,
 gcd(A, B, D) = 1) with a fixed prime radicand p.  Its arithmetic runs on
 ints alone: each result is reduced by one gcd and inherits p from operands
-whose radicand was checked when they were built.  Values with different
-radicands never combine; the sign of a nonzero element is decided exactly
-by comparing A^2 against B^2*p (sqrt(p) is irrational for prime p), never
-by floating point.  A QuadExt combines with ints and QuadExts alone: any
-other operand, a Fraction included, is a TypeError.
+whose radicand was checked when they were built.  Each ring operation has
+one formula, and subtraction is the addition of the negation.  Values with
+different radicands never combine; the sign of a nonzero element is decided
+exactly by comparing A^2 against B^2*p (sqrt(p) is irrational for prime p),
+never by floating point.  A QuadExt combines with ints and QuadExts alone:
+any other operand, a Fraction included, is a TypeError.
 
 Its constructor still takes a Fraction part, recognised without importing
 `fractions` (a Fraction exists only once its caller has loaded that
@@ -183,27 +184,15 @@ class QuadExt:
             return NotImplemented
         A, B, D = o
         d = self._D
-        if D == d:
-            return _quad(self._A + A, self._B + B, d, self.p)
         return _quad(self._A * D + A * d, self._B * D + B * d, d * D, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        A, B, D = o
-        d = self._D
-        if D == d:
-            return _quad(self._A - A, self._B - B, d, self.p)
-        return _quad(self._A * D - A * d, self._B * D - B * d, d * D, self.p)
+        return NotImplemented if self._parts(other) is None else self + -other
 
     def __rsub__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return -self + other
+        return NotImplemented if self._parts(other) is None else -self + other
 
     def __mul__(self, other):
         o = self._parts(other)
@@ -220,20 +209,14 @@ class QuadExt:
         return _quad(-self._A, -self._B, self._D, self.p)
 
     def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            # distinct radicands never represent the same irrational number;
-            # rationals (B == 0) are radicand-independent
-            if self._B == 0 and other._B == 0:
-                return self._A == other._A and self._D == other._D
-            return (self._A, self._B, self._D, self.p) == (
-                other._A,
-                other._B,
-                other._D,
-                other.p,
-            )
         if isinstance(other, int):
             return self._B == 0 and self._D == 1 and self._A == other
-        return NotImplemented
+        if not isinstance(other, QuadExt):
+            return NotImplemented
+        # distinct radicands never represent the same irrational number;
+        # rationals (B == 0) are radicand-independent
+        same = (self._A, self._B, self._D) == (other._A, other._B, other._D)
+        return same and (self._B == 0 or self.p == other.p)
 
     def __hash__(self):
         if self._B == 0 and self._D == 1:

@@ -423,7 +423,7 @@ def _check_table(f: FourierSeries) -> None:
             _check_composite(coeffs, w, m, p)
 
 
-# the first line that `ikedalift forms` writes; its weight is a decimal int
+# the first line of a table that table_lines writes; its weight is a decimal int
 _HEADER = r"# weight ([1-9][0-9]*) eigenform coefficients\n?"
 # a table field as the format has it: ASCII digits, an optional sign
 _DECIMAL = r"[+-]?[0-9]+"
@@ -438,6 +438,14 @@ def _excerpt(text: str, short=repr) -> str:
     if len(text) <= _EXCERPT:
         return short(text)
     return f"{text[:_EXCERPT]!r}... ({len(text)} characters)"
+
+
+def table_lines(f: FourierSeries, N: int):
+    """The coefficient table of f's a(1..N), line by line, as `ikedalift
+    forms` writes it and load_eigenform reads it: the header naming f's
+    weight, then "m a(m)" for each m."""
+    yield f"# weight {f.weight} eigenform coefficients\n"
+    yield from (f"{m} {c}\n" for m, c in enumerate(f.coeffs[1 : N + 1], 1))
 
 
 def load_eigenform(path, w: int) -> FourierSeries:

@@ -255,6 +255,12 @@ def check_quad_ring_laws():
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
+        assert x - y == x + (-y)
+        assert (x - y) + y == x
+        assert -(-x) == x
+        assert x - x == 0
+        n = a  # an int operand: z's numerator, already drawn
+        assert n - x == -(x - n)
 
 
 def decimal_sign(a: Fraction, b: Fraction, p: int) -> int:

@@ -298,8 +298,11 @@ class TestCanonicalForm:
     def test_mixed_radicands_rejected_everywhere(self):
         x, y = QuadExt(1, 1, 2), QuadExt(1, 1, 3)
         for op in (operator.add, operator.sub, operator.mul):
-            with pytest.raises(RadicandMismatchError):
+            with pytest.raises(RadicandMismatchError, match=r"sqrt\(2\) with sqrt\(3\)"):
                 op(x, y)
+        # subtraction adds the negation, but the radicands are compared first
+        with pytest.raises(RadicandMismatchError, match=r"sqrt\(3\) with sqrt\(2\)"):
+            y - x
 
     def test_fraction_name_resolves_to_fractions_fraction(self):
         import fractions
@@ -329,11 +332,14 @@ class TestCanonicalForm:
         assert QuadExt(1, 0, 2) != 1.0 and QuadExt(1, 0, 2) == 1
 
     def test_fractions_are_not_operands(self):
+        # nor is any other non-scalar; Python's own TypeError names the
+        # operator (str is left out: `str + x` raises str's own message)
         x = QuadExt(1, 1, 2)
-        for op in (operator.add, operator.sub, operator.mul):
-            for left, right in ((x, Fraction(1, 2)), (Fraction(1, 2), x)):
-                with pytest.raises(TypeError):
-                    op(left, right)
+        for op, symbol in ((operator.add, "+"), (operator.sub, "-"), (operator.mul, "*")):
+            for other in (Fraction(1, 2), 0.5, Decimal(1), None):
+                for left, right in ((x, other), (other, x)):
+                    with pytest.raises(TypeError, match=rf"unsupported operand .* for \{symbol}:"):
+                        op(left, right)
         assert (QuadExt(1, 0, 2) == Fraction(1)) is False
         assert (Fraction(1) == QuadExt(1, 0, 2)) is False
 

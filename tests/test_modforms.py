@@ -35,6 +35,7 @@ from ikedalift.modforms import (
     eisenstein,
     hecke_eigenvalue_prime,
     load_eigenform,
+    table_lines,
     within_deligne,
 )
 from ikedalift.ikeda import IkedaParams, verify_prime
@@ -447,6 +448,15 @@ class TestLoadEigenform:
         )
         # a usage error (exit 2), not a failed validation (exit 1)
         assert not isinstance(info.value, EigenformValidationError)
+
+    def test_reads_back_what_table_lines_writes(self, tmp_path):
+        built = eigenform(20, 50)
+        path = write_table(tmp_path, "".join(table_lines(built, 30)))
+        read = load_eigenform(path, 20)
+        assert read.weight == 20 and read.coeffs == built.coeffs[:31]
+        with pytest.raises(TableParseError) as info:
+            load_eigenform(path, 22)
+        assert info.value.line == 1
 
     def test_header_of_another_weight_is_refused_at_line_1(self, tmp_path):
         # the header `forms --weight 20` writes, read at weight 22: refused
