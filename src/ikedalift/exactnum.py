@@ -3,14 +3,14 @@ Q(sqrt(p)).
 
 Integers are Python ints, so the only custom scalar is QuadExt: a number
 (A + B*sqrt(p)) / D held as three Python ints in canonical form (D > 0,
-gcd(A, B, D) = 1) with a fixed prime radicand p.  Its arithmetic runs on
-ints alone: each result is reduced by one gcd and inherits p from operands
-whose radicand was checked when they were built.  Each ring operation has
-one formula, and subtraction is the addition of the negation.  Values with
-different radicands never combine; the sign of a nonzero element is decided
-exactly by comparing A^2 against B^2*p (sqrt(p) is irrational for prime p),
-never by floating point.  A QuadExt combines with ints and QuadExts alone:
-any other operand, a Fraction included, is a TypeError.
+gcd(A, B, D) = 1) with a fixed prime radicand p.  Each exact question has
+one rule and no cached state: is_prime is Miller-Rabin on ints; every
+QuadExt is made by _quad, whose gcd is the one canonicalisation, and
+inherits p from operands checked when built; sign() is the sign of the int
+A*|A| + B*|B|*p, never a float.  Each ring operation has one formula, and
+subtraction adds the negation.  Values with different radicands never
+combine.  A QuadExt combines with ints and QuadExts alone: any other
+operand, a Fraction included, is a TypeError.
 
 Its constructor still takes a Fraction part, recognised without importing
 `fractions` (a Fraction exists only once its caller has loaded that
@@ -73,13 +73,12 @@ _SPSP = (
 PRIME_TEST_LIMIT = _SPSP[-1]
 
 
-@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < PRIME_TEST_LIMIT
+    """Deterministic, cacheless Miller-Rabin, exact for n < PRIME_TEST_LIMIT
     (about 3.3 * 10**24) with the fewest of the first 13 prime bases that
-    the size of n needs; a larger n raises ValueError.  A sweep asks twice
-    about each prime, a pass over its primes apart, so the cache serves the
-    second ask in sweeps of at most 1024 primes (pmax < 8167)."""
+    the size of n needs; a larger n raises ValueError, a non-int TypeError."""
+    if not isinstance(n, int):
+        raise TypeError(f"expected int, got {type(n).__name__}")
     if n >= PRIME_TEST_LIMIT:
         raise ValueError(f"{n} is beyond the exact primality test (n < {PRIME_TEST_LIMIT})")
     if n < 2:
@@ -150,19 +149,20 @@ class QuadExt:
 
     QuadExt(a, b, p) is a + b*sqrt(p); the program builds it from ints a
     and b, and an element with D > 1 comes from arithmetic or from _quad.
-    The form is canonical: D > 0 and gcd(A, B, D) = 1, so equal values have
-    equal parts.  Arithmetic and equality take ints and QuadExts alone.
-    Order is read from sign() of a difference alone; decimal() renders a
-    value for display.
+    Every element is made by _quad, so the form is canonical: D > 0 and
+    gcd(A, B, D) = 1, and equal values have equal parts.  Arithmetic and
+    equality take ints and QuadExts alone.  Order is read from sign() of a
+    difference alone; decimal() renders a value for display.
     """
 
     __slots__ = ("_A", "_B", "_D", "p")
 
-    def __init__(self, a, b, p: int):
+    def __new__(cls, a, b, p: int):
         (na, da), (nb, db) = _ratio(a), _ratio(b)
-        # over the lcm of two reduced denominators, gcd(A, B, D) is already 1
-        d = da // gcd(da, db) * db
-        self._A, self._B, self._D, self.p = na * (d // da), nb * (d // db), d, require_prime(p)
+        return _quad(na * db, nb * da, da * db, require_prime(p))
+
+    def __reduce__(self):  # copy and pickle rebuild by _quad: __new__ takes a, b, p
+        return _quad, (self._A, self._B, self._D, self.p)
 
     # -- coercion ---------------------------------------------------------
 
@@ -226,23 +226,13 @@ class QuadExt:
     # -- exact sign ---------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1} of the real number (A + B*sqrt(p)) / D."""
-        A, B = self._A, self._B
-        sa = (A > 0) - (A < 0)
-        sb = (B > 0) - (B < 0)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # opposite signs: the term with larger square magnitude wins
-        lhs = A * A
-        rhs = B * B * self.p
-        if lhs > rhs:
-            return sa
-        if lhs < rhs:
-            return sb
-        # A^2 = B^2 p with A, B nonzero would make sqrt(p) rational
-        raise ArithmeticError(f"sqrt({self.p}) is rational?  {self!r}")
+        """Exact sign in {-1, 0, +1} of (A + B*sqrt(p)) / D: that of the int
+        A*|A| + B*|B|*p, since x -> x*|x| is strictly increasing."""
+        s = self._A * abs(self._A) + self._B * abs(self._B) * self.p
+        if s == 0 != self._B:
+            # A = -B*sqrt(p) with B nonzero would make sqrt(p) rational
+            raise ArithmeticError(f"sqrt({self.p}) is rational?  {self!r}")
+        return (s > 0) - (s < 0)
 
     # -- rendering ----------------------------------------------------------
 
@@ -261,8 +251,10 @@ class QuadExt:
     def decimal(self, digits: int = 50) -> str:
         """Truncated decimal rendering (approximation for display only).
 
-        Renders floor(self * 10**digits) / 10**digits exactly.
+        Renders floor(self * 10**digits) / 10**digits exactly, digits >= 0.
         """
+        if digits < 0:
+            raise ValueError(f"digits = {digits} must be >= 0")
         scaled = self.floor_scaled(10**digits)
         sign = "-" if scaled < 0 else ""
         # at least one digit before the point

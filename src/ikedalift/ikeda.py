@@ -90,7 +90,7 @@ class BoundIdentityError(ArithmeticError):
 
 
 class IkedaParams:
-    """Degree n and weight k of the lift; both even, k > n + 1.
+    """Degree n and weight k of the lift: ints, both even, k > n + 1.
 
     The elliptic input lives in weight 2k - n, which
     modforms.require_cusp_forms checks.  Instances are immutable, equal and
@@ -102,6 +102,8 @@ class IkedaParams:
     __slots__ = ("n", "k", "_hash")
 
     def __init__(self, n: int, k: int):
+        if not (isinstance(n, int) and isinstance(k, int)):
+            raise TypeError(f"n and k must be ints, got {type(n).__name__} and {type(k).__name__}")
         if n < 2 or n % 2 != 0:
             raise ValueError(f"degree n = {n} must be an even integer >= 2")
         if k % 2 != 0:

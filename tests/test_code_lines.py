@@ -44,6 +44,14 @@ def test_counts_code_lines_of_a_synthetic_source():
     assert SOURCE.count("\n") == 18
 
 
+def test_modules_are_every_package_module():
+    # a module left out of MODULES would drop out of every size figure
+    module = load()
+    stems = sorted(path.stem for path in module.SRC.glob("*.py") if path.stem != "__main__")
+    assert list(module.MODULES) == stems
+    assert module.CLI_PATH == tuple(name for name in module.MODULES if name != "selftest")
+
+
 def test_prints_each_module_and_the_cli_path_total():
     run = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True, text=True, check=True)
     rows = [line.split() for line in run.stdout.splitlines()]

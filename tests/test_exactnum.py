@@ -5,7 +5,9 @@ seeded random triples.  Both seeded checks live in ikedalift.selftest and
 run as cases of tests/test_acceptance.py.
 """
 
+import copy
 import operator
+import pickle
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
@@ -106,6 +108,56 @@ class TestSign:
         assert (q2(0, 1) - quad(Fraction(3, 2), 0, 2)).sign() < 0
 
 
+def pell_units(p: int, digits: int = 300) -> list[tuple[int, int]]:
+    """The powers x + y*sqrt(p) of the fundamental unit of Z[sqrt(p)], so
+    x^2 - p*y^2 = +-1, up to the first whose x has `digits` digits.  The
+    fundamental unit is the first convergent of sqrt(p)'s continued fraction
+    of norm +-1."""
+    a0 = isqrt(p)
+    m, d, a = 0, 1, a0
+    (h0, h1), (k0, k1) = (1, a0), (0, 1)
+    while abs(h1 * h1 - p * k1 * k1) != 1:
+        m = d * a - m
+        d = (p - m * m) // d
+        a = (a0 + m) // d
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+    units = [(h1, k1)]
+    while len(str(units[-1][0])) < digits:
+        x, y = units[-1]
+        units.append((x * h1 + p * y * k1, x * k1 + y * h1))
+    return units
+
+
+def surd_sign(x: int, y: int, p: int) -> int:
+    """Sign of x + y*sqrt(p) for y != 0, by an oracle that squares neither
+    side: y*sqrt(p) is irrational, so |x| > |y|*sqrt(p) exactly when
+    |x| > isqrt(p*y^2)."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx == sy or sx == 0:
+        return sy
+    return sx if abs(x) > isqrt(p * y * y) else sy
+
+
+class TestSignAtPellUnits:
+    # x - y*sqrt(p) = +-1/(x + y*sqrt(p)): the two terms agree to about as
+    # many digits as x has, beyond what selftest's 100-digit decimal
+    # oracle resolves
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 41, 61, 109])
+    def test_both_signs_of_each_part(self, p):
+        units = pell_units(p)
+        assert len(str(units[-1][0])) >= 300
+        norms = set()
+        for x, y in units:
+            norms.add(x * x - p * y * y)
+            for X, Y in ((x, y), (x, -y), (-x, y), (-x, -y)):
+                want = surd_sign(X, Y, p)
+                for D in (1, 7):
+                    assert exactnum._quad(X, Y, D, p).sign() == want, (X, Y, D, p)
+        # both orders of x against y*sqrt(p) occur where the norm -1 does
+        assert norms == ({1, -1} if p % 4 != 3 else {1})
+
+
 class TestHalfPower:
     def test_even_exponent(self):
         assert half_power(2, 4) == q2(4, 0)
@@ -138,6 +190,13 @@ class TestDecimalRendering:
     def test_negative_value(self):
         got = q2(0, -1).decimal(6)
         assert got.startswith("-1.41421")
+
+    def test_negative_digits_rejected(self):
+        # 10**-1 would be a float: a rational renders as '0..0' and an
+        # irrational fails inside isqrt
+        for x in (q2(1, 0), q2(1, 1)):
+            with pytest.raises(ValueError, match="^digits = -1 must be >= 0$"):
+                x.decimal(-1)
 
 
 class TestPrimes:
@@ -324,6 +383,21 @@ class TestCanonicalForm:
         r, s = QuadExt(Fraction(3, 4), Fraction(0), 7), QuadExt(Fraction(3, 4), 0, 5)
         assert r == s and hash(r) == hash(s)
         assert r != QuadExt(Fraction(3, 5), 0, 7)
+
+    def test_constructor_parts_match_the_lcm_form(self):
+        # the lcm of the reduced denominators is the canonical D
+        values = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 4, 6, 9)]
+        for a in values:
+            for b in values:
+                d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+                want = (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
+                x = QuadExt(a, b, 3)
+                assert (x._A, x._B, x._D, x.p) == (*want, 3), (a, b)
+
+    def test_copy_and_pickle_keep_the_parts(self):
+        x = QuadExt(Fraction(3, 4), Fraction(-5, 6), 7)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is QuadExt and repr(y) == repr(x)
 
     def test_other_scalars_rejected(self):
         for a, b in ((1.5, 1), (1, Decimal(2))):

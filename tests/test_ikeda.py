@@ -68,6 +68,13 @@ class TestParams:
         with pytest.raises(ValueError):
             IkedaParams(2, 6)  # 2k - n = 10 < 12
 
+    def test_rejects_non_int_degree_and_weight(self):
+        # a float or a Fraction equal to an int would equal and hash as the
+        # int params, and so share their records
+        for n, k in ((2.0, 10), (Fraction(2), 10), (2, 10.0), (2, Fraction(10))):
+            with pytest.raises(TypeError, match="^n and k must be ints, got "):
+                IkedaParams(n, k)
+
     def test_rejects_weight_fourteen(self):
         # 2k - n = 14 for (2, 8), (6, 10) and (10, 12): dim S_14 = 0
         for n, k in ((2, 8), (6, 10), (10, 12)):
@@ -460,8 +467,21 @@ class TestPerPrimeCaches:
     def test_caches_are_bounded(self):
         for fn in (ikeda.params_record, ikeda.prime_record):
             assert fn.cache_info().maxsize == 1
-        for fn in (exactnum.is_prime, exactnum._floor_surd):
-            assert fn.cache_info().maxsize is not None
+        assert exactnum._floor_surd.cache_info().maxsize is not None
+        # primality is computed afresh on every ask: there is no cache to bound
+        assert not hasattr(exactnum.is_prime, "cache_info")
+
+    def test_a_float_weight_cannot_poison_the_records(self):
+        # IkedaParams(2, 10.0) == IkedaParams(2, 10) with the same hash, so
+        # had it been accepted, its float records would serve the int params
+        ikeda.params_record.cache_clear()
+        ikeda.prime_record.cache_clear()
+        with pytest.raises(TypeError):
+            verify_prime(IkedaParams(2, 10.0), 5, 0)
+        report = verify_prime(IkedaParams(2, 10), 7, 0)
+        assert report.eigenvalue == report.bound_a == 46118408
+        for value in (report.eigenvalue, report.bound_a, report.bound_b):
+            assert type(value) is int
 
     def test_cached_polynomials_are_tuples(self):
         # immutable, so a caller cannot change what a cache hands to the next

@@ -5,13 +5,14 @@ package keeps it so.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ikedalift
 from ikedalift import selftest
-from ikedalift.exactnum import QuadExt, require_prime
+from ikedalift.exactnum import QuadExt, is_prime, require_prime
 from ikedalift.ikeda import IkedaParams, verify_prime
 from ikedalift.modforms import delta, hecke_eigenvalue_prime
 
@@ -31,6 +32,23 @@ def test_every_caller_refuses_a_composite_with_one_message():
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == "6 is not prime"
+
+
+def test_every_caller_refuses_a_non_int_prime_with_one_message():
+    # a float or a Fraction equal to a prime is no prime: is_prime refuses it
+    for p in (5.0, Fraction(5)):
+        calls = (
+            lambda: is_prime(p),
+            lambda: verify_prime(IkedaParams(2, 10), p, 0),
+            lambda: hecke_eigenvalue_prime(delta(10), p),
+            lambda: QuadExt(1, 1, p),
+            lambda: selftest.half_power(p, 1),
+            lambda: require_prime(p),
+        )
+        for call in calls:
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value) == f"expected int, got {type(p).__name__}"
 
 
 def nodes_by_function(tree):
