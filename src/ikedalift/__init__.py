@@ -5,39 +5,15 @@ Everything is exact: arbitrary-precision integers and rationals, polynomials
 over them, and the real quadratic ring Q(sqrt(p)) with exact sign
 determination.  Eigenvalues are computed by three independent formulas whose
 agreement is asserted on every run.
-"""
 
-from .exactnum import QuadExt, is_prime, primes_upto
-from .ikeda import (
-    BoundIdentityError,
-    EigenvalueReport,
-    IkedaParams,
-    RouteDisagreementError,
-    dickson,
-    eigenvalue_bounds,
-    eigenvalue_double_sum,
-    eigenvalue_polynomial,
-    eigenvalue_product,
-    eigenvalue_reciprocal,
-    eval_poly,
-    q_binomial,
-    q_binomial_eval,
-    q_binomial_row,
-    verify_prime,
-)
-from .modforms import (
-    BUILTIN_WEIGHTS,
-    DeligneBoundError,
-    FourierSeries,
-    UnsupportedWeightError,
-    bernoulli,
-    delta,
-    eigenform,
-    eisenstein,
-    hecke_eigenvalue_prime,
-    load_eigenform,
-    within_deligne,
-)
+The package root re-exports nothing, so `import ikedalift` loads no
+submodule.  Every public name lives in its module, and is imported from
+there: the per-prime layer from `ikedalift.ikeda` (IkedaParams,
+verify_prime), the eigenforms from `ikedalift.modforms` (eigenform,
+load_eigenform), Q(sqrt(p)) and the primes from `ikedalift.exactnum`
+(QuadExt, primes_upto).  README's "Library" section lists the supported
+names by module.
+"""
 
 __version__ = "0.1.0"
 

@@ -36,7 +36,7 @@ truncated integer series into the decimal digits of one Decimal (Kronecker
 substitution) and lets libmpdec multiply them.  Only the functions that
 build a series import kernels, so a run that loads a table and builds
 nothing loads neither kernels nor `decimal`.  Bernoulli numbers are
-reduced int pairs, so no path but bernoulli() itself loads `fractions`.
+reduced int pairs, so nothing here loads `fractions`.
 """
 
 from __future__ import annotations
@@ -146,13 +146,6 @@ def _bernoulli_ratio(m: int) -> tuple[int, int]:
     den *= m + 1
     g = gcd(num, den)
     return -num // g, den // g
-
-
-def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m (convention B_1 = -1/2) as a Fraction."""
-    from fractions import Fraction
-
-    return Fraction(*_bernoulli_ratio(m))
 
 
 def _eisenstein_constant(w: int) -> tuple[int, int]:

@@ -7,13 +7,13 @@ tests/test_acceptance.py named after the function, so both entry points
 check the same invariants at the same scale.  No other test calls a check.
 
 The constructions that only the checks use also live here: the schoolbook
-polynomial product, the divisor-sum sweep, q-factorials, the
-q-binomial-theorem expansion, the Satake generating polynomial, route 3's
-literal Dickson construction, the Deligne limit, and the exact half-integer
-powers of p (half_power) with the literal bound formula built on them, and
-the Hurwitz class numbers with the Eichler-Selberg trace formula, a source
-of a_f(p) independent of the series engine.  The modules that every CLI run
-imports carry none of them.
+polynomial product, the Bernoulli numbers as Fractions, the divisor-sum
+sweep, q-factorials, the q-binomial-theorem expansion, the Satake
+generating polynomial, route 3's literal Dickson construction, the Deligne
+limit, and the exact half-integer powers of p (half_power) with the literal
+bound formula built on them, and the Hurwitz class numbers with the
+Eichler-Selberg trace formula, a source of a_f(p) independent of the series
+engine.  The modules that every CLI run imports carry none of them.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from .modforms import (
     BUILTIN_WEIGHTS,
     EigenformValidationError,
     FourierSeries,
+    _bernoulli_ratio,
     _check_table,
     _eisenstein_constant,
     _sigma_table,
-    bernoulli,
     cusp_dimension,
     delta,
     eigenform,
@@ -95,6 +95,12 @@ def naive_product(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+def bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m (convention B_1 = -1/2) as a Fraction, from
+    the reduced int pair that modforms' Eisenstein constants read."""
+    return Fraction(*_bernoulli_ratio(m))
 
 
 def divisor_sweep(e: int, N: int) -> list[int]:

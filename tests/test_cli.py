@@ -605,7 +605,7 @@ class TestTableWithAGap:
 
     def test_gap_is_refused_at_any_pmax(self, capsys, tmp_path):
         # a(1..12), then a(14): refused below the gap as above it
-        f = ikedalift.eigenform(18, 14)
+        f = modforms.eigenform(18, 14)
         table = tmp_path / "gap.txt"
         table.write_text("".join(f"{m} {f.a(m)}\n" for m in (*range(1, 13), 14)))
         argv = ("verify", "--n", "2", "--k", "10")
@@ -1064,18 +1064,33 @@ class TestSelftest:
 class TestImportGraph:
     """Each subcommand loads only what it runs: no path but selftest loads
     `fractions`, and a run that builds no series loads neither the series
-    engine nor `decimal`."""
+    engine nor `decimal`.  A plain `import ikedalift` loads no submodule."""
 
     WATCHED = ("fractions", "decimal", "numbers", "ikedalift.kernels")
+    # the package modules that every subcommand loads
+    CLI_PATH = [
+        "ikedalift",
+        "ikedalift.cli",
+        "ikedalift.exactnum",
+        "ikedalift.ikeda",
+        "ikedalift.modforms",
+    ]
+    BUILT = sorted([*CLI_PATH, "decimal", "ikedalift.kernels", "numbers"])
 
-    def _loaded_by(self, *argv):
-        """The watched modules that importing the CLI and running it on argv
-        load in a fresh interpreter, which must exit 0."""
+    def _loaded_by(self, *argv, package=False):
+        """The watched modules, and with package every ikedalift module as
+        well, that a run loads in a fresh interpreter: importing the CLI and
+        running it on argv, which must exit 0, or with no argv a plain
+        `import ikedalift`."""
         src = os.path.dirname(os.path.dirname(ikedalift.__file__))
+        if argv:
+            run = f"from ikedalift.cli import main; code = main({list(argv)!r})"
+        else:
+            run = "import ikedalift; code = 0"
+        keep = f"m in {set(self.WATCHED)!r} or {package!r} and m.partition('.')[0] == 'ikedalift'"
         code = (
-            "import sys; before = set(sys.modules); from ikedalift.cli import main; "
-            f"code = main({list(argv)!r}); "
-            f"print(code, sorted((set(sys.modules) - before) & {set(self.WATCHED)!r}))"
+            f"import sys; before = set(sys.modules); {run}; "
+            f"print(code, sorted(m for m in set(sys.modules) - before if {keep}))"
         )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
@@ -1098,6 +1113,23 @@ class TestImportGraph:
         loaded = self._loaded_by("forms", "--weight", "20", "--pmax", "60", "--out", str(out))
         # the engine and its decimal module load, fractions does not
         assert loaded == "0 ['decimal', 'ikedalift.kernels', 'numbers']"
+
+    def test_plain_import_loads_only_the_root(self):
+        assert self._loaded_by(package=True) == "0 ['ikedalift']"
+
+    def test_each_subcommand_loads_the_cli_path_and_no_more(self, tmp_path):
+        table = tmp_path / "w20.txt"
+        assert main(["forms", "--weight", "20", "--pmax", "60", "--out", str(table)]) == 0
+        out = str(tmp_path / "out.txt")
+        eigen = ("eigen", "--n", "4", "--k", "12", "--pmax", "60", "--eigenform", str(table))
+        runs = {
+            ("qbinom", "--n", "4", "--m", "2"): self.CLI_PATH,
+            (*eigen, "--out", out): self.CLI_PATH,
+            ("forms", "--weight", "20", "--pmax", "60", "--out", out): self.BUILT,
+            ("verify", "--n", "8", "--k", "14", "--pmax", "60"): self.BUILT,
+        }
+        for argv, modules in runs.items():
+            assert self._loaded_by(*argv, package=True) == f"0 {modules}", argv[0]
 
 
 def _spawn_cli(*argv, **kwargs):

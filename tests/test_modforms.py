@@ -29,7 +29,6 @@ from ikedalift.modforms import (
     TableParseError,
     UnsupportedWeightError,
     _sigma_table,
-    bernoulli,
     delta,
     eigenform,
     eisenstein,
@@ -40,6 +39,7 @@ from ikedalift.modforms import (
 )
 from ikedalift.ikeda import IkedaParams, verify_prime
 from ikedalift.exactnum import PRIME_TEST_LIMIT, primes_upto
+from ikedalift.selftest import bernoulli
 
 
 class TestBernoulli:
