@@ -64,7 +64,8 @@ CSV_COLUMNS = [
 def _series_for(weight: int, pmax: int, path):
     """The eigenform of the given weight to m = pmax: loaded from the table
     at path, which must reach pmax, or built when path is None.  Either way
-    modforms has validated it, so its a(p) are read alike."""
+    it is a FourierSeries, which ran the one validator as it was made, so
+    its a(p) are read alike and asked nothing again."""
     if path is not None:
         series = load_eigenform(path, weight)
         if series.truncation < pmax:

@@ -4,13 +4,17 @@ Q(sqrt(p)).
 Integers are Python ints, so the only custom scalar is QuadExt: a number
 (A + B*sqrt(p)) / D held as three Python ints in canonical form (D > 0,
 gcd(A, B, D) = 1) with a fixed prime radicand p.  Each exact question has
-one rule and no cached state: is_prime is Miller-Rabin on ints; every
-QuadExt is made by _quad, whose gcd is the one canonicalisation, and
-inherits p from operands checked when built; sign() is the sign of the int
-A*|A| + B*|B|*p, never a float.  Each ring operation has one formula, and
-subtraction adds the negation.  Values with different radicands never
-combine.  A QuadExt combines with ints and QuadExts alone: any other
-operand, a Fraction included, is a TypeError.
+one rule: is_prime is Miller-Rabin on ints, with no cache; every QuadExt is
+made by _quad, whose gcd is the one canonicalisation, and inherits p from
+operands checked when built; sign() is the sign of the int
+A*|A| + B*|B|*p, never a float.  The one cached state is _floor_surd's
+single entry, floor(b*sqrt(p)): the two decimals of a conjugate pair ask
+for the same b, so the second is a hit.  Without it the 862 decimals of
+the eigen-table benchmark take 8.7-8.9 ms instead of 6.4 ms (2-vCPU host,
+Python 3.11.7).  Each ring operation has one formula, and subtraction
+adds the negation.  Values with different radicands never combine.  A
+QuadExt combines with ints and QuadExts alone: any other operand, a
+Fraction included, is a TypeError.
 
 Its constructor still takes a Fraction part, recognised without importing
 `fractions` (a Fraction exists only once its caller has loaded that

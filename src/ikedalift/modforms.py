@@ -13,15 +13,18 @@ validated as it is loaded.  A weight with dim S_w = 0 has no eigenform:
 require_cusp_forms, the one place that refuses it, does so for IkedaParams
 (on 2k - n), the CLI's --weight, eigenform() and load_eigenform() alike.
 
-Every series that eigenform() or load_eigenform() hands out has passed the
-one validator, _check_table: a(1) = 1, Deligne's bound at each prime (and,
-at the six weights with dim S_w = 1, Ramanujan's congruence there), and
-multiplicativity or the Hecke relation at each composite.  A table that
-fails it is a finding about the input (EigenformValidationError); a built
-series that fails it is a fault of the program (ArithmeticError).  So a
-caller reads a(p) from either source the same way.  require_deligne is the
-one Deligne check that raises, for the validator, hecke_eigenvalue_prime
-and ikeda.verify_prime alike, and DeligneBoundError its one class.
+A FourierSeries is a validated eigenform: its constructor runs the one
+validator, _check_table, on the tuple it stores: a(1) = 1, Deligne's bound
+at each prime (and, at the six weights with dim S_w = 1, Ramanujan's
+congruence there), and multiplicativity or the Hecke relation at each
+composite.  eisenstein() and delta() return bare coefficient tuples, since
+an Eisenstein series is no cusp eigenform; eigenform() and load_eigenform()
+wrap the run they make.  A table that fails the validator is a finding
+about the input (EigenformValidationError); a built series that fails it is
+a fault of the program (ArithmeticError).  So a caller reads a(p) from
+either source the same way, and asks no question of it again.
+require_deligne is the one Deligne check that raises, for the validator and
+ikeda.verify_prime alike, and DeligneBoundError its one class.
 
 Every series built here belongs to its caller: no function caches one,
 and no sieve outlives the call that made it.  _smallest_prime_factors is
@@ -100,20 +103,23 @@ def require_cusp_forms(w: int) -> int:
 
 
 class FourierSeries:
-    """Weight plus the coefficients a(0..N) of a modular form, in the tuple
-    coeffs.
+    """Weight plus the coefficients a(0..N) of a normalized eigenform, in
+    the tuple coeffs.
 
-    A built series and a loaded table alike are the one dense run, so a
-    table's size follows its line count.  Attributes are read-only, so a
-    series handed on cannot be changed under its reader.  A series takes
-    weak references, so a test can see when one is freed.
+    The constructor stores tuple(coeffs) and runs _check_table on it, so
+    every FourierSeries has passed the one validator, or raises its
+    EigenformValidationError; its read-only attributes keep it so.  A built
+    series and a loaded table alike are the one dense run, so a table's
+    size follows its line count.  A series takes weak references, so a test
+    can see when one is freed.
     """
 
     __slots__ = ("weight", "coeffs", "__weakref__")
 
-    def __init__(self, weight: int, coeffs: tuple):
+    def __init__(self, weight: int, coeffs):
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        _check_table(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of FourierSeries")
@@ -190,8 +196,9 @@ def _sigma_table(e: int, N: int) -> list[int]:
     return out
 
 
-def eisenstein(w: int, N: int) -> FourierSeries:
-    """Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(m) q^m to m = N.
+def eisenstein(w: int, N: int) -> tuple:
+    """Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(m) q^m to m = N,
+    as the coefficient tuple a(0..N): no eigenform, so no FourierSeries.
 
     Only weights where -2w/B_w is an integer are representable here; the
     weights the constructions need (4, 6, 8, 10, 14) qualify.  The sigma
@@ -210,7 +217,7 @@ def eisenstein(w: int, N: int) -> FourierSeries:
     coeffs[0] = 1
     for m in range(1, N + 1):
         coeffs[m] *= cval
-    return FourierSeries(w, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _eta_power_24(nterms: int) -> list[int]:
@@ -233,8 +240,10 @@ def _eta_power_24(nterms: int) -> list[int]:
     return kernels.convolve_trunc(p4, p4, nterms)
 
 
-def delta(N: int) -> FourierSeries:
-    """The weight-12 discriminant cusp form to truncation N.
+def delta(N: int) -> tuple:
+    """The weight-12 discriminant cusp form to truncation N, as the
+    coefficient tuple a(0..N); eigenform(12, N) wraps it as a validated
+    FourierSeries, and above weight 12 wraps only its product.
 
     Computed two independent ways and asserted to agree coefficient by
     coefficient: the eighth power of Jacobi's eta^3 expansion (three
@@ -254,7 +263,7 @@ def delta(N: int) -> FourierSeries:
 
     via_eta = [0] + _eta_power_24(N)
 
-    e6 = eisenstein(6, N).coeffs
+    e6 = eisenstein(6, N)
     e6sq = kernels.convolve_trunc(e6, e6, N + 1)
     # E12 = 1 + (num/den) sum sigma_11(m) q^m with num/den = -24/B_12, and
     # E6^2 - E12 = (a(1) - num/den) Delta with a(1) that of E6^2, so
@@ -272,7 +281,7 @@ def delta(N: int) -> FourierSeries:
                 f"discriminant constructions disagree at index {m}: "
                 f"{via_eta[m]} (eta) vs {d} (Eisenstein)"
             )
-    return FourierSeries(12, tuple(via_eta))
+    return tuple(via_eta)
 
 
 def eigenform(w: int, N: int) -> FourierSeries:
@@ -283,9 +292,10 @@ def eigenform(w: int, N: int) -> FourierSeries:
     E_{w-12}: one series product.  require_cusp_forms refuses a weight with
     dim S_w = 0; for any other, supply a table via load_eigenform.
 
-    The series returned, weight 12 included, has passed _check_table, as a
-    loaded table has; a failure raises ArithmeticError("built weight-W
-    eigenform failed validation: index M: ..."), since no input is at fault.
+    The series returned, weight 12 included, is a FourierSeries, so it has
+    passed _check_table, as a loaded table has; a failure raises
+    ArithmeticError("built weight-W eigenform failed validation: index M:
+    ..."), since no input is at fault.
 
     Each call builds a fresh series and keeps nothing but the one it
     returns: each sigma table sieves for itself and drops its sieve, and
@@ -299,18 +309,16 @@ def eigenform(w: int, N: int) -> FourierSeries:
             f"{BUILTIN_WEIGHTS} (give a coefficient table with --eigenform; "
             "from Python, use load_eigenform)"
         )
-    f = delta(N)
-    eis = eisenstein(w - 12, N) if w > 12 else None
-    if eis is not None:
+    coeffs = delta(N)
+    if w > 12:
         from . import kernels
 
-        f = FourierSeries(w, tuple(kernels.convolve_trunc(f.coeffs, eis.coeffs, N + 1)))
-        del eis  # so the validation holds the one series it reads
+        # a tuple at once, so the validation holds one copy of the run
+        coeffs = tuple(kernels.convolve_trunc(coeffs, eisenstein(w - 12, N), N + 1))
     try:
-        _check_table(f)
+        return FourierSeries(w, coeffs)
     except EigenformValidationError as exc:
         raise ArithmeticError(f"built weight-{w} eigenform failed validation: {exc}") from None
-    return f
 
 
 def _power_within(p: int, e: int, bits: int):
@@ -342,16 +350,14 @@ def require_deligne(a: int, p: int, w: int) -> int:
 
 
 def hecke_eigenvalue_prime(f: FourierSeries, p: int) -> int:
-    """a_f(p) for a normalized eigenform: p passes require_prime, then a(p)
-    passes require_deligne.
+    """a_f(p) for a normalized eigenform, once p passes require_prime.
 
     For normalized eigenforms the p-th Fourier coefficient is the p-th Hecke
-    eigenvalue.  Every series from eigenform() or load_eigenform() has
-    passed the Deligne test already; a violation signals a series made
-    otherwise.
+    eigenvalue.  f, a FourierSeries, met Deligne's bound at p when it was
+    made, so the bound is not tested again.
     """
     require_prime(p)
-    return require_deligne(f.a(p), p, f.weight)
+    return f.a(p)
 
 
 def _check_composite(a, w: int, m: int, p: int) -> None:
@@ -382,10 +388,11 @@ def _check_composite(a, w: int, m: int, p: int) -> None:
 
 
 def _check_table(f: FourierSeries) -> None:
-    """Structural validation of a series f, a loaded table or a built form:
-    a(1) = 1, Deligne's bound at each prime, and at each composite the
-    relation _check_composite reads.  Raises on the first offending index
-    (ascending).
+    """Structural validation of a series f, a loaded table or a built form,
+    which FourierSeries.__init__ runs on every series it makes: a(1) = 1
+    (a run without a(1) fails it at index 1), Deligne's bound at each
+    prime, and at each composite the relation _check_composite reads.
+    Raises on the first offending index (ascending).
 
     Where dim S_w = 1 (the built-in weights), each prime also meets
     Ramanujan's congruence a(p) = 1 + p^(w-1) mod M, M the denominator of
@@ -399,7 +406,7 @@ def _check_table(f: FourierSeries) -> None:
     builds for itself, classifies as it is.
     """
     coeffs, w = f.coeffs, f.weight
-    if coeffs[1] != 1:
+    if coeffs[1:2] != (1,):
         raise EigenformValidationError(1, "normalization violated: a(1) != 1")
     # cusp_dimension first, so that no other weight computes a Bernoulli number
     M = _eisenstein_constant(w)[1] if cusp_dimension(w) == 1 else 0
@@ -465,8 +472,8 @@ def load_eigenform(path, w: int) -> FourierSeries:
     first line, such as a shorter "# weight W", is a comment like any other.
     Normalization,
     multiplicativity, Hecke relations at prime powers, and Deligne bounds at
-    primes are then checked by _check_table, which reports the first
-    offending index.
+    primes are then checked by _check_table, which the FourierSeries
+    constructor runs, and which reports the first offending index.
 
     The entries go straight into the FourierSeries returned.  The file is
     read as UTF-8 in any locale; an undecodable byte may sit in a comment,
@@ -514,7 +521,5 @@ def load_eigenform(path, w: int) -> FourierSeries:
         raise TableParseError(
             lineno + 1, "end of table where a(1) comes next; a table lists a(1), a(2), ..."
         )
-    f = FourierSeries(w, tuple(coeffs))
-    del coeffs  # so the validation peak holds one copy of the run
-    _check_table(f)
-    return f
+    coeffs = tuple(coeffs)  # the list goes, so validation holds one copy of the run
+    return FourierSeries(w, coeffs)

@@ -52,7 +52,6 @@ from .modforms import (
     EigenformValidationError,
     FourierSeries,
     _bernoulli_ratio,
-    _check_table,
     _eisenstein_constant,
     _sigma_table,
     cusp_dimension,
@@ -374,7 +373,7 @@ def check_expand_product_permutation():
 
 def check_delta_dual_and_spots():
     d = delta(1000)  # the dual-construction assertion runs inside delta()
-    assert d.a(1) == 1 and d.a(2) == -24 and d.a(3) == 252
+    assert d[1] == 1 and d[2] == -24 and d[3] == 252
     assert eigenform(18, 10).a(2) == -528
 
 
@@ -392,12 +391,12 @@ def check_discriminant_identities():
     # literal constants and with E12 from B_12 and the divisor sweep: two
     # identities apart from the E6^2 one that delta itself checks
     N = 500
-    d = list(delta(N).coeffs)
-    e4, e6 = eisenstein(4, N).coeffs, eisenstein(6, N).coeffs
+    d = list(delta(N))
+    e4, e6 = eisenstein(4, N), eisenstein(6, N)
     e4cb = convolve_trunc(convolve_trunc(e4, e4, N + 1), e4, N + 1)
     e6sq = convolve_trunc(e6, e6, N + 1)
     assert [Fraction(x - y, 1728) for x, y in zip(e4cb, e6sq)] == d
-    e4e8 = convolve_trunc(e4, eisenstein(8, N).coeffs, N + 1)
+    e4e8 = convolve_trunc(e4, eisenstein(8, N), N + 1)
     c12 = Fraction(-24) / bernoulli(12)
     e12 = [Fraction(1)] + [c12 * s for s in divisor_sweep(11, N)[1:]]
     assert [691 * (x - y) / 432000 for x, y in zip(e4e8, e12)] == d
@@ -407,11 +406,11 @@ def check_eisenstein_products():
     # eigenform() multiplies delta by E8, E10 or E14 directly; since M_8,
     # M_10 and M_14 are one-dimensional, products of E4 and E6 are the oracle
     N = 500
-    e4, e6 = eisenstein(4, N).coeffs, eisenstein(6, N).coeffs
+    e4, e6 = eisenstein(4, N), eisenstein(6, N)
     e4sq = convolve_trunc(e4, e4, N + 1)
-    assert list(eisenstein(8, N).coeffs) == e4sq
-    assert list(eisenstein(10, N).coeffs) == convolve_trunc(e4, e6, N + 1)
-    assert list(eisenstein(14, N).coeffs) == convolve_trunc(e4sq, e6, N + 1)
+    assert list(eisenstein(8, N)) == e4sq
+    assert list(eisenstein(10, N)) == convolve_trunc(e4, e6, N + 1)
+    assert list(eisenstein(14, N)) == convolve_trunc(e4sq, e6, N + 1)
 
 
 def check_cusp_dimension_from_monomials():
@@ -434,9 +433,9 @@ def check_eigenforms():
     # congruence, the multiplicativity and the Hecke relations to N, and
     # a(p) at every prime below 400 against the Eichler-Selberg trace
     # formula, an independent source of a_f(p) whose class numbers first
-    # pass the Hurwitz relation sum_t H(4p - t^2) = 2p.  The validator
-    # refuses a(499) + 2 and passes a(499) + M: 499 lies in (N/2, N], which
-    # only the congruence reaches
+    # pass the Hurwitz relation sum_t H(4p - t^2) = 2p.  The validator that
+    # FourierSeries runs refuses a(499) + 2 and passes a(499) + M: 499 lies
+    # in (N/2, N], which only the congruence reaches
     N = 500
     primes = primes_upto(N)
     trace_primes = primes_upto(399)
@@ -468,7 +467,7 @@ def check_eigenforms():
             coeffs = list(f.coeffs)
             coeffs[499] += shift
             try:
-                _check_table(FourierSeries(w, tuple(coeffs)))
+                FourierSeries(w, coeffs)
             except EigenformValidationError as exc:
                 assert refused and exc.index == 499, (w, shift, exc)
             else:

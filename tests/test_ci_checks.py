@@ -16,7 +16,7 @@ def script_steps():
     spec = importlib.util.spec_from_file_location("ci_checks", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return list(module.STEPS)
+    return module.STEPS
 
 
 def test_the_workflow_calls_each_step_once():
@@ -35,3 +35,15 @@ def test_an_unknown_step_exits_2_listing_the_steps():
     assert run.returncode == 2
     assert "no-such-step" in run.stderr
     assert all(name in run.stderr for name in script_steps())
+
+
+def test_each_step_is_named_by_the_first_sentence_of_its_docstring():
+    # a YAML name is one line: the docstring's first sentence,
+    # whitespace-normalised, without its period
+    steps = re.findall(
+        r"- name: (.*)\n\s+run: python3? tools/ci_checks\.py (\S+)", WORKFLOW.read_text()
+    )
+    named = {step: name for name, step in steps}
+    for step, fn in script_steps().items():
+        doc = " ".join(fn.__doc__.split())
+        assert doc == named[step] + "." or doc.startswith(named[step] + ". "), step

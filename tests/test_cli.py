@@ -765,6 +765,38 @@ class TestPrimeListings:
         assert listed == [isqrt(L), pmax]
 
 
+class TestAsksPerPrime:
+    """A sweep over a table asks Deligne's bound of each a(p) twice, in the
+    validator that FourierSeries runs and in verify_prime, and asks is_prime
+    of each p twice, in hecke_eigenvalue_prime and in verify_prime."""
+
+    def test_two_deligne_and_two_primality_asks_per_prime(self, capsys, monkeypatch, tmp_path):
+        table = tmp_path / "w20.txt"
+        table.write_text("".join(modforms.table_lines(modforms.eigenform(20, 97), 97)))
+        deligne, primality = [], []
+        real_deligne, real_is_prime = modforms.require_deligne, exactnum.is_prime
+
+        def require_deligne(a, p, w):
+            deligne.append(p)
+            return real_deligne(a, p, w)
+
+        def is_prime(n):
+            primality.append(n)
+            return real_is_prime(n)
+
+        for module in (modforms, ikeda):
+            monkeypatch.setattr(module, "require_deligne", require_deligne)
+        monkeypatch.setattr(exactnum, "is_prime", is_prime)
+        code, _, err = run_cli(
+            capsys, "eigen", "--n", "16", "--k", "18", "--pmax", "97", "--eigenform", str(table)
+        )
+        assert (code, err) == (0, "")
+        primes = primes_upto(97)
+        assert sorted(deligne) == sorted(primes * 2)
+        # is_prime is asked twice of a sieved prime (an open double ask)
+        assert sorted(primality) == sorted(primes * 2)
+
+
 class TestTableEncoding:
     """A table is read as UTF-8 whatever the locale; a byte that is not
     UTF-8 may sit in a comment, and in a field it is a non-integer entry."""

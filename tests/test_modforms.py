@@ -72,16 +72,16 @@ class TestBernoulli:
 class TestEisenstein:
     def test_weight_four(self):
         e4 = eisenstein(4, 10)
-        assert e4.a(0) == 1
-        assert e4.a(1) == 240
+        assert e4[0] == 1
+        assert e4[1] == 240
         # sigma_3(2) = 1 + 8 = 9
-        assert e4.a(2) == 240 * 9
+        assert e4[2] == 240 * 9
 
     def test_weight_six(self):
         e6 = eisenstein(6, 10)
-        assert e6.a(1) == -504
+        assert e6[1] == -504
         # sigma_5(3) = 1 + 243
-        assert e6.a(3) == -504 * 244
+        assert e6[3] == -504 * 244
 
     def test_nonintegral_weight_rejected(self):
         with pytest.raises(ArithmeticError):
@@ -92,7 +92,7 @@ class TestEisenstein:
             eisenstein(5, 10)
 
     def test_truncation_zero(self):
-        assert eisenstein(4, 0).coeffs == (1,)
+        assert eisenstein(4, 0) == (1,)
 
     def test_sigma_table_edges(self):
         for e in (3, 5, 7, 9, 11, 13):
@@ -104,28 +104,28 @@ class TestEisenstein:
 class TestDelta:
     def test_normalization(self):
         d = delta(10)
-        assert d.a(0) == 0
-        assert d.a(1) == 1
+        assert d[0] == 0
+        assert d[1] == 1
 
     def test_spot_values(self):
         d = delta(10)
-        assert d.a(2) == -24
-        assert d.a(3) == 252
+        assert d[2] == -24
+        assert d[3] == 252
         # Hecke relation at 2: tau(4) = tau(2)^2 - 2^11
-        assert d.a(4) == (-24) ** 2 - 2**11 == -1472
+        assert d[4] == (-24) ** 2 - 2**11 == -1472
 
     def test_dual_construction_to_1000(self):
         # delta() itself asserts the eta-power and Eisenstein constructions
         # agree; reaching truncation 1000 without an error is the check
         d = delta(1000)
-        assert d.truncation == 1000
+        assert len(d) - 1 == 1000
         # hand-derived: tau(1000) = tau(8)*tau(125) with tau(8), tau(125)
         # from the Hecke recursion at 2 and 5
-        assert d.a(1000) == 84480 * -359001100500 == -30328412970240000
+        assert d[1000] == 84480 * -359001100500 == -30328412970240000
 
     def test_smallest_truncations(self):
-        assert delta(1).coeffs == (0, 1)
-        assert delta(2).coeffs == (0, 1, -24)
+        assert delta(1) == (0, 1)
+        assert delta(2) == (0, 1, -24)
 
     def test_corrupt_eta_source_is_caught(self, monkeypatch):
         # the agreement check must stay live behind the fast engine: one
@@ -153,12 +153,12 @@ class TestDelta:
             return out
 
         def corrupt_e6(w, N):
-            f = real_eisenstein(w, N)
+            coeffs = real_eisenstein(w, N)
             if w != 6:
-                return f
-            coeffs = list(f.coeffs)
+                return coeffs
+            coeffs = list(coeffs)
             coeffs[37] += 1
-            return FourierSeries(w, tuple(coeffs))
+            return tuple(coeffs)
 
         for name, corrupt in (("_sigma_table", corrupt_sigma), ("eisenstein", corrupt_e6)):
             with monkeypatch.context() as m:
@@ -169,7 +169,7 @@ class TestDelta:
 
 class TestEigenform:
     def test_weight_twelve_is_delta(self):
-        assert eigenform(12, 20).coeffs == delta(20).coeffs
+        assert eigenform(12, 20).coeffs == delta(20)
 
     def test_weight_sixteen_spot(self):
         # one-step convolution: tau(2) + E4 a(1) = -24 + 240
@@ -273,6 +273,21 @@ class TestEigenform:
         with pytest.raises(ValueError, match="^index 3 outside truncation 2$"):
             f.a(3)
 
+    def test_a_series_is_validated_as_it_is_made(self):
+        # a run without a(1) is refused at index 1, not by an IndexError
+        for coeffs in ((), (0,)):
+            with pytest.raises(EigenformValidationError) as info:
+                FourierSeries(12, coeffs)
+            assert info.value.index == 1
+        with pytest.raises(DeligneBoundError) as info:
+            FourierSeries(18, (0, 1, 725))
+        assert info.value.index == 2
+        # a list is stored as a tuple, so the caller's list is not the series
+        coeffs = [0, 1, -24]
+        f = FourierSeries(12, coeffs)
+        coeffs[2] = 10**9
+        assert f.coeffs == (0, 1, -24) and f.a(2) == -24
+
     def test_unsupported_weight(self):
         # 14 has no cusp form; 24 has cusp forms but none built in
         with pytest.raises(UnsupportedWeightError, match=r"dim S_14 = 0$"):
@@ -368,27 +383,26 @@ class TestTraceFormula:
 
 class TestHeckeEigenvaluePrime:
     def test_delta_at_two(self):
-        assert hecke_eigenvalue_prime(delta(10), 2) == -24
+        assert hecke_eigenvalue_prime(eigenform(12, 10), 2) == -24
 
     def test_weight_eighteen_at_two(self):
         assert hecke_eigenvalue_prime(eigenform(18, 10), 2) == -528
 
     def test_deligne_guard_passes(self):
         # (-24)^2 = 576 <= 4*2^11 = 8192
-        assert hecke_eigenvalue_prime(delta(10), 2) == -24
+        assert hecke_eigenvalue_prime(eigenform(12, 10), 2) == -24
 
     def test_corrupt_table_rejected(self):
-        fake = FourierSeries(12, (0, 1, 10**9))
         with pytest.raises(EigenformValidationError, match="Deligne"):
-            hecke_eigenvalue_prime(fake, 2)
+            hecke_eigenvalue_prime(FourierSeries(12, (0, 1, 10**9)), 2)
 
     def test_beyond_truncation_rejected(self):
         with pytest.raises(ValueError):
-            hecke_eigenvalue_prime(delta(10), 13)
+            hecke_eigenvalue_prime(eigenform(12, 10), 13)
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
-            hecke_eigenvalue_prime(delta(10), 6)
+            hecke_eigenvalue_prime(eigenform(12, 10), 6)
 
 
 def write_table(tmp_path, text, name="form.txt"):
@@ -700,9 +714,9 @@ class TestTableHeldOnce:
         real = modforms.delta
 
         def corrupted(N):
-            coeffs = list(real(N).coeffs)
+            coeffs = list(real(N))
             coeffs[6] += 1
-            return FourierSeries(12, tuple(coeffs))
+            return tuple(coeffs)
 
         monkeypatch.setattr(modforms, "delta", corrupted)
         with pytest.raises(
