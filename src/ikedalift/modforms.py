@@ -207,6 +207,8 @@ def eisenstein(w: int, N: int) -> tuple:
     """
     if w < 4 or w % 2 != 0:
         raise ValueError("weight must be an even integer >= 4")
+    if N < 0:
+        raise ValueError(f"truncation must be non-negative, not {N}")
     cval, den = _eisenstein_constant(w)
     if den != 1:
         raise ArithmeticError(

@@ -11,9 +11,12 @@ polynomial product, the Bernoulli numbers as Fractions, the divisor-sum
 sweep, q-factorials, the q-binomial-theorem expansion, the Satake
 generating polynomial, route 3's literal Dickson construction, the Deligne
 limit, and the exact half-integer powers of p (half_power) with the literal
-bound formula built on them, and the Hurwitz class numbers with the
-Eichler-Selberg trace formula, a source of a_f(p) independent of the series
-engine.  The modules that every CLI run imports carry none of them.
+bound formula built on them, and the Hurwitz class number of one
+discriminant (hurwitz_12) with the Eichler-Selberg trace formula
+(trace_formula_coefficients), a source of a_f(p) at every built-in weight
+independent of the series engine, which computes only the class numbers a
+prime reads and checks them against the Hurwitz relation.  The modules that
+every CLI run imports carry none of them.
 """
 
 from __future__ import annotations
@@ -203,40 +206,45 @@ def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
     return lhs == tuple(scale * c for c in expand_product(factors))
 
 
-def hurwitz_class_numbers_12(nmax: int) -> list[int]:
-    """12 H(N) for N = 0..nmax (index 0 unused), H the Hurwitz class number,
-    counted over the reduced forms (a, b, c) of discriminant b^2 - 4ac = -N:
-    |b| <= a <= c, with b >= 0 when |b| = a or a = c.  A form equivalent to
-    a(x^2 + y^2), reduced (a, 0, a), counts 1/2, one equivalent to
-    a(x^2 + xy + y^2), reduced (a, a, a), counts 1/3, every other form 1."""
-    h12 = [0] * (nmax + 1)
-    a = 1
-    while 3 * a * a <= nmax:
-        for b in range(1 - a, a + 1):
-            c = a if b >= 0 else a + 1
-            while 4 * a * c - b * b <= nmax:
-                h12[4 * a * c - b * b] += 4 if a == b == c else 6 if b == 0 and a == c else 12
-                c += 1
-        a += 1
-    return h12
-
-
-def trace_formula_coefficient(w: int, p: int, h12: list[int]) -> int:
-    """a(p) of the weight-w level-1 eigenform, for w with a one-dimensional
-    cusp space, by the Eichler-Selberg trace formula at a prime p:
-    -1/2 sum_{t^2 < 4p} u_{w-1}(t, p) H(4p - t^2) - 1, where u_0 = 0,
-    u_1 = 1 and u_{m+1} = t u_m - p u_{m-1}.  h12 is
-    hurwitz_class_numbers_12 to at least 4p.  u_{w-1} is even in t, so each
-    t > 0 counts twice."""
+def hurwitz_12(D: int) -> int:
+    """12 H(D) for one D > 0, H the Hurwitz class number, by Cohen's count
+    (A Course in Computational Algebraic Number Theory, §5.3) of the reduced
+    forms (a, b, c) of discriminant b^2 - 4ac = -D: |b| <= a <= c, with
+    b >= 0 when |b| = a or a = c.  It runs over b >= 0 with b = D mod 2 and
+    3b^2 <= D, and over the divisors a of (b^2 + D)/4 with b <= a <= c; the
+    form counts for b and for -b unless b = 0, a = b or a = c.  A form
+    equivalent to a(x^2 + y^2), reduced (a, 0, a), counts 1/2, one
+    equivalent to a(x^2 + xy + y^2), reduced (a, a, a), counts 1/3, every
+    other form 1.  No form has D = 1, 2 mod 4, so H(D) = 0 there."""
+    if D % 4 in (1, 2):
+        return 0
     total = 0
-    for t in range(isqrt(4 * p - 1) + 1):
+    for b in range(D % 2, isqrt(D // 3) + 1, 2):
+        q = (b * b + D) // 4
+        for a, c in [(a, q // a) for a in range(max(b, 1), isqrt(q) + 1) if q % a == 0]:
+            total += 24 if 0 < b < a < c else 6 if b == 0 and a == c else 4 if a == b == c else 12
+    return total
+
+
+def trace_formula_coefficients(p: int) -> dict[int, int]:
+    """a(p) of the eigenform at each built-in weight w, where the cusp space
+    is one-dimensional, by the Eichler-Selberg trace formula at a prime p:
+    -1/2 sum_{t^2 < 4p} u_{w-1}(t, p) H(4p - t^2) - 1, where u_0 = 0,
+    u_1 = 1 and u_{m+1} = t u_m - p u_{m-1}.  The class numbers H(4p - t^2)
+    are computed once and first pass the Hurwitz relation
+    sum_t H(4p - t^2) = 2p; one pass of the recurrence to u_25 then serves
+    every weight.  u_{w-1} is even in t, so each t > 0 counts twice."""
+    twelve_h = [hurwitz_12(4 * p - t * t) for t in range(isqrt(4 * p - 1) + 1)]
+    assert twelve_h[0] + 2 * sum(twelve_h[1:]) == 24 * p, p
+    totals = dict.fromkeys(BUILTIN_WEIGHTS, 0)
+    for t, h in enumerate(twelve_h):
         u_prev, u = 0, 1
-        for _ in range(w - 2):
-            u_prev, u = u, t * u - p * u_prev
-        total += (2 if t else 1) * u * h12[4 * p - t * t]
-    half_sum, rem = divmod(-total, 24)
-    assert rem == 0, (w, p, total)
-    return half_sum - 1
+        for m in range(2, BUILTIN_WEIGHTS[-1]):
+            u_prev, u = u, t * u - p * u_prev  # u_m
+            if m + 1 in totals:
+                totals[m + 1] += (2 if t else 1) * u * h
+    assert all(total % 24 == 0 for total in totals.values()), (p, totals)
+    return {w: -total // 24 - 1 for w, total in totals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +439,14 @@ def check_builtin_weights():
 def check_eigenforms():
     # each built-in eigenform, built once to N: Deligne's bound, Ramanujan's
     # congruence, the multiplicativity and the Hecke relations to N, and
-    # a(p) at every prime below 400 against the Eichler-Selberg trace
-    # formula, an independent source of a_f(p) whose class numbers first
-    # pass the Hurwitz relation sum_t H(4p - t^2) = 2p.  The validator that
-    # FourierSeries runs refuses a(499) + 2 and passes a(499) + M: 499 lies
-    # in (N/2, N], which only the congruence reaches
+    # a(p) at every prime to N against the Eichler-Selberg trace formula,
+    # an independent source of a_f(p) that checks its class numbers by the
+    # Hurwitz relation.  Only it and the congruence reach the primes in
+    # (N/2, N]: the validator that FourierSeries runs refuses a(499) + 2 and
+    # passes a(499) + M, which the trace formula catches
     N = 500
     primes = primes_upto(N)
-    trace_primes = primes_upto(399)
-    h12 = hurwitz_class_numbers_12(4 * trace_primes[-1])
-    for p in trace_primes:
-        T = isqrt(4 * p - 1)
-        assert h12[4 * p] + 2 * sum(h12[4 * p - t * t] for t in range(1, T + 1)) == 24 * p, p
+    traces = {p: trace_formula_coefficients(p) for p in primes}
     for w in BUILTIN_WEIGHTS:
         f = eigenform(w, N)
         assert f.a(0) == 0 and f.a(1) == 1
@@ -457,12 +461,11 @@ def check_eigenforms():
                     p ** (e - 2)
                 ), (w, p, e)
                 e += 1
+            assert f.a(p) == traces[p][w], (w, p)
         for m in range(2, N + 1):
             for m2 in range(2, N // m + 1):
                 if gcd(m, m2) == 1:
                     assert f.a(m * m2) == f.a(m) * f.a(m2), (w, m, m2)
-        for p in trace_primes:
-            assert f.a(p) == trace_formula_coefficient(w, p, h12), (w, p)
         for shift, refused in ((2, True), (M, False)):
             coeffs = list(f.coeffs)
             coeffs[499] += shift

@@ -94,6 +94,10 @@ class TestEisenstein:
     def test_truncation_zero(self):
         assert eisenstein(4, 0) == (1,)
 
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="not -1$"):
+            eisenstein(4, -1)
+
     def test_sigma_table_edges(self):
         for e in (3, 5, 7, 9, 11, 13):
             assert _sigma_table(e, 0) == [0]
@@ -323,24 +327,38 @@ class TestTraceFormula:
 
     def test_hurwitz_class_numbers(self):
         # H(3) = 1/3, H(4) = 1/2, H(12) = 1 + 1/3, H(16) = 1 + 1/2, H(23) = 3
-        h12 = selftest.hurwitz_class_numbers_12(23)
-        assert [h12[N] for N in (3, 4, 7, 12, 16, 23)] == [4, 6, 12, 16, 18, 36]
-        assert [h12[N] for N in (1, 2, 5, 6, 9, 10)] == [0] * 6
+        h = selftest.hurwitz_12
+        assert [h(N) for N in (3, 4, 7, 12, 16, 23)] == [4, 6, 12, 16, 18, 36]
+        assert [h(N) for N in (1, 2, 5, 6, 9, 10)] == [0] * 6
+
+    def test_hurwitz_12_counts_every_reduced_form(self):
+        # the reference walks every reduced form (a, b, c) of discriminant -D,
+        # 0 < D <= nmax: |b| <= a <= c, with b >= 0 when |b| = a or a = c;
+        # (a, a, a) counts 1/3, (a, 0, a) 1/2 and every other form 1
+        nmax = 20000
+        h12 = [0] * (nmax + 1)
+        a = 1
+        while 3 * a * a <= nmax:
+            for b in range(1 - a, a + 1):
+                c = a if b >= 0 else a + 1
+                while 4 * a * c - b * b <= nmax:
+                    h12[4 * a * c - b * b] += 4 if a == b == c else 6 if b == 0 and a == c else 12
+                    c += 1
+            a += 1
+        assert [selftest.hurwitz_12(D) for D in range(1, nmax + 1)] == h12[1:]
 
     @pytest.mark.parametrize("w", BUILTIN_WEIGHTS)
     def test_prime_above_half_the_truncation(self, w):
         # 1499 lies in (N/2, N] for N = 1500, where the multiplicativity and
         # Hecke checks have no second index to compare with
-        h12 = selftest.hurwitz_class_numbers_12(4 * 1499)
-        assert eigenform(w, 1500).a(1499) == selftest.trace_formula_coefficient(w, 1499, h12)
+        assert eigenform(w, 1500).a(1499) == selftest.trace_formula_coefficients(1499)[w]
 
     def test_largest_prime_below_twenty_thousand(self):
-        # 19997 lies in (N/2, N] for N = 2 * 10**4; the class numbers are
-        # shared by the six weights, since they take longer than a build
-        h12 = selftest.hurwitz_class_numbers_12(4 * 19997)
+        # 19997 lies in (N/2, N] for N = 2 * 10**4; one call gives a(19997)
+        # at the six weights from one pass over its class numbers
+        expected = selftest.trace_formula_coefficients(19997)
         for w in BUILTIN_WEIGHTS:
-            expected = selftest.trace_formula_coefficient(w, 19997, h12)
-            assert eigenform(w, 20000).a(19997) == expected, w
+            assert eigenform(w, 20000).a(19997) == expected[w], w
 
     @staticmethod
     def corrupt_final_product(monkeypatch, shift):
@@ -365,8 +383,7 @@ class TestTraceFormula:
     def test_corrupt_final_product_is_caught(self, monkeypatch, w):
         self.corrupt_final_product(monkeypatch, modforms._eisenstein_constant(w)[1])
         f = eigenform(w, 1500)
-        h12 = selftest.hurwitz_class_numbers_12(4 * 1499)
-        assert f.a(1499) != selftest.trace_formula_coefficient(w, 1499, h12)
+        assert f.a(1499) != selftest.trace_formula_coefficients(1499)[w]
 
     @pytest.mark.parametrize("w", BUILTIN_WEIGHTS[1:])
     def test_final_product_off_by_one_is_refused_by_the_build(self, monkeypatch, w):

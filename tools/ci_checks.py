@@ -257,18 +257,20 @@ def pmax_20000():
 
 @step
 def trace_formula():
-    """The trace formula at the largest prime below 10^5 (a(p) in (N/2, N],
-    which no Hecke relation reaches)."""
+    """The trace formula at the 10 largest primes below 10^5, at every built-in
+    weight (a(p) in (N/2, N], which no Hecke relation reaches; one
+    class-number pass per prime)."""
     checks, modforms = package("selftest"), package("modforms")
-    p = 99991
+    primes = package("exactnum").primes_upto(100000)[-10:]
     with time_limit(300):
-        h12 = checks.hurwitz_class_numbers_12(4 * p)  # shared by the six weights
+        traces = {p: checks.trace_formula_coefficients(p) for p in primes}
         for w in modforms.BUILTIN_WEIGHTS:
-            a = modforms.eigenform(w, 100000).a(p)
-            expected = checks.trace_formula_coefficient(w, p, h12)
-            print(f"weight {w}: a({p}) = {a}", flush=True)
-            if a != expected:
-                raise StepFailed(f"weight {w}: the trace formula gives a({p}) = {expected}")
+            f = modforms.eigenform(w, 100000)
+            print(f"weight {w}: a(p) at p = {primes[0]}..{primes[-1]}", flush=True)
+            for p in primes:
+                expected = traces[p][w]
+                if f.a(p) != expected:
+                    raise StepFailed(f"weight {w}: the trace formula gives a({p}) = {expected}")
 
 
 # each command runs under its own probe process, so the probe reads
