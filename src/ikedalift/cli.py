@@ -13,7 +13,8 @@ elliptic coefficient fails validation, which from any caller raises the one
 class modforms.EigenformValidationError), 2 = usage or parameter error,
 including a path that cannot be read or written, a weight with no cusp form,
 a coefficient-table line that is not two integers or whose index breaks
-the run a(1), a(2), ..., and a table whose header names another weight,
+the run a(1), a(2), ..., a table whose header names another weight, and
+selftest under python -O, which strips the asserts that are its checks,
 3 = internal error: an implementation fault, such as routes that disagree,
 a failed exact identity or integrality check, a built series that fails
 validation, or any other unexpected exception,
@@ -39,11 +40,9 @@ from .ikeda import IkedaParams, q_binomial, q_binomial_eval, verify_prime
 from .modforms import (
     BUILTIN_WEIGHTS,
     EigenformValidationError,
-    UnsupportedWeightError,
     eigenform,
     hecke_eigenvalue_prime,
     load_eigenform,
-    require_cusp_forms,
     table_lines,
 )
 
@@ -248,17 +247,6 @@ _positive_int = _int_at_least(1, "a positive integer")
 _prime_bound = _int_at_least(2, "at least 2, the smallest prime")
 
 
-def _cusp_weight(text: str) -> int:
-    """argparse type for an elliptic weight: modforms.require_cusp_forms,
-    the rule IkedaParams applies to 2k - n, raising ArgumentTypeError."""
-    try:
-        return require_cusp_forms(int(text))
-    except UnsupportedWeightError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ikedalift",
@@ -301,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     forms = sub.add_parser("forms", help="print eigenform coefficients")
     built_in = ", ".join(map(str, BUILTIN_WEIGHTS))
     forms.add_argument(
-        "--weight", type=_cusp_weight, required=True, help=f"with cusp forms; built in: {built_in}"
+        "--weight", type=int, required=True, help=f"with cusp forms; built in: {built_in}"
     )
     forms.add_argument("--pmax", type=_positive_int, default=100)
     forms.add_argument("--eigenform", help="coefficient table to inspect")

@@ -5,6 +5,11 @@ once in CHECKS.  The `selftest` CLI subcommand runs them all through run();
 pytest runs each entry of CHECKS once, as one case of
 tests/test_acceptance.py named after the function, so both entry points
 check the same invariants at the same scale.  No other test calls a check.
+The checks, and the Hurwitz relation in trace_formula_coefficients, are
+assert statements, which run only with assertions on: under python -O (or
+PYTHONOPTIMIZE) every check would pass having checked nothing, so importing
+this module there raises ValueError, which the CLI reports as a usage error
+(exit 2).
 
 The constructions that only the checks use also live here: the schoolbook
 polynomial product, the Bernoulli numbers as Fractions, the divisor-sum
@@ -21,6 +26,9 @@ every CLI run imports carry none of them.
 
 from __future__ import annotations
 
+if not __debug__:
+    raise ValueError("selftest needs assertions, which python -O strips: run it without -O")
+
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -30,7 +38,6 @@ from math import comb, gcd, isqrt
 from .exactnum import QuadExt, _quad, primes_upto, require_prime
 from .ikeda import (
     IkedaParams,
-    bound_exponent,
     dickson,
     dickson_exponents,
     dickson_family,
@@ -352,39 +359,6 @@ def check_dickson_identity():
             assert dickson_family(i, c) == [dickson(j, c) for j in range(i + 1)]
 
 
-def _random_palindrome(rng, max_half: int = 4) -> tuple[int, ...]:
-    # nonzero outer coefficient, so the degree is len - 1
-    half = [rng.choice((-3, -2, -1, 1, 2, 3))]
-    half += [rng.randint(-5, 5) for _ in range(rng.randint(0, max_half - 1))]
-    mid = [rng.randint(-5, 5)] if rng.random() < 0.5 else []
-    return tuple(half + mid + half[::-1])
-
-
-def check_palindrome_products():
-    rng = random.Random(4)
-    for _ in range(50):
-        p1 = _random_palindrome(rng)
-        p2 = _random_palindrome(rng)
-        assert p1 == p1[::-1] and p2 == p2[::-1]
-        product = naive_product(p1, p2)
-        assert product == product[::-1]
-
-
-def check_expand_product_permutation():
-    rng = random.Random(17)
-    factors = [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(6)]
-    ref = expand_product(factors)
-    for _ in range(10):
-        rng.shuffle(factors)
-        assert expand_product(factors) == ref
-
-
-def check_delta_dual_and_spots():
-    d = delta(1000)  # the dual-construction assertion runs inside delta()
-    assert d[1] == 1 and d[2] == -24 and d[3] == 252
-    assert eigenform(18, 10).a(2) == -528
-
-
 def check_sigma_sieve():
     # the sweep's table to N is a prefix of its table to any larger N
     for e in (3, 5, 7, 9, 11, 13):
@@ -504,35 +478,6 @@ def check_saito_kurokawa_reduction():
             assert eigenvalue_polynomial(params, p) == want, (k, p)
 
 
-def check_exponent_integrality():
-    # each exponent table also raises on a non-integral or negative exponent
-    for n, k in valid_pairs(8, 20):
-        params = IkedaParams(n, k)
-        for term in double_sum_terms(params):
-            assert isinstance(term[2], int) and term[2] >= 0, (n, k, term)
-        # h_0 = 0: the leading Dickson scalar is 1, so route 3 is monic
-        assert dickson_exponents(params)[0] == 0, (n, k)
-        assert bound_exponent(params) >= 0, (n, k)
-
-
-def check_satake_palindromes():
-    for n, k in valid_pairs(8, 20):
-        params = IkedaParams(n, k)
-        for p in primes_upto(50):
-            g = satake_polynomial(params, p)
-            assert g == g[::-1], (n, k, p)
-
-
-def check_eigenvalue_polynomial_structure():
-    # the construction itself asserts zero surd parts and integrality
-    for n, k in valid_pairs(8, 20):
-        params = IkedaParams(n, k)
-        for p in primes_upto(50):
-            tilde = eigenvalue_polynomial(params, p)
-            assert len(tilde) == n // 2 + 1 and tilde[-1] == 1, (n, k, p)
-            assert all(isinstance(c, int) for c in tilde), (n, k, p)
-
-
 def check_eigenvalue_polynomial_oracle():
     for n, k in valid_pairs(20, 40):
         params = IkedaParams(n, k)
@@ -576,7 +521,9 @@ def check_horner_layouts():
 
 
 def check_satake_factorization():
-    for n, k in valid_pairs(6, 16):
+    # the factored product is palindromic, so the equality also checks that
+    # the generating polynomial is
+    for n, k in valid_pairs(8, 20):
         params = IkedaParams(n, k)
         for p in primes_upto(50):
             assert satake_factorization_holds(params, p), (n, k, p)
@@ -741,9 +688,6 @@ CHECKS = [
     ("Gaussian binomial identities", check_q_binomial_identities),
     ("q-binomial theorem expansion", check_q_binomial_theorem),
     ("Dickson functional identity", check_dickson_identity),
-    ("palindrome product closure", check_palindrome_products),
-    ("product permutation invariance", check_expand_product_permutation),
-    ("discriminant dual construction", check_delta_dual_and_spots),
     ("discriminant by the E4/E6 and E4/E8 identities", check_discriminant_identities),
     ("divisor-sum sieve vs divisor sweep", check_sigma_sieve),
     ("E8, E10, E14 as products of E4 and E6", check_eisenstein_products),
@@ -752,9 +696,6 @@ CHECKS = [
     ("eigenform relations and the Eichler-Selberg trace formula", check_eigenforms),
     ("triple-route agreement", check_route_agreement),
     ("degree-2 reduction", check_saito_kurokawa_reduction),
-    ("exponent integrality", check_exponent_integrality),
-    ("Satake palindromes", check_satake_palindromes),
-    ("monic integral eigenvalue polynomial", check_eigenvalue_polynomial_structure),
     ("eigenvalue polynomial vs literal Dickson oracle", check_eigenvalue_polynomial_oracle),
     ("Horner layouts sum to their terms", check_horner_layouts),
     ("generating-polynomial factorization", check_satake_factorization),

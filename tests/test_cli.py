@@ -470,15 +470,10 @@ class TestForms:
         assert code == 2 and out == ""
         assert err.startswith("error: no built-in eigenform of weight 24; ")
         assert "--eigenform" in err
-        # weight 14 has no cusp form at all, so argparse refuses it
-        with pytest.raises(SystemExit) as exc:
-            main(["forms", "--weight", "14", "--pmax", "10"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2 and captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            "ikedalift forms: error: argument --weight: "
-            "elliptic weight 14 has no cusp form: dim S_14 = 0"
-        )
+        # weight 14 has no cusp form at all, so require_cusp_forms refuses it
+        code, out, err = run_cli(capsys, "forms", "--weight", "14", "--pmax", "10")
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "error: elliptic weight 14 has no cusp form: dim S_14 = 0"
 
     @pytest.mark.parametrize("entry", ["2 -2_4", "2 -\u0662\u0664"])
     def test_non_decimal_table_entry_exits_2(self, capsys, tmp_path, entry):
@@ -506,13 +501,12 @@ class TestForms:
         # would even be a fraction
         table = tmp_path / "w12.txt"
         run_cli(capsys, "forms", "--weight", "12", "--pmax", "5", "--out", str(table))
-        with pytest.raises(SystemExit) as exc:
-            main(["forms", "--weight", weight, "--pmax", "5", "--eigenform", str(table)])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2 and captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            "ikedalift forms: error: argument --weight: "
-            f"elliptic weight {weight} has no cusp form: dim S_{weight} = 0"
+        code, out, err = run_cli(
+            capsys, "forms", "--weight", weight, "--pmax", "5", "--eigenform", str(table)
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == (
+            f"error: elliptic weight {weight} has no cusp form: dim S_{weight} = 0"
         )
 
     def test_table_gap_leaves_no_output(self, capsys, tmp_path):
@@ -710,26 +704,21 @@ class TestWeightFourteen:
         table = tmp_path / "t14.txt"
         table.write_text("1 1\n2 0\n3 0\n")
         extra = ("--eigenform", str(table)) if with_table else ()
-        try:
-            code = main([*argv, "--pmax", "3", *extra])
-        except SystemExit as exc:  # argparse refuses forms --weight 14
-            code = exc.code
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err.splitlines()[-1] == (
-            "ikedalift forms: error: argument --weight: " if argv[0] == "forms" else "error: "
-        ) + "elliptic weight 14 has no cusp form: dim S_14 = 0"
+        code, out, err = run_cli(capsys, *argv, "--pmax", "3", *extra)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: elliptic weight 14 has no cusp form: dim S_14 = 0"
 
     def test_one_message_from_every_entry_point(self, capsys):
         with pytest.raises(UnsupportedWeightError) as info:
             IkedaParams(2, 8)
         message = str(info.value)
-        for argv in (("eigen", "--n", "2", "--k", "8"), ("verify", "--n", "2", "--k", "8")):
+        for argv in (
+            ("eigen", "--n", "2", "--k", "8"),
+            ("verify", "--n", "2", "--k", "8"),
+            ("forms", "--weight", "14"),
+        ):
             assert main([*argv, "--pmax", "3"]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
-        with pytest.raises(SystemExit):
-            main(["forms", "--weight", "14", "--pmax", "3"])
-        assert capsys.readouterr().err.splitlines()[-1].endswith(f"--weight: {message}")
 
 
 class TestPrimeListings:
@@ -793,7 +782,9 @@ class TestAsksPerPrime:
         assert (code, err) == (0, "")
         primes = primes_upto(97)
         assert sorted(deligne) == sorted(primes * 2)
-        # is_prime is asked twice of a sieved prime (an open double ask)
+        # is_prime is asked twice of a sieved prime, and both asks stay: each
+        # is the input guard of a public function, and a keyword to skip one
+        # would be an option with one value in use, for under 1% of a sweep
         assert sorted(primality) == sorted(primes * 2)
 
 
@@ -1068,6 +1059,21 @@ class TestSelftest:
             f"[ok]   {n}" for n in others
         ]
         assert lines[-1] == f"selftest: {len(others)} passed, 1 failed"
+
+    def test_refuses_to_run_without_assertions(self):
+        # every check is an assert, which python -O strips: a run there would
+        # report every check passed having checked nothing
+        src = os.path.dirname(os.path.dirname(ikedalift.__file__))
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "ikedalift", "selftest"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (
+            "error: selftest needs assertions, which python -O strips: run it without -O\n"
+        )
 
     def test_cli_import_skips_selftest(self):
         src = os.path.dirname(os.path.dirname(ikedalift.__file__))

@@ -48,18 +48,20 @@ class StepFailed(Exception):
     """A check of the step failed."""
 
 
-def ikedalift(command, *, out=None, code=0, stderr=(), timeout=None, sha256=None):
-    """Run `python -m ikedalift COMMAND` in the step's directory, its stdout
-    into the file `out` when one is named, and check it: the exit code is
-    `code`, stderr holds each text of `stderr`, and the output file (`out`,
-    or the one named by --out) has the hex digest `sha256`.  A run past
-    `timeout` seconds is killed and fails the step.  Returns stderr, which
-    is also echoed."""
+def ikedalift(command, *, flags=(), out=None, code=0, stderr=(), timeout=None, sha256=None):
+    """Run `python FLAGS -m ikedalift COMMAND` in the step's directory, with
+    the interpreter options `flags` (none by default), its stdout into the
+    file `out` when one is named, and check it: the exit code is `code`,
+    stderr holds each text of `stderr`, and the output file (`out`, or the
+    one named by --out) has the hex digest `sha256`.  A run past `timeout`
+    seconds is killed and fails the step.  Returns stderr, which is also
+    echoed."""
     argv = command.split()
-    print(f"$ ikedalift {command}" + (f" > {out}" if out else ""), flush=True)
+    prog = f"python {' '.join(flags)} -m ikedalift" if flags else "ikedalift"
+    print(f"$ {prog} {command}" + (f" > {out}" if out else ""), flush=True)
     with open(out, "wb") if out else nullcontext() as sink:
         run = subprocess.run(
-            [sys.executable, "-m", "ikedalift", *argv],
+            [sys.executable, *flags, "-m", "ikedalift", *argv],
             stdout=sink,
             stderr=subprocess.PIPE,
             env=ENV,
@@ -107,13 +109,18 @@ def time_limit(seconds):
 
 @step
 def selftest():
-    """Self-test (every entry of selftest.CHECKS runs and passes)."""
+    """Self-test (every entry of selftest.CHECKS runs and passes), and its
+    refusal under python -O, which strips the asserts that are its checks
+    (exit 2 with one line naming -O, and no check run)."""
     ikedalift("selftest", out="selftest.out")
     lines = Path("selftest.out").read_text().splitlines()
     print(*lines, sep="\n")
     last = f"selftest: {len(package('selftest').CHECKS)} passed, 0 failed"
     if lines[-1:] != [last]:
         raise StepFailed(f"the last line is not {last!r}")
+    err = ikedalift("selftest", flags=["-O"], out="optimized.out", code=2, stderr=["-O"])
+    if len(err.splitlines()) != 1 or "[ok]" in Path("optimized.out").read_text():
+        raise StepFailed("under -O: not one line on stderr, or a check ran")
 
 
 @step
