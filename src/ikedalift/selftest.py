@@ -520,10 +520,16 @@ def check_horner_layouts():
         assert powers == {e: 7**e for e in read}, (n, k)
 
 
-def check_satake_factorization():
-    # the factored product is palindromic, so the equality also checks that
-    # the generating polynomial is
+def check_satake_palindromes():
     for n, k in valid_pairs(8, 20):
+        params = IkedaParams(n, k)
+        for p in primes_upto(50):
+            g = satake_polynomial(params, p)
+            assert g == g[::-1], (n, k, p)
+
+
+def check_satake_factorization():
+    for n, k in valid_pairs(6, 16):
         params = IkedaParams(n, k)
         for p in primes_upto(50):
             assert satake_factorization_holds(params, p), (n, k, p)
@@ -696,6 +702,7 @@ CHECKS = [
     ("eigenform relations and the Eichler-Selberg trace formula", check_eigenforms),
     ("triple-route agreement", check_route_agreement),
     ("degree-2 reduction", check_saito_kurokawa_reduction),
+    ("Satake palindromes", check_satake_palindromes),
     ("eigenvalue polynomial vs literal Dickson oracle", check_eigenvalue_polynomial_oracle),
     ("Horner layouts sum to their terms", check_horner_layouts),
     ("generating-polynomial factorization", check_satake_factorization),
