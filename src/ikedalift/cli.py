@@ -139,12 +139,13 @@ def _render(reports, digits: int, fmt: str):
 
 def _emit(lines, out_path=None) -> None:
     """Write lines, each with its own line ending, to the file at out_path,
-    or to stdout when it is empty.  They are made as they are written, in a
+    or to stdout when it is None; an empty path is a path that cannot be
+    opened, as --out "" gives.  They are made as they are written, in a
     block that lifts the int <-> str digit limit: an exact result of any
     length is written in full.  Stdout is flushed here, so a reader that
     has closed it is met here and nowhere later."""
     with unlimited_int_digits():
-        if out_path:
+        if out_path is not None:
             with open(out_path, "w") as fh:
                 fh.writelines(lines)
             return

