@@ -18,7 +18,7 @@ import pytest
 
 import ikedalift
 from ikedalift import cli, exactnum, ikeda, modforms, selftest
-from ikedalift.cli import CSV_COLUMNS, main
+from ikedalift.cli import CSV_COLUMNS, main, poly_str
 from ikedalift.exactnum import primes_upto, unlimited_int_digits
 from ikedalift.ikeda import IkedaParams, verify_prime
 from ikedalift.modforms import UnsupportedWeightError
@@ -409,6 +409,9 @@ class TestInternalErrorExit3:
 
 
 class TestQbinom:
+    def test_str(self):
+        assert poly_str((1, 1, 2, 1, 1)) == "1 + q + 2q^2 + q^3 + q^4"
+
     def test_polynomial_output(self, capsys):
         code, out, _ = run_cli(capsys, "qbinom", "--n", "4", "--m", "2")
         assert code == 0

@@ -13,6 +13,7 @@ The double sum confirms the last case independently:
 15*16*(-24) + 576 - 2*2048 + 512*35 = 8640.
 """
 
+import random
 from itertools import count
 from math import comb, isqrt
 from decimal import Decimal, localcontext
@@ -32,6 +33,7 @@ from ikedalift.ikeda import (
     ExponentIntegralityError,
     RouteDisagreementError,
     bound_exponent,
+    dickson,
     dickson_exponents,
     dickson_family,
     double_sum_terms,
@@ -40,9 +42,20 @@ from ikedalift.ikeda import (
     eigenvalue_polynomial,
     eigenvalue_product,
     eigenvalue_reciprocal,
+    eval_poly,
+    q_binomial,
+    q_binomial_eval,
+    q_binomial_row,
     verify_prime,
 )
-from ikedalift.selftest import deligne_limit, satake_polynomial
+from ikedalift.selftest import (
+    binomial_product_coeffs,
+    deligne_limit,
+    expand_product,
+    naive_product,
+    q_factorial,
+    satake_polynomial,
+)
 
 
 
@@ -608,3 +621,227 @@ class TestVerifyPrime:
                 verify_prime(IkedaParams(n, k), p, 0)
         assert len(calls) == 3 * len(primes)
 
+
+BIG = 10**40
+
+
+class TestPolyBasics:
+    def test_mul_degree_additive(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            a = [rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
+            b = [rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
+            assert len(naive_product(a, b)) == len(a) + len(b) - 1
+
+
+class TestDickson:
+    def test_index_zero(self):
+        assert dickson(0, 7) == (2,)
+
+    def test_index_two(self):
+        # (x + c/x)^2 - 2c expanded by hand
+        for c in (3, Fraction(5, 2)):
+            assert dickson(2, c) == (-2 * c, 0, 1)
+
+    def test_index_three(self):
+        for c in (4, Fraction(1, 3)):
+            assert dickson(3, c) == (0, -3 * c, 0, 1)
+
+    def test_family_negative_rejected(self):
+        with pytest.raises(ValueError):
+            dickson_family(-1, 3)
+
+    def test_monic_integer(self):
+        for i in range(1, 13):
+            d = dickson(i, 6)
+            assert len(d) == i + 1
+            assert d[i] == 1
+            assert all(isinstance(c, int) for c in d)
+
+
+class TestPalindromic:
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_product_of_palindromes_is_palindromic(self, data):
+        def palindrome():
+            outer = data.draw(st.integers(-5, 5).filter(lambda v: v != 0))
+            inner = data.draw(st.lists(st.integers(-5, 5), max_size=6))
+            mid = data.draw(st.lists(st.integers(-5, 5), max_size=1))
+            half = [outer] + inner
+            return tuple(half + mid + half[::-1])
+
+        p1, p2 = palindrome(), palindrome()
+        assert p1 == p1[::-1] and p2 == p2[::-1]
+        product = naive_product(p1, p2)
+        assert product == product[::-1]
+
+
+class TestExpandProduct:
+    def test_two_linear_factors(self):
+        assert expand_product([(1, 1), (2, 1)]) == (2, 3, 1)
+
+    def test_hand_expansion(self):
+        assert expand_product([(136, 1), (80, 1)]) == (10880, 216, 1)
+
+    def test_singleton(self):
+        assert expand_product([(5, 1)]) == (5, 1)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            expand_product([])
+
+
+class TestEvalPoly:
+    def test_dickson_at_point(self):
+        assert eval_poly(dickson(2, 3), 5) == 19
+
+    def test_constant_term_at_zero(self):
+        assert eval_poly((9, 4, 4), 0) == 9
+
+    def test_quad_coefficients(self):
+        x = QuadExt(1, 1, 2)
+        poly = (x, 1)
+        assert eval_poly(poly, QuadExt(1, 0, 2)) == QuadExt(2, 1, 2)
+
+
+class TestPolyOverQuadExt:
+    def test_mixed_radicands_rejected(self):
+        from ikedalift.exactnum import RadicandMismatchError
+
+        root2, root3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+        with pytest.raises(RadicandMismatchError):
+            naive_product((1, root2), (1, root3))
+        with pytest.raises(RadicandMismatchError):
+            eval_poly((1, root2), root3)
+
+
+class TestPolyLoops:
+    def test_horner(self):
+        assert eval_poly([13824, 240, 1], -24) == 8640
+        assert eval_poly([], 5) == 0
+        a = [Fraction(i, 7) for i in range(1, 9)]
+        x = Fraction(2, 3)
+        assert eval_poly(a, x) == sum(c * x**i for i, c in enumerate(a))
+
+    def test_horner_quadratic_point(self):
+        x = QuadExt(1, 1, 2)
+        coeffs = [3, -1, 2]
+        assert eval_poly(coeffs, x) == 3 - x + 2 * x * x
+
+    def test_quadratic_coefficients(self):
+        x = QuadExt(1, 1, 2)
+        y = QuadExt(0, 3, 2)
+        assert naive_product([x, y], [x, y]) == [x * x, x * y + y * x, y * y]
+
+    def test_fraction_coefficients(self):
+        a = [Fraction(i, 7) for i in range(1, 9)]
+        b = [Fraction(-3, i) for i in range(1, 6)]
+        x = Fraction(-5, 4)
+        assert eval_poly(naive_product(a, b), x) == eval_poly(a, x) * eval_poly(b, x)
+
+    @given(
+        st.lists(st.integers(-BIG, BIG), max_size=12),
+        st.lists(st.integers(-BIG, BIG), max_size=12),
+    )
+    @settings(max_examples=100)
+    def test_convolve_matches_naive_oracle(self, a, b):
+        # the oracle by evaluation: every product coefficient has magnitude
+        # at most 12 * BIG^2 < 2^270, below x/2, so the value at x = 2^280
+        # determines them all
+        x = 2**280
+        assert eval_poly(naive_product(a, b), x) == eval_poly(a, x) * eval_poly(b, x)
+
+
+class TestQInt:
+    """The q-integer [n]_q = 1 + q + ... + q^(n-1) is (n choose 1)_q."""
+
+    def test_one(self):
+        assert q_binomial(1, 1) == (1,)
+
+    def test_three(self):
+        assert q_binomial(3, 1) == (1, 1, 1)
+
+    def test_three_at_two(self):
+        assert q_binomial_eval(3, 1, 2) == 7
+        assert q_binomial_row(3, 1, 2) == [1, 7]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            q_binomial(-1, 1)
+        with pytest.raises(ValueError):
+            q_binomial_row(-1, 1, 2)
+
+
+class TestQFactorial:
+    def test_empty_product(self):
+        assert q_factorial(0) == (1,)
+
+    def test_two(self):
+        assert q_factorial(2) == (1, 1)
+
+    def test_three(self):
+        # (1+q)(1+q+q^2) expanded by hand
+        assert q_factorial(3) == (1, 2, 2, 1)
+
+
+class TestQBinomial:
+    def test_m_zero(self):
+        for n in range(8):
+            assert q_binomial(n, 0) == (1,)
+
+    def test_four_choose_two(self):
+        assert q_binomial(4, 2) == (1, 1, 2, 1, 1)
+
+    def test_four_choose_two_at_one(self):
+        assert eval_poly(q_binomial(4, 2), 1) == 6
+
+    def test_m_greater_than_n_rejected(self):
+        with pytest.raises(ValueError):
+            q_binomial(3, 5)
+
+    def test_large_n_few_terms(self):
+        # m(n - m) + 1 coefficients, from m passes of the recurrence
+        qb = q_binomial(20000, 3)
+        assert len(qb) == 3 * 19997 + 1 == 59992
+        assert all(c > 0 for c in qb)
+        assert sum(qb) == comb(20000, 3)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # without the running sums nothing is divided: the top coefficient
+        # of 1 - q^5 is left over as the remainder
+        monkeypatch.setattr("ikedalift.ikeda.accumulate", lambda xs: xs)
+        with pytest.raises(ArithmeticError, match=r"\[5, 1\] is not a polynomial"):
+            q_binomial(5, 2)
+
+
+class TestQBinomialEval:
+    def test_four_two_at_two(self):
+        assert q_binomial_eval(4, 2, 2) == 35
+
+    def test_top(self):
+        assert q_binomial_eval(5, 5, 7) == 1
+
+    def test_two_one_at_three(self):
+        assert q_binomial_eval(2, 1, 3) == 4
+
+
+class TestQBinomialRow:
+    def test_four_at_two(self):
+        assert q_binomial_row(4, 4, 2) == [1, 15, 35, 15, 1]
+
+    def test_roots_of_unity(self):
+        assert q_binomial_row(5, 5, 1) == [comb(5, j) for j in range(6)]
+        assert q_binomial_row(4, 4, -1) == [1, 0, 2, 0, 1]
+        assert q_binomial_row(5, 3, -1) == [1, 1, 2, 2]
+
+
+class TestBinomialProduct:
+    def test_single_factor(self):
+        assert binomial_product_coeffs(1) == [(1,), (1,)]
+
+    def test_two_factors(self):
+        # (1+x)(1+qx) = 1 + (1+q)x + q x^2
+        assert binomial_product_coeffs(2) == [(1,), (1, 1), (0, 1)]
+
+    def test_three_factors_x_squared(self):
+        assert binomial_product_coeffs(3)[2] == (0, 1, 1, 1)

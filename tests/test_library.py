@@ -75,3 +75,7 @@ def test_the_root_holds_no_public_name_but_backend():
     }
     assert public == {"BACKEND"}
     assert ikedalift.__version__ == "0.1.0"
+
+
+def test_backend_reported():
+    assert ikedalift.BACKEND == "python"
