@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from ikedalift.exactnum import QuadExt, primes_upto
 from ikedalift.modforms import DeligneBoundError, UnsupportedWeightError
 from ikedalift import exactnum, ikeda, selftest
-from ikedalift.selftest import bound_pair, half_power
+from ikedalift.selftest import bound_pair
 from ikedalift.ikeda import (
     BoundIdentityError,
     IkedaParams,
@@ -44,7 +44,6 @@ from ikedalift.ikeda import (
     eigenvalue_reciprocal,
     eval_poly,
     q_binomial,
-    q_binomial_eval,
     q_binomial_row,
     verify_prime,
 )
@@ -440,18 +439,9 @@ class TestCorruptedTables:
 
 
 class TestBoundIdentity:
-    """The bounds equal route 2 evaluated in Q(sqrt(p)) at a = -+2p^((w-1)/2)."""
-
-    PAIRS = ((2, 10), (4, 12), (6, 16), (8, 14), (12, 20), (16, 18), (20, 22))
-
-    def test_identity_across_pairs(self):
-        for n, k in self.PAIRS:
-            params = IkedaParams(n, k)
-            for p in primes_upto(200):
-                edge = 2 * half_power(p, 2 * k - n - 1)
-                lo, hi = bound_pair(params, p)
-                assert eigenvalue_product(params, p, -edge) == lo, (n, k, p)
-                assert eigenvalue_product(params, p, edge) == hi, (n, k, p)
+    """verify_prime checks that the bounds equal route 2 at a = -+2p^((w-1)/2),
+    on int pairs; selftest's check_bounds_match_formula checks the identity
+    itself in Q(sqrt(p))."""
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_corrupt_bound_is_caught(self, monkeypatch, side):
@@ -753,17 +743,7 @@ class TestPolyLoops:
 
 
 class TestQInt:
-    """The q-integer [n]_q = 1 + q + ... + q^(n-1) is (n choose 1)_q."""
-
-    def test_one(self):
-        assert q_binomial(1, 1) == (1,)
-
-    def test_three(self):
-        assert q_binomial(3, 1) == (1, 1, 1)
-
-    def test_three_at_two(self):
-        assert q_binomial_eval(3, 1, 2) == 7
-        assert q_binomial_row(3, 1, 2) == [1, 7]
+    """A negative n is refused by the polynomial and by the row alike."""
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -785,16 +765,6 @@ class TestQFactorial:
 
 
 class TestQBinomial:
-    def test_m_zero(self):
-        for n in range(8):
-            assert q_binomial(n, 0) == (1,)
-
-    def test_four_choose_two(self):
-        assert q_binomial(4, 2) == (1, 1, 2, 1, 1)
-
-    def test_four_choose_two_at_one(self):
-        assert eval_poly(q_binomial(4, 2), 1) == 6
-
     def test_m_greater_than_n_rejected(self):
         with pytest.raises(ValueError):
             q_binomial(3, 5)
@@ -812,27 +782,6 @@ class TestQBinomial:
         monkeypatch.setattr("ikedalift.ikeda.accumulate", lambda xs: xs)
         with pytest.raises(ArithmeticError, match=r"\[5, 1\] is not a polynomial"):
             q_binomial(5, 2)
-
-
-class TestQBinomialEval:
-    def test_four_two_at_two(self):
-        assert q_binomial_eval(4, 2, 2) == 35
-
-    def test_top(self):
-        assert q_binomial_eval(5, 5, 7) == 1
-
-    def test_two_one_at_three(self):
-        assert q_binomial_eval(2, 1, 3) == 4
-
-
-class TestQBinomialRow:
-    def test_four_at_two(self):
-        assert q_binomial_row(4, 4, 2) == [1, 15, 35, 15, 1]
-
-    def test_roots_of_unity(self):
-        assert q_binomial_row(5, 5, 1) == [comb(5, j) for j in range(6)]
-        assert q_binomial_row(4, 4, -1) == [1, 0, 2, 0, 1]
-        assert q_binomial_row(5, 3, -1) == [1, 1, 2, 2]
 
 
 class TestBinomialProduct:

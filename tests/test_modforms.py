@@ -405,14 +405,6 @@ class TestHeckeEigenvaluePrime:
     def test_weight_eighteen_at_two(self):
         assert hecke_eigenvalue_prime(eigenform(18, 10), 2) == -528
 
-    def test_deligne_guard_passes(self):
-        # (-24)^2 = 576 <= 4*2^11 = 8192
-        assert hecke_eigenvalue_prime(eigenform(12, 10), 2) == -24
-
-    def test_corrupt_table_rejected(self):
-        with pytest.raises(EigenformValidationError, match="Deligne"):
-            hecke_eigenvalue_prime(FourierSeries(12, (0, 1, 10**9)), 2)
-
     def test_beyond_truncation_rejected(self):
         with pytest.raises(ValueError):
             hecke_eigenvalue_prime(eigenform(12, 10), 13)
