@@ -11,7 +11,8 @@ agree, so the root of the data pipeline is its own oracle.  Any other
 weight enters through a coefficient table on disk: the dense run a(1..L),
 validated as it is loaded.  A weight with dim S_w = 0 has no eigenform:
 require_cusp_forms, the one place that refuses it, does so for IkedaParams
-(on 2k - n), the CLI's --weight, eigenform() and load_eigenform() alike.
+(on 2k - n), the CLI's --weight, eigenform(), load_eigenform() and the
+FourierSeries constructor alike.
 
 A FourierSeries is a validated eigenform: its constructor runs the one
 validator, _check_table, on the tuple it stores: a(1) = 1, Deligne's bound
@@ -107,7 +108,8 @@ class FourierSeries:
     the tuple coeffs.
 
     The constructor stores tuple(coeffs) and runs _check_table on it, so
-    every FourierSeries has passed the one validator, or raises its
+    every FourierSeries has a weight with cusp forms and has passed the one
+    validator, or raises UnsupportedWeightError or the validator's
     EigenformValidationError; its read-only attributes keep it so.  A built
     series and a loaded table alike are the one dense run, so a table's
     size follows its line count.  A series takes weak references, so a test
@@ -391,10 +393,11 @@ def _check_composite(a, w: int, m: int, p: int) -> None:
 
 def _check_table(f: FourierSeries) -> None:
     """Structural validation of a series f, a loaded table or a built form,
-    which FourierSeries.__init__ runs on every series it makes: a(1) = 1
-    (a run without a(1) fails it at index 1), Deligne's bound at each
-    prime, and at each composite the relation _check_composite reads.
-    Raises on the first offending index (ascending).
+    which FourierSeries.__init__ runs on every series it makes: a weight
+    with cusp forms (require_cusp_forms), a(1) = 1 (a run without a(1)
+    fails it at index 1), Deligne's bound at each prime, and at each
+    composite the relation _check_composite reads.  Raises on the first
+    offending index (ascending).
 
     Where dim S_w = 1 (the built-in weights), each prime also meets
     Ramanujan's congruence a(p) = 1 + p^(w-1) mod M, M the denominator of
@@ -407,7 +410,7 @@ def _check_table(f: FourierSeries) -> None:
     array _smallest_prime_factors(L), the sieve each sigma table also
     builds for itself, classifies as it is.
     """
-    coeffs, w = f.coeffs, f.weight
+    coeffs, w = f.coeffs, require_cusp_forms(f.weight)
     if coeffs[1:2] != (1,):
         raise EigenformValidationError(1, "normalization violated: a(1) != 1")
     # cusp_dimension first, so that no other weight computes a Bernoulli number

@@ -8,6 +8,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "tools" / "code_lines.py"
+# the test files named after a rule that crosses modules, not after one
+CROSS_CUTTING = {"acceptance", "cli_fuzz", "exactness_lint", "golden", "input_rules", "library"}
 
 # each kind of line once; the code lines are marked `# code`
 SOURCE = '''"""A module docstring
@@ -59,3 +61,11 @@ def test_prints_each_module_and_the_cli_path_total():
     assert names == [*load().MODULES, "total"]
     code, wc = (sum(int(row[i]) for row in rows[:6]) for i in (1, 2))
     assert rows[-1][1:] == [str(code), str(wc)]
+
+
+def test_each_test_file_is_named_after_a_module_a_tool_or_a_rule():
+    # a test file left behind by a folded module fails here, not silently
+    tools = {path.stem for path in SCRIPT.parent.glob("*.py")}
+    allowed = {*load().MODULES, *tools, *CROSS_CUTTING}
+    tests = sorted(path.stem for path in (REPO / "tests").glob("test_*.py"))
+    assert [name for name in tests if name.removeprefix("test_") not in allowed] == []

@@ -1,8 +1,10 @@
 """Quadratic-ring arithmetic: exactness, canonical forms, sign determination.
 
-The sign oracle is 100-digit decimal evaluation; ring laws run on 1000
-seeded random triples.  Both seeded checks live in ikedalift.selftest and
-run as cases of tests/test_acceptance.py.
+The sign is tested here against the exact Fraction-backed reference
+(ref_sign) and at Pell units, whose two terms agree past 300 digits.  The
+100-digit decimal oracle runs on 1000 seeded samples, and the ring laws on
+1000 seeded triples, in ikedalift.selftest's check_quad_sign_vs_decimal and
+check_quad_ring_laws, cases of tests/test_acceptance.py.
 """
 
 import copy

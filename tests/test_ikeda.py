@@ -1,4 +1,19 @@
-"""Eigenvalue routes, structural polynomial checks, exact bounds.
+"""ikedalift.ikeda: eigenvalue routes, structural polynomial checks, exact
+bounds, and the algebra the routes read: polynomial evaluation (eval_poly),
+the Dickson family, Gaussian binomials, with the oracles of the invariant
+suite that test them (selftest's naive_product, expand_product, q_factorial
+and binomial_product_coeffs).
+
+The Gaussian binomial is built by the ratio recurrence
+    (n choose m)_q = (n choose m-1)_q (1 - q^(n-m+1)) / (1 - q^m).
+Its oracle is the q-factorial identity
+    (n choose m)_q * [m]_q! * [n-m]_q! = [n]_q!,
+checked by polynomial multiplication, a different code path from the
+shifted subtractions and running sums of the recurrence, for every n <= 16
+in the invariant suite's check_q_binomial_identities (a case of
+tests/test_acceptance.py), with its values at each integer q in [-5, 7].
+The q-binomial tests here cover what that check does not: the error paths,
+a large n, and the oracles themselves.
 
 Worked constants here are hand-derived from the closed product
 prod_{i=1}^{n/2} (a + p^(k-i) + p^(k-n-1+i)):

@@ -1,7 +1,7 @@
-"""The arithmetic kernels against the schoolbook oracle: the Kronecker
-series engine (kernels.convolve_trunc) on signed integers of any size, and the
-generic polynomial loops (ikeda.eval_poly and the oracle
-selftest.naive_product itself) on every coefficient ring."""
+"""The Kronecker series engine, kernels.convolve_trunc, against the
+schoolbook oracle selftest.naive_product on signed integers of any size.
+The oracle itself is tested on every coefficient ring in
+tests/test_ikeda.py, beside ikeda.eval_poly."""
 
 import sys
 

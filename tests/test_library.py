@@ -1,5 +1,5 @@
 """The supported API that README's "Library" section names, by module, and
-the package root that re-exports none of it."""
+the package root that re-exports none of it and names its backend."""
 
 import importlib
 import re

@@ -320,6 +320,13 @@ class TestWeightRule:
                 load_eigenform(path, w)
             assert str(info.value) == f"elliptic weight {w} has no cusp form: dim S_{w} = 0"
 
+    @pytest.mark.parametrize("w", EMPTY)
+    def test_fourier_series_refuses(self, w):
+        # a(2) = a(3) = 0 meets every other rule of the validator
+        with pytest.raises(UnsupportedWeightError) as info:
+            FourierSeries(w, (0, 1, 0, 0))
+        assert str(info.value) == f"elliptic weight {w} has no cusp form: dim S_{w} = 0"
+
 
 class TestTraceFormula:
     """a(p) of each built-in eigenform against the Eichler-Selberg trace
