@@ -7,7 +7,9 @@ nothing here is approximate.  `pytest tests/test_acceptance.py -v` prints
 one line per check, and `-k NAME` runs one check.
 """
 
+import ast
 from decimal import getcontext, localcontext
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,8 @@ from ikedalift import selftest
     "check", [fn for _, fn in selftest.CHECKS], ids=[fn.__name__ for _, fn in selftest.CHECKS]
 )
 def test_check(check):
-    # a check that needs more digits sets them in a context of its own
+    # no check may move the caller's decimal context: the series engine
+    # multiplies through a context of its own, never the thread's
     with localcontext() as ctx:
         ctx.prec = 17
         check()
@@ -33,3 +36,28 @@ def test_every_check_is_listed_once():
     assert set(listed) == defined
     labels = [label for label, _ in selftest.CHECKS]
     assert len(labels) == len(set(labels))
+
+
+def test_no_construction_outlives_its_check():
+    # a helper left behind when its check goes would be dead code: every
+    # top-level function of selftest is reached by name from CHECKS or run,
+    # directly or through other helpers, or read by tools/ci_checks.py
+    tree = ast.parse(Path(selftest.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(node):
+        return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)} & set(functions)
+
+    ci_checks = Path(__file__).resolve().parent.parent / "tools" / "ci_checks.py"
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse(ci_checks.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    reached, todo = set(), {fn.__name__ for _, fn in selftest.CHECKS} | {"run"}
+    todo |= read & set(functions)
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= names(functions[name]) - reached
+    assert sorted(set(functions) - reached) == []

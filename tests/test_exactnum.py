@@ -1,10 +1,11 @@
 """Quadratic-ring arithmetic: exactness, canonical forms, sign determination.
 
-The sign is tested here against the exact Fraction-backed reference
-(ref_sign) and at Pell units, whose two terms agree past 300 digits.  The
-100-digit decimal oracle runs on 1000 seeded samples, and the ring laws on
-1000 seeded triples, in ikedalift.selftest's check_quad_sign_vs_decimal and
-check_quad_ring_laws, cases of tests/test_acceptance.py.
+The sign has one oracle, ikedalift.selftest's surd_sign, exact integer
+arithmetic that squares neither side.  QuadExt.sign is tested against it
+here on Fraction parts (through ref_sign) and at Pell units, whose two
+terms agree past 300 digits.  selftest's check_quad_sign_vs_isqrt runs it
+on 1000 seeded samples, and check_quad_ring_laws the ring laws on 1000
+seeded triples, both cases of tests/test_acceptance.py.
 """
 
 import copy
@@ -26,7 +27,7 @@ from ikedalift.exactnum import (
     is_prime,
     primes_upto,
 )
-from ikedalift.selftest import half_power
+from ikedalift.selftest import half_power, surd_sign
 
 
 def quad(a, b, p: int) -> QuadExt:
@@ -115,20 +116,10 @@ def pell_units(p: int, digits: int = 300) -> list[tuple[int, int]]:
     return units
 
 
-def surd_sign(x: int, y: int, p: int) -> int:
-    """Sign of x + y*sqrt(p) for y != 0, by an oracle that squares neither
-    side: y*sqrt(p) is irrational, so |x| > |y|*sqrt(p) exactly when
-    |x| > isqrt(p*y^2)."""
-    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
-    if sx == sy or sx == 0:
-        return sy
-    return sx if abs(x) > isqrt(p * y * y) else sy
-
-
 class TestSignAtPellUnits:
     # x - y*sqrt(p) = +-1/(x + y*sqrt(p)): the two terms agree to about as
-    # many digits as x has, beyond what selftest's 100-digit decimal
-    # oracle resolves
+    # many digits as x has, beyond what a decimal evaluation at a fixed
+    # precision resolves; surd_sign compares them exactly
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 41, 61, 109])
     def test_both_signs_of_each_part(self, p):
         units = pell_units(p)
@@ -222,17 +213,12 @@ class TestPrimes:
             is_prime(PRIME_TEST_LIMIT)
 
 
-# -- reference: the Fraction-backed formulas of the earlier scalar ----------
+# -- reference: Fraction-backed formulas over the exact sign oracle ---------
 
 
 def ref_sign(a: Fraction, b: Fraction, p: int) -> int:
-    sa = (a > 0) - (a < 0)
-    sb = (b > 0) - (b < 0)
-    if sb == 0:
-        return sa
-    if sa == 0 or sa == sb:
-        return sb
-    return sa if a * a > b * b * p else sb
+    # a + b*sqrt(p) times the positive common denominator of its parts
+    return surd_sign(a.numerator * b.denominator, b.numerator * a.denominator, p)
 
 
 def ref_floor_scaled(a: Fraction, b: Fraction, p: int, scale: int) -> int:

@@ -1,8 +1,8 @@
 """ikedalift.ikeda: eigenvalue routes, structural polynomial checks, exact
 bounds, and the algebra the routes read: polynomial evaluation (eval_poly),
 the Dickson family, Gaussian binomials, with the oracles of the invariant
-suite that test them (selftest's naive_product, expand_product, q_factorial
-and binomial_product_coeffs).
+suite that test them (selftest's naive_product, expand_product and
+q_factorial).
 
 The Gaussian binomial is built by the ratio recurrence
     (n choose m)_q = (n choose m-1)_q (1 - q^(n-m+1)) / (1 - q^m).
@@ -63,7 +63,6 @@ from ikedalift.ikeda import (
     verify_prime,
 )
 from ikedalift.selftest import (
-    binomial_product_coeffs,
     deligne_limit,
     expand_product,
     naive_product,
@@ -797,15 +796,3 @@ class TestQBinomial:
         monkeypatch.setattr("ikedalift.ikeda.accumulate", lambda xs: xs)
         with pytest.raises(ArithmeticError, match=r"\[5, 1\] is not a polynomial"):
             q_binomial(5, 2)
-
-
-class TestBinomialProduct:
-    def test_single_factor(self):
-        assert binomial_product_coeffs(1) == [(1,), (1,)]
-
-    def test_two_factors(self):
-        # (1+x)(1+qx) = 1 + (1+q)x + q x^2
-        assert binomial_product_coeffs(2) == [(1,), (1, 1), (0, 1)]
-
-    def test_three_factors_x_squared(self):
-        assert binomial_product_coeffs(3)[2] == (0, 1, 1, 1)
