@@ -4,7 +4,8 @@ Each check is a plain function raising AssertionError on failure, listed
 once in CHECKS.  The `selftest` CLI subcommand runs them all through run();
 pytest runs each entry of CHECKS once, as one case of
 tests/test_acceptance.py named after the function, so both entry points
-check the same invariants at the same scale.  No other test calls a check.
+check the same invariants at the same scale.  No other test calls a check:
+tests call route_identities, the proof check_route_identities runs per pair.
 The checks, and the Hurwitz relation in trace_formula_coefficients, are
 assert statements, which run only with assertions on: under python -O (or
 PYTHONOPTIMIZE) every check would pass having checked nothing, so importing
@@ -14,9 +15,9 @@ this module there raises ValueError, which the CLI reports as a usage error
 The constructions that only the checks use also live here: the schoolbook
 polynomial product, the Bernoulli numbers as Fractions, the divisor-sum
 sweep, q-factorials, the exact sign oracle surd_sign, the Satake
-generating polynomial, route 3's literal Dickson construction, the Deligne
-limit, and the exact half-integer powers of p (half_power) with the literal
-bound formula built on them, and the Hurwitz class number of one
+generating polynomial, the Deligne limit, the exact half-integer powers of
+p (half_power), the polynomials in s = sqrt(p) and a = a_f(p) with the
+bound polynomial, and the Hurwitz class number of one
 discriminant (hurwitz_12) with the Eichler-Selberg trace formula
 (trace_formula_coefficients), a source of a_f(p) at every built-in weight
 independent of the series engine, which computes only the class numbers a
@@ -31,13 +32,14 @@ if not __debug__:
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt
 
+from . import ikeda
 from .exactnum import QuadExt, _quad, primes_upto, require_prime
 from .ikeda import (
     IkedaParams,
     dickson,
-    dickson_exponents,
     dickson_family,
     dickson_terms,
     eigenvalue_bounds,
@@ -172,24 +174,6 @@ def satake_polynomial(params: IkedaParams, p: int) -> tuple[QuadExt, ...]:
     )
 
 
-def literal_eigenvalue_polynomial(params: IkedaParams, p: int) -> tuple[int, ...]:
-    """Route 3's polynomial built literally: D_0..D_{n/2} from the Dickson
-    recurrence at c = p^(2k-n-1), each D_{n/2-i} scaled by
-    p^(h_i/2) * (n choose i)_p, plus the centre coefficient.  The oracle for
-    eigenvalue_polynomial, which reads the coefficients of D_m(x, c) off
-    D_m(x, 1) by homogeneity."""
-    n, k = params.n, params.k
-    half = n // 2
-    exps = dickson_exponents(params)
-    qb = q_binomial_row(n, half, p)
-    family = dickson_family(half, p ** (2 * k - n - 1))
-    acc = [p ** exps[half] * qb[half]] + [0] * half
-    for i in range(half):
-        for j, x in enumerate(family[half - i]):
-            acc[j] += p ** exps[i] * qb[i] * x
-    return tuple(acc)
-
-
 def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
     """Exact check that the generating polynomial factors as
     p^(d/2) * prod_{j=0}^{n-1} (1 + p^(j + (1-n)/2) x) in Q(sqrt(p))."""
@@ -198,6 +182,47 @@ def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
     scale = half_power(p, params.double_base_exp)
     factors = [(1, half_power(p, 2 * j + 1 - n)) for j in range(n)]
     return lhs == tuple(scale * c for c in expand_product(factors))
+
+
+def poly_sum(polys) -> dict:
+    """The sum of polynomials {(s-exponent, a-exponent): c} in s and a (Laurent in s), each
+    held with no zero c, so that equal polynomials have equal dicts."""
+    out = {}
+    for f in polys:
+        for m, c in f.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_mul(f: dict, g: dict) -> dict:
+    """The product of two polynomials in s and a."""
+    out = {}
+    for (s, a), c in f.items():
+        for (t, b), e in g.items():
+            out[s + t, a + b] = out.get((s + t, a + b), 0) + c * e
+    return {m: c for m, c in out.items() if c}
+
+
+def square_product(scale: int, pairs, sign: int) -> dict:
+    """s^scale * prod (s^x + sign * s^y)^2 over the exponent pairs (x, y)."""
+    roots = (poly_sum([{(x, 0): 1}, {(y, 0): sign}]) for x, y in pairs)
+    return reduce(poly_mul, (poly_mul(r, r) for r in roots), {(scale, 0): 1})
+
+
+def bound_polynomial(params: IkedaParams, sign: int) -> dict:
+    """prod_{i=1}^{n/2} (s^(k-i) + sign * s^(k-n-1+i))^2, which at
+    s = sqrt(p) is the upper bound for sign 1 and the lower for sign -1."""
+    n, k = params.n, params.k
+    return square_product(0, [(k - i, k - n - 1 + i) for i in range(1, n // 2 + 1)], sign)
+
+
+def at_root(f: dict, p: int) -> dict:
+    """f at s = sqrt(p), for an f with no negative s-exponent: the
+    coefficient X + Y sqrt(p) of each power a^j, as {j: (X, Y)}."""
+    out = {}
+    for (e, j), c in f.items():
+        out.setdefault(j, [0, 0])[e % 2] += c * p ** (e // 2)
+    return {j: tuple(xy) for j, xy in out.items()}
 
 
 def hurwitz_12(D: int) -> int:
@@ -414,41 +439,6 @@ def check_eigenforms():
                 assert not refused, (w, shift)
 
 
-def check_route_agreement():
-    # every valid (n, k) with elliptic weight in 12..26, primes to 100, 50
-    # random admissible values each; the identity is polynomial in a, so
-    # random sampling fully exercises it
-    rng = random.Random(97)
-    for n, k in valid_pairs(8, 28):
-        if 2 * k - n > 26:
-            continue
-        params = IkedaParams(n, k)
-        for p in primes_upto(100):
-            limit = deligne_limit(params, p)
-            for _ in range(50):
-                x = rng.randint(-limit, limit)
-                v1 = eigenvalue_double_sum(params, p, x)
-                v2 = eigenvalue_product(params, p, x)
-                v3 = eigenvalue_reciprocal(params, p, x)
-                assert v1 == v2 == v3, (n, k, p, x)
-
-
-def check_saito_kurokawa_reduction():
-    for k in (10, 12, 14):
-        params = IkedaParams(2, k)
-        for p in primes_upto(100):
-            want = (p ** (k - 1) + p ** (k - 2), 1)
-            assert eigenvalue_polynomial(params, p) == want, (k, p)
-
-
-def check_eigenvalue_polynomial_oracle():
-    for n, k in valid_pairs(20, 40):
-        params = IkedaParams(n, k)
-        for p in primes_upto(50):
-            want = literal_eigenvalue_polynomial(params, p)
-            assert eigenvalue_polynomial(params, p) == want, (n, k, p)
-
-
 def check_horner_layouts():
     # each group of params_record's Horner layouts, run as
     # c = c p^gap + coefficient qb[m] and one p^e0, is the literal sum of
@@ -483,6 +473,74 @@ def check_horner_layouts():
         assert powers == {e: 7**e for e in read}, (n, k)
 
 
+def route_identities(params: IkedaParams) -> None:
+    """Prove for one (n, k), as identities of polynomials in s = sqrt(p) and
+    a = a_f(p), that the routes agree and, for |a| <= 2 s^g (Deligne,
+    g = 2k - n - 1), that the eigenvalue is positive and within the bounds
+    at every prime; then tie the code to them at p = 2 and 5.  Route 2 is
+    prod (a + s^(2x) + s^(2y)) over (x, y) = (k - i, k - n - 1 + i).
+    1. Route 1's and route 3's tables, and route 3 built literally (each
+       D_{n/2-i}(a, c) by its recurrence at c = s^(2g), times the Satake
+       coefficient s^(d + i(i-n)) (n choose i)_p / c^((n/2-i)/2)), equal it.
+    2. At a = -+2 s^g each factor is (s^x -+ s^y)^2, nonzero as x != y, so
+       it is positive on the Deligne interval, where it increases in a.
+    3. Their product, bound_polynomial, is s^(d + n^2/4) prod (1 -+ s^-(2i-1))^2
+       and eigenvalue_bounds' s^(2e) prod (s^(2i) -+ s)^2, e = bound_exponent.
+    4. eigenvalue_polynomial, eigenvalue_bounds and verify_prime at
+       a = -L, 0, L (L = deligne_limit) agree with them at s = sqrt(p).
+    A polynomial mismatch names (n, k) and the first differing monomial.
+    The tables are read through ikeda, where params_record reads them."""
+    n, k = params.n, params.k
+    half, g, d, e = n // 2, 2 * k - n - 1, params.double_base_exp, ikeda.bound_exponent(params)
+
+    def same(what, got, want):
+        first = min((m for m in got.keys() | want.keys() if got.get(m) != want.get(m)), default=())
+        assert not first, f"({n}, {k}): {what} differs first at s^{first[0]} a^{first[1]}"
+
+    pairs = [(k - i, k - n - 1 + i) for i in range(1, half + 1)]
+    factors = [{(0, 1): 1, (2 * x, 0): 1, (2 * y, 0): 1} for x, y in pairs]
+    route2 = reduce(poly_mul, factors, {(0, 0): 1})
+    gauss = [{(2 * t, 0): c for t, c in enumerate(q_binomial(n, m))} for m in range(half + 1)]
+    for what, table in (("route 1", ikeda.double_sum_terms), ("route 3", ikeda.dickson_terms)):
+        terms = (poly_mul({(2 * exp, j): c}, gauss[m]) for c, m, exp, j in table(params))
+        same(what, poly_sum(terms), route2)
+    family = [{(0, 0): 2}, {(0, 1): 1}]
+    for _ in range(half - 1):
+        step = poly_mul({(0, 1): 1}, family[-1]), poly_mul({(2 * g, 0): -1}, family[-2])
+        family.append(poly_sum(step))
+    family[0] = {(0, 0): 1}  # the centre coefficient has no pair: 1, not D_0 = 2
+    literal = (
+        poly_mul(poly_mul({(d + i * (i - n) - g * (half - i), 0): 1}, gauss[i]), family[half - i])
+        for i in range(half + 1)
+    )
+    same("route 3 by its recurrence", poly_sum(literal), route2)
+    bounds = {sign: bound_polynomial(params, sign) for sign in (-1, 1)}
+    odd, even = zip(*(((0, 1 - 2 * i), (2 * i, 1)) for i in range(1, half + 1)))
+    for sign in (-1, 1):
+        for (x, y), factor in zip(pairs, factors):
+            assert x != y, (n, k, x)
+            edge = poly_sum({(s + g * j, 0): c * (2 * sign) ** j} for (s, j), c in factor.items())
+            same(f"factor {k - x} at a = {2 * sign}s^{g}", edge, square_product(0, [(x, y)], sign))
+        same("bound formula", square_product(d + half * half, odd, sign), bounds[sign])
+        same("eigenvalue_bounds' form", square_product(2 * e, even, sign), bounds[sign])
+    for p in (2, 5):
+        values = at_root(route2, p)
+        got = {j: (c, 0) for j, c in enumerate(eigenvalue_polynomial(params, p))}
+        assert got == values, (n, k, p)
+        A, B = eigenvalue_bounds(params, p)
+        ends = at_root(bounds[-1], p), at_root(bounds[1], p)
+        assert ends == ({0: (A, -B)}, {0: (A, B)}), (n, k, p)
+        limit = deligne_limit(params, p)
+        for a in (-limit, 0, limit):
+            value = sum(x * a**j for j, (x, _) in values.items())
+            assert verify_prime(params, p, a) == (p, a, value, A, B, True, True), (n, k, p, a)
+
+
+def check_route_identities():
+    for n, k in valid_pairs(20, 40):
+        route_identities(IkedaParams(n, k))
+
+
 def check_satake_palindromes():
     for n, k in valid_pairs(8, 20):
         params = IkedaParams(n, k)
@@ -514,31 +572,6 @@ def check_positivity_and_bounds_sweep():
             assert rep.within_bounds, (n, k, p)
 
 
-def check_factor_gaps():
-    # p^(k-i) + p^(k-n-1+i) > 2 p^((2k-n-1)/2) exactly, since the two
-    # exponents differ; so every linear factor of route 2, which increases
-    # in a, is positive on the whole closed Deligne interval
-    for n, k in DESK_PAIRS:
-        for p in primes_upto(100):
-            for i in range(1, n // 2 + 1):
-                gap = p ** (k - i) + p ** (k - n - 1 + i) - 2 * half_power(p, 2 * k - n - 1)
-                assert gap.sign() > 0, (n, k, p, i)
-
-
-def check_deligne_interval_positivity():
-    # both extreme integers of the Deligne interval, and every integer of
-    # the small intervals
-    for n, k in DESK_PAIRS:
-        params = IkedaParams(n, k)
-        for p in primes_upto(100):
-            limit = deligne_limit(params, p)
-            assert eigenvalue_product(params, p, -limit) > 0, (n, k, p)
-            assert eigenvalue_product(params, p, limit) > 0, (n, k, p)
-            if limit <= 2000:
-                for x in range(-limit, limit + 1):
-                    assert eigenvalue_product(params, p, x) > 0, (n, k, p, x)
-
-
 def check_end_to_end_values():
     # (n,k,p) = (4,8,2): 8640 = (-24 + 2^7 + 2^4)(-24 + 2^6 + 2^5), which the
     # double sum confirms by hand: 15*16*(-24) + 576 - 2*2048 + 512*35;
@@ -568,39 +601,10 @@ def half_power(p: int, h: int) -> QuadExt:
     return _quad(0, num, den, p) if odd else _quad(num, 0, den, p)
 
 
-def formula_bounds(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
-    """The bound formula p^((double_base_exp + n^2/4)/2) * prod_{i=1}^{n/2}
-    (1 -+ p^-(i-1/2))^2 evaluated literally with half_power in Q(sqrt(p)):
-    the reference for ikeda.eigenvalue_bounds."""
-    n = params.n
-    base = half_power(p, params.double_base_exp + n * n // 4)
-    lo = hi = half_power(p, 0)
-    for i in range(1, n // 2 + 1):
-        u = half_power(p, -(2 * i - 1))
-        lo = lo * (1 - u)
-        hi = hi * (1 + u)
-    return base * lo * lo, base * hi * hi
-
-
 def bound_pair(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
     """eigenvalue_bounds' int pair (A, B) as the QuadExts A -+ B sqrt(p)."""
     A, B = eigenvalue_bounds(params, p)
     return QuadExt(A, -B, p), QuadExt(A, B, p)
-
-
-def check_bounds_match_formula():
-    # k enters the bounds only through the power of p in front, so k <= 30
-    # covers every n <= 20 with several weights each
-    for n, k in valid_pairs(20, 30):
-        params = IkedaParams(n, k)
-        for p in primes_upto(200):
-            lo, hi = formula_bounds(params, p)
-            assert bound_pair(params, p) == (lo, hi), (n, k, p)
-            # route 2 evaluated in Q(sqrt(p)) at the Deligne endpoints: the
-            # literal form of the identity verify_prime checks on int pairs
-            edge = 2 * half_power(p, 2 * k - n - 1)
-            assert eigenvalue_product(params, p, -edge) == lo, (n, k, p)
-            assert eigenvalue_product(params, p, edge) == hi, (n, k, p)
 
 
 def check_series_engine_oracle():
@@ -662,17 +666,12 @@ CHECKS = [
     ("dim S_w from the monomials E4^a E6^b", check_cusp_dimension_from_monomials),
     ("built-in weights are those with dim S_w = 1", check_builtin_weights),
     ("eigenform relations and the Eichler-Selberg trace formula", check_eigenforms),
-    ("triple-route agreement", check_route_agreement),
-    ("degree-2 reduction", check_saito_kurokawa_reduction),
+    ("routes and bounds as identities in sqrt(p) and a", check_route_identities),
     ("Satake palindromes", check_satake_palindromes),
-    ("eigenvalue polynomial vs literal Dickson oracle", check_eigenvalue_polynomial_oracle),
     ("Horner layouts sum to their terms", check_horner_layouts),
     ("generating-polynomial factorization", check_satake_factorization),
     ("positivity and bounds at primes <= 1000", check_positivity_and_bounds_sweep),
-    ("factor gaps above the Deligne limit", check_factor_gaps),
-    ("positivity on the Deligne interval", check_deligne_interval_positivity),
     ("end-to-end values strictly inside bounds", check_end_to_end_values),
-    ("bounds equal the literal bound formula", check_bounds_match_formula),
     ("series product vs schoolbook oracle", check_series_engine_oracle),
 ]
 

@@ -4,7 +4,8 @@ Each entry of selftest.CHECKS is one test case, named after its function,
 the same check `python -m ikedalift selftest` runs, at the same scale.  All
 tolerances are exact (integer equality or quadratic-ring sign tests);
 nothing here is approximate.  `pytest tests/test_acceptance.py -v` prints
-one line per check, and `-k NAME` runs one check.
+one line per check, and `-k NAME` runs one check.  No other test names a
+check: a guard scans tests/ for one.
 """
 
 import ast
@@ -36,6 +37,19 @@ def test_every_check_is_listed_once():
     assert set(listed) == defined
     labels = [label for label, _ in selftest.CHECKS]
     assert len(labels) == len(set(labels))
+
+
+def test_no_test_names_a_check():
+    # each check runs once, as its case above: a test that needs a check's
+    # work calls the helper the check runs (route_identities for one (n, k))
+    checks = {name for name in vars(selftest) if name.startswith("check_")}
+    named = []
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in checks:
+                named.append(f"{path.name}:{node.lineno} {name}")
+    assert named == []
 
 
 def test_no_construction_outlives_its_check():

@@ -303,7 +303,8 @@ class TestLargerParams:
             == eigenvalue_product(params, p, a)
             == eigenvalue_reciprocal(params, p, a)
         )
-        assert bound_pair(params, p) == selftest.formula_bounds(params, p)
+        upper = selftest.bound_polynomial(params, 1)
+        assert eigenvalue_bounds(params, p) == selftest.at_root(upper, p)[0]
 
 
 class TestIntegralExponents:
@@ -371,7 +372,10 @@ def cold_ikeda_caches():
 class TestCorruptedTables:
     """Each per-(n, k) table the routes read is checked at every prime: a
     single wrong entry makes verify_prime raise the named error, also
-    through every table derived from it."""
+    through every table derived from it.  selftest.route_identities fails on
+    each too: on a wrong table naming (n, k) and the first monomial of s and
+    a where its polynomial differs, on a wrong Horner layout, which changes
+    no table, through verify_prime at its primes."""
 
     PARAMS = IkedaParams(16, 18)
 
@@ -387,6 +391,9 @@ class TestCorruptedTables:
         monkeypatch.setattr(ikeda, "double_sum_terms", corrupt)
         with pytest.raises(RouteDisagreementError, match="routes disagree at p = 7"):
             verify_prime(self.PARAMS, 7, 11)
+        route1 = r"^\(16, 18\): route 1 differs first at s\^40 a\^3$"
+        with pytest.raises(AssertionError, match=route1):
+            selftest.route_identities(self.PARAMS)
 
     @pytest.mark.parametrize("i, what", [(0, "monic"), (3, "factored form")])
     def test_dickson_exponent(self, monkeypatch, i, what):
@@ -401,6 +408,10 @@ class TestCorruptedTables:
         with pytest.raises(ArithmeticError, match=what) as info:
             verify_prime(self.PARAMS, 7, 11)
         assert type(info.value) is ArithmeticError
+        monomial = {0: r"s\^0 a\^8", 3: r"s\^18 a\^5"}[i]
+        route3 = rf"^\(16, 18\): route 3 differs first at {monomial}$"
+        with pytest.raises(AssertionError, match=route3):
+            selftest.route_identities(self.PARAMS)
 
     # (layout, group, term or None for e0, shift): at (16, 18) top = 44 is
     # the e0 of group 0 in both layouts, so that e0 is shifted down
@@ -444,18 +455,23 @@ class TestCorruptedTables:
         with pytest.raises(ArithmeticError, match=what) as info:
             verify_prime(self.PARAMS, 7, 11)
         assert type(info.value) is error
+        with pytest.raises(error, match=what):
+            selftest.route_identities(self.PARAMS)
 
     def test_bound_exponent(self, monkeypatch):
         true_exp = ikeda.bound_exponent
         monkeypatch.setattr(ikeda, "bound_exponent", lambda params: true_exp(params) + 1)
         with pytest.raises(BoundIdentityError, match="bounds at p = 7 differ"):
             verify_prime(self.PARAMS, 7, 11)
+        form = r"^\(16, 18\): eigenvalue_bounds' form differs first at s\^88 a\^0$"
+        with pytest.raises(AssertionError, match=form):
+            selftest.route_identities(self.PARAMS)
 
 
 class TestBoundIdentity:
     """verify_prime checks that the bounds equal route 2 at a = -+2p^((w-1)/2),
-    on int pairs; selftest's check_bounds_match_formula checks the identity
-    itself in Q(sqrt(p))."""
+    on int pairs; selftest.route_identities proves the identity itself, as
+    polynomials in sqrt(p), for each (n, k)."""
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_corrupt_bound_is_caught(self, monkeypatch, side):
@@ -577,12 +593,14 @@ class TestVerifyPrime:
         # (bound_a, bound_b) = (A, B) with lower, upper = A -+ B sqrt(p)
         for n, k in ((2, 10), (8, 14), (16, 18)):
             params = IkedaParams(n, k)
+            upper = selftest.bound_polynomial(params, 1)
             for p in primes_upto(60):
                 rep = verify_prime(params, p, 0)
                 assert type(rep.bound_a) is int and type(rep.bound_b) is int, (n, k, p)
                 assert rep.bound_b > 0
                 assert (rep.bound_a, rep.bound_b) == eigenvalue_bounds(params, p), (n, k, p)
-                assert (rep.lower, rep.upper) == selftest.formula_bounds(params, p), (n, k, p)
+                A, B = selftest.at_root(upper, p)[0]
+                assert (rep.lower, rep.upper) == (QuadExt(A, -B, p), QuadExt(A, B, p)), (n, k, p)
                 assert rep.lower.sign() > 0 and (rep.upper - rep.lower).sign() > 0
 
     FLAG_CASES = ((2, 10, 2), (2, 10, 97), (4, 12, 5), (8, 14, 3), (16, 18, 101))
