@@ -26,8 +26,8 @@ and eval_poly, the one Horner, work over int, Fraction and QuadExt.  The
 polynomial products that check both recurrences live only in selftest.
 
 The paper's formulas carry half-integer powers of p.  Every exponent here is
-held doubled, as an int h standing for p^(h/2) (the convention of
-selftest.half_power), and _halve checks each one even and non-negative
+held doubled, as an int h standing for p^(h/2) (selftest's polynomials in
+s = sqrt(p) hold s^h), and _halve checks each one even and non-negative
 before it is used as a power of p in Z.  The checks depend only on (n, k);
 they run in the functions double_sum_terms, dickson_exponents (read by
 dickson_terms) and bound_exponent, once per parameter pair, because the

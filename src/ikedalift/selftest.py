@@ -5,7 +5,8 @@ once in CHECKS.  The `selftest` CLI subcommand runs them all through run();
 pytest runs each entry of CHECKS once, as one case of
 tests/test_acceptance.py named after the function, so both entry points
 check the same invariants at the same scale.  No other test calls a check:
-tests call route_identities, the proof check_route_identities runs per pair.
+tests call satake_identity and route_identities, the proofs that
+check_route_identities runs per n and per pair.
 The checks, and the Hurwitz relation in trace_formula_coefficients, are
 assert statements, which run only with assertions on: under python -O (or
 PYTHONOPTIMIZE) every check would pass having checked nothing, so importing
@@ -14,10 +15,9 @@ this module there raises ValueError, which the CLI reports as a usage error
 
 The constructions that only the checks use also live here: the schoolbook
 polynomial product, the Bernoulli numbers as Fractions, the divisor-sum
-sweep, q-factorials, the exact sign oracle surd_sign, the Satake
-generating polynomial, the Deligne limit, the exact half-integer powers of
-p (half_power), the polynomials in s = sqrt(p) and a = a_f(p) with the
-bound polynomial, and the Hurwitz class number of one
+sweep, q-factorials, the exact sign oracle surd_sign, the Deligne limit,
+the polynomials in s = sqrt(p) and a = a_f(p) with the bound polynomial,
+and the Hurwitz class number of one
 discriminant (hurwitz_12) with the Eichler-Selberg trace formula
 (trace_formula_coefficients), a source of a_f(p) at every built-in weight
 independent of the series engine, which computes only the class numbers a
@@ -35,22 +35,18 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt
 
-from . import ikeda
-from .exactnum import QuadExt, _quad, primes_upto, require_prime
+from .exactnum import QuadExt, _quad, primes_upto
 from .ikeda import (
     IkedaParams,
     dickson,
     dickson_family,
-    dickson_terms,
     eigenvalue_bounds,
     eigenvalue_double_sum,
     eigenvalue_polynomial,
     eigenvalue_product,
     eigenvalue_reciprocal,
-    double_sum_terms,
     eval_poly,
     params_record,
-    prime_record,
     q_binomial,
     q_binomial_eval,
     q_binomial_row,
@@ -160,30 +156,6 @@ def deligne_limit(params: IkedaParams, p: int) -> int:
     return isqrt(4 * p ** (2 * params.k - params.n - 1))
 
 
-def satake_polynomial(params: IkedaParams, p: int) -> tuple[QuadExt, ...]:
-    """The degree-n generating polynomial whose normalized value at the
-    Satake parameter is the eigenvalue.
-
-    Coefficient i is p^((d + i(i-n))/2) * (n choose i)_p, realized
-    exactly in Q(sqrt(p)); the coefficient sequence is palindromic.
-    """
-    n = params.n
-    d = params.double_base_exp
-    return tuple(
-        half_power(p, d + i * (i - n)) * q_binomial_eval(n, i, p) for i in range(n + 1)
-    )
-
-
-def satake_factorization_holds(params: IkedaParams, p: int) -> bool:
-    """Exact check that the generating polynomial factors as
-    p^(d/2) * prod_{j=0}^{n-1} (1 + p^(j + (1-n)/2) x) in Q(sqrt(p))."""
-    n = params.n
-    lhs = satake_polynomial(params, p)
-    scale = half_power(p, params.double_base_exp)
-    factors = [(1, half_power(p, 2 * j + 1 - n)) for j in range(n)]
-    return lhs == tuple(scale * c for c in expand_product(factors))
-
-
 def poly_sum(polys) -> dict:
     """The sum of polynomials {(s-exponent, a-exponent): c} in s and a (Laurent in s), each
     held with no zero c, so that equal polynomials have equal dicts."""
@@ -291,6 +263,8 @@ def check_quad_ring_laws():
         assert (x - y) + y == x
         assert -(-x) == x
         assert x - x == 0
+        root = _quad(0, 1, 1, p)
+        assert root * root == p
         n = a  # an int operand: z's numerator, already drawn
         assert n - x == -(x - n)
 
@@ -305,13 +279,6 @@ def check_quad_sign_vs_isqrt():
         # a/c + (b/d) sqrt(p) over the positive denominator c*d
         x = _quad(a * d, b * c, c * d, p)
         assert x.sign() == surd_sign(a * d, b * c, p), (x, p)
-
-
-def check_half_power_products():
-    for p in (2, 3, 5, 7):
-        for h1 in range(-40, 41):
-            for h2 in range(-40, 41):
-                assert half_power(p, h1) * half_power(p, h2) == half_power(p, h1 + h2)
 
 
 def check_q_binomial_identities():
@@ -439,38 +406,27 @@ def check_eigenforms():
                 assert not refused, (w, shift)
 
 
-def check_horner_layouts():
-    # each group of params_record's Horner layouts, run as
-    # c = c p^gap + coefficient qb[m] and one p^e0, is the literal sum of
-    # its terms; the record lists exactly the exponents of p read at a
-    # prime: by the layouts, route 2's constants, the endpoint scale and the
-    # bounds, and prime_record holds those powers alone
-    for n, k in valid_pairs(20, 40):
-        params = IkedaParams(n, k)
-        half = n // 2
-        by_power, reciprocal, bound_exp, listed = params_record(params)
-        read = {bound_exp, k - half - 1, *range(1, half + 1)}
-        read |= {e for i in range(1, half + 1) for e in (k - i, k - n - 1 + i)}
-        routes = ((by_power, double_sum_terms(params)), (reciprocal, dickson_terms(params)))
-        for layouts, terms in routes:
-            assert len(layouts) == half + 1, (n, k)
-            for e0, group in layouts:
-                read |= {e0, *(gap for *_, gap in group)}
-            for p in primes_upto(50):
-                qb = [q_binomial_eval(n, m, p) for m in range(half + 1)]
-                want = [0] * (half + 1)
-                for coeff, m, exp, j in terms:
-                    want[j] += coeff * qb[m] * p**exp
-                got = []
-                for e0, group in layouts:
-                    c = 0
-                    for coeff, m, gap in group:
-                        c = c * p**gap + coeff * qb[m]
-                    got.append(c * p**e0)
-                assert got == want, (n, k, p)
-        assert listed == tuple(sorted(read)), (n, k, listed, sorted(read))
-        powers = prime_record(params, 7)[0]
-        assert powers == {e: 7**e for e in read}, (n, k)
+def same(where: str, what: str, got: dict, want: dict) -> None:
+    """Assert two polynomials in s and a equal, naming their least differing
+    monomial."""
+    first = min((m for m in got.keys() | want.keys() if got.get(m) != want.get(m)), default=())
+    assert not first, f"{where}: {what} differs first at s^{first[0]} a^{first[1]}"
+
+
+def satake_identity(n: int) -> None:
+    """Prove for one even n the Satake factorization, Gauss's q-binomial
+    theorem at q = s^2 (Andrews, The Theory of Partitions, ch. 3), as an
+    identity of polynomials in s = sqrt(p) and a generating variable x, held
+    in a's place: prod_{j<n} (1 + s^(2j+1-n) x) has coefficient
+    s^(i(i-n)) (n choose i)_(s^2) at x^i, i = 0..n.  That is the Satake
+    coefficient of route_identities' literal route 3 over s^d, and it is
+    symmetric in i and n - i, so the generating polynomial is palindromic.
+    A mismatch names n and the first differing monomial."""
+    product = reduce(poly_mul, ({(0, 0): 1, (2 * j + 1 - n, 1): 1} for j in range(n)))
+    gauss = (
+        {(i * (i - n) + 2 * t, i): c for t, c in enumerate(q_binomial(n, i))} for i in range(n + 1)
+    )
+    same(f"n = {n}", "the Satake product", product, poly_sum(gauss))
 
 
 def route_identities(params: IkedaParams) -> None:
@@ -479,31 +435,38 @@ def route_identities(params: IkedaParams) -> None:
     g = 2k - n - 1), that the eigenvalue is positive and within the bounds
     at every prime; then tie the code to them at p = 2 and 5.  Route 2 is
     prod (a + s^(2x) + s^(2y)) over (x, y) = (k - i, k - n - 1 + i).
-    1. Route 1's and route 3's tables, and route 3 built literally (each
-       D_{n/2-i}(a, c) by its recurrence at c = s^(2g), times the Satake
-       coefficient s^(d + i(i-n)) (n choose i)_p / c^((n/2-i)/2)), equal it.
+    1. Route 1's and route 3's Horner layouts, as params_record holds them
+       and _horner_sum runs them (a term's p-exponent is its group's e0 plus
+       the gaps after it), and route 3 built literally (each D_{n/2-i}(a, c)
+       by its recurrence at c = s^(2g), times the Satake coefficient
+       s^(d + i(i-n)) (n choose i)_p / c^((n/2-i)/2)), equal it.
+       params_record lists as read exactly the layouts' e0 and gaps, the
+       x and y (y at i = n/2 is also verify_prime's endpoint scale), the
+       bounds' factor exponents 1..n/2 and bound_exp.
     2. At a = -+2 s^g each factor is (s^x -+ s^y)^2, nonzero as x != y, so
        it is positive on the Deligne interval, where it increases in a.
     3. Their product, bound_polynomial, is s^(d + n^2/4) prod (1 -+ s^-(2i-1))^2
-       and eigenvalue_bounds' s^(2e) prod (s^(2i) -+ s)^2, e = bound_exponent.
+       and eigenvalue_bounds' s^(2e) prod (s^(2i) -+ s)^2, e = bound_exp.
     4. eigenvalue_polynomial, eigenvalue_bounds and verify_prime at
        a = -L, 0, L (L = deligne_limit) agree with them at s = sqrt(p).
-    A polynomial mismatch names (n, k) and the first differing monomial.
-    The tables are read through ikeda, where params_record reads them."""
+    A polynomial mismatch names (n, k) and the first differing monomial."""
     n, k = params.n, params.k
-    half, g, d, e = n // 2, 2 * k - n - 1, params.double_base_exp, ikeda.bound_exponent(params)
-
-    def same(what, got, want):
-        first = min((m for m in got.keys() | want.keys() if got.get(m) != want.get(m)), default=())
-        assert not first, f"({n}, {k}): {what} differs first at s^{first[0]} a^{first[1]}"
-
+    at, half, g, d = f"({n}, {k})", n // 2, 2 * k - n - 1, params.double_base_exp
+    by_power, reciprocal, e, listed = params_record(params)
     pairs = [(k - i, k - n - 1 + i) for i in range(1, half + 1)]
+    read = {e, *range(1, half + 1), *(x for pair in pairs for x in pair)}
     factors = [{(0, 1): 1, (2 * x, 0): 1, (2 * y, 0): 1} for x, y in pairs]
     route2 = reduce(poly_mul, factors, {(0, 0): 1})
     gauss = [{(2 * t, 0): c for t, c in enumerate(q_binomial(n, m))} for m in range(half + 1)]
-    for what, table in (("route 1", ikeda.double_sum_terms), ("route 3", ikeda.dickson_terms)):
-        terms = (poly_mul({(2 * exp, j): c}, gauss[m]) for c, m, exp, j in table(params))
-        same(what, poly_sum(terms), route2)
+    for what, layouts in (("route 1", by_power), ("route 3", reciprocal)):
+        terms = []
+        for j, (exp, group) in enumerate(layouts):
+            read |= {exp, *(gap for *_, gap in group)}
+            for c, m, gap in reversed(group):
+                terms.append(poly_mul({(2 * exp, j): c}, gauss[m]))
+                exp += gap
+        same(at, what, poly_sum(terms), route2)
+    assert listed == tuple(sorted(read)), (n, k, listed, sorted(read))
     family = [{(0, 0): 2}, {(0, 1): 1}]
     for _ in range(half - 1):
         step = poly_mul({(0, 1): 1}, family[-1]), poly_mul({(2 * g, 0): -1}, family[-2])
@@ -513,16 +476,17 @@ def route_identities(params: IkedaParams) -> None:
         poly_mul(poly_mul({(d + i * (i - n) - g * (half - i), 0): 1}, gauss[i]), family[half - i])
         for i in range(half + 1)
     )
-    same("route 3 by its recurrence", poly_sum(literal), route2)
+    same(at, "route 3 by its recurrence", poly_sum(literal), route2)
     bounds = {sign: bound_polynomial(params, sign) for sign in (-1, 1)}
     odd, even = zip(*(((0, 1 - 2 * i), (2 * i, 1)) for i in range(1, half + 1)))
     for sign in (-1, 1):
         for (x, y), factor in zip(pairs, factors):
             assert x != y, (n, k, x)
             edge = poly_sum({(s + g * j, 0): c * (2 * sign) ** j} for (s, j), c in factor.items())
-            same(f"factor {k - x} at a = {2 * sign}s^{g}", edge, square_product(0, [(x, y)], sign))
-        same("bound formula", square_product(d + half * half, odd, sign), bounds[sign])
-        same("eigenvalue_bounds' form", square_product(2 * e, even, sign), bounds[sign])
+            what = f"factor {k - x} at a = {2 * sign}s^{g}"
+            same(at, what, edge, square_product(0, [(x, y)], sign))
+        same(at, "bound formula", square_product(d + half * half, odd, sign), bounds[sign])
+        same(at, "eigenvalue_bounds' form", square_product(2 * e, even, sign), bounds[sign])
     for p in (2, 5):
         values = at_root(route2, p)
         got = {j: (c, 0) for j, c in enumerate(eigenvalue_polynomial(params, p))}
@@ -537,23 +501,10 @@ def route_identities(params: IkedaParams) -> None:
 
 
 def check_route_identities():
+    for n in range(2, 21, 2):
+        satake_identity(n)
     for n, k in valid_pairs(20, 40):
         route_identities(IkedaParams(n, k))
-
-
-def check_satake_palindromes():
-    for n, k in valid_pairs(8, 20):
-        params = IkedaParams(n, k)
-        for p in primes_upto(50):
-            g = satake_polynomial(params, p)
-            assert g == g[::-1], (n, k, p)
-
-
-def check_satake_factorization():
-    for n, k in valid_pairs(6, 16):
-        params = IkedaParams(n, k)
-        for p in primes_upto(50):
-            assert satake_factorization_holds(params, p), (n, k, p)
 
 
 def check_positivity_and_bounds_sweep():
@@ -587,18 +538,6 @@ def check_end_to_end_values():
         assert (hi - want).sign() > 0, "strictly below the upper bound"
     # 2^9 * (1 -+ 1/sqrt2)^2 = 768 -+ 512 sqrt2
     assert eigenvalue_bounds(IkedaParams(2, 10), 2) == (768, 512)
-
-
-def half_power(p: int, h: int) -> QuadExt:
-    """Exact p**(h/2) as an element of Q(sqrt(p)).
-
-    Even h gives a rational power (negative h gives exact fractions); odd h
-    gives p**((h-1)/2) * sqrt(p).
-    """
-    require_prime(p)
-    e, odd = divmod(h, 2)
-    num, den = (p**e, 1) if e >= 0 else (1, p**-e)
-    return _quad(0, num, den, p) if odd else _quad(num, 0, den, p)
 
 
 def bound_pair(params: IkedaParams, p: int) -> tuple[QuadExt, QuadExt]:
@@ -657,7 +596,6 @@ def check_series_engine_oracle():
 CHECKS = [
     ("quadratic ring laws (1000 samples)", check_quad_ring_laws),
     ("quadratic sign vs the isqrt oracle", check_quad_sign_vs_isqrt),
-    ("half-integer power products", check_half_power_products),
     ("Gaussian binomial identities", check_q_binomial_identities),
     ("Dickson functional identity", check_dickson_identity),
     ("discriminant by the E4/E6 and E4/E8 identities", check_discriminant_identities),
@@ -666,10 +604,7 @@ CHECKS = [
     ("dim S_w from the monomials E4^a E6^b", check_cusp_dimension_from_monomials),
     ("built-in weights are those with dim S_w = 1", check_builtin_weights),
     ("eigenform relations and the Eichler-Selberg trace formula", check_eigenforms),
-    ("routes and bounds as identities in sqrt(p) and a", check_route_identities),
-    ("Satake palindromes", check_satake_palindromes),
-    ("Horner layouts sum to their terms", check_horner_layouts),
-    ("generating-polynomial factorization", check_satake_factorization),
+    ("Satake factorization, routes and bounds in sqrt(p) and a", check_route_identities),
     ("positivity and bounds at primes <= 1000", check_positivity_and_bounds_sweep),
     ("end-to-end values strictly inside bounds", check_end_to_end_values),
     ("series product vs schoolbook oracle", check_series_engine_oracle),

@@ -41,7 +41,8 @@ def test_every_check_is_listed_once():
 
 def test_no_test_names_a_check():
     # each check runs once, as its case above: a test that needs a check's
-    # work calls the helper the check runs (route_identities for one (n, k))
+    # work calls the helper the check runs (satake_identity for one n,
+    # route_identities for one (n, k))
     checks = {name for name in vars(selftest) if name.startswith("check_")}
     named = []
     for path in sorted(Path(__file__).parent.rglob("*.py")):

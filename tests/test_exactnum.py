@@ -5,7 +5,7 @@ arithmetic that squares neither side.  QuadExt.sign is tested against it
 here on Fraction parts (through ref_sign) and at Pell units, whose two
 terms agree past 300 digits.  selftest's check_quad_sign_vs_isqrt runs it
 on 1000 seeded samples, and check_quad_ring_laws the ring laws on 1000
-seeded triples, both cases of tests/test_acceptance.py.
+seeded triples with sqrt(p)^2 = p, both cases of tests/test_acceptance.py.
 """
 
 import copy
@@ -27,7 +27,7 @@ from ikedalift.exactnum import (
     is_prime,
     primes_upto,
 )
-from ikedalift.selftest import half_power, surd_sign
+from ikedalift.selftest import surd_sign
 
 
 def quad(a, b, p: int) -> QuadExt:
@@ -133,21 +133,6 @@ class TestSignAtPellUnits:
                     assert exactnum._quad(X, Y, D, p).sign() == want, (X, Y, D, p)
         # both orders of x against y*sqrt(p) occur where the norm -1 does
         assert norms == ({1, -1} if p % 4 != 3 else {1})
-
-
-class TestHalfPower:
-    def test_even_exponent(self):
-        assert half_power(2, 4) == q2(4, 0)
-
-    def test_odd_exponent(self):
-        assert half_power(2, 3) == q2(0, 2)
-
-    def test_negative_odd_exponent(self):
-        assert half_power(3, -1) == quad(0, Fraction(1, 3), 3)
-
-    def test_nonprime_rejected(self):
-        with pytest.raises(ValueError):
-            half_power(8, 1)
 
 
 class TestDecimalRendering:

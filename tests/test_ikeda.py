@@ -67,7 +67,6 @@ from ikedalift.selftest import (
     expand_product,
     naive_product,
     q_factorial,
-    satake_polynomial,
 )
 
 
@@ -233,21 +232,6 @@ class TestEigenvaluePolynomial:
         assert constants == (3**39999 + 3**39998,)
 
 
-class TestSatakePolynomial:
-    def test_coefficients_2_10_2(self):
-        g = satake_polynomial(IkedaParams(2, 10), 2)
-        # a_0 = a_2 = 2^(17/2) = 256*sqrt(2); a_1 = 2^8 * (1 + 2) = 768
-        root2_256 = QuadExt(0, 256, 2)
-        assert g[0] == root2_256
-        assert g[2] == root2_256
-        assert g[1] == QuadExt(768, 0, 2)
-
-    def test_center_coefficient_4_8_2(self):
-        g = satake_polynomial(IkedaParams(4, 8), 2)
-        # 2^(11-2) * (4 choose 2)_2 = 512 * 35
-        assert g[2] == QuadExt(17920, 0, 2)
-
-
 class TestBounds:
     def test_exact_2_10_2(self):
         # 2^9 * (1 - 1/sqrt2)^2 = 2^9 * (3/2 - sqrt2) = 768 - 512 sqrt2
@@ -356,6 +340,21 @@ class TestIntegralExponents:
             eigenvalue_polynomial(IkedaParams(6, 14), 3)
 
 
+class TestSatakeIdentity:
+    def test_a_wrong_gaussian_binomial_is_named(self, monkeypatch):
+        # coefficient 3 of prod (1 + s^(2j-7) x), j < 8, is s^-15 (8 choose 3)_(s^2)
+        true_binomial = selftest.q_binomial
+
+        def corrupt(n, m):
+            c = true_binomial(n, m)
+            return (c[0] + 1, *c[1:]) if m == 3 else c
+
+        monkeypatch.setattr(selftest, "q_binomial", corrupt)
+        differs = r"^n = 8: the Satake product differs first at s\^-15 a\^3$"
+        with pytest.raises(AssertionError, match=differs):
+            selftest.satake_identity(8)
+
+
 @pytest.fixture
 def cold_ikeda_caches():
     """Every lru_cache of ikeda emptied before and after the test, so a
@@ -373,9 +372,10 @@ class TestCorruptedTables:
     """Each per-(n, k) table the routes read is checked at every prime: a
     single wrong entry makes verify_prime raise the named error, also
     through every table derived from it.  selftest.route_identities fails on
-    each too: on a wrong table naming (n, k) and the first monomial of s and
-    a where its polynomial differs, on a wrong Horner layout, which changes
-    no table, through verify_prime at its primes."""
+    each too, naming (n, k) and the first monomial of s and a where its
+    polynomial differs: it reads routes 1 and 3 from params_record's Horner
+    layouts, so a wrong layout, which changes no table, fails it the same
+    way as a wrong table."""
 
     PARAMS = IkedaParams(16, 18)
 
@@ -413,21 +413,21 @@ class TestCorruptedTables:
         with pytest.raises(AssertionError, match=route3):
             selftest.route_identities(self.PARAMS)
 
-    # (layout, group, term or None for e0, shift): at (16, 18) top = 44 is
-    # the e0 of group 0 in both layouts, so that e0 is shifted down
-    @pytest.mark.parametrize(
-        "route, j, term, shift",
-        [
-            (0, 0, 2, 1),
-            (0, 3, 1, -1),
-            (0, 0, None, -1),
-            (0, 4, None, 1),
-            (1, 0, 3, 1),
-            (1, 1, 1, -1),
-            (1, 0, None, -1),
-            (1, 2, None, 1),
-        ],
-    )
+    # (layout, group, term or None for e0, shift) -> the first monomial where
+    # route_identities finds the route differ: at (16, 18) top = 44 is the
+    # e0 of group 0 in both layouts, so that e0 is shifted down
+    LAYOUT_CORRUPTIONS = {
+        (0, 0, 2, 1): r"s\^124 a\^0",
+        (0, 3, 1, -1): r"s\^78 a\^3",
+        (0, 0, None, -1): r"s\^86 a\^0",
+        (0, 4, None, 1): r"s\^28 a\^4",
+        (1, 0, 3, 1): r"s\^104 a\^0",
+        (1, 1, 1, -1): r"s\^116 a\^1",
+        (1, 0, None, -1): r"s\^86 a\^0",
+        (1, 2, None, 1): r"s\^54 a\^2",
+    }
+
+    @pytest.mark.parametrize("route, j, term, shift", LAYOUT_CORRUPTIONS)
     def test_horner_layout(self, monkeypatch, route, j, term, shift):
         # params_record builds route 1's layouts first and route 3's second,
         # so the exponents it lists as read include the corrupted one
@@ -455,7 +455,9 @@ class TestCorruptedTables:
         with pytest.raises(ArithmeticError, match=what) as info:
             verify_prime(self.PARAMS, 7, 11)
         assert type(info.value) is error
-        with pytest.raises(error, match=what):
+        monomial = self.LAYOUT_CORRUPTIONS[route, j, term, shift]
+        differs = rf"^\(16, 18\): route {2 * route + 1} differs first at {monomial}$"
+        with pytest.raises(AssertionError, match=differs):
             selftest.route_identities(self.PARAMS)
 
     def test_bound_exponent(self, monkeypatch):
@@ -522,7 +524,6 @@ class TestPerPrimeCaches:
         for poly in (
             ikeda.q_binomial(4, 2),
             eigenvalue_polynomial(params, 2),
-            satake_polynomial(params, 2),
             *dickson_family(3, 5),
         ):
             assert type(poly) is tuple, poly

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import ikedalift
-from ikedalift import selftest
 from ikedalift.exactnum import QuadExt, is_prime, require_prime
 from ikedalift.ikeda import IkedaParams, verify_prime
 from ikedalift.modforms import eigenform, hecke_eigenvalue_prime
@@ -25,7 +24,6 @@ def test_every_caller_refuses_a_composite_with_one_message():
         lambda: verify_prime(IkedaParams(2, 10), 6, 0),
         lambda: hecke_eigenvalue_prime(eigenform(12, 10), 6),
         lambda: QuadExt(1, 1, 6),
-        lambda: selftest.half_power(6, 1),
         lambda: require_prime(6),
     )
     for call in calls:
@@ -42,7 +40,6 @@ def test_every_caller_refuses_a_non_int_prime_with_one_message():
             lambda: verify_prime(IkedaParams(2, 10), p, 0),
             lambda: hecke_eigenvalue_prime(eigenform(12, 10), p),
             lambda: QuadExt(1, 1, p),
-            lambda: selftest.half_power(p, 1),
             lambda: require_prime(p),
         )
         for call in calls:

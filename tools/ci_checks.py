@@ -187,19 +187,25 @@ def trace_formula():
 
 @step
 def route_identities():
-    """The routes and bounds proved as identities in sqrt(p) and a for every
-    pair with n <= 40 and k <= 60.  Tier-1 proves the pairs with n <= 20
-    and k <= 40; each of the 383 pairs here is also tied to the code at
-    p = 2 and 5."""
+    """The Satake factorization proved for every even n <= 40, and the routes
+    and bounds as identities in sqrt(p) and a for every pair with n <= 40
+    and k <= 60.  Tier-1 proves n <= 20 and the pairs with n <= 20 and
+    k <= 40; each of the 383 pairs here is also tied to the code at p = 2
+    and 5."""
     checks, ikeda = package("selftest"), package("ikeda")
     pairs = checks.valid_pairs(40, 60)
     with time_limit(300):
+        for n in range(2, 41, 2):
+            try:
+                checks.satake_identity(n)
+            except AssertionError as exc:
+                raise StepFailed(f"n = {n}: {exc!r}") from exc
         for n, k in pairs:
             try:
                 checks.route_identities(ikeda.IkedaParams(n, k))
             except (AssertionError, ArithmeticError) as exc:
                 raise StepFailed(f"(n, k) = ({n}, {k}): {exc!r}") from exc
-    print(f"{len(pairs)} pairs proved", flush=True)
+    print(f"20 degrees and {len(pairs)} pairs proved", flush=True)
 
 
 # each command runs under its own probe process, so the probe reads
